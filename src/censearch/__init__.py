@@ -16,7 +16,6 @@ from .dists import (
     PiecewisePolyDist,
     Tolerances,
     dist_from_json,
-    dist_to_json,
     incremental_benefit,
     mean,
     mpc_check,
@@ -66,7 +65,6 @@ from .welfare import (
     consumer_surplus_type,
     expected_search_length,
     fosd_compare,
-    mps_check,
     surplus_ranking_hypothesis,
     uniform_interpolate,
 )

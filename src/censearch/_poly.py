@@ -22,7 +22,6 @@ __all__ = [
     "real_roots_in",
     "poly_range_on",
     "gauss_nodes",
-    "integrate_fn",
 ]
 
 
@@ -84,13 +83,3 @@ def gauss_nodes(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 def nodes_for_degree(degree: int, cap: int = 192) -> int:
     return min(max(degree // 2 + 1, 2), cap)
-
-
-def integrate_fn(f, lo: float, hi: float, degree: int) -> float:
-    """Gauss-Legendre integral of ``f`` on [lo, hi]; exact for polynomials of
-    the given degree (subject to the node cap)."""
-    if hi <= lo:
-        return 0.0
-    x, w = gauss_nodes(nodes_for_degree(degree))
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return float(half * np.dot(w, f(mid + half * x)))

@@ -32,7 +32,6 @@ from ._poly import (
     gauss_nodes,
     nodes_for_degree,
     polyder,
-    polyint,
     polymul,
     polyval,
     poly_range_on,
@@ -70,7 +69,12 @@ __all__ = [
     "verify_price_function",
     "threshold_from_cost",
     "demand_second_derivative",
+    "pooled_secant",
 ]
+
+CURVATURE_GRID = 2049   # second-derivative scan of the certificate below the threshold
+MARGIN_GRID = 257       # cost grid of the domination margin
+PRICE_GRID = 2049       # scan grid of verify_price_function
 
 
 def upper_censorship(F: PiecewisePolyDist, a: float) -> PiecewisePolyDist:
@@ -123,15 +127,22 @@ def virtual_demand(
 ) -> float:
     """The price-function certificate for the censored strategy: interim
     demand below a, the secant of demand from a to the pooled signal above
-    (extended linearly past the pool)."""
-    Ua = upper_censorship(F, a)
-    D = curve if curve is not None else DemandCurve(Ua, n, H)
+    (extended linearly past the pool).  A ``curve`` passed in must be the
+    demand curve of the censored strategy."""
+    D = curve if curve is not None else DemandCurve(upper_censorship(F, a), n, H)
     if x <= a:
         return D.value(x)
-    k = Ua.max_supp()
-    da, dk = D.value(a), D.value(k)
-    slope = (dk - da) / (k - a)
+    da, slope = pooled_secant(D, a)
     return da + slope * (x - a)
+
+
+def pooled_secant(curve: DemandCurve, a: float) -> tuple[float, float]:
+    """(D(a), slope) of the certificate's secant from the threshold a to the
+    pooled signal k = max supp of the censored conjecture ``curve.G``; the
+    slope is 0 when nothing is pooled (k <= a)."""
+    k = curve.G.max_supp()
+    da, dk = curve.value(a), curve.value(k)
+    return da, (dk - da) / (k - a) if k > a else 0.0
 
 
 def deviation_net_gain(
@@ -214,12 +225,9 @@ def _power_curvature_ok(F: PiecewisePolyDist, n: int, hi: float, tol: float) -> 
         if lo_b >= hi:
             break
         f = F.coefs[i]
-        P = polyint(f)
-        cdf_poly = P.copy()
-        cdf_poly[0] += F._cdf_at[i] - polyval(P, lo_b)
         q = polymul(np.array([float(n - 2)]), polymul(f, f))
         fp = polyder(f)
-        q2 = polymul(fp, cdf_poly)
+        q2 = polymul(fp, F.cdf_poly(i))
         m = np.zeros(max(len(q), len(q2)))
         m[: len(q)] += q
         m[: len(q2)] += q2
@@ -258,8 +266,6 @@ def verify_uce(
     a: float,
     n: int,
     tol: Tolerances | None = None,
-    curvature_grid: int = 2049,
-    margin_grid: int = 257,
 ) -> CensorshipReport:
     """Run both the finite-n certificate and the limit cost conditions for
     the censored strategy with threshold a.
@@ -281,7 +287,7 @@ def verify_uce(
         dmu = upper_censorship(F, 0.0)
         curve = DemandCurve(dmu, n, H)
         k = dmu.max_supp()
-        grid = np.linspace(curve.r_lo, k, margin_grid)
+        grid = np.linspace(curve.r_lo, k, MARGIN_GRID)
         margin = float(min(1.0 / n - curve.value(float(x)) for x in grid))
         checks = {
             "virtual_convex": True,
@@ -304,7 +310,7 @@ def verify_uce(
     # (i) certificate convexity below the threshold
     convex = _power_curvature_ok(F, n, min(a, r_lo), tol.ineq)
     if convex and a > r_lo + tol.root:
-        xs = np.linspace(r_lo, a, max(curvature_grid // 4, 129))
+        xs = np.linspace(r_lo, a, max(CURVATURE_GRID // 4, 129))
         scale = 1.0 + abs(demand_second_derivative(curve, float(xs[len(xs) // 2])))
         for x in xs[1:-1]:
             if demand_second_derivative(curve, float(x)) < -tol.ineq * scale:
@@ -345,7 +351,7 @@ def verify_uce(
     beta = Ha / cfa
     margin = np.inf
     binding: list[float] = []
-    for c in _margin_scan(H, beta, c_hi, margin_grid, open_top=not below):
+    for c in _margin_scan(H, beta, c_hi, MARGIN_GRID, open_top=not below):
         val = J * (H.cdf(c) - beta * c)
         margin = min(margin, val)
         if abs(val) <= max(tol.ineq, 1e-7 * max(J, 1e-12)):
@@ -549,7 +555,6 @@ def verify_price_function(
     H: PiecewisePolyDist,
     n: int,
     tol: Tolerances | None = None,
-    grid: int = 2049,
 ) -> PriceFunctionReport:
     """Equilibrium test for an arbitrary candidate strategy via an explicit
     convex certificate.
@@ -594,7 +599,7 @@ def verify_price_function(
     for lo, hi, kind in segments:
         if kind != "demand":
             continue
-        for x in np.linspace(lo, hi, max(grid // max(len(segments), 1), 129))[1:-1]:
+        for x in np.linspace(lo, hi, max(PRICE_GRID // max(len(segments), 1), 129))[1:-1]:
             if float(x) in (lo, hi):
                 continue
             if demand_second_derivative(curve, float(x)) < -ctol:
@@ -602,7 +607,7 @@ def verify_price_function(
                 break
 
     # domination
-    xs = np.linspace(0.0, max(1.0, segments[-1][1]), grid)
+    xs = np.linspace(0.0, max(1.0, segments[-1][1]), PRICE_GRID)
     min_margin = min(cert.value(float(x)) - curve.value(float(x)) for x in xs)
     dominates_ok = min_margin >= -ctol
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .censorship import (
     equilibrium_set,
+    pooled_secant,
     solve_a_max,
     upper_censorship,
     verify_uce,
@@ -159,16 +160,13 @@ def cmd_verify(spec: dict, out: Path | None, args) -> int:
 
 def _emit_phi_csv(mc: MarketConfig, a: float, target: Path, points: int = 513) -> None:
     """(x, demand, certificate) panel for one threshold."""
-    G = upper_censorship(mc.prior, a)
-    curve = DemandCurve(G, mc.n, mc.costs)
-    k = G.max_supp()
-    da, dk = curve.value(a), curve.value(k)
-    slope = (dk - da) / (k - a) if k > a else 0.0
+    curve = DemandCurve(upper_censorship(mc.prior, a), mc.n, mc.costs)
+    da, slope = pooled_secant(curve, a)
     rows = []
     for x in np.linspace(0.0, 1.0, points):
         x = float(x)
-        phi = curve.value(x) if x <= a else da + slope * (x - a)
-        rows.append((x, curve.value(x), phi))
+        d = curve.value(x)
+        rows.append((x, d, d if x <= a else da + slope * (x - a)))
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -324,16 +322,14 @@ def cmd_emit_plot(spec: dict, out: Path | None, args) -> int:
     _write_csv(out, "plot_costs.csv", ["c", "H", "h", "S", "tangent"], cost_rows)
     G = upper_censorship(mc.prior, a)
     curve = DemandCurve(G, mc.n, mc.costs)
-    k = G.max_supp()
-    da, dk = curve.value(a), curve.value(k)
-    slope = (dk - da) / (k - a) if k > a else 0.0
-    xs = np.linspace(0.0, 1.0, pts)
+    da, slope = pooled_secant(curve, a)
     rows = []
-    for x in xs:
+    for x in np.linspace(0.0, 1.0, pts):
         x = float(x)
         ext, inten = curve.margins(x)
-        phi = curve.value(x) if x <= a else da + slope * (x - a)
-        rows.append((x, curve.value(x), phi, ext, inten, G.cdf(x), curve.cutoff_cost(x)))
+        d = curve.value(x)
+        phi = d if x <= a else da + slope * (x - a)
+        rows.append((x, d, phi, ext, inten, G.cdf(x), curve.cutoff_cost(x)))
     _write_csv(out, "plot_demand.csv", ["x", "D", "phi", "extensive", "intensive", "G", "c_G"], rows)
     return 0
 

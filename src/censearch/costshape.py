@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._poly import polyder, polyint, polyval, real_roots_in
+from ._poly import polyder, polyval, real_roots_in
 from .dists import PiecewisePolyDist
 
 __all__ = [
@@ -70,12 +70,8 @@ def slope_derivative(H: PiecewisePolyDist, c: float, side: int = 1) -> float:
 def _stationary_poly(H: PiecewisePolyDist, i: int) -> np.ndarray:
     """W(c) = c*h(c) - H(c) on segment i; W(c) = 0 <=> S'(c) = 0 for c > 0."""
     h = H.coefs[i]
-    ch = np.concatenate([[0.0], h])
-    P = polyint(h)
-    w = np.zeros(max(len(ch), len(P)) + 1)
-    w[: len(ch)] += ch
-    w[: len(P)] -= P
-    w[0] -= H._cdf_at[i] - polyval(P, H.breaks[i])
+    w = -H.cdf_poly(i)
+    w[1 : len(h) + 1] += h
     return w
 
 
@@ -263,10 +259,7 @@ def crossing_solution(H: PiecewisePolyDist, tol: float = 1e-9) -> float | None:
         lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
         if hi <= c_loc + 1e-12:
             continue
-        P = polyint(H.coefs[i])
-        g = np.zeros(max(len(P), 2))
-        g[: len(P)] += P
-        g[0] += H._cdf_at[i] - polyval(P, H.breaks[i])
+        g = H.cdf_poly(i)
         g[1] -= s_loc
         for r in real_roots_in(g, max(lo, c_loc), hi):
             c = float(r)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._poly import polyder, polyint, polyval, poly_range_on, real_roots_in
+from . import _poly
+from ._poly import poly_range_on, real_roots_in
 
 __all__ = [
     "Tolerances",
@@ -31,7 +32,6 @@ __all__ = [
     "truncated_mean_above",
     "mpc_check",
     "dist_from_json",
-    "dist_to_json",
 ]
 
 MASS_TOL = 1e-12
@@ -47,8 +47,6 @@ class Tolerances:
 @dataclass(frozen=True)
 class GridSpec:
     scan_per_segment: int = 4096   # cost-shape scan resolution
-    curvature: int = 2049          # convexity grid for demand certificates
-    margin: int = 257              # per-cost margin grid
     lp: int = 801                  # LP oracle grid
     cost_quantiles: int = 64       # reservation images injected into LP grid
 
@@ -57,6 +55,15 @@ class PiecewisePolyDist:
     """Distribution on [breaks[0], breaks[-1]] with polynomial density pieces
     and atoms.  Atoms are normalized to sit on breakpoints, so the CDF only
     jumps at breakpoints and every piece is smooth inside its interval.
+
+    Construction builds every per-segment table the queries need, one
+    column per segment (ascending powers, zero-padded to a common degree):
+    the density and its derivative, the density antiderivative P and its
+    second antiderivative, P and the second antiderivative at the segment
+    ends, and the CDF offset ``G(lo) - P(lo)``.  Every query (``cdf``,
+    ``cdf_left``, ``pdf``, ``pdf_derivative``, ``cdf_integral``,
+    ``tail_gap``, ``quantile``) is a segment lookup plus Horner on those
+    tables; it takes a scalar (and returns a float) or an array.
     """
 
     __slots__ = (
@@ -64,6 +71,15 @@ class PiecewisePolyDist:
         "coefs",
         "atom_locs",
         "atom_masses",
+        "_inner",
+        "_pdf",
+        "_dpdf",
+        "_P",
+        "_PP",
+        "_P_lo",
+        "_PP_lo",
+        "_PP_hi",
+        "_cdf_off",
         "_cdf_at",
         "_cdf_left_at",
         "_kint_at",
@@ -106,10 +122,6 @@ class PiecewisePolyDist:
         return cls([x - eps, x + eps], [np.zeros(1)], atoms=[(x, 1.0)])
 
     @classmethod
-    def from_pieces(cls, breaks, coefs, atoms=()) -> "PiecewisePolyDist":
-        return cls(breaks, coefs, atoms)
-
-    @classmethod
     def mixture(cls, components, weights) -> "PiecewisePolyDist":
         weights = np.asarray(weights, dtype=float)
         if np.any(weights < -MASS_TOL) or abs(weights.sum() - 1.0) > 1e-9:
@@ -136,13 +148,21 @@ class PiecewisePolyDist:
 
     def _build_tables(self):
         nseg = len(self.coefs)
-        seg_mass = np.empty(nseg)
-        seg_tmass = np.empty(nseg)
+        lo, hi = self.breaks[:-1], self.breaks[1:]
+        self._inner = self.breaks[1:-1]
+        # at least two rows: npoly.polyint returns a one-term (not two-term)
+        # antiderivative for a table that is a single row of zeros
+        dens = np.zeros((max(2, max(len(c) for c in self.coefs)), nseg))
         for i, c in enumerate(self.coefs):
-            ci = polyint(c)
-            seg_mass[i] = polyval(ci, self.breaks[i + 1]) - polyval(ci, self.breaks[i])
-            ti = polyint(np.concatenate([[0.0], c]))  # t * f(t)
-            seg_tmass[i] = polyval(ti, self.breaks[i + 1]) - polyval(ti, self.breaks[i])
+            dens[: len(c), i] = c
+        self._pdf = dens
+        self._dpdf = _poly.polyder(dens)
+        P = _poly.polyint(dens)
+        PP = _poly.polyint(P)
+        tP = _poly.polyint(np.vstack([np.zeros(nseg), dens]))  # t * f(t)
+        P_lo = _horner(P, lo)
+        seg_mass = _horner(P, hi) - P_lo
+        seg_tmass = _horner(tP, hi) - _horner(tP, lo)
         atom_at_break = np.zeros(nseg + 1)
         for a, m in zip(self.atom_locs, self.atom_masses):
             atom_at_break[int(np.argmin(np.abs(self.breaks - a)))] += m
@@ -153,16 +173,13 @@ class PiecewisePolyDist:
             cdf[i + 1] = cdf[i] + seg_mass[i] + atom_at_break[i + 1]
         self._cdf_at = cdf
         self._cdf_left_at = cdf - atom_at_break
-        # K(x) = int_lo^x G  at breakpoints (atoms contribute from their location on)
-        kint = np.zeros(nseg + 1)
-        for i, c in enumerate(self.coefs):
-            lo, hi = self.breaks[i], self.breaks[i + 1]
-            ci = polyint(c)
-            # int_lo^hi [cdf(lo) + P(t)-P(lo)] dt with P the density antiderivative
-            cii = polyint(ci)
-            seg_int = self._cdf_at[i] * (hi - lo) + (polyval(cii, hi) - polyval(cii, lo)) - polyval(ci, lo) * (hi - lo)
-            kint[i + 1] = kint[i] + seg_int
-        self._kint_at = kint
+        self._P, self._PP, self._P_lo = P, PP, P_lo
+        self._PP_lo, self._PP_hi = _horner(PP, lo), _horner(PP, hi)
+        self._cdf_off = cdf[:-1] - P_lo
+        # K(x) = int_lo^x G  at breakpoints (atoms contribute from their location on):
+        # per segment int_lo^hi [cdf(lo) + P(t)-P(lo)] dt
+        seg_int = cdf[:-1] * (hi - lo) + (self._PP_hi - self._PP_lo) - P_lo * (hi - lo)
+        self._kint_at = np.cumsum(np.concatenate([[0.0], seg_int]))
         # tail(x) = int_x^hi (1 - G) dt at breakpoints
         self._tail_at = (self.breaks[-1] - self.breaks) - self._kint_at[-1] + self._kint_at
         atom_part = float(np.dot(self.atom_locs, self.atom_masses)) if len(self.atom_locs) else 0.0
@@ -180,8 +197,32 @@ class PiecewisePolyDist:
                 raise ValueError(f"density negative on segment {i}: min={lo_v}")
 
     def _segment_index(self, x: float) -> int:
-        i = int(np.searchsorted(self.breaks, x, side="right") - 1)
-        return min(max(i, 0), len(self.coefs) - 1)
+        return int(np.searchsorted(self._inner, x, side="right"))
+
+    def _points(self, x):
+        """x as a float array (a numpy scalar for scalar input), x clamped to
+        the support (where the pieces are evaluated: the same points inside,
+        and finite outside, where each query substitutes its extension), and
+        the segment holding each point (right-continuous, clipped to the end
+        segments)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            x = x[()]
+        xe = np.minimum(np.maximum(x, self.breaks[0]), self.breaks[-1])
+        return x, xe, np.searchsorted(self._inner, x, side="right")
+
+    def _snap(self, x: np.ndarray):
+        """Index of the first breakpoint >= x, and whether x lies within
+        1e-14 of it (one-sided queries treat such points as the breakpoint)."""
+        j = np.minimum(np.searchsorted(self.breaks, x), len(self.breaks) - 1)
+        return j, np.abs(self.breaks[j] - x) <= 1e-14
+
+    def cdf_poly(self, i: int) -> np.ndarray:
+        """The CDF on segment i as one polynomial in x (ascending powers,
+        zero-padded): G(x) = P_i(x) + G(lo_i) - P_i(lo_i) on [lo_i, hi_i)."""
+        c = self._P[:, i].copy()
+        c[0] += self._cdf_off[i]
+        return c
 
     # -- queries -----------------------------------------------------------
 
@@ -228,177 +269,95 @@ class PiecewisePolyDist:
         hit = np.abs(self.atom_locs - x) <= 1e-12
         return float(self.atom_masses[hit].sum())
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x):
         """Right-continuous CDF, extended by 0/1 outside the support."""
-        if x < self.breaks[0]:
-            return 0.0
-        if x >= self.breaks[-1]:
-            return 1.0
-        i = self._segment_index(x)
-        ci = polyint(self.coefs[i])
-        return float(self._cdf_at[i] + polyval(ci, x) - polyval(ci, self.breaks[i]))
+        x, xe, i = self._points(x)
+        g = self._cdf_at[i] + _horner(self._P[:, i], xe) - self._P_lo[i]
+        g = np.where(x < self.breaks[0], 0.0, np.where(x >= self.breaks[-1], 1.0, g))
+        return _result(g)
 
-    def cdf_left(self, x: float) -> float:
+    def cdf_left(self, x):
         """Left limit of the CDF at x."""
-        if x <= self.breaks[0]:
-            return 0.0
-        if x > self.breaks[-1]:
-            return 1.0
-        j = np.searchsorted(self.breaks, x)
-        if j < len(self.breaks) and abs(self.breaks[j] - x) <= 1e-14:
-            return float(self._cdf_left_at[j])
-        i = self._segment_index(x)
-        ci = polyint(self.coefs[i])
-        return float(self._cdf_at[i] + polyval(ci, x) - polyval(ci, self.breaks[i]))
+        x, xe, i = self._points(x)
+        g = self._cdf_at[i] + _horner(self._P[:, i], xe) - self._P_lo[i]
+        j, on_break = self._snap(x)
+        g = np.where(on_break, self._cdf_left_at[j], g)
+        g = np.where(x <= self.breaks[0], 0.0, np.where(x > self.breaks[-1], 1.0, g))
+        return _result(g)
 
-    def pdf(self, x: float, side: int = 1) -> float:
+    def _density(self, table: np.ndarray, x, side: int):
+        x, xe, i = self._points(x)
+        j, on_break = self._snap(x)
+        j = np.minimum(np.maximum(j if side > 0 else j - 1, 0), len(self.coefs) - 1)
+        i = np.where(on_break, j, i)
+        f = _horner(table[:, i], xe)
+        f = np.where((x < self.breaks[0]) | (x > self.breaks[-1]), 0.0, f)
+        return _result(f)
+
+    def pdf(self, x, side: int = 1):
         """Density with one-sided evaluation at breakpoints (side=+1 right)."""
-        if x < self.breaks[0] or x > self.breaks[-1]:
-            return 0.0
-        j = np.searchsorted(self.breaks, x)
-        if j < len(self.breaks) and abs(self.breaks[j] - x) <= 1e-14:
-            i = j if side > 0 else j - 1
-            i = min(max(i, 0), len(self.coefs) - 1)
-        else:
-            i = self._segment_index(x)
-        return float(polyval(self.coefs[i], x))
+        return self._density(self._pdf, x, side)
 
-    def pdf_derivative(self, x: float, side: int = 1) -> float:
-        if x < self.breaks[0] or x > self.breaks[-1]:
-            return 0.0
-        j = np.searchsorted(self.breaks, x)
-        if j < len(self.breaks) and abs(self.breaks[j] - x) <= 1e-14:
-            i = j if side > 0 else j - 1
-            i = min(max(i, 0), len(self.coefs) - 1)
-        else:
-            i = self._segment_index(x)
-        return float(polyval(polyder(self.coefs[i]), x))
+    def pdf_derivative(self, x, side: int = 1):
+        return self._density(self._dpdf, x, side)
 
-    def cdf_integral(self, x: float) -> float:
+    def cdf_integral(self, x):
         """K(x) = int_{lo}^{x} G(t) dt, extended linearly above the support."""
-        if x <= self.breaks[0]:
-            return 0.0
-        if x >= self.breaks[-1]:
-            return float(self._kint_at[-1] + (x - self.breaks[-1]))
-        i = self._segment_index(x)
+        x, xe, i = self._points(x)
         lo = self.breaks[i]
-        ci = polyint(self.coefs[i])
-        cii = polyint(ci)
-        part = self._cdf_at[i] * (x - lo) + (polyval(cii, x) - polyval(cii, lo)) - polyval(ci, lo) * (x - lo)
-        return float(self._kint_at[i] + part)
+        part = (
+            self._cdf_at[i] * (xe - lo)
+            + (_horner(self._PP[:, i], xe) - self._PP_lo[i])
+            - self._P_lo[i] * (xe - lo)
+        )
+        k = self._kint_at[i] + part
+        top = self.breaks[-1]
+        k = np.where(x <= self.breaks[0], 0.0, np.where(x >= top, self._kint_at[-1] + (x - top), k))
+        return _result(k)
 
-    def tail_gap(self, x: float) -> float:
+    def tail_gap(self, x):
         """int_x^{support_hi} (1 - G(t)) dt; 0 above the support."""
-        if x >= self.breaks[-1]:
-            return 0.0
-        if x <= self.breaks[0]:
-            return float(self._tail_at[0] + (self.breaks[0] - x))
-        i = self._segment_index(x)
+        x, xe, i = self._points(x)
         hi = self.breaks[i + 1]
-        lo = self.breaks[i]
-        ci = polyint(self.coefs[i])
-        cii = polyint(ci)
-        kpart = self._cdf_at[i] * (hi - x) + (polyval(cii, hi) - polyval(cii, x)) - polyval(ci, lo) * (hi - x)
-        return float(self._tail_at[i + 1] + (hi - x) - kpart)
+        kpart = (
+            self._cdf_at[i] * (hi - xe)
+            + (self._PP_hi[i] - _horner(self._PP[:, i], xe))
+            - self._P_lo[i] * (hi - xe)
+        )
+        t = self._tail_at[i + 1] + (hi - xe) - kpart
+        lo = self.breaks[0]
+        t = np.where(x >= self.breaks[-1], 0.0, np.where(x <= lo, self._tail_at[0] + (lo - x), t))
+        return _result(t)
 
-    # vectorized evaluation (hot paths: quadrature nodes, oracle grids)
+    # array call sites keep their names
+    cdf_vec = cdf
+    pdf_vec = pdf
+    tail_vec = tail_gap
 
-    def cdf_vec(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty_like(xs)
-        below = xs < self.breaks[0]
-        above = xs >= self.breaks[-1]
-        out[below] = 0.0
-        out[above] = 1.0
-        mid = ~(below | above)
-        if np.any(mid):
-            xm = xs[mid]
-            idx = np.clip(np.searchsorted(self.breaks, xm, side="right") - 1, 0, len(self.coefs) - 1)
-            res = np.empty_like(xm)
-            for i in np.unique(idx):
-                sel = idx == i
-                ci = polyint(self.coefs[i])
-                res[sel] = self._cdf_at[i] + polyval(ci, xm[sel]) - polyval(ci, self.breaks[i])
-            out[mid] = res
-        return out
-
-    def pdf_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Density, right-continuous in the interior, left limit at the top."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        inside = (xs >= self.breaks[0]) & (xs <= self.breaks[-1])
-        if np.any(inside):
-            xm = xs[inside]
-            idx = np.clip(np.searchsorted(self.breaks, xm, side="right") - 1, 0, len(self.coefs) - 1)
-            res = np.empty_like(xm)
-            for i in np.unique(idx):
-                sel = idx == i
-                res[sel] = polyval(self.coefs[i], xm[sel])
-            out[inside] = res
-        return out
-
-    def tail_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized tail_gap."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        below = xs <= self.breaks[0]
-        out[below] = self._tail_at[0] + (self.breaks[0] - xs[below])
-        mid = (~below) & (xs < self.breaks[-1])
-        if np.any(mid):
-            xm = xs[mid]
-            idx = np.clip(np.searchsorted(self.breaks, xm, side="right") - 1, 0, len(self.coefs) - 1)
-            res = np.empty_like(xm)
-            for i in np.unique(idx):
-                sel = idx == i
-                lo, hi = self.breaks[i], self.breaks[i + 1]
-                ci = polyint(self.coefs[i])
-                cii = polyint(ci)
-                x = xm[sel]
-                kpart = (
-                    self._cdf_at[i] * (hi - x)
-                    + (polyval(cii, hi) - polyval(cii, x))
-                    - polyval(ci, lo) * (hi - x)
-                )
-                res[sel] = self._tail_at[i + 1] + (hi - x) - kpart
-            out[mid] = res
-        return out
-
-    def quantile(self, u) -> np.ndarray:
-        """Vectorized inverse CDF.
+    def quantile(self, u):
+        """Inverse CDF.
 
         For u inside an atom's jump the atom location is returned; elsewhere
         the unique continuity point with CDF(x) = u (64 bisection rounds on
         the containing segment, ~1e-16 relative accuracy on unit supports).
         """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        cdfR, cdfL = self._cdf_at, self._cdf_left_at
-        # smallest breakpoint index j with cdfR[j] >= u
-        j = np.searchsorted(cdfR, np.clip(u, 0.0, 1.0), side="left")
-        j = np.clip(j, 0, len(self.breaks) - 1)
-        in_jump = u >= cdfL[j]
-        out[in_jump] = self.breaks[j[in_jump]]
-        rest = ~in_jump
-        if np.any(rest):
-            seg = np.clip(j[rest] - 1, 0, len(self.coefs) - 1)
-            target = u[rest]
-            res = np.empty_like(target)
-            for i in np.unique(seg):
-                sel = seg == i
-                lo, hi = self.breaks[i], self.breaks[i + 1]
-                ci = polyint(self.coefs[i])
-                base = cdfR[i] - polyval(ci, lo)
-                a = np.full(sel.sum(), lo)
-                b = np.full(sel.sum(), hi)
-                t = target[sel]
-                for _ in range(64):
-                    m = 0.5 * (a + b)
-                    ge = base + polyval(ci, m) >= t
-                    b[ge] = m[ge]
-                    a[~ge] = m[~ge]
-                res[sel] = 0.5 * (a + b)
-            out[rest] = res
-        return out
+        u = np.asarray(u, dtype=float)
+        shape, u = u.shape, u.reshape(-1)  # bisection works on the points off the atoms
+        # smallest breakpoint index j with cdf(breaks[j]) >= u
+        j = np.searchsorted(self._cdf_at, np.clip(u, 0.0, 1.0), side="left")
+        j = np.minimum(j, len(self.breaks) - 1)
+        x = self.breaks[j]
+        rest = np.flatnonzero(~(u >= self._cdf_left_at[j]))
+        if len(rest):
+            i = np.maximum(j[rest] - 1, 0)
+            a, b = self.breaks[i], self.breaks[i + 1]
+            base, P, t = self._cdf_off[i], self._P[:, i], u[rest]
+            for _ in range(64):
+                m = 0.5 * (a + b)
+                ge = base + _horner(P, m) >= t
+                a, b = np.where(ge, a, m), np.where(ge, m, b)
+            x[rest] = 0.5 * (a + b)
+        return float(x[0]) if shape == () else x.reshape(shape)
 
     # -- serialization -----------------------------------------------------
 
@@ -420,6 +379,20 @@ class PiecewisePolyDist:
             f"PiecewisePolyDist([{self.breaks[0]:.4g},{self.breaks[-1]:.4g}], "
             f"{len(self.coefs)} pieces, {len(self.atom_locs)} atoms)"
         )
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Column k of ``c`` (ascending powers) evaluated at x[k]: the operations
+    of ``numpy.polynomial.polynomial.polyval`` in the same order, so zero
+    padding leaves the bits unchanged."""
+    out = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        out = c[k] + out * x
+    return out
+
+
+def _result(vals):
+    return vals if isinstance(vals, np.ndarray) and vals.ndim else float(vals)
 
 
 def _insert_atom_breaks(breaks, coefs, atoms):
@@ -480,10 +453,6 @@ def dist_from_json(spec: dict) -> PiecewisePolyDist:
         dists = [dist_from_json({k: v for k, v in c.items() if k != "weight"}) for c in comps]
         return PiecewisePolyDist.mixture(dists, weights)
     raise ValueError(f"unknown distribution kind {kind!r}")
-
-
-def dist_to_json(d: PiecewisePolyDist) -> dict:
-    return d.to_json()
 
 
 # -- market configuration ----------------------------------------------------
@@ -562,7 +531,7 @@ def reservation_value(G: PiecewisePolyDist, c: float, tol: float = 1e-10) -> flo
         # r sits below the support where the benefit is mean - r
         return mu - c
     # bracket by breakpoints, then bisect + one Newton polish
-    tails = np.array([G.tail_gap(b) for b in G.breaks])
+    tails = G.tail_gap(G.breaks)
     j = int(np.searchsorted(-tails, -c, side="right") - 1)
     j = min(max(j, 0), len(G.breaks) - 2)
     a, b = float(G.breaks[j]), float(G.breaks[j + 1])
@@ -610,29 +579,23 @@ def mpc_check(
     lo = min(G.support_lo, F.support_lo)
     hi = max(G.support_hi, F.support_hi)
     pts = set(np.concatenate([G.breaks, F.breaks, G.atom_locs, F.atom_locs, np.linspace(lo, hi, 129)]))
-    worst = -np.inf
-    cuts = sorted(p for p in pts if lo - 1e-12 <= p <= hi + 1e-12)
-    for x in cuts:
-        worst = max(worst, G.cdf_integral(x) - F.cdf_integral(x))
+    cuts = np.array(sorted(p for p in pts if lo - 1e-12 <= p <= hi + 1e-12))
+    worst = float(np.max(G.cdf_integral(cuts) - F.cdf_integral(cuts)))
     # exact interior maxima: d/dx (KG - KF) = G - F, a piecewise polynomial
-    for i in range(len(cuts) - 1):
-        a, b = cuts[i], cuts[i + 1]
+    for a, b in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (a + b)
-        gi = G._segment_index(mid) if G.breaks[0] <= mid <= G.breaks[-1] else None
-        fi = F._segment_index(mid) if F.breaks[0] <= mid <= F.breaks[-1] else None
         dcoef = np.zeros(6)
-        if gi is not None:
-            cg = polyint(G.coefs[gi])
+        if G.breaks[0] <= mid <= G.breaks[-1]:
+            cg = G.cdf_poly(G._segment_index(mid))
             dcoef[: len(cg)] += cg
-            dcoef[0] += G._cdf_at[gi] - polyval(cg, G.breaks[gi])
         elif mid > G.breaks[-1]:
             dcoef[0] += 1.0
-        if fi is not None:
-            cf = polyint(F.coefs[fi])
+        if F.breaks[0] <= mid <= F.breaks[-1]:
+            cf = F.cdf_poly(F._segment_index(mid))
             dcoef[: len(cf)] -= cf
-            dcoef[0] -= F._cdf_at[fi] - polyval(cf, F.breaks[fi])
         elif mid > F.breaks[-1]:
             dcoef[0] -= 1.0
-        for r in real_roots_in(dcoef, a, b):
-            worst = max(worst, G.cdf_integral(float(r)) - F.cdf_integral(float(r)))
+        roots = real_roots_in(dcoef, a, b)
+        if len(roots):
+            worst = max(worst, float(np.max(G.cdf_integral(roots) - F.cdf_integral(roots))))
     return bool(worst <= tol), float(worst)

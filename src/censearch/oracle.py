@@ -97,7 +97,7 @@ def build_problem(
     keep = np.concatenate([[True], np.diff(grid) > 1e-11])
     grid = grid[keep]
     obj = np.array([curve.value(float(x)) for x in grid])
-    caps = np.array([F.cdf_integral(float(x)) for x in grid])
+    caps = F.cdf_integral(grid)
     baseline = expected_payoff(G_star, G_star, n, H, curve=curve)
     return BRProblem(grid, obj, float(mean(F)), caps, int(n), float(baseline))
 

@@ -5,7 +5,8 @@ the purchased product minus the expected accumulated search cost; both have
 closed forms per cost type, with a branch at the threshold whose marginal
 searcher has exactly that cost.  The comparative-statics transforms (scale
 stretches, first-order shifts, mixing toward the uniform, mean-preserving
-spreads) reproduce the predicted movements of the maximal threshold.
+spreads) reproduce the predicted movements of the maximal threshold; whether
+one cost law spreads another is :func:`censearch.dists.mpc_check`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ __all__ = [
     "fosd_compare",
     "uniform_interpolate",
     "classify_density_shape",
-    "mps_check",
     "surplus_ranking_hypothesis",
 ]
+
+FOSD_GRID = 4097  # scan points of fosd_compare (plus both breakpoint sets)
 
 
 def _value_of_best_of_n(F: PiecewisePolyDist, m: float, n: int) -> float:
@@ -129,13 +131,13 @@ def alpha_stretch(
     return PiecewisePolyDist(breaks, coefs, atoms=atoms)
 
 
-def fosd_compare(H1: PiecewisePolyDist, H2: PiecewisePolyDist, grid: int = 4097) -> str:
+def fosd_compare(H1: PiecewisePolyDist, H2: PiecewisePolyDist) -> str:
     """Pointwise CDF comparison on a common scan grid: 'H2_dominates' when
     H2 sits weakly below H1 everywhere (stochastically larger costs),
     'H1_dominates' for the reverse, 'equal', or 'incomparable'."""
     lo = min(H1.support_lo, H2.support_lo)
     hi = max(H1.support_hi, H2.support_hi)
-    cs = np.unique(np.concatenate([np.linspace(lo, hi, grid), H1.breaks, H2.breaks]))
+    cs = np.unique(np.concatenate([np.linspace(lo, hi, FOSD_GRID), H1.breaks, H2.breaks]))
     d = H2.cdf_vec(cs) - H1.cdf_vec(cs)
     tol = 1e-11
     if np.all(np.abs(d) <= tol):
@@ -193,20 +195,6 @@ def classify_density_shape(H: PiecewisePolyDist, tol: float = 1e-11) -> str:
     if signs == [1, -1]:
         return "quasi_concave_interior_peak"
     return "neither"
-
-
-def mps_check(H1: PiecewisePolyDist, H2: PiecewisePolyDist, tol: float = 1e-9, grid: int = 4097) -> bool:
-    """Is H2 a mean-preserving spread of H1?  Equal means and the cumulative
-    CDF integral of H2 dominating H1's everywhere on the scan grid."""
-    if abs(mean(H1) - mean(H2)) > tol:
-        return False
-    lo = min(H1.support_lo, H2.support_lo)
-    hi = max(H1.support_hi, H2.support_hi)
-    cs = np.unique(np.concatenate([np.linspace(lo, hi, grid), H1.breaks, H2.breaks]))
-    for c in cs:
-        if H2.cdf_integral(float(c)) < H1.cdf_integral(float(c)) - tol:
-            return False
-    return True
 
 
 def surplus_ranking_hypothesis(

@@ -29,7 +29,6 @@ from censearch.welfare import (
     consumer_surplus,
     consumer_surplus_type,
     expected_search_length,
-    mps_check,
     uniform_interpolate,
 )
 
@@ -174,13 +173,13 @@ def test_criterion_6_comparative_statics(F, H_uniform, H_threestep):
     assert a_s < a_base
     # spreads of dip densities polarize: informativeness strictly falls
     D1, D2 = quasi_convex_pair()
-    assert mps_check(D1, D2)
+    assert mpc_check(D1, D2)[0]
     assert classify_density_shape(D1) == "quasi_convex_interior_dip"
     d1, d2 = solve_a_max(F, D1)[0], solve_a_max(F, D2)[0]
     assert d2 < d1
     # spreads of peak densities even out: informativeness weakly rises
     P1, P2 = quasi_concave_pair()
-    assert mps_check(P1, P2)
+    assert mpc_check(P1, P2)[0]
     assert classify_density_shape(P1) == "quasi_concave_interior_peak"
     p1, p2 = solve_a_max(F, P1)[0], solve_a_max(F, P2)[0]
     assert p2 >= p1

@@ -61,6 +61,18 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert main(["solve", "--spec", str(missing)]) == 2
 
 
+def test_unread_grid_knobs_rejected(tmp_path, capsys):
+    # GridSpec carries only the sizes something reads; the certificate grids
+    # are constants of censorship, so a spec setting them is a config error
+    for knob in ("curvature", "margin"):
+        spec = write_spec(tmp_path, f"{knob}.json")
+        payload = json.loads(spec.read_text())
+        payload["market"]["grid"] = {knob: 513}
+        spec.write_text(json.dumps(payload))
+        assert main(["solve", "--spec", str(spec)]) == 2
+        assert knob in capsys.readouterr().err
+
+
 def test_verify_gating(tmp_path):
     ok = write_spec(tmp_path, "ok.json", extra={"verify": {"a": 0.3, "price_function": True}})
     phi = tmp_path / "phi.csv"

@@ -1,9 +1,13 @@
 """Distribution calculus: means, incremental benefit, reservation values,
 truncated means, contraction checks, serialization."""
 
+import sys
+
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
+from censearch import _poly
 from censearch.dists import (
     MarketConfig,
     PiecewisePolyDist,
@@ -152,3 +156,258 @@ def test_quantile_cdf_consistency(F, H_bimodal):
         for u, x in zip(us[::25], xs[::25]):
             assert d.cdf(float(x)) >= u - 1e-9
             assert d.cdf_left(float(x)) <= u + 1e-9
+
+
+# -- the table path against the per-call formulas ------------------------------
+#
+# The reference below integrates each density piece with npoly.polyint on every
+# call and evaluates with npoly.polyval, the way every query used to.  The
+# precomputed tables must reproduce it bit for bit.
+
+
+def _cubic_law(pieces=11, seed=5):
+    rng = np.random.default_rng(seed)
+    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, pieces - 1)), [1.0]])
+    coefs = []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        c = rng.normal(size=4) * np.array([1.0, 2.0, 4.0, 8.0])
+        xs = np.linspace(lo, hi, 257)
+        c[0] += 0.2 - min(0.0, npoly.polyval(xs, c).min())  # positive on the piece
+        coefs.append(c)
+    mass = sum(npoly.polyval(hi, npoly.polyint(c)) - npoly.polyval(lo, npoly.polyint(c))
+               for lo, hi, c in zip(breaks[:-1], breaks[1:], coefs))
+    return PiecewisePolyDist(breaks, [c / mass for c in coefs])
+
+
+def _atom_law():
+    # atoms at the support ends, at a breakpoint (0.3) and inside a piece (0.45)
+    atoms = [(0.0, 0.05), (0.3, 0.1), (0.45, 0.15), (1.0, 0.1)]
+    dens = [np.array([0.6, 1.0]), np.array([0.9]), np.array([1.2, -0.6, 0.3, -0.1])]
+    breaks = [0.0, 0.3, 0.6, 1.0]
+    mass = sum(npoly.polyval(hi, npoly.polyint(c)) - npoly.polyval(lo, npoly.polyint(c))
+               for lo, hi, c in zip(breaks[:-1], breaks[1:], dens))
+    scale = (1.0 - sum(m for _, m in atoms)) / mass
+    return PiecewisePolyDist(breaks, [c * scale for c in dens], atoms=atoms)
+
+
+def _laws():
+    cubic = _cubic_law()
+    return {"cubic": cubic, "atoms": _atom_law(), "censored": upper_censorship(cubic, 0.55),
+            "uniform": PiecewisePolyDist.uniform(0.0, 0.18)}
+
+
+def _probe_points(d):
+    rng = np.random.default_rng(11)
+    lo, hi = d.support_lo, d.support_hi
+    pts = [lo - 0.25, lo - 1e-9, hi + 1e-15, hi + 1e-9, hi + 0.25]
+    for b in d.breaks:
+        pts += [b, b - 1e-14, b - 4e-15, b - 1e-15, b + 1e-15, b + 4e-15, b + 1e-14,
+                np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+    pts += list(rng.uniform(lo, hi, 200))
+    return np.array(pts)
+
+
+def _ref_seg(d, x):
+    i = int(np.searchsorted(d.breaks, x, side="right") - 1)
+    return min(max(i, 0), len(d.coefs) - 1)
+
+
+def _ref_tables(d):
+    nseg = len(d.coefs)
+    seg_mass = np.empty(nseg)
+    for i, c in enumerate(d.coefs):
+        ci = npoly.polyint(c)
+        seg_mass[i] = npoly.polyval(d.breaks[i + 1], ci) - npoly.polyval(d.breaks[i], ci)
+    atom_at_break = np.zeros(nseg + 1)
+    for a, m in zip(d.atom_locs, d.atom_masses):
+        atom_at_break[int(np.argmin(np.abs(d.breaks - a)))] += m
+    cdf = np.zeros(nseg + 1)
+    cdf[0] = atom_at_break[0]
+    for i in range(nseg):
+        cdf[i + 1] = cdf[i] + seg_mass[i] + atom_at_break[i + 1]
+    kint = np.zeros(nseg + 1)
+    for i, c in enumerate(d.coefs):
+        lo, hi = d.breaks[i], d.breaks[i + 1]
+        ci = npoly.polyint(c)
+        cii = npoly.polyint(ci)
+        seg = (cdf[i] * (hi - lo) + (npoly.polyval(hi, cii) - npoly.polyval(lo, cii))
+               - npoly.polyval(lo, ci) * (hi - lo))
+        kint[i + 1] = kint[i] + seg
+    tail = (d.breaks[-1] - d.breaks) - kint[-1] + kint
+    return cdf, cdf - atom_at_break, kint, tail
+
+
+def _ref_piece_cdf(d, x):
+    cdf = _ref_tables(d)[0]
+    i = _ref_seg(d, x)
+    ci = npoly.polyint(d.coefs[i])
+    return float(cdf[i] + npoly.polyval(x, ci) - npoly.polyval(d.breaks[i], ci))
+
+
+def _ref_cdf(d, x):
+    if x < d.breaks[0]:
+        return 0.0
+    if x >= d.breaks[-1]:
+        return 1.0
+    return _ref_piece_cdf(d, x)
+
+
+def _ref_cdf_left(d, x):
+    if x <= d.breaks[0]:
+        return 0.0
+    if x > d.breaks[-1]:
+        return 1.0
+    j = np.searchsorted(d.breaks, x)
+    if j < len(d.breaks) and abs(d.breaks[j] - x) <= 1e-14:
+        return float(_ref_tables(d)[1][j])
+    return _ref_piece_cdf(d, x)
+
+
+def _ref_density(d, x, side, deriv=False):
+    if x < d.breaks[0] or x > d.breaks[-1]:
+        return 0.0
+    j = np.searchsorted(d.breaks, x)
+    if j < len(d.breaks) and abs(d.breaks[j] - x) <= 1e-14:
+        i = min(max(j if side > 0 else j - 1, 0), len(d.coefs) - 1)
+    else:
+        i = _ref_seg(d, x)
+    c = d.coefs[i]
+    if deriv:
+        c = npoly.polyder(c) if len(c) > 1 else np.zeros(1)
+    return float(npoly.polyval(x, c))
+
+
+def _ref_cdf_integral(d, x):
+    cdf, _, kint, _ = _ref_tables(d)
+    if x <= d.breaks[0]:
+        return 0.0
+    if x >= d.breaks[-1]:
+        return float(kint[-1] + (x - d.breaks[-1]))
+    i = _ref_seg(d, x)
+    lo = d.breaks[i]
+    ci = npoly.polyint(d.coefs[i])
+    cii = npoly.polyint(ci)
+    part = (cdf[i] * (x - lo) + (npoly.polyval(x, cii) - npoly.polyval(lo, cii))
+            - npoly.polyval(lo, ci) * (x - lo))
+    return float(kint[i] + part)
+
+
+def _ref_tail_gap(d, x):
+    cdf, _, _, tail = _ref_tables(d)
+    if x >= d.breaks[-1]:
+        return 0.0
+    if x <= d.breaks[0]:
+        return float(tail[0] + (d.breaks[0] - x))
+    i = _ref_seg(d, x)
+    lo, hi = d.breaks[i], d.breaks[i + 1]
+    ci = npoly.polyint(d.coefs[i])
+    cii = npoly.polyint(ci)
+    kpart = (cdf[i] * (hi - x) + (npoly.polyval(hi, cii) - npoly.polyval(x, cii))
+             - npoly.polyval(lo, ci) * (hi - x))
+    return float(tail[i + 1] + (hi - x) - kpart)
+
+
+def _ref_quantile(d, u):
+    cdfR, cdfL, _, _ = _ref_tables(d)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty_like(u)
+    j = np.clip(np.searchsorted(cdfR, np.clip(u, 0.0, 1.0), side="left"), 0, len(d.breaks) - 1)
+    in_jump = u >= cdfL[j]
+    out[in_jump] = d.breaks[j[in_jump]]
+    rest = ~in_jump
+    seg = np.clip(j[rest] - 1, 0, len(d.coefs) - 1)
+    target = u[rest]
+    res = np.empty_like(target)
+    for i in np.unique(seg):
+        sel = seg == i
+        lo, hi = d.breaks[i], d.breaks[i + 1]
+        ci = npoly.polyint(d.coefs[i])
+        base = cdfR[i] - npoly.polyval(lo, ci)
+        a, b = np.full(sel.sum(), lo), np.full(sel.sum(), hi)
+        for _ in range(64):
+            m = 0.5 * (a + b)
+            ge = base + npoly.polyval(m, ci) >= target[sel]
+            b[ge] = m[ge]
+            a[~ge] = m[~ge]
+        res[sel] = 0.5 * (a + b)
+    out[rest] = res
+    return out
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+QUERIES = {
+    "cdf": (lambda d, x: d.cdf(x), _ref_cdf),
+    "cdf_left": (lambda d, x: d.cdf_left(x), _ref_cdf_left),
+    "pdf+": (lambda d, x: d.pdf(x), lambda d, x: _ref_density(d, x, +1)),
+    "pdf-": (lambda d, x: d.pdf(x, side=-1), lambda d, x: _ref_density(d, x, -1)),
+    "pdf_derivative+": (lambda d, x: d.pdf_derivative(x), lambda d, x: _ref_density(d, x, +1, True)),
+    "pdf_derivative-": (lambda d, x: d.pdf_derivative(x, side=-1),
+                        lambda d, x: _ref_density(d, x, -1, True)),
+    "cdf_integral": (lambda d, x: d.cdf_integral(x), _ref_cdf_integral),
+    "tail_gap": (lambda d, x: d.tail_gap(x), _ref_tail_gap),
+    "cdf_vec": (lambda d, x: d.cdf_vec(x), _ref_cdf),
+    "pdf_vec": (lambda d, x: d.pdf_vec(x), lambda d, x: _ref_density(d, x, +1)),
+    "tail_vec": (lambda d, x: d.tail_vec(x), _ref_tail_gap),
+}
+
+
+@pytest.mark.parametrize("law", ["cubic", "atoms", "censored", "uniform"])
+def test_tables_match_per_call_formulas(law):
+    d = _laws()[law]
+    cdf, cdf_left, kint, tail = _ref_tables(d)
+    for got, ref in ((d._cdf_at, cdf), (d._cdf_left_at, cdf_left), (d._kint_at, kint),
+                     (d._tail_at, tail)):
+        assert _same_bits(got, ref)
+    xs = _probe_points(d)
+    for name, (query, ref) in QUERIES.items():
+        expect = np.array([ref(d, float(x)) for x in xs])
+        scalars = [query(d, float(x)) for x in xs]
+        assert all(type(v) is float for v in scalars), name
+        assert all(type(query(d, x)) is float for x in xs[:3]), name  # numpy scalars too
+        assert _same_bits(scalars, expect), name
+        assert _same_bits(query(d, xs), expect), name
+    us = np.concatenate([[0.0, 1.0, 1e-12, 1 - 1e-12], cdf, cdf_left, (cdf + cdf_left) / 2,
+                         np.random.default_rng(2).uniform(0.0, 1.0, 300)])
+    assert _same_bits(d.quantile(us), _ref_quantile(d, us))
+    scalars = [d.quantile(float(u)) for u in us]
+    assert all(type(v) is float for v in scalars)
+    assert _same_bits(scalars, _ref_quantile(d, us))
+
+
+def test_cdf_poly_is_the_segment_cdf():
+    for d in _laws().values():
+        for i in range(len(d.coefs)):
+            lo, hi = d.breaks[i], d.breaks[i + 1]
+            xs = np.linspace(lo, hi, 9)[:-1]
+            assert np.allclose(npoly.polyval(xs, d.cdf_poly(i)), d.cdf(xs), rtol=0, atol=1e-14)
+
+
+def test_queries_make_no_antiderivatives(monkeypatch):
+    calls = []
+    original = _poly.polyint
+
+    def counting(c):
+        calls.append(1)
+        return original(c)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("censearch") and getattr(module, "polyint", None) is original:
+            monkeypatch.setattr(module, "polyint", counting)
+    laws = _laws()
+    assert calls  # construction integrates the pieces, through the patched function
+    calls.clear()
+    for d in laws.values():
+        xs = _probe_points(d)
+        for query, _ in QUERIES.values():
+            query(d, xs)
+            query(d, float(xs[-1]))
+        d.quantile(np.linspace(0.0, 1.0, 33))
+        d.quantile(0.3)
+        for i in range(len(d.coefs)):
+            d.cdf_poly(i)
+        reservation_value(d, 0.5 * d.tail_gap(d.support_lo))
+    assert mpc_check(laws["censored"], laws["cubic"])[0]
+    assert not calls

@@ -5,7 +5,7 @@ import pytest
 
 from censearch.censorship import solve_a_max
 from censearch.costshape import assumption_diag_check, global_min_slope
-from censearch.dists import PiecewisePolyDist, mean
+from censearch.dists import PiecewisePolyDist, mean, mpc_check
 from censearch.welfare import (
     alpha_stretch,
     classify_density_shape,
@@ -13,7 +13,6 @@ from censearch.welfare import (
     consumer_surplus_type,
     expected_search_length,
     fosd_compare,
-    mps_check,
     surplus_ranking_hypothesis,
     uniform_interpolate,
 )
@@ -153,12 +152,12 @@ def test_density_shape_classification(H_uniform):
 
 
 def test_mps_check_examples(H_uniform):
-    assert mps_check(H_uniform, H_uniform)
+    assert mpc_check(H_uniform, H_uniform)[0]
     H1, H2 = quasi_convex_pair()
-    assert mps_check(H1, H2)
-    assert not mps_check(H2, H1)
+    assert mpc_check(H1, H2)[0]
+    assert not mpc_check(H2, H1)[0]
     shifted = PiecewisePolyDist.uniform(0.01, 0.19)
-    assert not mps_check(H_uniform, shifted)  # means differ
+    assert not mpc_check(H_uniform, shifted)[0]  # means differ
 
 
 def test_mps_directions(F):
@@ -166,7 +165,7 @@ def test_mps_directions(F):
     H1, H2 = quasi_convex_pair()
     assert classify_density_shape(H1) == "quasi_convex_interior_dip"
     assert classify_density_shape(H2) == "quasi_convex_interior_dip"
-    assert mps_check(H1, H2)
+    assert mpc_check(H1, H2)[0]
     a1, case1, _ = solve_a_max(F, H1)
     a2, case2, _ = solve_a_max(F, H2)
     assert a2 < a1
@@ -174,7 +173,7 @@ def test_mps_directions(F):
     # evenness statistic strictly rises
     P1, P2 = quasi_concave_pair()
     assert classify_density_shape(P1) == "quasi_concave_interior_peak"
-    assert mps_check(P1, P2)
+    assert mpc_check(P1, P2)[0]
     b1 = solve_a_max(F, P1)[0]
     b2 = solve_a_max(F, P2)[0]
     assert b2 >= b1
