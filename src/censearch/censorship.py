@@ -50,6 +50,8 @@ from .demand import DemandCurve, jump_size
 from .dists import (
     PiecewisePolyDist,
     Tolerances,
+    _pow,
+    _result,
     incremental_benefit,
     mean,
     reservation_value,
@@ -159,33 +161,35 @@ def deviation_net_gain(
     return _pool_jump(F, a, n) * (c / cfa - H.cdf(c))
 
 
-def demand_second_derivative(curve: DemandCurve, x: float, side: int = 1) -> float:
-    """D'' at a point where the conjecture has a density (no atom), from the
-    stopping/max-win decomposition of D'."""
+def demand_second_derivative(curve: DemandCurve, x, side: int = 1):
+    """D'' at points where the conjecture has a density (no atom), from the
+    stopping/max-win decomposition of D'.  Takes a scalar (returns a float)
+    or an array."""
     G, H, n = curve.G, curve.H, curve.n
     u = G.cdf(x)
     g = G.pdf(x, side=side)
     gp = G.pdf_derivative(x, side=side)
     cg = curve.cutoff_cost(x)
-    inside = 0 < cg < curve.cbar
-    Hc = H.cdf_left(cg) if cg > 1e-15 else 0.0
-    hc = H.pdf(cg, side=-side) if inside else (H.pdf(curve.cbar, side=-1) if cg >= curve.cbar else 0.0)
-    hpc = H.pdf_derivative(cg, side=-side) if inside else 0.0
-    if cg >= curve.cbar:
-        Hc, hc, hpc = 1.0, 0.0, 0.0
+    inside = (0 < cg) & (cg < curve.cbar)
+    Hc = np.where(cg >= curve.cbar, 1.0, np.where(cg > 1e-15, H.cdf_left(cg), 0.0))
+    hc = np.where(inside, H.pdf(cg, side=-side), 0.0)
+    hpc = np.where(inside, H.pdf_derivative(cg, side=-side), 0.0)
     J = jump_size(G, x, n)
-    if u >= 1.0 - 1e-14:
-        dJdu = -(n - 1)
-    else:
-        dJdu = ((1.0 - u**n) - n * u ** (n - 1) * (1.0 - u)) / (n * (1.0 - u) ** 2) - (n - 1) * u ** (n - 2)
-    pow3 = (n - 1) * (n - 2) * u ** (n - 3) if n > 2 else 0.0
-    return float(
+    top = u >= 1.0 - 1e-14
+    dJdu = np.where(
+        top,
+        -(n - 1),
+        ((1.0 - _pow(u, n)) - n * _pow(u, n - 1) * (1.0 - u)) / (n * np.where(top, 1.0, _pow(1.0 - u, 2)))
+        - (n - 1) * _pow(u, n - 2),
+    )
+    pow3 = (n - 1) * (n - 2) * _pow(u, n - 3) if n > 2 else 0.0
+    return _result(
         -g * hc * J
-        - (1.0 - u) ** 2 * hpc * J
+        - _pow(1.0 - u, 2) * hpc * J
         + (1.0 - u) * hc * g * dJdu
-        + pow3 * g**2 * Hc
-        + (n - 1) * u ** (n - 2) * gp * Hc
-        - (n - 1) * u ** (n - 2) * g * hc * (1.0 - u)
+        + pow3 * _pow(g, 2) * Hc
+        + (n - 1) * _pow(u, n - 2) * gp * Hc
+        - (n - 1) * _pow(u, n - 2) * g * hc * (1.0 - u)
     )
 
 
@@ -287,8 +291,7 @@ def verify_uce(
         dmu = upper_censorship(F, 0.0)
         curve = DemandCurve(dmu, n, H)
         k = dmu.max_supp()
-        grid = np.linspace(curve.r_lo, k, MARGIN_GRID)
-        margin = float(min(1.0 / n - curve.value(float(x)) for x in grid))
+        margin = float(np.min(1.0 / n - curve.value(np.linspace(curve.r_lo, k, MARGIN_GRID))))
         checks = {
             "virtual_convex": True,
             "kink_increasing": True,
@@ -310,20 +313,15 @@ def verify_uce(
     # (i) certificate convexity below the threshold
     convex = _power_curvature_ok(F, n, min(a, r_lo), tol.ineq)
     if convex and a > r_lo + tol.root:
-        xs = np.linspace(r_lo, a, max(CURVATURE_GRID // 4, 129))
-        scale = 1.0 + abs(demand_second_derivative(curve, float(xs[len(xs) // 2])))
-        for x in xs[1:-1]:
-            if demand_second_derivative(curve, float(x)) < -tol.ineq * scale:
-                convex = False
-                break
+        d2 = demand_second_derivative(curve, np.linspace(r_lo, a, max(CURVATURE_GRID // 4, 129)))
+        scale = 1.0 + abs(d2[len(d2) // 2])
+        convex = not np.any(d2[1:-1] < -tol.ineq * scale)
         if convex:
-            for b in curve.x_breaks:
-                if r_lo + tol.root < b < a - tol.root:
-                    dl = sum(curve.margins(float(b), side=-1))
-                    dr = sum(curve.margins(float(b), side=+1))
-                    if dr < dl - tol.ineq * (1.0 + abs(dl)):
-                        convex = False
-                        break
+            bs = curve.x_breaks
+            bs = bs[(r_lo + tol.root < bs) & (bs < a - tol.root)]
+            dl = sum(curve.margins(bs, side=-1))
+            dr = sum(curve.margins(bs, side=+1))
+            convex = not np.any(dr < dl - tol.ineq * (1.0 + np.abs(dl)))
 
     # (ii) upward kink at the threshold, in closed form.  The deficit can be
     # exponentially small in n (the max-win term carries F(a)^(n-2)), so the
@@ -349,14 +347,11 @@ def verify_uce(
     # (iii) domination margin over partial-purchase signals
     c_hi = min(cfa, cbar)
     beta = Ha / cfa
-    margin = np.inf
-    binding: list[float] = []
-    for c in _margin_scan(H, beta, c_hi, MARGIN_GRID, open_top=not below):
-        val = J * (H.cdf(c) - beta * c)
-        margin = min(margin, val)
-        if abs(val) <= max(tol.ineq, 1e-7 * max(J, 1e-12)):
-            binding.append(float(k - c / (1.0 - F.cdf(a))))
-    margin = float(margin)
+    cs = np.array(_margin_scan(H, beta, c_hi, MARGIN_GRID, open_top=not below))
+    vals = J * (H.cdf(cs) - beta * cs)
+    margin = float(np.min(vals))
+    binds = cs[np.abs(vals) <= max(tol.ineq, 1e-7 * max(J, 1e-12))]
+    binding = (k - binds / (1.0 - F.cdf(a))).tolist()
     dominates = margin >= -tol.ineq
 
     # limit cost conditions
@@ -490,25 +485,29 @@ class _Certificate:
         self.curve = curve
         self.vals = [(curve.value(lo), curve.value(hi)) for lo, hi, _ in segments]
 
-    def value(self, x: float) -> float:
-        segs = self.segments
-        if x <= segs[0][0]:
-            return self.vals[0][0]
-        if x >= segs[-1][1]:
-            lo, hi, kind = segs[-1]
-            if kind == "demand":
-                s = sum(self.curve.margins(hi, side=-1))
-            else:
-                v0, v1 = self.vals[-1]
-                s = (v1 - v0) / (hi - lo) if hi > lo else 0.0
-            return self.vals[-1][1] + s * (x - hi)
+    def value(self, x):
+        """The certificate at x; takes a scalar (returns a float) or an array."""
+        x = np.asarray(x, dtype=float)
+        first = self.segments[0][0]
+        lo, last, kind = self.segments[-1]
+        if kind == "demand":
+            s = sum(self.curve.margins(last, side=-1))
+        else:
+            v0, v1 = self.vals[-1]
+            s = (v1 - v0) / (last - lo) if last > lo else 0.0
+        out = np.where(x <= first, self.vals[0][0], self.vals[-1][1] + s * (x - last))
+        todo = (x > first) & (x < last)  # each takes the first segment holding it
         for (lo, hi, kind), (v0, v1) in zip(self.segments, self.vals):
-            if lo - 1e-14 <= x <= hi + 1e-14:
-                if kind == "demand":
-                    return self.curve.value(x)
-                t = (x - lo) / (hi - lo) if hi > lo else 0.0
-                return v0 + t * (v1 - v0)
-        raise AssertionError("certificate segments must tile the support")
+            on = todo & (lo - 1e-14 <= x) & (x <= hi + 1e-14)
+            if kind == "demand":
+                out[on] = self.curve.value(x[on])
+            else:
+                t = (x[on] - lo) / (hi - lo) if hi > lo else 0.0
+                out[on] = v0 + t * (v1 - v0)
+            todo &= ~on
+        if np.any(todo):
+            raise AssertionError("certificate segments must tile the support")
+        return _result(out)
 
     def slope_pairs(self):
         """(entry slope, exit slope) per segment, for convexity checks."""
@@ -536,7 +535,8 @@ def _support_elements(G: PiecewisePolyDist, F: PiecewisePolyDist, tol: float):
         i = G._segment_index(0.5 * (lo + hi))
         if np.max(np.abs(G.coefs[i])) <= 1e-14:
             continue  # gap
-        diff = max(abs(G.cdf(float(x)) - F.cdf(float(x))) for x in np.linspace(lo, hi, 17))
+        xs = np.linspace(lo, hi, 17)
+        diff = np.max(np.abs(G.cdf(xs) - F.cdf(xs)))
         kind = "disclosure" if diff <= tol else "pooling"
         if elements and elements[-1][0] == kind and abs(elements[-1][2] - lo) < 1e-12:
             elements[-1] = (kind, elements[-1][1], hi)
@@ -599,16 +599,13 @@ def verify_price_function(
     for lo, hi, kind in segments:
         if kind != "demand":
             continue
-        for x in np.linspace(lo, hi, max(PRICE_GRID // max(len(segments), 1), 129))[1:-1]:
-            if float(x) in (lo, hi):
-                continue
-            if demand_second_derivative(curve, float(x)) < -ctol:
-                convex_ok = False
-                break
+        xs = np.linspace(lo, hi, max(PRICE_GRID // max(len(segments), 1), 129))[1:-1]
+        if np.any(demand_second_derivative(curve, xs[(xs != lo) & (xs != hi)]) < -ctol):
+            convex_ok = False
 
     # domination
     xs = np.linspace(0.0, max(1.0, segments[-1][1]), PRICE_GRID)
-    min_margin = min(cert.value(float(x)) - curve.value(float(x)) for x in xs)
+    min_margin = float(np.min(cert.value(xs) - curve.value(xs)))
     dominates_ok = min_margin >= -ctol
 
     # pooling contact: the chord must ride on demand across pooled mass
@@ -616,7 +613,8 @@ def verify_price_function(
     for kind, lo, hi in elements:
         if kind != "pooling":
             continue
-        worst = max(abs(cert.value(float(x)) - curve.value(float(x))) for x in np.linspace(lo, hi, 65))
+        xs = np.linspace(lo, hi, 65)
+        worst = np.max(np.abs(cert.value(xs) - curve.value(xs)))
         if worst > ctol:
             contact_ok = False
 
@@ -644,9 +642,9 @@ def verify_price_function(
 
 def _integrate_certificate(cert: _Certificate, W: PiecewisePolyDist) -> float:
     total = 0.0
-    for a, m in zip(W.atom_locs, W.atom_masses):
+    for m, v in zip(W.atom_masses, cert.value(W.atom_locs)):
         if m > 0:
-            total += m * cert.value(float(a))
+            total += m * v
     cuts = sorted(
         set(map(float, W.breaks))
         | {lo for lo, _, _ in cert.segments}
@@ -655,15 +653,13 @@ def _integrate_certificate(cert: _Certificate, W: PiecewisePolyDist) -> float:
     )
     cuts = [c for c in cuts if W.breaks[0] - 1e-12 <= c <= W.breaks[-1] + 1e-12]
     xg, wg = gauss_nodes(nodes_for_degree(cert.curve._gl_deg + 12))
+    pieces = []  # (half width, nodes, density coefficients) per piece with density
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-14:
-            continue
-        i = W._segment_index(0.5 * (lo + hi))
-        if np.max(np.abs(W.coefs[i])) == 0.0:
-            continue
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ts = mid + half * xg
-        dens = polyval(W.coefs[i], ts)
-        vals = np.array([cert.value(float(t)) for t in ts])
-        total += half * float(np.dot(wg, dens * vals))
+        coefs = W.coefs[W._segment_index(0.5 * (lo + hi))]
+        if hi - lo >= 1e-14 and np.max(np.abs(coefs)) != 0.0:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            pieces.append((half, mid + half * xg, coefs))
+    vals = cert.value(np.array([ts for _, ts, _ in pieces]))
+    for (half, ts, coefs), v in zip(pieces, vals):
+        total += half * float(np.dot(wg, polyval(coefs, ts) * v))
     return total

@@ -162,11 +162,9 @@ def _emit_phi_csv(mc: MarketConfig, a: float, target: Path, points: int = 513) -
     """(x, demand, certificate) panel for one threshold."""
     curve = DemandCurve(upper_censorship(mc.prior, a), mc.n, mc.costs)
     da, slope = pooled_secant(curve, a)
-    rows = []
-    for x in np.linspace(0.0, 1.0, points):
-        x = float(x)
-        d = curve.value(x)
-        rows.append((x, d, d if x <= a else da + slope * (x - a)))
+    xs = np.linspace(0.0, 1.0, points)
+    d = curve.value(xs)
+    rows = np.column_stack([xs, d, np.where(xs <= a, d, da + slope * (xs - a))]).tolist()
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -230,12 +228,10 @@ def cmd_simulate(spec: dict, out: Path | None, args) -> int:
     else:
         outcome = simulate_market(cfg)
         payload = outcome.to_json()
-        curve = DemandCurve(G, mc.n, mc.costs)
-        rows = [
-            (m, d, se, curve.value(float(m)))
-            for m, d, se in zip(outcome.bin_mids, outcome.empirical_demand, outcome.demand_se)
-            if np.isfinite(d)
-        ]
+        seen = np.isfinite(outcome.empirical_demand)
+        mids = outcome.bin_mids[seen]
+        rows = zip(mids, outcome.empirical_demand[seen], outcome.demand_se[seen],
+                   DemandCurve(G, mc.n, mc.costs).value(mids))
         _write_csv(out, "demand_emp.csv", ["bin_mid", "D_emp", "se", "D_analytic"], rows)
     _write_json(out, "simulate.json", payload)
     return 0
@@ -313,24 +309,20 @@ def cmd_emit_plot(spec: dict, out: Path | None, args) -> int:
     pts = int(blk.get("points", 513))
     # cost panel with the tangent line through the origin at slope min S
     smin, _ = global_min_slope(mc.costs)
+    # at the cost top both one-sided densities are the last piece's
     cs = np.linspace(0.0, mc.cbar, pts)
-    cost_rows = [
-        (c, mc.costs.cdf(float(c)), mc.costs.pdf(float(c), side=-1 if c >= mc.cbar else 1),
-         average_slope(mc.costs, float(c)), smin * c)
-        for c in cs
-    ]
-    _write_csv(out, "plot_costs.csv", ["c", "H", "h", "S", "tangent"], cost_rows)
+    cost_rows = np.column_stack([cs, mc.costs.cdf(cs), mc.costs.pdf(cs),
+                                 average_slope(mc.costs, cs), smin * cs])
+    _write_csv(out, "plot_costs.csv", ["c", "H", "h", "S", "tangent"], cost_rows.tolist())
     G = upper_censorship(mc.prior, a)
     curve = DemandCurve(G, mc.n, mc.costs)
     da, slope = pooled_secant(curve, a)
-    rows = []
-    for x in np.linspace(0.0, 1.0, pts):
-        x = float(x)
-        ext, inten = curve.margins(x)
-        d = curve.value(x)
-        phi = d if x <= a else da + slope * (x - a)
-        rows.append((x, d, phi, ext, inten, G.cdf(x), curve.cutoff_cost(x)))
-    _write_csv(out, "plot_demand.csv", ["x", "D", "phi", "extensive", "intensive", "G", "c_G"], rows)
+    xs = np.linspace(0.0, 1.0, pts)
+    d = curve.value(xs)
+    phi = np.where(xs <= a, d, da + slope * (xs - a))
+    rows = np.column_stack([xs, d, phi, *curve.margins(xs), G.cdf(xs), curve.cutoff_cost(xs)])
+    _write_csv(out, "plot_demand.csv", ["x", "D", "phi", "extensive", "intensive", "G", "c_G"],
+               rows.tolist())
     return 0
 
 
@@ -356,7 +348,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: stdout)")
     parser.add_argument("--seed", type=int, default=None, help="simulation seed override")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; results are independent of it")
+                        help="accepted and ignored (nothing reads it)")
     parser.add_argument("--grid", type=int, default=None, help="LP grid override")
     parser.add_argument("--dump-lp", default=None, help="write LP triplets to this path")
     parser.add_argument("--emit-phi", default=None,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._poly import polyder, polyval, real_roots_in
-from .dists import PiecewisePolyDist
+from .dists import PiecewisePolyDist, _result
 
 __all__ = [
     "CostShapeReport",
@@ -52,19 +52,20 @@ def _require_continuous(H: PiecewisePolyDist):
         raise ValueError("cost-shape analysis needs an atom-free cost distribution")
 
 
-def average_slope(H: PiecewisePolyDist, c: float) -> float:
-    """S(c) = H(c)/c for c > 0, defined as h(0) at c = 0."""
-    lo = H.support_lo
-    if c <= lo + 1e-15:
-        return H.pdf(lo, side=+1)
-    return H.cdf(c) / c
+def average_slope(H: PiecewisePolyDist, c):
+    """S(c) = H(c)/c for c > 0, defined as h(0) at c = 0.  Takes a scalar
+    (returns a float) or an array."""
+    c = np.asarray(c, dtype=float)
+    at_lo = c <= H.support_lo + 1e-15
+    return _result(np.where(at_lo, H.pdf(H.support_lo, side=+1), H.cdf(c) / np.where(at_lo, 1.0, c)))
 
 
-def slope_derivative(H: PiecewisePolyDist, c: float, side: int = 1) -> float:
+def slope_derivative(H: PiecewisePolyDist, c, side: int = 1):
     """S'(c) = (h(c) - S(c)) / c, one-sided at density jumps; h'(0)/2 at 0."""
-    if c <= H.support_lo + 1e-15:
-        return 0.5 * H.pdf_derivative(H.support_lo, side=+1)
-    return (H.pdf(c, side=side) - average_slope(H, c)) / c
+    c = np.asarray(c, dtype=float)
+    at_lo = c <= H.support_lo + 1e-15
+    slope = (H.pdf(c, side=side) - average_slope(H, c)) / np.where(at_lo, 1.0, c)
+    return _result(np.where(at_lo, 0.5 * H.pdf_derivative(H.support_lo, side=+1), slope))
 
 
 def _stationary_poly(H: PiecewisePolyDist, i: int) -> np.ndarray:
@@ -95,7 +96,8 @@ def _segment_slope_candidates(H: PiecewisePolyDist, i: int, upto: float | None =
     for r in real_roots_in(w, lo, hi):
         if r > H.support_lo + 1e-13:
             pts.add(float(r))
-    return [(c, average_slope(H, c)) for c in sorted(pts)]
+    cs = sorted(pts)
+    return list(zip(cs, average_slope(H, np.array(cs)).tolist()))
 
 
 def _segment_min_slope(H: PiecewisePolyDist, i: int, upto: float | None = None) -> tuple[float, float]:
@@ -362,13 +364,13 @@ def cost_shape_report(
 
 
 def scan_table(H: PiecewisePolyDist, per_segment: int = 4096) -> np.ndarray:
-    """Columns (c, H(c), h(c), S(c), S'(c)) on a dense per-segment grid."""
+    """Columns (c, H(c), h(c), S(c), S'(c)) on a dense per-segment grid;
+    one-sided from the right, except at the support top, where both sides
+    are the last piece."""
     _require_continuous(H)
-    rows = []
-    for i in range(len(H.coefs)):
-        lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
-        cs = np.linspace(lo, hi, per_segment, endpoint=(i == len(H.coefs) - 1))
-        for c in cs:
-            side = +1 if c < hi else -1
-            rows.append((c, H.cdf(c), H.pdf(c, side=side), average_slope(H, c), slope_derivative(H, c, side=side)))
-    return np.asarray(rows)
+    last = len(H.coefs) - 1
+    cs = np.concatenate([
+        np.linspace(H.breaks[i], H.breaks[i + 1], per_segment, endpoint=(i == last))
+        for i in range(last + 1)
+    ])
+    return np.column_stack([cs, H.cdf(cs), H.pdf(cs), average_slope(H, cs), slope_derivative(H, cs)])

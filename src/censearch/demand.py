@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._poly import gauss_nodes, nodes_for_degree, polyval
-from .dists import PiecewisePolyDist, mean, reservation_value
+from .dists import PiecewisePolyDist, _pow, _result, mean, reservation_value
 
 __all__ = [
     "DemandCurve",
@@ -31,17 +31,18 @@ __all__ = [
     "equilibrium_payoff_identity",
 ]
 
+NODE_BLOCK = 1 << 14  # quadrature nodes evaluated at once by the stop integral
 
-def jump_size(G: PiecewisePolyDist, x: float, n: int) -> float:
+
+def jump_size(G: PiecewisePolyDist, x, n: int):
     """Size of the upward jump in a consumer's purchase probability when the
     signal reaches their cutoff: visit probability minus max-win probability.
+    Takes a scalar (returns a float) or an array.
     """
-    gl = G.cdf_left(x)
-    gr = G.cdf(x)
-    if gl >= 1.0 - 1e-15:
-        return 0.0
-    visit = (1.0 - gl**n) / (n * (1.0 - gl))
-    return visit - gr ** (n - 1)
+    gl, gr = G.cdf_left(x), G.cdf(x)
+    top = gl >= 1.0 - 1e-15
+    visit = (1.0 - _pow(gl, n)) / (n * np.where(top, 1.0, 1.0 - gl))
+    return _result(np.where(top, 0.0, visit - _pow(gr, n - 1)))
 
 
 def _visit_prob(g_left: float, n: int) -> float:
@@ -52,14 +53,12 @@ def _visit_prob(g_left: float, n: int) -> float:
     return (1.0 - g_left**n) / (n * (1.0 - g_left))
 
 
-def _snap(value: float, knots, tol: float = 1e-9) -> float:
-    """Snap a computed coordinate onto the nearest structural knot so that
+def _snap(value, knots: np.ndarray, tol: float = 1e-9):
+    """Snap computed coordinates onto the nearest structural knot so that
     one-sided evaluation engages at kinks reached through root-finding."""
-    knots = np.asarray(knots, dtype=float)
-    if not len(knots):
-        return value
-    j = int(np.argmin(np.abs(knots - value)))
-    return float(knots[j]) if abs(knots[j] - value) <= tol else value
+    value = np.asarray(value, dtype=float)
+    near = knots[np.argmin(np.abs(knots - value[..., None]), axis=-1)]
+    return np.where(np.abs(near - value) <= tol, near, value)
 
 
 class DemandCurve:
@@ -67,7 +66,8 @@ class DemandCurve:
 
     Caches the reservation-image partition [r_lo, r_hi], the composition
     breakpoints (where the cost distribution's pieces map into signal space),
-    and cumulative stop integrals, so pointwise evaluation stays cheap.
+    and cumulative stop integrals, so evaluation stays cheap.  Every query
+    takes a scalar (and returns a float) or an array of signals.
     """
 
     def __init__(self, conjecture: PiecewisePolyDist, n: int, costs: PiecewisePolyDist):
@@ -106,77 +106,85 @@ class DemandCurve:
         h = self.H.pdf_vec(cg)
         return h * (1.0 - g**self.n) / self.n
 
-    def _gl_piece(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
+    def _gl_piece(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The stop integral from lo to hi (hi >= lo), per entry.  Entries go
+        through in blocks of at most NODE_BLOCK nodes, which bounds the
+        temporaries, and each is summed by its own dot product, as a single
+        point is (a matrix-vector product would regroup the sums)."""
         xg, wg = gauss_nodes(nodes_for_degree(self._gl_deg))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return float(half * np.dot(wg, self._stop_integrand(mid + half * xg)))
+        mids, halves = np.ravel(mid), np.ravel(half)
+        sums = np.empty(mids.shape)
+        step = max(NODE_BLOCK // len(xg), 1)
+        for s in range(0, len(sums), step):
+            ts = mids[s : s + step, None] + halves[s : s + step, None] * xg
+            sums[s : s + step] = (self._stop_integrand(ts)[:, None, :] @ wg)[:, 0]
+        return half * sums.reshape(np.shape(mid))
 
     def _cumulative_stops(self) -> np.ndarray:
-        cum = np.zeros(len(self.x_breaks))
-        for i in range(len(self.x_breaks) - 1):
-            cum[i + 1] = cum[i] + self._gl_piece(self.x_breaks[i], self.x_breaks[i + 1])
-        return cum
+        pieces = self._gl_piece(self.x_breaks[:-1], self.x_breaks[1:])
+        return np.concatenate([[0.0], np.cumsum(pieces)])
 
-    def stop_component(self, x: float) -> float:
+    def stop_component(self, x):
         """Demand from consumers who stop on the spot at signals <= x."""
-        out = 0.0
-        if x > self.r_lo:
-            xe = min(x, self.r_hi)
-            i = int(np.clip(np.searchsorted(self.x_breaks, xe, side="right") - 1, 0, len(self.x_breaks) - 2))
-            out = float(self._cum[i] + self._gl_piece(self.x_breaks[i], xe))
+        # below r_lo nobody stops: clipping there leaves an empty piece
+        xe = np.clip(np.asarray(x, dtype=float), self.r_lo, self.r_hi)
+        i = np.clip(np.searchsorted(self.x_breaks, xe, side="right") - 1, 0, len(self.x_breaks) - 2)
+        out = self._cum[i] + self._gl_piece(self.x_breaks[i], xe)
         if self._cost_atoms:
             cg = self.cutoff_cost(x)
-            out += sum(v for c0, v in self._cost_atoms if c0 >= cg - 1e-12)
-        return out
+            out = out + sum(np.where(c0 >= cg - 1e-12, v, 0.0) for c0, v in self._cost_atoms)
+        return _result(out)
 
     # -- evaluation ----------------------------------------------------------
 
-    def cutoff_cost(self, x: float) -> float:
+    def cutoff_cost(self, x):
         """Search cost of the consumer indifferent at signal x (the inverse
         reservation map), clipped to the cost support."""
-        return self.G.tail_gap(x) if x >= self.G.support_lo else mean(self.G) - x
+        x = np.asarray(x, dtype=float)
+        return _result(np.where(x >= self.G.support_lo, self.G.tail_gap(x), mean(self.G) - x))
 
-    def max_win_prob(self, x: float, side: int = 0) -> float:
+    def max_win_prob(self, x, side: int = 0):
         """Probability of being the purchase after consumers exhaust search:
         G(x)^(n-1), with the fair tie value at atoms of G (side=0)."""
-        alpha = self.G.atom_mass_at(x)
-        if side == 0 and alpha > 1e-15:
-            gr, gl = self.G.cdf(x), self.G.cdf_left(x)
-            return (gr**self.n - gl**self.n) / (self.n * alpha)
-        g = self.G.cdf_left(x) if side < 0 else self.G.cdf(x)
-        return g ** (self.n - 1)
+        gr, gl = self.G.cdf(x), self.G.cdf_left(x)
+        win = _pow(gl if side < 0 else gr, self.n - 1)
+        if side == 0:
+            alpha = self.G.atom_mass_at(x)
+            tie = alpha > 1e-15
+            tie_win = (_pow(gr, self.n) - _pow(gl, self.n)) / (self.n * np.where(tie, alpha, 1.0))
+            win = np.where(tie, tie_win, win)
+        return _result(win)
 
-    def continue_fraction(self, x: float) -> float:
+    def continue_fraction(self, x):
         """Fraction of consumers still searching after seeing x (cutoff
         strictly above x); zero-cost consumers always continue."""
         cg = self.cutoff_cost(x)
-        if cg <= 1e-15:
-            return self.H.cdf(self.H.support_lo) if len(self.H.atom_locs) else 0.0
-        return self.H.cdf_left(cg)
+        return _result(np.where(cg <= 1e-15, self.H.cdf(self.H.support_lo), self.H.cdf_left(cg)))
 
-    def value(self, x: float, side: int = 0) -> float:
+    def value(self, x, side: int = 0):
         """Interim demand D(x); at atoms of G the fair-tie value (side=0) or
         the one-sided limits (side=-1/+1)."""
         return self.max_win_prob(x, side) * self.continue_fraction(x) + self.stop_component(x)
 
-    def margins(self, x: float, side: int = 1) -> tuple[float, float]:
+    def margins(self, x, side: int = 1):
         """(stopping margin, max-win margin) of the demand derivative at x:
         the first captures consumers whose cutoff equals x halting on the
         spot, the second the improved odds of winning the exhausted-search
         comparison.  One-sided at kinks via ``side``; the cutoff cost is
         snapped onto the cost distribution's breakpoints so kinks reached
         through root-finding still evaluate one-sidedly."""
+        x = np.asarray(x, dtype=float)
         g = self.G.cdf_left(x) if side < 0 else self.G.cdf(x)
         gdens = self.G.pdf(x, side=side)
         cg = _snap(self.cutoff_cost(x), self.H.breaks)
-        inside = self.r_lo < x < self.r_hi
-        hd = self.H.pdf(cg, side=-side if cg < self.cbar else -1) if inside else 0.0
-        extensive = (1.0 - g) * hd * jump_size(self.G, x, self.n) if inside else 0.0
-        hfrac = self.H.cdf_left(cg) if cg > 1e-15 else 0.0
-        intensive = (self.n - 1) * g ** (self.n - 2) * gdens * hfrac
-        return float(extensive), float(intensive)
+        inside = (self.r_lo < x) & (x < self.r_hi)
+        # at the cost top both one-sided densities are the last piece's
+        hd = np.where(inside, self.H.pdf(cg, side=-side), 0.0)
+        extensive = np.where(inside, (1.0 - g) * hd * jump_size(self.G, x, self.n), 0.0)
+        hfrac = np.where(cg > 1e-15, self.H.cdf_left(cg), 0.0)
+        intensive = (self.n - 1) * _pow(g, self.n - 2) * gdens * hfrac
+        return _result(extensive), _result(intensive)
 
 
 def type_demand(G: PiecewisePolyDist, x: float, c: float, n: int) -> float:
@@ -221,29 +229,25 @@ def expected_payoff(
     exact over polynomial pieces plus atom terms."""
     D = curve if curve is not None else DemandCurve(G_star, n, H)
     total = 0.0
-    for a, m in zip(G_dev.atom_locs, G_dev.atom_masses):
+    for m, v in zip(G_dev.atom_masses, D.value(G_dev.atom_locs)):
         if m > 0:
-            total += m * D.value(float(a))
+            total += m * v
     lo0, hi0 = G_dev.breaks[0], G_dev.breaks[-1]
     cuts = set(G_dev.breaks)
     cuts.update(float(b) for b in D.x_breaks if lo0 < b < hi0)
     cuts.update(float(b) for b in D.G.breaks if lo0 < b < hi0)
     cuts.update(float(a) for a in D.G.atom_locs if lo0 < a < hi0)
     cuts = sorted(cuts)
-    deg = D._gl_deg + 4 * n + 8
-    xg, wg = gauss_nodes(nodes_for_degree(deg))
+    xg, wg = gauss_nodes(nodes_for_degree(D._gl_deg + 4 * n + 8))
+    pieces = []  # (half width, nodes, density coefficients) per piece with density
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-15:
-            continue
-        mid_seg = G_dev._segment_index(0.5 * (lo + hi))
-        coefs = G_dev.coefs[mid_seg]
-        if np.max(np.abs(coefs)) == 0.0:
-            continue
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ts = mid + half * xg
-        dens = polyval(coefs, ts)
-        dvals = np.array([D.value(float(t)) for t in ts])
-        total += half * float(np.dot(wg, dens * dvals))
+        coefs = G_dev.coefs[G_dev._segment_index(0.5 * (lo + hi))]
+        if hi - lo >= 1e-15 and np.max(np.abs(coefs)) != 0.0:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            pieces.append((half, mid + half * xg, coefs))
+    dvals = D.value(np.array([ts for _, ts, _ in pieces]))
+    for (half, ts, coefs), d in zip(pieces, dvals):
+        total += half * float(np.dot(wg, polyval(coefs, ts) * d))
     return float(total)
 
 

@@ -263,11 +263,11 @@ class PiecewisePolyDist:
         hit = np.abs(self.atom_locs - self.breaks[i]) <= 1e-14
         return float(self.atom_masses[hit].sum())
 
-    def atom_mass_at(self, x: float) -> float:
-        if not len(self.atom_locs):
-            return 0.0
-        hit = np.abs(self.atom_locs - x) <= 1e-12
-        return float(self.atom_masses[hit].sum())
+    def atom_mass_at(self, x):
+        """Total atom mass within 1e-12 of x."""
+        x = np.asarray(x, dtype=float)
+        hit = np.abs(self.atom_locs - x[..., None]) <= 1e-12
+        return _result(np.where(hit, self.atom_masses, 0.0).sum(axis=-1))
 
     def cdf(self, x):
         """Right-continuous CDF, extended by 0/1 outside the support."""
@@ -393,6 +393,14 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _result(vals):
     return vals if isinstance(vals, np.ndarray) and vals.ndim else float(vals)
+
+
+def _pow(u, k: int):
+    """u**k elementwise through the C library's pow, the one a Python float's
+    ``**`` calls: numpy's vectorized pow differs from it in the last bit for
+    a few percent of inputs, and an array query must return the bits of the
+    same query made point by point."""
+    return np.asarray(np.power(np.asarray(u, dtype=object), k), dtype=float)
 
 
 def _insert_atom_breaks(breaks, coefs, atoms):

@@ -96,7 +96,7 @@ def build_problem(
     grid = np.array(sorted(pts))
     keep = np.concatenate([[True], np.diff(grid) > 1e-11])
     grid = grid[keep]
-    obj = np.array([curve.value(float(x)) for x in grid])
+    obj = curve.value(grid)
     caps = F.cdf_integral(grid)
     baseline = expected_payoff(G_star, G_star, n, H, curve=curve)
     return BRProblem(grid, obj, float(mean(F)), caps, int(n), float(baseline))

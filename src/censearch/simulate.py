@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import PiecewisePolyDist, mean
+from .dists import PiecewisePolyDist
 
 __all__ = ["SimConfig", "SimOutcome", "simulate_market", "simulate_deviation"]
 
@@ -70,29 +70,6 @@ class SimOutcome:
         }
 
 
-def _reservation_vec(G: PiecewisePolyDist, cs: np.ndarray) -> np.ndarray:
-    """Vectorized inverse of the incremental-benefit map; costs above the
-    maximal benefit map to mean - c (cutoff below the support)."""
-    top = G.max_supp()
-    mu = mean(G)
-    out = np.empty_like(cs)
-    lo_gap = G.tail_gap(G.support_lo)
-    below = cs >= lo_gap
-    out[below] = mu - cs[below]
-    todo = ~below
-    if np.any(todo):
-        target = cs[todo]
-        a = np.full(target.shape, G.support_lo)
-        b = np.full(target.shape, top)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            ge = G.tail_vec(m) >= target
-            a[ge] = m[ge]
-            b[~ge] = m[~ge]
-        out[todo] = 0.5 * (a + b)
-    return np.minimum(out, top)
-
-
 def _run(cfg: SimConfig):
     """Accumulate per-chunk statistics; returns raw sums for the outcome."""
     G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
@@ -117,15 +94,17 @@ def _run(cfg: SimConfig):
         u = gen.random((b, 2 * n + 1))
         cost_u, sig_u, order_u = u[:, 0], u[:, 1 : n + 1], u[:, n + 1 :]
         costs = H.quantile(cost_u)
-        cutoffs = _reservation_vec(G, costs)
-        cutoffs[costs <= 1e-15] = np.inf  # zero-cost consumers visit everyone
         signals = np.empty((b, n))
+        clears = np.empty((b, n), dtype=bool)
         for j in range(n):
             src = Gdev if (Gdev is not None and j == 0) else G
             signals[:, j] = src.quantile(sig_u[:, j])
+            # a signal clears the cutoff of cost c exactly when the benefit of
+            # searching on from it is at most c; zero-cost consumers visit everyone
+            clears[:, j] = (G.tail_gap(signals[:, j]) <= costs) & (costs > 1e-15)
         order = np.argsort(order_u, axis=1, kind="stable")
         sig_by_visit = np.take_along_axis(signals, order, axis=1)
-        stop_mask = sig_by_visit >= cutoffs[:, None]
+        stop_mask = np.take_along_axis(clears, order, axis=1)
         any_stop = stop_mask.any(axis=1)
         first_stop = np.where(any_stop, stop_mask.argmax(axis=1), n - 1)
         visits = np.where(any_stop, first_stop + 1, n)

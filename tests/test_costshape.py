@@ -138,3 +138,60 @@ def test_atoms_rejected(H_uniform):
         global_min_slope(atomic)
     with pytest.raises(ValueError, match="atom-free"):
         scan_table(atomic, 8)
+
+
+# -- array forms against the per-point formulas they replaced -----------------
+
+
+def _ref_average_slope(H, c):
+    lo = H.support_lo
+    if c <= lo + 1e-15:
+        return H.pdf(lo, side=+1)
+    return H.cdf(c) / c
+
+
+def _ref_slope_derivative(H, c, side=1):
+    if c <= H.support_lo + 1e-15:
+        return 0.5 * H.pdf_derivative(H.support_lo, side=+1)
+    return (H.pdf(c, side=side) - _ref_average_slope(H, c)) / c
+
+
+def _ref_scan_table(H, per_segment):
+    rows = []
+    for i in range(len(H.coefs)):
+        lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
+        cs = np.linspace(lo, hi, per_segment, endpoint=(i == len(H.coefs) - 1))
+        for c in cs:
+            side = +1 if c < hi else -1
+            rows.append((c, H.cdf(c), H.pdf(c, side=side), _ref_average_slope(H, c),
+                         _ref_slope_derivative(H, c, side=side)))
+    return np.asarray(rows)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_slopes_match_point_formulas(H_uniform, H_convex, H_step, H_bimodal, H_threestep,
+                                     H_smoothstep):
+    rng = np.random.default_rng(5)
+    for H in (H_uniform, H_convex, H_step, H_bimodal, H_threestep, H_smoothstep):
+        pts = [-0.05, H.support_hi + 0.05] + list(rng.uniform(0.0, H.support_hi, 100))
+        for b in H.breaks:
+            pts += [b, b - 1e-14, b - 4e-15, b - 1e-15, b + 1e-15, b + 4e-15, b + 1e-14]
+        cs = np.array(pts)
+        queries = {
+            "average_slope": (lambda c: average_slope(H, c), lambda c: _ref_average_slope(H, c)),
+            "slope_derivative+": (lambda c: slope_derivative(H, c),
+                                  lambda c: _ref_slope_derivative(H, c)),
+            "slope_derivative-": (lambda c: slope_derivative(H, c, side=-1),
+                                  lambda c: _ref_slope_derivative(H, c, side=-1)),
+        }
+        for name, (query, ref) in queries.items():
+            expect = [ref(float(c)) for c in cs]
+            scalars = [query(float(c)) for c in cs]
+            assert all(type(v) is float for v in scalars), name
+            assert _same_bits(scalars, expect), name
+            assert _same_bits(query(cs), expect), name
+        for per_segment in (1, 2, 33):
+            assert _same_bits(scan_table(H, per_segment), _ref_scan_table(H, per_segment))

@@ -1,9 +1,15 @@
 """Interim demand, its margins, and expected payoffs."""
 
+import collections
+import functools
+
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
-from censearch.censorship import upper_censorship
+from censearch import censorship
+from censearch._poly import gauss_nodes, nodes_for_degree
+from censearch.censorship import _Certificate, demand_second_derivative, upper_censorship
 from censearch.demand import (
     DemandCurve,
     demand_margins,
@@ -13,7 +19,8 @@ from censearch.demand import (
     jump_size,
     type_demand,
 )
-from censearch.dists import PiecewisePolyDist, mpc_check, truncated_mean_above
+from censearch.dists import PiecewisePolyDist, mean, mpc_check, truncated_mean_above
+from censearch.oracle import build_problem
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +156,306 @@ def test_tie_value_at_interior_atom(F, H_uniform):
     mid = curve.value(x0)
     assert left - 1e-12 <= mid <= right + 1e-12
     assert right > left
+
+
+# -- array queries against the per-point formulas they replaced ---------------
+#
+# The point-by-point bodies below are the reference.  Every query must return
+# the same bits for an array, and for a scalar, as the reference does point
+# by point, the Gauss-Legendre sums included (each point keeps its own dot
+# product).
+
+
+def _ref_stop_piece(curve, lo, hi):
+    if hi <= lo:
+        return 0.0
+    xg, wg = gauss_nodes(nodes_for_degree(curve._gl_deg))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return float(half * np.dot(wg, curve._stop_integrand(mid + half * xg)))
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_cum(curve):
+    cum = np.zeros(len(curve.x_breaks))
+    for i in range(len(cum) - 1):
+        cum[i + 1] = cum[i] + _ref_stop_piece(curve, curve.x_breaks[i], curve.x_breaks[i + 1])
+    return cum
+
+
+def _ref_cutoff_cost(curve, x):
+    G = curve.G
+    return G.tail_gap(x) if x >= G.support_lo else mean(G) - x
+
+
+def _ref_stop(curve, x):
+    out = 0.0
+    if x > curve.r_lo:
+        xe = min(x, curve.r_hi)
+        i = int(np.clip(np.searchsorted(curve.x_breaks, xe, side="right") - 1, 0, len(curve.x_breaks) - 2))
+        out = float(_ref_cum(curve)[i] + _ref_stop_piece(curve, curve.x_breaks[i], xe))
+    if curve._cost_atoms:
+        cg = _ref_cutoff_cost(curve, x)
+        out += sum(v for c0, v in curve._cost_atoms if c0 >= cg - 1e-12)
+    return out
+
+
+def _ref_atom_mass(G, x):
+    if not len(G.atom_locs):
+        return 0.0
+    hit = np.abs(G.atom_locs - x) <= 1e-12
+    return float(G.atom_masses[hit].sum())
+
+
+def _ref_max_win(curve, x, side):
+    G, n = curve.G, curve.n
+    alpha = _ref_atom_mass(G, x)
+    if side == 0 and alpha > 1e-15:
+        gr, gl = G.cdf(x), G.cdf_left(x)
+        return (gr**n - gl**n) / (n * alpha)
+    g = G.cdf_left(x) if side < 0 else G.cdf(x)
+    return g ** (n - 1)
+
+
+def _ref_continue(curve, x):
+    H = curve.H
+    cg = _ref_cutoff_cost(curve, x)
+    if cg <= 1e-15:
+        return H.cdf(H.support_lo) if len(H.atom_locs) else 0.0
+    return H.cdf_left(cg)
+
+
+def _ref_value(curve, x, side=0):
+    return _ref_max_win(curve, x, side) * _ref_continue(curve, x) + _ref_stop(curve, x)
+
+
+def _ref_jump(G, x, n):
+    gl = G.cdf_left(x)
+    gr = G.cdf(x)
+    if gl >= 1.0 - 1e-15:
+        return 0.0
+    visit = (1.0 - gl**n) / (n * (1.0 - gl))
+    return visit - gr ** (n - 1)
+
+
+def _ref_snap(value, knots, tol=1e-9):
+    j = int(np.argmin(np.abs(knots - value)))
+    return float(knots[j]) if abs(knots[j] - value) <= tol else value
+
+
+def _ref_margins(curve, x, side):
+    G, H, n = curve.G, curve.H, curve.n
+    g = G.cdf_left(x) if side < 0 else G.cdf(x)
+    gdens = G.pdf(x, side=side)
+    cg = _ref_snap(_ref_cutoff_cost(curve, x), H.breaks)
+    inside = curve.r_lo < x < curve.r_hi
+    hd = H.pdf(cg, side=-side if cg < curve.cbar else -1) if inside else 0.0
+    extensive = (1.0 - g) * hd * _ref_jump(G, x, n) if inside else 0.0
+    hfrac = H.cdf_left(cg) if cg > 1e-15 else 0.0
+    intensive = (n - 1) * g ** (n - 2) * gdens * hfrac
+    return float(extensive), float(intensive)
+
+
+def _ref_second_derivative(curve, x, side):
+    G, H, n = curve.G, curve.H, curve.n
+    u = G.cdf(x)
+    g = G.pdf(x, side=side)
+    gp = G.pdf_derivative(x, side=side)
+    cg = _ref_cutoff_cost(curve, x)
+    inside = 0 < cg < curve.cbar
+    Hc = H.cdf_left(cg) if cg > 1e-15 else 0.0
+    hc = H.pdf(cg, side=-side) if inside else (H.pdf(curve.cbar, side=-1) if cg >= curve.cbar else 0.0)
+    hpc = H.pdf_derivative(cg, side=-side) if inside else 0.0
+    if cg >= curve.cbar:
+        Hc, hc, hpc = 1.0, 0.0, 0.0
+    J = _ref_jump(G, x, n)
+    if u >= 1.0 - 1e-14:
+        dJdu = -(n - 1)
+    else:
+        dJdu = ((1.0 - u**n) - n * u ** (n - 1) * (1.0 - u)) / (n * (1.0 - u) ** 2) - (n - 1) * u ** (n - 2)
+    pow3 = (n - 1) * (n - 2) * u ** (n - 3) if n > 2 else 0.0
+    return float(
+        -g * hc * J
+        - (1.0 - u) ** 2 * hpc * J
+        + (1.0 - u) * hc * g * dJdu
+        + pow3 * g**2 * Hc
+        + (n - 1) * u ** (n - 2) * gp * Hc
+        - (n - 1) * u ** (n - 2) * g * hc * (1.0 - u)
+    )
+
+
+def _ref_expected_payoff(G_dev, curve, n):
+    total = 0.0
+    for a, m in zip(G_dev.atom_locs, G_dev.atom_masses):
+        if m > 0:
+            total += m * _ref_value(curve, float(a))
+    lo0, hi0 = G_dev.breaks[0], G_dev.breaks[-1]
+    cuts = set(G_dev.breaks)
+    cuts.update(float(b) for b in curve.x_breaks if lo0 < b < hi0)
+    cuts.update(float(b) for b in curve.G.breaks if lo0 < b < hi0)
+    cuts.update(float(a) for a in curve.G.atom_locs if lo0 < a < hi0)
+    cuts = sorted(cuts)
+    xg, wg = gauss_nodes(nodes_for_degree(curve._gl_deg + 4 * n + 8))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo < 1e-15:
+            continue
+        coefs = G_dev.coefs[G_dev._segment_index(0.5 * (lo + hi))]
+        if np.max(np.abs(coefs)) == 0.0:
+            continue
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        ts = mid + half * xg
+        dvals = np.array([_ref_value(curve, float(t)) for t in ts])
+        total += half * float(np.dot(wg, npoly.polyval(ts, coefs) * dvals))
+    return float(total)
+
+
+def _cost_law_with_atoms():
+    # atoms at the bottom (zero-cost consumers), at a breakpoint and at the top
+    return PiecewisePolyDist([0.0, 0.06, 0.18], [np.array([5.0]), np.array([2.5])],
+                             atoms=[(0.0, 0.1), (0.06, 0.2), (0.18, 0.1)])
+
+
+def _demand_cases(F, F_tilted, H_uniform, H_bimodal):
+    H_atoms = _cost_law_with_atoms()
+    contraction = _random_contraction(F, np.random.default_rng(1))
+    return {
+        "pool-uniform": (upper_censorship(F, 0.4), H_uniform),
+        "pool-atoms": (upper_censorship(F, 0.4), H_atoms),
+        "pool-tilted-bimodal": (upper_censorship(F_tilted, 0.3), H_bimodal),
+        "no-disclosure": (upper_censorship(F, 0.0), H_uniform),
+        "contraction-atoms": (contraction, H_atoms),
+        "full-atoms": (F, H_atoms),
+    }
+
+
+def _curve_points(curve):
+    G = curve.G
+    marks = np.concatenate([curve.x_breaks, [curve.r_lo, curve.r_hi], G.breaks, G.atom_locs])
+    pts = [-0.1, 0.0, 1.0, 1.2]
+    for b in marks:
+        pts += [b, b - 1e-14, b - 4e-15, b + 4e-15, b + 1e-14,
+                np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+    pts += list(np.linspace(-0.05, 1.05, 41)) + list(np.random.default_rng(3).uniform(0.0, 1.0, 100))
+    return np.array(pts)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+@pytest.mark.parametrize("case", ["pool-uniform", "pool-atoms", "pool-tilted-bimodal",
+                                  "no-disclosure", "contraction-atoms", "full-atoms"])
+def test_array_queries_match_point_formulas(case, n, F, F_tilted, H_uniform, H_bimodal):
+    G, H = _demand_cases(F, F_tilted, H_uniform, H_bimodal)[case]
+    curve = DemandCurve(G, n, H)
+    xs = _curve_points(curve)
+    queries = {
+        "cutoff_cost": (curve.cutoff_cost, lambda x: _ref_cutoff_cost(curve, x)),
+        "continue_fraction": (curve.continue_fraction, lambda x: _ref_continue(curve, x)),
+        "atom_mass_at": (G.atom_mass_at, lambda x: _ref_atom_mass(G, x)),
+        "jump_size": (lambda x: jump_size(G, x, n), lambda x: _ref_jump(G, x, n)),
+    }
+    for side in (-1, 0, 1):
+        queries[f"max_win_prob{side:+d}"] = (lambda x, s=side: curve.max_win_prob(x, s),
+                                           lambda x, s=side: _ref_max_win(curve, x, s))
+    for side in (-1, 1):
+        for k, part in enumerate(("extensive", "intensive")):
+            queries[f"{part}{side:+d}"] = (lambda x, s=side, k=k: curve.margins(x, s)[k],
+                                         lambda x, s=side, k=k: _ref_margins(curve, x, s)[k])
+        queries[f"second_derivative{side:+d}"] = (
+            lambda x, s=side: demand_second_derivative(curve, x, s),
+            lambda x, s=side: _ref_second_derivative(curve, x, s))
+    queries["stop_component"] = (curve.stop_component, lambda x: _ref_stop(curve, x))
+    for side in (-1, 0, 1):
+        queries[f"value{side:+d}"] = (lambda x, s=side: curve.value(x, s),
+                                      lambda x, s=side: _ref_value(curve, x, s))
+    for name, (query, ref) in queries.items():
+        expect = np.array([ref(float(x)) for x in xs])
+        scalars = [query(float(x)) for x in xs[::3]]
+        assert all(type(v) is float for v in scalars), name
+        assert _same_bits(scalars, expect[::3]), name
+        assert _same_bits(query(xs), expect), name
+        assert _same_bits(query(xs[:, None]), expect[:, None]), name
+
+
+@pytest.mark.parametrize("case", ["pool-atoms", "pool-tilted-bimodal", "contraction-atoms"])
+def test_expected_payoff_matches_point_formula(case, F, F_tilted, H_uniform, H_bimodal):
+    G, H = _demand_cases(F, F_tilted, H_uniform, H_bimodal)[case]
+    for n in (2, 5):
+        curve = DemandCurve(G, n, H)
+        for G_dev in (G, F, PiecewisePolyDist.point_mass(0.55)):
+            got = expected_payoff(G_dev, G, n, H, curve=curve)
+            assert _same_bits(got, _ref_expected_payoff(G_dev, curve, n))
+
+
+def test_certificate_matches_point_formula(F, H_uniform):
+    curve = DemandCurve(upper_censorship(F, 0.4), 2, H_uniform)
+    cases = [
+        [(0.0, 0.4, "demand"), (0.4, 0.7, "affine")],
+        [(0.1, 0.4, "demand"), (0.4, 0.7, "affine"), (0.7, 0.9, "demand")],
+        [(0.55, 0.55, "affine")],
+    ]
+    for segments in cases:
+        cert = _Certificate(segments, curve)
+        ends = [v for lo, hi, _ in segments for v in (lo, hi)]
+        xs = np.array([-0.1, 0.05, 0.3, 0.5, 0.65, 0.8, 1.3]
+                      + [e + d for e in ends for d in (-1e-14, -4e-15, 0.0, 4e-15, 1e-14)])
+        expect = np.array([_ref_certificate(cert, float(x)) for x in xs])
+        scalars = [cert.value(float(x)) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        assert _same_bits(scalars, expect)
+        assert _same_bits(cert.value(xs), expect)
+
+
+def _ref_certificate(cert, x):
+    segs = cert.segments
+    if x <= segs[0][0]:
+        return cert.vals[0][0]
+    if x >= segs[-1][1]:
+        lo, hi, kind = segs[-1]
+        if kind == "demand":
+            s = sum(_ref_margins(cert.curve, hi, -1))
+        else:
+            v0, v1 = cert.vals[-1]
+            s = (v1 - v0) / (hi - lo) if hi > lo else 0.0
+        return cert.vals[-1][1] + s * (x - hi)
+    for (lo, hi, kind), (v0, v1) in zip(cert.segments, cert.vals):
+        if lo - 1e-14 <= x <= hi + 1e-14:
+            if kind == "demand":
+                return _ref_value(cert.curve, x)
+            t = (x - lo) / (hi - lo) if hi > lo else 0.0
+            return v0 + t * (v1 - v0)
+    raise AssertionError("certificate segments must tile the support")
+
+
+def test_scans_do_not_call_per_point(monkeypatch, F, H_bimodal):
+    """The certificate scans and the LP objective evaluate demand and the
+    distributions in array calls: the number of calls (demand values, and
+    scalar cdf/pdf/tail queries) does not grow with the grids."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(self, x, *args, **kwargs):
+            if name == "value" or np.ndim(x) == 0:
+                counts[name] += 1
+            return fn(self, x, *args, **kwargs)
+        return wrapped
+
+    for name in ("cdf", "pdf", "tail_gap", "cdf_vec", "pdf_vec", "tail_vec"):
+        monkeypatch.setattr(PiecewisePolyDist, name, counting(name, getattr(PiecewisePolyDist, name)))
+    monkeypatch.setattr(DemandCurve, "value", counting("value", DemandCurve.value))
+
+    def verify_counts(scale):
+        monkeypatch.setattr(censorship, "CURVATURE_GRID", 2049 * scale)
+        monkeypatch.setattr(censorship, "MARGIN_GRID", 257 * scale)
+        counts.clear()
+        censorship.verify_uce(F, H_bimodal, 0.3, 5)
+        return dict(counts)
+
+    def problem_counts(grid_n):
+        counts.clear()
+        build_problem(upper_censorship(F, 0.3), F, H_bimodal, 5, grid_n)
+        return dict(counts)
+
+    assert verify_counts(1) == verify_counts(2)
+    assert problem_counts(201) == problem_counts(401)
