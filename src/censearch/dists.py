@@ -41,7 +41,6 @@ MASS_TOL = 1e-12
 class Tolerances:
     root: float = 1e-10
     ineq: float = 1e-9
-    lp: float = 1e-8
 
 
 @dataclass(frozen=True)

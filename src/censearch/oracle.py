@@ -8,6 +8,13 @@ payoff against the fixed conjecture by linear programming.  The optimal
 value minus the symmetric payoff 1/n is the equilibrium gap: zero (up to
 solver tolerance) exactly when no profitable deviation exists.
 
+The caps ``sum_i (x_k - x_i)^+ p_i <= int_0^{x_k} F`` are the integral-of-CDF
+view of mean-preserving contractions (Gentzkow & Kamenica, AER P&P 2016;
+Kolotilin, TE 2018).  Written densely they are an m x m matrix; through the
+cumulative variables ``C_k = sum_{i<=k} p_i`` and
+``K_k = K_{k-1} + (x_k - x_{k-1}) C_{k-1}`` (so ``K_k`` is the cap's left
+side) the same feasible set takes O(m) nonzeros.
+
 Deviations are unobservable to consumers, so the conjecture stays fixed and
 no fixed-point iteration is needed.
 """
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .demand import DemandCurve, expected_payoff
@@ -34,21 +42,52 @@ class BRProblem:
     n: int
     baseline: float           # symmetric payoff of the conjecture
 
+    def lp_matrices(self):
+        """The LP that :func:`solve_br` passes to HiGHS, as
+        ``(c, A_ub, b_ub, A_eq, b_eq)`` with CSR matrices: minimize ``c @ v``
+        subject to ``A_ub @ v <= b_ub``, ``A_eq @ v == b_eq`` and ``v >= 0``.
+
+        The variables are ``v = (p, C, K)``, m each (columns 0..m-1 the
+        masses, m..2m-1 the cumulative masses, 2m..3m-1 the cumulative
+        caps' left sides).  ``A_ub`` holds the caps ``K_k <= cap_k``.
+        ``A_eq`` holds m rows ``C_k - C_{k-1} - p_k = 0``, m rows
+        ``K_k - K_{k-1} - (x_k - x_{k-1}) C_{k-1} = 0`` (``C_{-1} = K_{-1} = 0``),
+        then the mean row and the mass row.  9m - 4 nonzeros in all when
+        the grid starts at 0."""
+        x = self.grid
+        m = len(x)
+        eye = sp.eye(m, format="csr")
+        diff = eye - sp.eye(m, k=-1, format="csr")
+        zero = sp.csr_matrix((m, m))
+        A_ub = sp.hstack([zero, zero, eye], format="csr")
+        A_eq = sp.bmat(
+            [
+                [-eye, diff, None],
+                [None, sp.diags(-np.diff(x), -1, shape=(m, m)), diff],
+                [sp.csr_matrix(x[None, :]), None, None],
+                [sp.csr_matrix(np.ones((1, m))), None, None],
+            ],
+            format="csr",
+        )
+        b_eq = np.concatenate([np.zeros(2 * m), [self.mean_target, 1.0]])
+        c = np.concatenate([-self.objective, np.zeros(2 * m)])
+        return c, A_ub, self.cum_caps, A_eq, b_eq
+
     def dump_triplets(self) -> str:
-        """Constraint matrix in plain-text sparse triplet form
-        (row col value; rows 0..m-1 are the cumulative caps, row m the mean,
-        row m+1 the total mass)."""
-        lines = ["# row col value"]
+        """The constraint matrices of :meth:`lp_matrices` in plain-text
+        sparse triplet form (``row col value``, floats by ``repr``).  Columns
+        follow the variables (p, C, K).  Rows 0..m-1 are ``A_ub`` (the caps)
+        and row m + r is row r of ``A_eq``: rows m..2m-1 the C recursion,
+        2m..3m-1 the K recursion, 3m the mean and 3m + 1 the total mass."""
+        _, A_ub, _, A_eq, _ = self.lp_matrices()
         m = len(self.grid)
-        for k in range(m):
-            for i in range(m):
-                v = float(max(self.grid[k] - self.grid[i], 0.0))
-                if v > 0.0:
-                    lines.append(f"{k} {i} {v!r}")
-        for i in range(m):
-            lines.append(f"{m} {i} {float(self.grid[i])!r}")
-        for i in range(m):
-            lines.append(f"{m + 1} {i} 1.0")
+        lines = ["# row col value"]
+        for offset, A in ((0, A_ub), (m, A_eq)):
+            coo = A.tocoo()
+            lines.extend(
+                f"{r + offset} {c} {v!r}"
+                for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+            )
         return "\n".join(lines) + "\n"
 
 
@@ -105,15 +144,12 @@ def build_problem(
 def solve_br(problem: BRProblem) -> BRSolution:
     """Maximize grid-mass payoff subject to the contraction caps; returns the
     optimum, the mass vector, the gap over the symmetric payoff, and the
-    LP duality gap."""
+    LP duality gap.  Every bound is 0 below and free above, so the dual
+    objective is ``b_ub @ y_ub + b_eq @ y_eq`` in full."""
     m = len(problem.grid)
-    x = problem.grid
-    A_ub = np.maximum(x[:, None] - x[None, :], 0.0)
-    b_ub = problem.cum_caps
-    A_eq = np.vstack([np.ones(m), x])
-    b_eq = np.array([1.0, problem.mean_target])
+    c, A_ub, b_ub, A_eq, b_eq = problem.lp_matrices()
     res = linprog(
-        -problem.objective,
+        c,
         A_ub=A_ub,
         b_ub=b_ub,
         A_eq=A_eq,
@@ -126,7 +162,7 @@ def solve_br(problem: BRProblem) -> BRSolution:
     dual = float(b_ub @ res.ineqlin.marginals + b_eq @ res.eqlin.marginals)
     value = -float(res.fun)
     duality_gap = abs(float(res.fun) - dual)
-    masses = np.maximum(res.x, 0.0)
+    masses = np.maximum(res.x[:m], 0.0)
     total = masses.sum()
     if abs(total - 1.0) > 1e-8:
         raise RuntimeError("LP mass constraint violated beyond tolerance")

@@ -73,6 +73,17 @@ def test_unread_grid_knobs_rejected(tmp_path, capsys):
         assert knob in capsys.readouterr().err
 
 
+def test_unread_tolerance_rejected(tmp_path, capsys):
+    # the LP runs at HiGHS's own tolerances, so no spec tolerance reaches it
+    spec = write_spec(tmp_path, "lp_tol.json", extra={"oracle": {"a": 0.4, "grid_n": 101}})
+    payload = json.loads(spec.read_text())
+    payload["market"]["tol"] = {"lp": 1e-8}
+    spec.write_text(json.dumps(payload))
+    for cmd in ("solve", "oracle"):
+        assert main([cmd, "--spec", str(spec)]) == 2
+        assert "'lp'" in capsys.readouterr().err
+
+
 def test_verify_gating(tmp_path):
     ok = write_spec(tmp_path, "ok.json", extra={"verify": {"a": 0.3, "price_function": True}})
     phi = tmp_path / "phi.csv"

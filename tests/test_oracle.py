@@ -3,9 +3,13 @@ the analytic verifier."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from conftest import quasi_concave_pair, quasi_convex_pair
+from scipy.optimize import linprog
 
-from censearch.censorship import upper_censorship, verify_uce
-from censearch.dists import mean, mpc_check
+import censearch.oracle as oracle
+from censearch.censorship import solve_a_max, upper_censorship, verify_uce
+from censearch.dists import PiecewisePolyDist, mean, mpc_check
 from censearch.oracle import (
     build_problem,
     equilibrium_gap,
@@ -107,13 +111,108 @@ def test_oracle_verifier_agreement(F, H_uniform):
                 assert not verdict, (n, a, gap)
 
 
-def test_dump_triplets_format(F, H_uniform, U4):
+def _parse_triplets(text, m):
+    """(A_ub, A_eq) rebuilt from a dump: rows 0..m-1 are A_ub, the rest A_eq."""
+    lines = text.splitlines()
+    assert lines[0] == "# row col value"
+    rows, cols, vals = [], [], []
+    for line in lines[1:]:
+        r, c, v = line.split()
+        rows.append(int(r))
+        cols.append(int(c))
+        vals.append(float(v))
+    rows, cols, vals = np.array(rows), np.array(cols), np.array(vals)
+    ub = rows < m
+    A_ub = sp.csr_matrix((vals[ub], (rows[ub], cols[ub])), shape=(m, 3 * m))
+    A_eq = sp.csr_matrix((vals[~ub], (rows[~ub] - m, cols[~ub])), shape=(2 * m + 2, 3 * m))
+    return A_ub, A_eq, len(vals)
+
+
+def _same_matrix(A, B):
+    return A.shape == B.shape and (sp.csr_matrix(A) != sp.csr_matrix(B)).nnz == 0
+
+
+def test_dump_triplets_format(F, H_uniform, U4, monkeypatch):
     prob = build_problem(U4, F, H_uniform, 2, 101)
-    text = prob.dump_triplets()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("#")
-    row, col, val = lines[1].split()
-    assert float(val) > 0.0
-    m = len(prob.grid)
-    rows = {int(l.split()[0]) for l in lines[1:]}
-    assert max(rows) == m + 1  # caps rows, mean row, mass row
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", spy)
+    solve_br(prob)
+    A_ub, A_eq, nnz = _parse_triplets(prob.dump_triplets(), len(prob.grid))
+    assert _same_matrix(A_ub, seen["A_ub"])
+    assert _same_matrix(A_eq, seen["A_eq"])
+    assert nnz == seen["A_ub"].nnz + seen["A_eq"].nnz  # no duplicate or zero triplets
+    assert np.all(seen["A_ub"].data != 0.0) and np.all(seen["A_eq"].data != 0.0)
+
+
+@pytest.mark.parametrize("grid_n", [201, 401, 801])
+def test_dump_is_linear_in_grid(F, H_uniform, U4, grid_n):
+    prob = build_problem(U4, F, H_uniform, 2, grid_n)
+    nnz = prob.dump_triplets().count("\n") - 1
+    assert nnz <= 10 * len(prob.grid), (grid_n, len(prob.grid), nnz)
+
+
+def _dense_br(prob):
+    """The contraction LP with the caps written out as the dense m x m
+    matrix sum_i (x_k - x_i)^+ p_i <= cap_k: the reference formulation."""
+    x = prob.grid
+    m = len(x)
+    A_ub = np.maximum(x[:, None] - x[None, :], 0.0)
+    res = linprog(
+        -prob.objective,
+        A_ub=A_ub,
+        b_ub=prob.cum_caps,
+        A_eq=np.vstack([np.ones(m), x]),
+        b_eq=np.array([1.0, prob.mean_target]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun), A_ub
+
+
+def _random_costs(rng):
+    """Piecewise constant or linear positive density on [0, cbar], mass 1."""
+    cbar = rng.uniform(0.12, 0.3)
+    pieces = int(rng.integers(2, 7))
+    breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, pieces - 1)) * cbar, [cbar]])
+    linear = rng.random() < 0.5
+    coefs, mass = [], 0.0
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        y0 = rng.uniform(0.2, 5.0)
+        y1 = rng.uniform(0.2, 5.0) if linear else y0
+        slope = (y1 - y0) / (hi - lo)
+        coefs.append(np.array([y0 - slope * lo, slope]))
+        mass += 0.5 * (y0 + y1) * (hi - lo)
+    return PiecewisePolyDist(breaks, [c / mass for c in coefs])
+
+
+def test_matches_dense_reference(F, H_uniform, H_step, H_bimodal, H_threestep, H_convex):
+    """The cumulative-variable LP against the dense-cap LP it replaces, on the
+    7 test-suite cost laws and 10 random piecewise laws, below, at and above
+    a_max, n = 2, 5, 50, grid_n 101 and 201.  The 1e-7 bounds are HiGHS's
+    default primal feasibility tolerance."""
+    rng = np.random.default_rng(2016)
+    laws = [H_uniform, H_step, H_bimodal, H_threestep, H_convex,
+            quasi_convex_pair()[0], quasi_concave_pair()[0]]
+    laws += [_random_costs(rng) for _ in range(10)]
+    for li, H in enumerate(laws):
+        a_max = solve_a_max(F, H)[0]
+        for a in (0.7 * a_max, a_max, a_max + 0.2 * (1.0 - a_max)):
+            G = upper_censorship(F, a)
+            for n in (2, 5, 50):
+                for grid_n in (101, 201):
+                    prob = build_problem(G, F, H, n, grid_n)
+                    sol = solve_br(prob)
+                    ref, A_dense = _dense_br(prob)
+                    case = (li, a, n, grid_n)
+                    p, x = sol.masses, prob.grid
+                    assert abs(sol.value - ref) <= 1e-7, (case, sol.value - ref)
+                    assert np.max(A_dense @ p - prob.cum_caps) <= 1e-7, case
+                    assert abs(p.sum() - 1.0) <= 1e-9, case
+                    assert abs(p @ x - prob.mean_target) <= 1e-9, case
+                    assert sol.duality_gap <= 1e-8, (case, sol.duality_gap)
