@@ -6,6 +6,15 @@ uniformly random order with perfect recall: stop and buy at the first signal
 clearing the cutoff, otherwise buy the best signal seen after exhausting all
 firms (ties resolved uniformly).  Zero-cost consumers visit everyone.
 
+The simulation walks the visit positions k = 0..n-1 over the consumers who
+have not stopped yet.  A firm's signal is inverted from its uniform, and
+tested against the cutoff, only when a consumer visits that firm; signals of
+firms a consumer never reaches cannot change any outcome.  Firm 0's signal
+is drawn for every consumer, since the empirical demand bins need it.  The
+demand probe (firm 0 signalling uniformly on [0, 1]) runs in the same pass
+as the on-path market and shares each block's costs, visit orders and the
+signals of firms 1..n-1 drawn so far.
+
 Randomness is counter-based (Philox keyed by seed and a fixed-size consumer
 block index), so runs are bit-identical for a given seed and consumer count,
 and the underlying uniforms per consumer do not depend on the strategy being
@@ -33,7 +42,6 @@ class SimConfig:
     consumers: int
     seed: int = 0
     bins: int = 50
-    deviation: PiecewisePolyDist | None = None  # firm 0's true signal law
 
 
 @dataclass
@@ -70,22 +78,78 @@ class SimOutcome:
         }
 
 
-def _run(cfg: SimConfig):
-    """Accumulate per-chunk statistics; returns raw sums for the outcome."""
+class _Sums:
+    """Running sums of one firm-0 signal law over the consumer blocks."""
+
+    def __init__(self, n: int, bins: int):
+        self.wins = np.zeros(n)
+        self.win_bins = np.zeros(bins)
+        self.sig_bins = np.zeros(bins)
+        self.stops = np.zeros(10)
+        self.cs = self.cs_sq = self.len = self.len_sq = 0.0
+
+    def add(self, s0, firm, value, visits, stopped, costs, dec, edges):
+        self.wins += np.bincount(firm, minlength=len(self.wins))
+        # empirical demand: firm 0's (signal, win) pairs, one per consumer
+        sig_bin = np.clip(np.digitize(s0, edges) - 1, 0, len(self.sig_bins) - 1)
+        np.add.at(self.sig_bins, sig_bin, 1.0)
+        np.add.at(self.win_bins, sig_bin[firm == 0], 1.0)
+        cs = value - costs * visits
+        self.cs += float(cs.sum())
+        self.cs_sq += float((cs**2).sum())
+        self.len += float(visits.sum())
+        self.len_sq += float((visits.astype(float) ** 2).sum())
+        np.add.at(self.stops, dec[stopped], 1.0)
+
+
+def _search(G, s0, costs, order, sig, sig_u):
+    """One block of consumers, firm 0 showing ``s0``, searching in visit
+    ``order``.  Entry (i, j) of ``sig`` holds firm j's signal for consumer i
+    once some pass has needed it (NaN before), from the uniform ``sig_u[i, j]``;
+    column 0 is overwritten with ``s0``.  Returns, per consumer, the firm
+    bought from, its signal, the number of visits and whether they stopped."""
+    b, n = order.shape
+    sig[:, 0] = s0
+    firm = np.empty(b, dtype=np.intp)
+    value = np.empty(b)
+    visits = np.full(b, n)
+    stopped = np.zeros(b, dtype=bool)
+    live = np.arange(b)
+    for k in range(n):
+        f = order[live, k]
+        s = sig[live, f]
+        new = np.isnan(s)
+        if new.any():
+            s[new] = G.quantile(sig_u[live[new], f[new]])
+            sig[live[new], f[new]] = s[new]
+        # a signal clears the cutoff of cost c exactly when the benefit of
+        # searching on from it is at most c; zero-cost consumers visit everyone
+        c = costs[live]
+        stop = (G.tail_gap(s) <= c) & (c > 1e-15)
+        done = live[stop]
+        firm[done], value[done], visits[done], stopped[done] = f[stop], s[stop], k + 1, True
+        live = live[~stop]
+        if not len(live):
+            break
+    # the rest have seen every firm and buy the best, ties to the earliest
+    # visit (uniform over tied firms by symmetry of the order)
+    seen = np.take_along_axis(sig[live], order[live], axis=1)
+    firm[live] = order[live, seen.argmax(axis=1)]
+    value[live] = seen.max(axis=1)
+    return firm, value, visits, stopped
+
+
+def _run(cfg: SimConfig, laws: list[PiecewisePolyDist]) -> list[tuple]:
+    """One pass over the consumer blocks, simulating the market once per
+    firm-0 signal law in ``laws``; returns the raw sums of each for
+    :func:`_finish`.  The passes of a block share its uniforms, costs,
+    visit orders and the signals of firms 1..n-1 drawn so far."""
     G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
-    Gdev = cfg.deviation
     total = cfg.consumers
-    bins = cfg.bins
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, cfg.bins + 1)
     dec_edges = H.quantile((np.arange(1, 10) / 10.0))
-    wins = np.zeros(n)
-    win_count_bins = np.zeros(bins)
-    sig_count_bins = np.zeros(bins)
-    cs_sum = cs_sq = 0.0
-    len_sum = len_sq = 0.0
-    stop_counts = np.zeros(10)
+    sums = [_Sums(n, cfg.bins) for _ in laws]
     type_counts = np.zeros(10)
-    pay0_sq = 0.0
     done = 0
     chunk_idx = 0
     while done < total:
@@ -94,62 +158,20 @@ def _run(cfg: SimConfig):
         u = gen.random((b, 2 * n + 1))
         cost_u, sig_u, order_u = u[:, 0], u[:, 1 : n + 1], u[:, n + 1 :]
         costs = H.quantile(cost_u)
-        signals = np.empty((b, n))
-        clears = np.empty((b, n), dtype=bool)
-        for j in range(n):
-            src = Gdev if (Gdev is not None and j == 0) else G
-            signals[:, j] = src.quantile(sig_u[:, j])
-            # a signal clears the cutoff of cost c exactly when the benefit of
-            # searching on from it is at most c; zero-cost consumers visit everyone
-            clears[:, j] = (G.tail_gap(signals[:, j]) <= costs) & (costs > 1e-15)
         order = np.argsort(order_u, axis=1, kind="stable")
-        sig_by_visit = np.take_along_axis(signals, order, axis=1)
-        stop_mask = np.take_along_axis(clears, order, axis=1)
-        any_stop = stop_mask.any(axis=1)
-        first_stop = np.where(any_stop, stop_mask.argmax(axis=1), n - 1)
-        visits = np.where(any_stop, first_stop + 1, n)
-        # stoppers buy on the spot; the rest buy the best seen, ties to the
-        # earliest visit (uniform over tied firms by symmetry of the order)
-        row = np.arange(b)
-        stop_firm = order[row, first_stop]
-        stop_value = sig_by_visit[row, first_stop]
-        best = signals.max(axis=1)
-        pos_of_firm = np.empty_like(order)
-        np.put_along_axis(pos_of_firm, order, np.arange(n)[None, :].repeat(b, 0), axis=1)
-        tie_pos = np.where(np.abs(signals - best[:, None]) <= 0.0, pos_of_firm, n + 1)
-        recall_pos = tie_pos.min(axis=1)
-        recall_firm = order[row, np.minimum(recall_pos, n - 1)]
-        firm = np.where(any_stop, stop_firm, recall_firm)
-        value = np.where(any_stop, stop_value, best)
-        wins += np.bincount(firm, minlength=n)
-        if Gdev is not None:
-            pay0_sq += float(((firm == 0).astype(float) ** 2).sum())
-        # empirical demand: firm 0's (signal, win) pairs, one per consumer
-        sig_bin = np.clip(np.digitize(signals[:, 0], edges) - 1, 0, bins - 1)
-        np.add.at(sig_count_bins, sig_bin, 1.0)
-        np.add.at(win_count_bins, sig_bin[firm == 0], 1.0)
-        cs = value - costs * visits
-        cs_sum += float(cs.sum())
-        cs_sq += float((cs**2).sum())
-        len_sum += float(visits.sum())
-        len_sq += float((visits.astype(float) ** 2).sum())
         dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
         np.add.at(type_counts, dec, 1.0)
-        np.add.at(stop_counts, dec[any_stop], 1.0)
+        sig = np.full((b, n), np.nan)
+        for law, acc in zip(laws, sums):
+            s0 = law.quantile(sig_u[:, 0])
+            acc.add(s0, *_search(G, s0, costs, order, sig, sig_u), costs, dec, edges)
         done += b
         chunk_idx += 1
-    return (
-        wins,
-        win_count_bins,
-        sig_count_bins,
-        cs_sum,
-        cs_sq,
-        len_sum,
-        len_sq,
-        stop_counts,
-        type_counts,
-        edges,
-    )
+    return [
+        (acc.wins, acc.win_bins, acc.sig_bins, acc.cs, acc.cs_sq, acc.len, acc.len_sq,
+         acc.stops, type_counts, edges)
+        for acc in sums
+    ]
 
 
 def _finish(cfg: SimConfig, raw) -> SimOutcome:
@@ -186,24 +208,17 @@ def simulate_market(cfg: SimConfig, demand_probe: bool = True) -> SimOutcome:
     """Simulate the symmetric market (all firms draw from the conjecture).
 
     The empirical demand curve needs observations at off-path signals, so it
-    comes from a paired probe pass: firm 0 redraws its signal uniformly on
+    comes from a paired probe: firm 0 redraws its signal uniformly on
     [0, 1] (consumers cannot observe the change), populating every bin with
-    unbiased win frequencies.  All other statistics come from the on-path
-    pass."""
-    if cfg.deviation is not None:
-        raise ValueError("use simulate_deviation for a deviating firm")
-    out = _finish(cfg, _run(cfg))
+    unbiased win frequencies.  The probe runs in the same pass over the
+    consumers; all other statistics come from the on-path market."""
+    laws = [cfg.prior_mean_strategy]
     if demand_probe:
-        probe_cfg = SimConfig(
-            prior_mean_strategy=cfg.prior_mean_strategy,
-            costs=cfg.costs,
-            n=cfg.n,
-            consumers=cfg.consumers,
-            seed=cfg.seed,
-            bins=cfg.bins,
-            deviation=PiecewisePolyDist.uniform(0.0, 1.0),
-        )
-        probe = _finish(probe_cfg, _run(probe_cfg))
+        laws.append(PiecewisePolyDist.uniform(0.0, 1.0))
+    raws = _run(cfg, laws)
+    out = _finish(cfg, raws[0])
+    if demand_probe:
+        probe = _finish(cfg, raws[1])
         out.empirical_demand = probe.empirical_demand
         out.demand_se = probe.demand_se
         out.bin_counts = probe.bin_counts
@@ -214,16 +229,7 @@ def simulate_deviation(cfg: SimConfig, G_dev: PiecewisePolyDist) -> tuple[float,
     """Firm 0 draws signals from G_dev while consumers keep the conjecture;
     returns (firm 0 payoff, its standard error, full outcome).  Uses the
     same consumer uniforms as the baseline run with the same seed."""
-    dev_cfg = SimConfig(
-        prior_mean_strategy=cfg.prior_mean_strategy,
-        costs=cfg.costs,
-        n=cfg.n,
-        consumers=cfg.consumers,
-        seed=cfg.seed,
-        bins=cfg.bins,
-        deviation=G_dev,
-    )
-    out = _finish(dev_cfg, _run(dev_cfg))
+    out = _finish(cfg, _run(cfg, [G_dev])[0])
     p = float(out.firm_payoffs[0])
     se = float(out.payoff_se[0])
     return p, se, out

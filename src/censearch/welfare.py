@@ -63,9 +63,10 @@ def consumer_surplus_type(
     """
     if c <= 0:
         raise ValueError("surplus formulas need a strictly positive cost type")
-    mu = mean(F)
-    a_c = reservation_value(F, c) if c < mu else 0.0
-    m = min(a, a_c)
+    if incremental_benefit(F, a) > c:
+        m = a  # searching on from a pays, so the cutoff image a_c lies above a
+    else:
+        m = min(a, reservation_value(F, c) if c < mean(F) else 0.0)
     Fm = F.cdf(m)
     k_m = truncated_mean_above(F, m)
     best = _value_of_best_of_n(F, m, n) if m > F.support_lo else 0.0

@@ -1,7 +1,10 @@
 """Monte Carlo market simulation against the analytic quantities."""
 
+import json
+
 import numpy as np
 
+from censearch import simulate
 from censearch.censorship import upper_censorship
 from censearch.demand import DemandCurve
 from censearch.dists import PiecewisePolyDist
@@ -92,3 +95,127 @@ def test_zero_cost_consumers_visit_everyone(F):
     out = simulate_market(SimConfig(delta, H0, 3, 50_000, seed=2), demand_probe=False)
     # half the consumers stop immediately, half visit all three firms
     assert abs(out.search_length_mean - (0.5 * 1 + 0.5 * 3)) <= 0.02
+
+
+def _full_row_run(cfg: SimConfig, Gdev):
+    """Reference: every consumer's n signals and cutoff tests in full rows,
+    one pass per firm-0 law (``Gdev``; None for the conjecture)."""
+    G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
+    total = cfg.consumers
+    bins = cfg.bins
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    dec_edges = H.quantile((np.arange(1, 10) / 10.0))
+    wins = np.zeros(n)
+    win_count_bins = np.zeros(bins)
+    sig_count_bins = np.zeros(bins)
+    cs_sum = cs_sq = 0.0
+    len_sum = len_sq = 0.0
+    stop_counts = np.zeros(10)
+    type_counts = np.zeros(10)
+    done = 0
+    chunk_idx = 0
+    while done < total:
+        b = min(simulate.CHUNK, total - done)
+        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, chunk_idx]))
+        u = gen.random((b, 2 * n + 1))
+        cost_u, sig_u, order_u = u[:, 0], u[:, 1 : n + 1], u[:, n + 1 :]
+        costs = H.quantile(cost_u)
+        signals = np.empty((b, n))
+        clears = np.empty((b, n), dtype=bool)
+        for j in range(n):
+            src = Gdev if (Gdev is not None and j == 0) else G
+            signals[:, j] = src.quantile(sig_u[:, j])
+            clears[:, j] = (G.tail_gap(signals[:, j]) <= costs) & (costs > 1e-15)
+        order = np.argsort(order_u, axis=1, kind="stable")
+        sig_by_visit = np.take_along_axis(signals, order, axis=1)
+        stop_mask = np.take_along_axis(clears, order, axis=1)
+        any_stop = stop_mask.any(axis=1)
+        first_stop = np.where(any_stop, stop_mask.argmax(axis=1), n - 1)
+        visits = np.where(any_stop, first_stop + 1, n)
+        row = np.arange(b)
+        stop_firm = order[row, first_stop]
+        stop_value = sig_by_visit[row, first_stop]
+        best = signals.max(axis=1)
+        pos_of_firm = np.empty_like(order)
+        np.put_along_axis(pos_of_firm, order, np.arange(n)[None, :].repeat(b, 0), axis=1)
+        tie_pos = np.where(np.abs(signals - best[:, None]) <= 0.0, pos_of_firm, n + 1)
+        recall_pos = tie_pos.min(axis=1)
+        recall_firm = order[row, np.minimum(recall_pos, n - 1)]
+        firm = np.where(any_stop, stop_firm, recall_firm)
+        value = np.where(any_stop, stop_value, best)
+        wins += np.bincount(firm, minlength=n)
+        sig_bin = np.clip(np.digitize(signals[:, 0], edges) - 1, 0, bins - 1)
+        np.add.at(sig_count_bins, sig_bin, 1.0)
+        np.add.at(win_count_bins, sig_bin[firm == 0], 1.0)
+        cs = value - costs * visits
+        cs_sum += float(cs.sum())
+        cs_sq += float((cs**2).sum())
+        len_sum += float(visits.sum())
+        len_sq += float((visits.astype(float) ** 2).sum())
+        dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
+        np.add.at(type_counts, dec, 1.0)
+        np.add.at(stop_counts, dec[any_stop], 1.0)
+        done += b
+        chunk_idx += 1
+    return simulate._finish(cfg, (wins, win_count_bins, sig_count_bins, cs_sum, cs_sq,
+                                  len_sum, len_sq, stop_counts, type_counts, edges))
+
+
+def _text(out) -> str:
+    """The outcome as written to simulate.json (NaN bins compare equal)."""
+    return json.dumps(out.to_json())
+
+
+def test_visit_order_matches_full_rows(F, H_uniform, monkeypatch):
+    """The visit-order pass against full rows: outputs bit-equal for costs
+    with atoms at 0 and at the top, n = 1..50, thresholds where ties at the
+    pooled atom are common, firm-0 laws on-path, a point mass at the pool
+    and uniform (the probe), over several RNG blocks."""
+    monkeypatch.setattr(simulate, "CHUNK", 997)
+    cbar = 0.18
+    cost_laws = [
+        H_uniform,
+        PiecewisePolyDist([0.0, cbar], [np.array([0.5 / cbar])], atoms=[(0.0, 0.5)]),
+        PiecewisePolyDist([0.0, cbar], [np.array([0.5 / cbar])], atoms=[(cbar, 0.5)]),
+    ]
+    uniform = PiecewisePolyDist.uniform(0.0, 1.0)
+    for li, H in enumerate(cost_laws):
+        for n in (1, 2, 5, 50):
+            for a in (0.0, 0.3, 0.4, 1.0):
+                G = upper_censorship(F, a)
+                cfg = SimConfig(G, H, n, 2100, seed=31 + n, bins=20)
+                case = (li, n, a)
+                ref = _full_row_run(cfg, None)
+                assert _text(simulate_market(cfg, demand_probe=False)) == _text(ref), case
+                probe = _full_row_run(cfg, uniform)
+                ref.empirical_demand = probe.empirical_demand
+                ref.demand_se = probe.demand_se
+                ref.bin_counts = probe.bin_counts
+                assert _text(simulate_market(cfg)) == _text(ref), case
+                for dev in (PiecewisePolyDist.point_mass(0.5 * (1.0 + a)), uniform):
+                    ref = probe if dev is uniform else _full_row_run(cfg, dev)
+                    assert _text(simulate_deviation(cfg, dev)[2]) == _text(ref), case
+
+
+def test_signals_drawn_only_on_visit(F, H_uniform, monkeypatch):
+    """At n = 50 most consumers stop within a few visits: the conjecture's
+    quantile sees a small share of the 2 * consumers * n entries the two
+    full-row passes inverted, and the costs are drawn once per block."""
+    monkeypatch.setattr(simulate, "CHUNK", 997)
+    G = upper_censorship(F, 0.4)
+    n, consumers = 50, 5000
+    blocks = -(-consumers // 997)
+    seen = {"G": 0, "H": 0}
+    inner = PiecewisePolyDist.quantile
+
+    def quantile(self, u):
+        if self is G:
+            seen["G"] += np.size(u)
+        elif self is H_uniform:
+            seen["H"] += 1
+        return inner(self, u)
+
+    monkeypatch.setattr(PiecewisePolyDist, "quantile", quantile)
+    simulate_market(SimConfig(G, H_uniform, n, consumers, seed=3))
+    assert seen["G"] <= 0.25 * 2 * consumers * n, seen
+    assert seen["H"] == blocks + 1, seen  # plus the cost deciles

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from censearch import welfare
 from censearch.censorship import solve_a_max
 from censearch.costshape import assumption_diag_check, global_min_slope
-from censearch.dists import PiecewisePolyDist, mean, mpc_check
+from censearch.dists import (
+    PiecewisePolyDist,
+    incremental_benefit,
+    mean,
+    mpc_check,
+    reservation_value,
+    truncated_mean_above,
+)
 from censearch.welfare import (
     alpha_stretch,
     classify_density_shape,
@@ -43,6 +51,59 @@ def test_surplus_constant_above_branch_cost(F):
     base = consumer_surplus_type(F, 0.4, 0.18, 2)
     higher = consumer_surplus_type(F, 0.55, 0.18, 2)
     assert higher == pytest.approx(base, abs=1e-12)
+
+
+def _surplus_type_reference(F, a, c, n):
+    """Per-type surplus through the cutoff image a_c of every cost."""
+    a_c = reservation_value(F, c) if c < mean(F) else 0.0
+    m = min(a, a_c)
+    Fm = F.cdf(m)
+    k_m = truncated_mean_above(F, m)
+    best = welfare._value_of_best_of_n(F, m, n) if m > F.support_lo else 0.0
+    value = best + k_m * (1.0 - Fm**n)
+    searches = (1.0 - Fm**n) / (1.0 - Fm) if Fm < 1.0 else float(n)
+    cost = searches * c
+    return float(value), float(cost), float(value - cost)
+
+
+def test_surplus_type_inverts_only_above_branch_cost(
+    F, H_uniform, H_step, H_bimodal, H_threestep, H_convex, monkeypatch
+):
+    """Below the branch cost incremental_benefit(F, a) the type's cutoff image
+    lies above a, so no cutoff is inverted there; at the quadrature nodes of
+    consumer_surplus on both sides of it the result keeps the bits of the
+    formula that inverts every cost."""
+    laws = [H_uniform, H_step, H_bimodal, H_threestep, H_convex,
+            quasi_convex_pair()[0], quasi_concave_pair()[0]]
+    nodes, inverted = [], []
+    surplus_type, invert = welfare.consumer_surplus_type, welfare.reservation_value
+
+    def spy_type(F_, a, c, n):
+        nodes.append(c)
+        return surplus_type(F_, a, c, n)
+
+    def spy_invert(G, c, *args):
+        inverted.append(c)
+        return invert(G, c, *args)
+
+    monkeypatch.setattr(welfare, "consumer_surplus_type", spy_type)
+    monkeypatch.setattr(welfare, "reservation_value", spy_invert)
+    sides = set()
+    for li, H in enumerate(laws):
+        for a in (0.2, solve_a_max(F, H)[0], 0.7):
+            cfa = incremental_benefit(F, a)
+            nodes.clear()
+            inverted.clear()
+            welfare.consumer_surplus(F, H, a, 2)
+            assert all(c >= cfa for c in inverted), (li, a)
+            for n in (2, 5, 50):
+                for c in nodes[::5]:
+                    sides.add(c < cfa)
+                    inverted.clear()
+                    got = surplus_type(F, a, c, n)
+                    assert c >= cfa or not inverted, (li, a, n, c)
+                    assert got == _surplus_type_reference(F, a, c, n), (li, a, n, c)
+    assert sides == {True, False}
 
 
 def test_total_surplus_examples(F, H_uniform):
