@@ -38,13 +38,11 @@ from ._poly import (
     real_roots_in,
 )
 from .costshape import (
+    _SlopeAnalysis,
     average_slope,
-    classify_case,
     concavity_tail_start,
-    crossing_solution,
+    cost_shape_report,
     global_min_slope,
-    smallest_local_min,
-    _segment_min_slope,
 )
 from .demand import DemandCurve, jump_size
 from .dists import (
@@ -71,7 +69,6 @@ __all__ = [
     "verify_price_function",
     "threshold_from_cost",
     "demand_second_derivative",
-    "pooled_secant",
 ]
 
 CURVATURE_GRID = 2049   # second-derivative scan of the certificate below the threshold
@@ -124,27 +121,21 @@ def virtual_demand(
     H: PiecewisePolyDist,
     a: float,
     n: int,
-    x: float,
+    x,
     curve: DemandCurve | None = None,
-) -> float:
+):
     """The price-function certificate for the censored strategy: interim
-    demand below a, the secant of demand from a to the pooled signal above
-    (extended linearly past the pool).  A ``curve`` passed in must be the
-    demand curve of the censored strategy."""
+    demand below a, the secant of demand from a to the pooled signal
+    k = max supp of the censored conjecture above (extended linearly past
+    the pool; flat when nothing is pooled, k <= a).  A ``curve`` passed in
+    must be the demand curve of the censored strategy.  Takes a scalar
+    (returns a float) or an array."""
     D = curve if curve is not None else DemandCurve(upper_censorship(F, a), n, H)
-    if x <= a:
-        return D.value(x)
-    da, slope = pooled_secant(D, a)
-    return da + slope * (x - a)
-
-
-def pooled_secant(curve: DemandCurve, a: float) -> tuple[float, float]:
-    """(D(a), slope) of the certificate's secant from the threshold a to the
-    pooled signal k = max supp of the censored conjecture ``curve.G``; the
-    slope is 0 when nothing is pooled (k <= a)."""
-    k = curve.G.max_supp()
-    da, dk = curve.value(a), curve.value(k)
-    return da, (dk - da) / (k - a) if k > a else 0.0
+    k = D.G.max_supp()
+    da, dk = D.value(a), D.value(k)
+    slope = (dk - da) / (k - a) if k > a else 0.0
+    x = np.asarray(x, dtype=float)
+    return _result(np.where(x <= a, D.value(x), da + slope * (x - a)))
 
 
 def deviation_net_gain(
@@ -359,13 +350,8 @@ def verify_uce(
         cost_ok = global_min_slope(H)[0] >= 1.0 / cfa - tol.ineq
     else:
         s_at = average_slope(H, cfa)
-        prefix_min = min(
-            _segment_min_slope(H, i, upto=cfa)[0]
-            for i in range(len(H.coefs))
-            if H.breaks[i] < cfa
-        )
         cost_ok = (
-            prefix_min >= s_at - tol.ineq
+            _SlopeAnalysis(H).min_below(cfa) >= s_at - tol.ineq
             and s_at > H.pdf(cfa, side=-1) + tol.ineq
             and cfa >= concavity_tail_start(H) - tol.ineq
         )
@@ -402,24 +388,18 @@ def solve_a_max(
         raise ValueError("cost support top must lie below the prior mean")
     if H.min_supp() > 1e-12:
         raise ValueError("threshold solver requires cost support starting at 0")
-    case = classify_case(H, mu, tol.ineq)
-    if case == "a":
+    rep = cost_shape_report(H, mu, tol.ineq)
+    if rep.case == "a":
         return 0.0, "a", True
-    if case == "b":
-        s_loc = average_slope(H, smallest_local_min(H, tol.ineq))
-        return threshold_from_cost(F, 1.0 / s_loc), "b", True
-    if case == "c":
-        c_cav = concavity_tail_start(H)
-        c_sol = crossing_solution(H, tol.ineq)
-        target = max(c_cav, c_sol if c_sol is not None else 0.0)
-        if target <= tol.root:
-            return F.support_hi - 1e-12, "c", False
-        return threshold_from_cost(F, target), "c", True
-    c_cav = concavity_tail_start(H)
-    if c_cav <= tol.root:
+    if rep.case == "b":
+        return threshold_from_cost(F, 1.0 / rep.best_min_slope), "b", True
+    target = rep.concave_from
+    if rep.case == "c":
+        target = max(target, rep.crossing if rep.crossing is not None else 0.0)
+    if target <= tol.root:
         # supremum edge: every threshold short of full disclosure passes
-        return F.support_hi - 1e-12, "d", False
-    return threshold_from_cost(F, c_cav), "d", True
+        return F.support_hi - 1e-12, rep.case, False
+    return threshold_from_cost(F, target), rep.case, True
 
 
 def equilibrium_set(

@@ -12,17 +12,18 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .censorship import (
     equilibrium_set,
-    pooled_secant,
     solve_a_max,
     upper_censorship,
     verify_uce,
     verify_price_function,
+    virtual_demand,
 )
 from .costshape import average_slope, cost_shape_report, scan_table, global_min_slope
 from .demand import DemandCurve
@@ -70,12 +71,19 @@ def load_market(spec: dict) -> MarketConfig:
     if not isinstance(blk, dict):
         raise ConfigError("spec needs a 'market' block")
     _require_keys(blk, {"prior", "costs", "n", "tol", "grid"}, "market")
-    try:
+    with _config_errors():
         prior = dist_from_json(blk["prior"])
         costs = dist_from_json(blk["costs"])
         tol = Tolerances(**blk.get("tol", {}))
         grid = GridSpec(**blk.get("grid", {}))
         return MarketConfig(prior, costs, int(blk["n"]), tol=tol, grid=grid)
+
+
+@contextmanager
+def _config_errors():
+    """Report a missing or malformed spec field as a config error."""
+    try:
+        yield
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -127,9 +135,10 @@ def cmd_verify(spec: dict, out: Path | None, args) -> int:
     blk = spec.get("verify", {})
     _require_keys(blk, {"a", "a_grid", "n_sweep", "price_function"}, "verify")
     gate_failed = False
-    payload: dict = {}
+    if "n_sweep" in blk or "a_grid" not in blk:
+        with _config_errors():
+            a = float(blk["a"])
     if "n_sweep" in blk:
-        a = float(blk["a"])
         rows = []
         smallest = None
         for n in blk["n_sweep"]:
@@ -144,7 +153,6 @@ def cmd_verify(spec: dict, out: Path | None, args) -> int:
         res = equilibrium_set(mc.prior, mc.costs, blk["a_grid"], mc.n, mc.tol)
         payload = {"n": mc.n, "sweep": [{"a": a, "equilibrium": ok} for a, ok in res]}
     else:
-        a = float(blk["a"])
         rep = verify_uce(mc.prior, mc.costs, a, mc.n, mc.tol)
         payload = rep.to_json()
         gate_failed = rep.verdict != "equilibrium"
@@ -161,15 +169,10 @@ def cmd_verify(spec: dict, out: Path | None, args) -> int:
 def _emit_phi_csv(mc: MarketConfig, a: float, target: Path, points: int = 513) -> None:
     """(x, demand, certificate) panel for one threshold."""
     curve = DemandCurve(upper_censorship(mc.prior, a), mc.n, mc.costs)
-    da, slope = pooled_secant(curve, a)
     xs = np.linspace(0.0, 1.0, points)
-    d = curve.value(xs)
-    rows = np.column_stack([xs, d, np.where(xs <= a, d, da + slope * (xs - a))]).tolist()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "D", "phi"])
-        w.writerows(rows)
+    phi = virtual_demand(mc.prior, mc.costs, a, mc.n, xs, curve)
+    rows = np.column_stack([xs, curve.value(xs), phi]).tolist()
+    _write_csv(target.parent, target.name, ["x", "D", "phi"], rows)
 
 
 def cmd_oracle(spec: dict, out: Path | None, args) -> int:
@@ -219,7 +222,8 @@ def cmd_simulate(spec: dict, out: Path | None, args) -> int:
     payload: dict
     if "deviation" in blk or "deviation_atom" in blk:
         if "deviation" in blk:
-            G_dev = dist_from_json(blk["deviation"])
+            with _config_errors():
+                G_dev = dist_from_json(blk["deviation"])
         else:
             G_dev = PiecewisePolyDist.point_mass(float(blk["deviation_atom"]))
         pay, se, outcome = simulate_deviation(cfg, G_dev)
@@ -262,7 +266,8 @@ def cmd_compstat(spec: dict, out: Path | None, args) -> int:
     blk = spec.get("compstat", {})
     _require_keys(blk, {"family", "alphas", "lambdas", "halvings", "ramp_ks", "base_costs"}, "compstat")
     family = blk.get("family", "alpha_stretch")
-    H0 = dist_from_json(blk["base_costs"]) if "base_costs" in blk else mc.costs
+    with _config_errors():
+        H0 = dist_from_json(blk["base_costs"]) if "base_costs" in blk else mc.costs
     members: list[tuple[float, PiecewisePolyDist]] = []
     if family == "alpha_stretch":
         for al in blk.get("alphas", [1.1, 1.3, 1.5]):
@@ -316,11 +321,10 @@ def cmd_emit_plot(spec: dict, out: Path | None, args) -> int:
     _write_csv(out, "plot_costs.csv", ["c", "H", "h", "S", "tangent"], cost_rows.tolist())
     G = upper_censorship(mc.prior, a)
     curve = DemandCurve(G, mc.n, mc.costs)
-    da, slope = pooled_secant(curve, a)
     xs = np.linspace(0.0, 1.0, pts)
-    d = curve.value(xs)
-    phi = np.where(xs <= a, d, da + slope * (xs - a))
-    rows = np.column_stack([xs, d, phi, *curve.margins(xs), G.cdf(xs), curve.cutoff_cost(xs)])
+    phi = virtual_demand(mc.prior, mc.costs, a, mc.n, xs, curve)
+    rows = np.column_stack([xs, curve.value(xs), phi, *curve.margins(xs), G.cdf(xs),
+                            curve.cutoff_cost(xs)])
     _write_csv(out, "plot_demand.csv", ["x", "D", "phi", "extensive", "intensive", "G", "c_G"],
                rows.tolist())
     return 0
@@ -358,13 +362,10 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.spec)
         return _COMMANDS[args.command](spec, out, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,10 +3,12 @@
 The sufficient statistic for how much information firms disclose in
 equilibrium is the *average slope* of the cost distribution,
 ``S(c) = H(c)/c`` (with ``S(0) = h(0)``): its minimum measures how evenly
-search costs are spread.  This module computes the statistics that drive the
-threshold solver:
+search costs are spread.  One analysis per cost law serves every statistic:
+a table of each segment's candidates for the extrema of S (both ends and the
+stationary roots, from one root-finding pass) gives the global minimum, the
+minimum up to any cost and the critical set.  :func:`cost_shape_report`
+collects the statistics that follow:
 
-* :func:`average_slope`         -- S(c)
 * :func:`concavity_tail_start`  -- start of the maximal upper interval with
                                    nonincreasing density
 * :func:`critical_min_set`      -- stationary points of S that are running
@@ -16,6 +18,7 @@ threshold solver:
                                    its way down to 1/cbar
 * :func:`assumption_diag_check` -- is the global minimum of S attained
                                    strictly below the support top?
+* :func:`classify_case`         -- the threshold solver's case label a-d
 
 Detection is exact: stationary points of S solve the polynomial
 ``c*h(c) - H(c) = 0`` on each segment, so no grid resolution enters the
@@ -24,7 +27,9 @@ verdicts; the dense scan only feeds the CSV export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -76,51 +81,172 @@ def _stationary_poly(H: PiecewisePolyDist, i: int) -> np.ndarray:
     return w
 
 
-def _is_plateau(H: PiecewisePolyDist, i: int) -> bool:
-    w = _stationary_poly(H, i)
-    lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
-    scale = max(np.max(np.abs(w)), H.cdf(hi), 1e-30)
-    return bool(np.all(np.abs(polyval(w, np.linspace(lo, hi, 9))) <= 1e-12 * scale))
+def _first_min(best: float, v: float) -> float:
+    """One step of a running minimum of S: a later candidate replaces it only
+    when lower by more than 1e-15, so near-ties keep the smaller cost."""
+    return v if v < best - 1e-15 else best
 
 
-def _segment_slope_candidates(H: PiecewisePolyDist, i: int, upto: float | None = None):
-    """(c, S(c)) candidates for extrema of S on segment i (or its prefix),
-    smallest c first."""
-    lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
-    if upto is not None:
-        hi = min(hi, upto)
-        if hi <= lo:
-            return []
-    pts = {lo, hi}
-    w = _stationary_poly(H, i)
-    for r in real_roots_in(w, lo, hi):
-        if r > H.support_lo + 1e-13:
-            pts.add(float(r))
-    cs = sorted(pts)
-    return list(zip(cs, average_slope(H, np.array(cs)).tolist()))
+@dataclass
+class _Critical:
+    lo: float
+    hi: float
+    value: float
 
 
-def _segment_min_slope(H: PiecewisePolyDist, i: int, upto: float | None = None) -> tuple[float, float]:
-    """(min of S on segment i (or prefix), smallest attaining c); exact."""
-    cand = _segment_slope_candidates(H, i, upto)
-    best_v, best_c = np.inf, float(H.breaks[i + 1])
-    for c, v in cand:
-        if v < best_v - 1e-15:
-            best_v, best_c = v, c
-    return float(best_v), float(best_c)
+class _SlopeAnalysis:
+    """The average-slope analysis of one cost law.  Its table holds, per
+    segment, the sorted candidates ``cs``, S at each (``ss``) and the running
+    minimum ``run`` (``run[k]`` over the first k candidates, so ``run[0]``
+    is inf).  Everything else is read from that table on first use."""
+
+    def __init__(self, H: PiecewisePolyDist, tol: float = 1e-9):
+        self.H, self.tol = H, tol
+        self.table = []
+        for i in range(len(H.coefs)):
+            lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
+            roots = real_roots_in(_stationary_poly(H, i), lo, hi)
+            cs = np.array(sorted({lo, hi, *(float(r) for r in roots if r > H.support_lo + 1e-13)}))
+            ss = average_slope(H, cs).tolist()
+            self.table.append((cs, ss, list(accumulate(ss, _first_min, initial=np.inf))))
+
+    def prefix_min(self, i: int, upto: float) -> float:
+        """Min of S over segment i cut at ``upto`` (inf when nothing is left):
+        the candidates below the cut, then the cut itself."""
+        cs, _, run = self.table[i]
+        if upto >= cs[-1]:
+            return run[-1]
+        if upto <= cs[0]:
+            return np.inf
+        j = int(np.searchsorted(cs, upto))  # cs[j - 1] < upto <= cs[j]
+        return _first_min(run[j], average_slope(self.H, upto))
+
+    def min_below(self, c: float) -> float:
+        """Min of S over the support up to c."""
+        return min(self.prefix_min(i, c) for i in range(len(self.table)) if self.H.breaks[i] < c)
+
+    @cached_property
+    def global_min(self) -> tuple[float, float]:
+        """(min of S, smallest candidate within 1e-11 of it)."""
+        best = min(run[-1] for _, _, run in self.table)
+        near = best + 1e-11 * max(1.0, best)
+        arg = min(c for cs, ss, _ in self.table for c, v in zip(cs.tolist(), ss) if v <= near)
+        return float(best), float(arg)
+
+    def evenness(self) -> tuple[bool, float | None, float | None]:
+        """(global min attained strictly below the top, minimizer, density there)."""
+        arg = self.global_min[1]
+        cbar = self.H.support_hi
+        if arg >= cbar - max(1e-12, 1e-9 * cbar):
+            return False, None, None
+        side = -1 if arg > self.H.support_lo + 1e-15 else +1
+        return True, float(arg), float(self.H.pdf(arg, side=side))
+
+    @cached_property
+    def crit(self) -> list[_Critical]:
+        """Stationary points of S that are running minima, merged into
+        points and closed intervals."""
+        H, tol = self.H, self.tol
+        out: list[_Critical] = []
+        prefix = np.inf  # running min of S over [0, segment start)
+        lo0, top = H.support_lo, H.support_hi
+        for i, (cs, ss, run) in enumerate(self.table):
+            lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
+            w = _stationary_poly(H, i)
+            scale = max(np.max(np.abs(w)), H.cdf(hi), 1e-30)
+            if np.all(np.abs(polyval(w, np.linspace(lo, hi, 9))) <= 1e-12 * scale):  # a plateau
+                val = average_slope(H, 0.5 * (lo + hi))
+                if val <= prefix + tol:
+                    out.append(_Critical(lo, hi, val))
+                prefix = min(prefix, val)
+                continue
+            for b, val in ([(lo, ss[0])] if i == 0 else []) + [(hi, ss[-1])]:
+                at_lo_edge = b <= lo0 + 1e-15
+                at_hi_edge = b >= top - 1e-15
+                sl_l = slope_derivative(H, b, side=+1 if at_lo_edge else -1)
+                sl_r = slope_derivative(H, b, side=-1 if at_hi_edge else +1)
+                stol = tol * (1.0 + abs(sl_l) + abs(sl_r))
+                if at_lo_edge or at_hi_edge:
+                    is_crit = abs(sl_l) <= stol and abs(sl_r) <= stol
+                else:
+                    is_crit = sl_l <= stol and sl_r >= -stol
+                if is_crit and val <= min(prefix, self.prefix_min(i, b)) + tol:
+                    out.append(_Critical(b, b, val))
+            for c0, val in zip(cs.tolist()[1:-1], ss[1:-1]):  # the stationary roots
+                if lo + 1e-13 < c0 < hi - 1e-13 and val <= min(prefix, self.prefix_min(i, c0)) + tol:
+                    out.append(_Critical(c0, c0, val))
+            prefix = min(prefix, run[-1])
+        merged: list[_Critical] = []
+        for c in sorted(out, key=lambda c: (c.lo, c.hi)):
+            if merged and c.lo <= merged[-1].hi + 1e-12:
+                merged[-1].hi = max(merged[-1].hi, c.hi)
+                merged[-1].value = min(merged[-1].value, c.value)
+            else:
+                merged.append(c)
+        return merged
+
+    @property
+    def top_only(self) -> bool:
+        """Is the critical set empty or a single point at the support top?"""
+        crit = self.crit
+        return not crit or (len(crit) == 1 and crit[0].lo >= self.H.support_hi - 1e-12)
+
+    @cached_property
+    def concave_from(self) -> float:
+        return concavity_tail_start(self.H)
+
+    @cached_property
+    def best_min(self) -> float:
+        if self.top_only:
+            return self.concave_from
+        best = min(c.value for c in self.crit)
+        return float(max(c.hi for c in self.crit if c.value <= best + self.tol))
+
+    @cached_property
+    def best_min_slope(self) -> float:
+        return average_slope(self.H, self.best_min)
+
+    @cached_property
+    def crossing(self) -> float | None:
+        if not self.crit:
+            return None
+        H, cbar = self.H, self.H.support_hi
+        c_loc, s_loc = self.best_min, self.best_min_slope
+        s_top = 1.0 / cbar
+        if abs(s_loc - s_top) <= self.tol * max(1.0, s_top):
+            return cbar
+        if s_loc < s_top:
+            return None
+        for i in range(len(H.coefs)):
+            lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
+            if hi <= c_loc + 1e-12:
+                continue
+            g = H.cdf_poly(i)
+            g[1] -= s_loc
+            for r in real_roots_in(g, max(lo, c_loc), hi):
+                c = float(r)
+                if c > c_loc + 1e-10:
+                    return c
+        return cbar  # numerically indistinguishable boundary case
+
+    def case(self, mu: float) -> str:
+        if self.top_only:
+            return "d"
+        if self.best_min_slope <= 1.0 / mu + self.tol:
+            return "a"
+        if self.best_min_slope <= 1.0 / self.H.support_hi + self.tol:
+            return "b"
+        return "c"
+
+
+def _analysis(H: PiecewisePolyDist, tol: float = 1e-9) -> _SlopeAnalysis:
+    _require_continuous(H)
+    return _SlopeAnalysis(H, tol)
 
 
 def global_min_slope(H: PiecewisePolyDist) -> tuple[float, float]:
     """(min_c S(c), smallest attaining c) over the whole support; exact."""
-    _require_continuous(H)
-    best = min(_segment_min_slope(H, i)[0] for i in range(len(H.coefs)))
-    args = [
-        c
-        for i in range(len(H.coefs))
-        for c, v in _segment_slope_candidates(H, i)
-        if v <= best + 1e-11 * max(1.0, best)
-    ]
-    return float(best), float(min(args))
+    return _analysis(H).global_min
 
 
 def concavity_tail_start(H: PiecewisePolyDist, tol: float = 1e-11) -> float:
@@ -161,84 +287,18 @@ def _last_positive_point(coefs, lo: float, hi: float, tol: float) -> float | Non
     return last
 
 
-@dataclass
-class _Critical:
-    lo: float
-    hi: float
-    value: float
-
-
-def _criticals(H: PiecewisePolyDist, tol: float = 1e-9) -> list[_Critical]:
-    _require_continuous(H)
-    out: list[_Critical] = []
-    prefix = np.inf  # running min of S over [0, segment start)
-    lo0, top = H.support_lo, H.support_hi
-    for i in range(len(H.coefs)):
-        lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
-        if _is_plateau(H, i):
-            val = average_slope(H, 0.5 * (lo + hi))
-            if val <= prefix + tol:
-                out.append(_Critical(lo, hi, val))
-            prefix = min(prefix, val)
-            continue
-        bounds = [lo] if i == 0 else []
-        bounds.append(hi)
-        for b in bounds:
-            at_lo_edge = b <= lo0 + 1e-15
-            at_hi_edge = b >= top - 1e-15
-            sl_l = slope_derivative(H, b, side=+1 if at_lo_edge else -1)
-            sl_r = slope_derivative(H, b, side=-1 if at_hi_edge else +1)
-            stol = tol * (1.0 + abs(sl_l) + abs(sl_r))
-            if at_lo_edge or at_hi_edge:
-                is_crit = abs(sl_l) <= stol and abs(sl_r) <= stol
-            else:
-                is_crit = sl_l <= stol and sl_r >= -stol
-            if not is_crit:
-                continue
-            val = average_slope(H, b)
-            pref = min(prefix, _segment_min_slope(H, i, upto=b)[0])
-            if val <= pref + tol:
-                out.append(_Critical(b, b, val))
-        w = _stationary_poly(H, i)
-        for r in real_roots_in(w, lo, hi):
-            c0 = float(r)
-            if c0 <= lo + 1e-13 or c0 >= hi - 1e-13 or c0 <= lo0 + 1e-13:
-                continue
-            val = average_slope(H, c0)
-            if val <= min(prefix, _segment_min_slope(H, i, upto=c0)[0]) + tol:
-                out.append(_Critical(c0, c0, val))
-        prefix = min(prefix, _segment_min_slope(H, i)[0])
-    out.sort(key=lambda c: (c.lo, c.hi))
-    merged: list[_Critical] = []
-    for c in out:
-        if merged and c.lo <= merged[-1].hi + 1e-12:
-            merged[-1].hi = max(merged[-1].hi, c.hi)
-            merged[-1].value = min(merged[-1].value, c.value)
-        else:
-            merged.append(_Critical(c.lo, c.hi, c.value))
-    return merged
-
-
 def critical_min_set(H: PiecewisePolyDist, tol: float = 1e-9) -> list[tuple[float, float]]:
     """Points and closed intervals where the average slope is stationary
     (two-sided zero derivative, a flat plateau, or a kink minimum at a
     density jump) *and* is a running minimum over [0, c]."""
-    return [(c.lo, c.hi) for c in _criticals(H, tol)]
-
-
-def _crit_is_top_only(crit: list[_Critical], top: float) -> bool:
-    return len(crit) == 0 or (len(crit) == 1 and crit[0].lo >= top - 1e-12)
+    return [(c.lo, c.hi) for c in _analysis(H, tol).crit]
 
 
 def smallest_local_min(H: PiecewisePolyDist, tol: float = 1e-9) -> float:
     """Location of the smallest critical minimum of the average slope;
     plateau ties resolve to the largest minimizer.  Empty or top-only
     critical sets fall back to the concavity tail start."""
-    crit = _criticals(H, tol)
-    if _crit_is_top_only(crit, H.support_hi):
-        return concavity_tail_start(H)
-    best = min(c.value for c in crit)
-    return float(max(c.hi for c in crit if c.value <= best + tol))
+    return _analysis(H, tol).best_min
 
 
 def crossing_solution(H: PiecewisePolyDist, tol: float = 1e-9) -> float | None:
@@ -246,28 +306,7 @@ def crossing_solution(H: PiecewisePolyDist, tol: float = 1e-9) -> float | None:
     that minimum's value; exactly cbar at the boundary equality
     S = 1/cbar; absent when the minimum lies below 1/cbar or the critical
     set is empty."""
-    crit = _criticals(H, tol)
-    if not crit:
-        return None
-    cbar = H.support_hi
-    c_loc = smallest_local_min(H, tol)
-    s_loc = average_slope(H, c_loc)
-    s_top = 1.0 / cbar
-    if abs(s_loc - s_top) <= tol * max(1.0, s_top):
-        return cbar
-    if s_loc < s_top:
-        return None
-    for i in range(len(H.coefs)):
-        lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
-        if hi <= c_loc + 1e-12:
-            continue
-        g = H.cdf_poly(i)
-        g[1] -= s_loc
-        for r in real_roots_in(g, max(lo, c_loc), hi):
-            c = float(r)
-            if c > c_loc + 1e-10:
-                return c
-    return cbar  # numerically indistinguishable boundary case
+    return _analysis(H, tol).crossing
 
 
 def assumption_diag_check(
@@ -277,13 +316,7 @@ def assumption_diag_check(
     support top?  Returns (holds, minimizer, density at the minimizer); the
     minimizer reported is the smallest attaining point; its density is the
     left limit at interior kinks."""
-    _require_continuous(H)
-    smin, arg = global_min_slope(H)
-    cbar = H.support_hi
-    if arg >= cbar - max(1e-12, 1e-9 * cbar):
-        return False, None, None
-    side = -1 if arg > H.support_lo + 1e-15 else +1
-    return True, float(arg), float(H.pdf(arg, side=side))
+    return _analysis(H, tol).evenness()
 
 
 def classify_case(H: PiecewisePolyDist, mu: float, tol: float = 1e-9) -> str:
@@ -291,21 +324,12 @@ def classify_case(H: PiecewisePolyDist, mu: float, tol: float = 1e-9) -> str:
     critical minimum of the average slope -- a) at or below 1/mu,
     b) between 1/mu and 1/cbar, c) above 1/cbar, d) no usable critical set
     (empty or a single point at the support top)."""
-    crit = _criticals(H, tol)
-    cbar = H.support_hi
-    if _crit_is_top_only(crit, cbar):
-        return "d"
-    s_loc = average_slope(H, smallest_local_min(H, tol))
-    if s_loc <= 1.0 / mu + tol:
-        return "a"
-    if s_loc <= 1.0 / cbar + tol:
-        return "b"
-    return "c"
+    return _analysis(H, tol).case(mu)
 
 
 @dataclass
 class CostShapeReport:
-    """Scan artifacts of the cost distribution's average slope."""
+    """Every statistic of the cost distribution's average slope."""
 
     even_point: float | None       # global minimizer of S (None if only at cbar)
     even_density: float | None     # density there ("evenness")
@@ -318,7 +342,6 @@ class CostShapeReport:
     min_slope: float               # global min of S
     case: str                      # threshold-solver case label: a|b|c|d
     support_hi: float
-    scan: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -336,31 +359,24 @@ class CostShapeReport:
         }
 
 
-def cost_shape_report(
-    H: PiecewisePolyDist,
-    mu: float,
-    tol: float = 1e-9,
-    with_scan: bool = False,
-    scan_per_segment: int = 4096,
-) -> CostShapeReport:
-    even_ok, cm, hcm = assumption_diag_check(H, tol)
-    c_loc = smallest_local_min(H, tol)
-    rep = CostShapeReport(
+def cost_shape_report(H: PiecewisePolyDist, mu: float, tol: float = 1e-9) -> CostShapeReport:
+    """The cost-shape statistics of H from one analysis; ``mu`` (the prior
+    mean) enters only the case label."""
+    an = _analysis(H, tol)
+    even_ok, cm, hcm = an.evenness()
+    return CostShapeReport(
         even_point=cm,
         even_density=hcm,
         even_ok=even_ok,
-        concave_from=concavity_tail_start(H),
-        critical_set=critical_min_set(H, tol),
-        best_min=c_loc,
-        best_min_slope=average_slope(H, c_loc),
-        crossing=crossing_solution(H, tol),
-        min_slope=global_min_slope(H)[0],
-        case=classify_case(H, mu, tol),
+        concave_from=an.concave_from,
+        critical_set=[(c.lo, c.hi) for c in an.crit],
+        best_min=an.best_min,
+        best_min_slope=an.best_min_slope,
+        crossing=an.crossing,
+        min_slope=an.global_min[0],
+        case=an.case(mu),
         support_hi=H.support_hi,
     )
-    if with_scan:
-        rep.scan = scan_table(H, scan_per_segment)
-    return rep
 
 
 def scan_table(H: PiecewisePolyDist, per_segment: int = 4096) -> np.ndarray:

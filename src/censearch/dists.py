@@ -438,11 +438,12 @@ def dist_from_json(spec: dict) -> PiecewisePolyDist:
     if kind == "atoms":
         lo, hi = spec.get("support", (None, None))
         atoms = [(float(a["at"]), float(a["mass"])) for a in spec["atoms"]]
+        first, last = min(a for a, _ in atoms), max(a for a, _ in atoms)
         if lo is None:
-            lo, hi = atoms[0][0] - 1e-9, atoms[-1][0] + 1e-9
+            lo, hi = first - 1e-9, last + 1e-9
         lo, hi = float(lo), float(hi)
-        lo = min(lo, atoms[0][0] - 1e-12)
-        hi = max(hi, atoms[-1][0] + 1e-12)
+        lo = min(lo, first - 1e-12)
+        hi = max(hi, last + 1e-12)
         return PiecewisePolyDist([lo, hi], [np.zeros(1)], atoms=atoms)
     if kind == "poly-pieces":
         lo, hi = spec["support"]
@@ -499,13 +500,6 @@ class MarketConfig:
     @property
     def cbar(self) -> float:
         return self.costs.support_hi
-
-    def require_zero_cost_floor(self):
-        """Equilibrium solvers need the cost support to start at 0; with a
-        positive floor, no-disclosure is the only (essentially unique)
-        equilibrium and the censorship machinery does not apply."""
-        if self.costs.min_supp() > 1e-12:
-            raise ValueError("equilibrium solvers require cost support starting at 0")
 
 
 # -- module-level operations -------------------------------------------------

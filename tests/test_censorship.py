@@ -35,6 +35,22 @@ def test_virtual_demand_examples(F, H_uniform):
     assert virtual_demand(F, H_uniform, 0.4, 2, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_virtual_demand_takes_arrays(F, H_uniform):
+    a = 0.4
+    curve = DemandCurve(upper_censorship(F, a), 2, H_uniform)
+    xs = np.linspace(0.0, 1.0, 65)
+    got = virtual_demand(F, H_uniform, a, 2, xs, curve)
+    points = [virtual_demand(F, H_uniform, a, 2, float(x), curve) for x in xs]
+    assert all(type(v) is float for v in points)
+    assert got.tobytes() == np.array(points).tobytes()
+    # the secant formula the CLI panels wrote before
+    k = curve.G.max_supp()
+    da = curve.value(a)
+    slope = (curve.value(k) - da) / (k - a)
+    d = curve.value(xs)
+    assert got.tobytes() == np.where(xs <= a, d, da + slope * (xs - a)).tobytes()
+
+
 def test_net_gain_examples(F, H_uniform):
     assert deviation_net_gain(F, H_uniform, 0.4, 0.09, 2) == pytest.approx(0.0, abs=1e-12)
     val = deviation_net_gain(F, H_uniform, 0.3, 0.09, 2)

@@ -61,6 +61,22 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert main(["solve", "--spec", str(missing)]) == 2
 
 
+def test_missing_required_fields_exit_2(tmp_path, capsys):
+    no_support = {"kind": "uniform"}
+    cases = {
+        "verify-empty": ("verify", {"verify": {}}),
+        "verify-sweep": ("verify", {"verify": {"n_sweep": [2, 5]}}),
+        "verify-null": ("verify", {"verify": {"a": None}}),
+        "deviation": ("simulate", {"simulate": {"a": 0.4, "consumers": 1000,
+                                                "deviation": no_support}}),
+        "base-costs": ("compstat", {"compstat": {"base_costs": no_support}}),
+    }
+    for name, (cmd, extra) in cases.items():
+        spec = write_spec(tmp_path, f"{name}.json", n=2, extra=extra)
+        assert main([cmd, "--spec", str(spec), "--out", str(tmp_path / name)]) == 2, name
+        assert "config error" in capsys.readouterr().err, name
+
+
 def test_unread_grid_knobs_rejected(tmp_path, capsys):
     # GridSpec carries only the sizes something reads; the certificate grids
     # are constants of censorship, so a spec setting them is a config error

@@ -120,12 +120,13 @@ def test_case_labels(F, H_uniform, H_convex, H_step, H_bimodal):
 
 
 def test_report_and_scan(H_bimodal):
-    rep = cost_shape_report(H_bimodal, 0.5, with_scan=True, scan_per_segment=256)
+    rep = cost_shape_report(H_bimodal, 0.5)
     js = rep.to_json()
     assert js["case"] == "c"
     assert js["crossing"] == pytest.approx(0.1761745, abs=1e-6)
-    assert rep.scan.shape[1] == 5
-    cs, Hs, hs, Ss, Sps = rep.scan.T
+    scan = scan_table(H_bimodal, 256)
+    assert scan.shape[1] == 5
+    cs, Hs, hs, Ss, Sps = scan.T
     assert np.all(np.diff(cs) >= 0)
     assert Hs[-1] == pytest.approx(1.0, abs=1e-12)
     mid = len(cs) // 2

@@ -147,6 +147,16 @@ def test_json_roundtrip_and_kinds(F, H_bimodal):
         dist_from_json({"kind": "cauchy"})
 
 
+def test_atoms_load_in_any_listed_order():
+    # the support ends come from the smallest and largest atom, wherever listed
+    atoms = [{"at": 0.7, "mass": 0.4}, {"at": 0.2, "mass": 0.6}]
+    for support in ({}, {"support": [0.3, 1]}):
+        listed = dist_from_json({"kind": "atoms", "atoms": atoms, **support})
+        ordered = dist_from_json({"kind": "atoms", "atoms": atoms[::-1], **support})
+        assert listed.to_json() == ordered.to_json()
+        assert mean(listed) == pytest.approx(0.4 * 0.7 + 0.6 * 0.2, abs=1e-12)
+
+
 def test_quantile_cdf_consistency(F, H_bimodal):
     Ua = upper_censorship(F, 0.4)
     for d in (F, H_bimodal, Ua):
