@@ -38,7 +38,7 @@ from ._poly import (
     real_roots_in,
 )
 from .costshape import (
-    _SlopeAnalysis,
+    _analysis,
     average_slope,
     concavity_tail_start,
     cost_shape_report,
@@ -86,6 +86,8 @@ def upper_censorship(F: PiecewisePolyDist, a: float) -> PiecewisePolyDist:
     a = max(float(a), F.support_lo)
     Fa = F.cdf(a)
     k = truncated_mean_above(F, a)
+    if k <= a:
+        raise ArithmeticError(f"pooled signal of threshold {a!r} does not clear it in double precision")
     if Fa <= 1e-14:
         return PiecewisePolyDist([F.support_lo, k], [np.zeros(1)], atoms=[(k, 1.0)])
     breaks = [float(b) for b in F.breaks if b < a - 1e-14]
@@ -314,6 +316,15 @@ def verify_uce(
             dr = sum(curve.margins(bs, side=+1))
             convex = not np.any(dr < dl - tol.ineq * (1.0 + np.abs(dl)))
 
+    if Ua is F:
+        # full disclosure (the censorship is the prior itself) pools nothing:
+        # the kink and the domination margin are vacuous, and the threshold
+        # solver never attains this threshold
+        checks = {"virtual_convex": bool(convex), "kink_increasing": True,
+                  "virtual_dominates": True, "cost_condition": False}
+        return CensorshipReport(float(a), float(k), float(r_lo), float(k), int(n),
+                                "equilibrium" if convex else "fails", checks, 0.0, [])
+
     # (ii) upward kink at the threshold, in closed form.  The deficit can be
     # exponentially small in n (the max-win term carries F(a)^(n-2)), so the
     # comparison runs against a machine-noise floor, not the loose tolerance:
@@ -351,7 +362,7 @@ def verify_uce(
     else:
         s_at = average_slope(H, cfa)
         cost_ok = (
-            _SlopeAnalysis(H).min_below(cfa) >= s_at - tol.ineq
+            _analysis(H).min_below(cfa) >= s_at - tol.ineq
             and s_at > H.pdf(cfa, side=-1) + tol.ineq
             and cfa >= concavity_tail_start(H) - tol.ineq
         )

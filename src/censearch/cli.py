@@ -28,7 +28,7 @@ from .censorship import (
 from .costshape import average_slope, cost_shape_report, scan_table, global_min_slope
 from .demand import DemandCurve
 from .dists import GridSpec, MarketConfig, PiecewisePolyDist, Tolerances, dist_from_json
-from .oracle import build_problem, solve_br
+from .oracle import GRID_N, build_problem, solve_br
 from .simulate import SimConfig, simulate_deviation, simulate_market
 from .welfare import (
     alpha_stretch,
@@ -180,9 +180,9 @@ def cmd_oracle(spec: dict, out: Path | None, args) -> int:
     blk = spec.get("oracle", {})
     _require_keys(blk, {"a", "grid_n", "dump_lp"}, "oracle")
     a = float(blk.get("a", 0.0))
-    grid_n = int(blk.get("grid_n", args.grid or mc.grid.lp))
+    grid_n = int(blk.get("grid_n", GRID_N))
     G = upper_censorship(mc.prior, a)
-    prob = build_problem(G, mc.prior, mc.costs, mc.n, grid_n, mc.grid.cost_quantiles)
+    prob = build_problem(G, mc.prior, mc.costs, mc.n, grid_n)
     sol = solve_br(prob)
     sup_x, sup_m = sol.support(1e-9)
     payload = {
@@ -353,7 +353,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="simulation seed override")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored (nothing reads it)")
-    parser.add_argument("--grid", type=int, default=None, help="LP grid override")
     parser.add_argument("--dump-lp", default=None, help="write LP triplets to this path")
     parser.add_argument("--emit-phi", default=None,
                         help="write the (x, demand, certificate) CSV to this path (verify)")

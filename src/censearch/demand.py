@@ -78,25 +78,22 @@ class DemandCurve:
         self.n = int(n)
         self.cbar = costs.support_hi
         self.r_hi = conjecture.max_supp()
-        self.r_lo = reservation_value(conjecture, self.cbar)
-        cuts = {self.r_lo, self.r_hi}
-        cuts.update(float(b) for b in conjecture.breaks if self.r_lo < b < self.r_hi)
-        cuts.update(float(a) for a in conjecture.atom_locs if self.r_lo < a < self.r_hi)
-        for b in costs.breaks:
-            if 1e-14 < b < self.cbar - 1e-14:
-                t = reservation_value(conjecture, float(b))
-                if self.r_lo < t < self.r_hi:
-                    cuts.add(t)
+        # one inversion for the cost top, inner breakpoints and (positive) atoms
+        inner = costs.breaks[(1e-14 < costs.breaks) & (costs.breaks < self.cbar - 1e-14)]
+        atoms = (costs.atom_locs > 1e-15) & (costs.atom_masses > 0)
+        rs = reservation_value(conjecture, np.concatenate([[self.cbar], inner, costs.atom_locs[atoms]]))
+        r_top, r_inner, r_atoms = np.split(rs, [1, 1 + len(inner)])
+        self.r_lo = float(r_top[0])
+        inside = np.concatenate([conjecture.breaks, conjecture.atom_locs, r_inner])
+        cuts = {self.r_lo, self.r_hi, *(float(x) for x in inside if self.r_lo < x < self.r_hi)}
         self.x_breaks = np.array(sorted(cuts))
         self._gl_deg = 16 + 4 * self.n  # degree bound of the stop integrand
         self._cum = self._cumulative_stops()
         # cost atoms: mass stops exactly at its reservation image
-        self._cost_atoms = []
-        for c0, m0 in zip(costs.atom_locs, costs.atom_masses):
-            if c0 <= 1e-15 or m0 <= 0:
-                continue
-            r0 = reservation_value(conjecture, float(c0))
-            self._cost_atoms.append((float(c0), float(m0) * _visit_prob(conjecture.cdf_left(r0), self.n)))
+        self._cost_atoms = [
+            (float(c0), float(m0) * _visit_prob(conjecture.cdf_left(r0), self.n))
+            for c0, m0, r0 in zip(costs.atom_locs[atoms], costs.atom_masses[atoms], r_atoms)
+        ]
 
     # -- stop integral -----------------------------------------------------
 
@@ -191,8 +188,7 @@ def type_demand(G: PiecewisePolyDist, x: float, c: float, n: int) -> float:
     """Purchase probability from a single consumer type with cost c: the
     visit probability if x clears their cutoff, else the (tie-aware) max-win
     probability."""
-    top = G.max_supp()
-    r = top if c <= 1e-15 else reservation_value(G, c)
+    r = reservation_value(G, c)  # the top of the support for c <= 1e-10
     if x >= r and c > 1e-15:
         return _visit_prob(G.cdf_left(r), n)
     alpha = G.atom_mass_at(x)

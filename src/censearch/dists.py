@@ -46,8 +46,6 @@ class Tolerances:
 @dataclass(frozen=True)
 class GridSpec:
     scan_per_segment: int = 4096   # cost-shape scan resolution
-    lp: int = 801                  # LP oracle grid
-    cost_quantiles: int = 64       # reservation images injected into LP grid
 
 
 class PiecewisePolyDist:
@@ -314,16 +312,17 @@ class PiecewisePolyDist:
         k = np.where(x <= self.breaks[0], 0.0, np.where(x >= top, self._kint_at[-1] + (x - top), k))
         return _result(k)
 
+    def _segment_tail(self, i, x):
+        """int_x^{support_hi} (1 - G(t)) dt for x in segment i (one index per
+        point): the tail above the segment plus the part inside it."""
+        w = self.breaks[i + 1] - x
+        kpart = self._cdf_at[i] * w + (self._PP_hi[i] - _horner(self._PP[:, i], x)) - self._P_lo[i] * w
+        return self._tail_at[i + 1] + w - kpart
+
     def tail_gap(self, x):
         """int_x^{support_hi} (1 - G(t)) dt; 0 above the support."""
         x, xe, i = self._points(x)
-        hi = self.breaks[i + 1]
-        kpart = (
-            self._cdf_at[i] * (hi - xe)
-            + (self._PP_hi[i] - _horner(self._PP[:, i], xe))
-            - self._P_lo[i] * (hi - xe)
-        )
-        t = self._tail_at[i + 1] + (hi - xe) - kpart
+        t = self._segment_tail(i, xe)
         lo = self.breaks[0]
         t = np.where(x >= self.breaks[-1], 0.0, np.where(x <= lo, self._tail_at[0] + (lo - x), t))
         return _result(t)
@@ -517,40 +516,31 @@ def incremental_benefit(G: PiecewisePolyDist, x: float) -> float:
     return G.tail_gap(x)
 
 
-def reservation_value(G: PiecewisePolyDist, c: float, tol: float = 1e-10) -> float:
+def reservation_value(G: PiecewisePolyDist, c, tol: float = 1e-10):
     """The unique r with  int_r^1 (1 - G(t)) dt = c  (stopping cutoff of a
-    consumer with search cost c).  For c -> 0 returns max(supp(G))."""
+    consumer with search cost c).  For c -> 0 returns max(supp(G)).  Takes a
+    scalar (returns a float) or an array of costs."""
+    c = np.asarray(c, dtype=float)[()]  # numpy scalars stay scalars below
     mu = mean(G)
-    if c > mu + 1e-12:
+    if (c > mu + 1e-12).any():
         raise ValueError("cost exceeds prior mean")
     top = G.max_supp()
-    if c <= tol:
-        return top
-    lo_b = G.support_lo
-    gap_lo = G.tail_gap(lo_b)
-    if c >= gap_lo:
-        # r sits below the support where the benefit is mean - r
-        return mu - c
-    # bracket by breakpoints, then bisect + one Newton polish
+    # bracket by breakpoints, then bisect on the bracket's segment (the
+    # midpoints stay inside it, and so does r) and take one Newton polish
     tails = G.tail_gap(G.breaks)
-    j = int(np.searchsorted(-tails, -c, side="right") - 1)
-    j = min(max(j, 0), len(G.breaks) - 2)
-    a, b = float(G.breaks[j]), float(G.breaks[j + 1])
-    fa, fb = tails[j] - c, tails[j + 1] - c
-    while b - a > tol:
+    j = np.clip(np.searchsorted(-tails, -c, side="right") - 1, 0, len(G.breaks) - 2)
+    a, b = G.breaks[j], G.breaks[j + 1]
+    while (go := b - a > tol).any():
         m = 0.5 * (a + b)
-        fm = G.tail_gap(m) - c
-        if fm >= 0:
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
+        ge = G._segment_tail(j, m) >= c
+        a, b = np.where(go & ge, m, a)[()], np.where(go & ~ge, m, b)[()]
     r = 0.5 * (a + b)
     slope = -(1.0 - G.cdf(r))
-    if slope < -1e-14:
-        r2 = r - (G.tail_gap(r) - c) / slope
-        if a - tol <= r2 <= b + tol:
-            r = r2
-    return min(r, top)
+    steep = slope < -1e-14
+    r2 = r - (G._segment_tail(j, r) - c) / np.where(steep, slope, -1.0)
+    r = np.minimum(np.where(steep & (a - tol <= r2) & (r2 <= b + tol), r2, r), top)
+    # below the support the benefit is mean - r
+    return _result(np.where(c <= tol, top, np.where(c >= tails[0], mu - c, r)))
 
 
 def truncated_mean_above(F: PiecewisePolyDist, a: float) -> float:

@@ -32,6 +32,9 @@ from .dists import PiecewisePolyDist, mean, reservation_value
 
 __all__ = ["BRProblem", "BRSolution", "build_problem", "solve_br", "equilibrium_gap"]
 
+GRID_N = 801          # uniform mesh points of the LP grid
+COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
+
 
 @dataclass
 class BRProblem:
@@ -109,8 +112,7 @@ def build_problem(
     F: PiecewisePolyDist,
     H: PiecewisePolyDist,
     n: int,
-    grid_n: int = 801,
-    cost_quantiles: int = 64,
+    grid_n: int = GRID_N,
 ) -> BRProblem:
     """Assemble the LP: grid = uniform mesh plus the conjecture's breakpoints
     and atoms, the reservation window ends, and the reservation images of
@@ -126,12 +128,8 @@ def build_problem(
     pts.add(float(mean(F)))
     pts.add(curve.r_lo)
     pts.add(min(curve.r_hi, 1.0))
-    qs = (np.arange(cost_quantiles) + 0.5) / cost_quantiles
-    for c in H.quantile(qs):
-        if c > 1e-12:
-            t = reservation_value(G_star, float(c))
-            if 0.0 <= t <= 1.0:
-                pts.add(t)
+    cs = H.quantile((np.arange(COST_QUANTILES) + 0.5) / COST_QUANTILES)
+    pts.update(float(t) for t in reservation_value(G_star, cs[cs > 1e-12]) if 0.0 <= t <= 1.0)
     grid = np.array(sorted(pts))
     keep = np.concatenate([[True], np.diff(grid) > 1e-11])
     grid = grid[keep]
@@ -180,7 +178,7 @@ def equilibrium_gap(
     F: PiecewisePolyDist,
     H: PiecewisePolyDist,
     n: int,
-    grid_n: int = 801,
+    grid_n: int = GRID_N,
 ) -> float:
     """max(0, best grid deviation payoff - 1/n): zero iff the conjecture is a
     best response to itself at this grid resolution."""

@@ -17,6 +17,7 @@ from censearch.censorship import (
 )
 from censearch.demand import DemandCurve
 from censearch.dists import PiecewisePolyDist, incremental_benefit
+from censearch.oracle import build_problem, solve_br
 
 
 def test_upper_censorship_structure(F):
@@ -186,3 +187,35 @@ def test_verify_fails_below_mean_floor(F, H_step):
     for a in (0.05, 0.2, 0.35):
         assert verify_uce(F, H_step, a, 50).verdict == "fails"
     assert verify_uce(F, H_step, 0.0, 50).verdict == "equilibrium"
+
+
+def test_verify_full_disclosure(F, H_uniform, H_step, H_bimodal):
+    # nothing is pooled at a = 1: the kink and domination checks are vacuous,
+    # the verdict is the convexity of demand on [r_lo, 1], and the threshold
+    # solver never attains full disclosure
+    for H in (H_uniform, H_step, H_bimodal):
+        for n in (2, 5, 50):
+            rep = verify_uce(F, H, 1.0, n)
+            assert rep.checks == {"virtual_convex": False, "kink_increasing": True,
+                                  "virtual_dominates": True, "cost_condition": False}
+            assert rep.verdict == "fails" and rep.threshold == 1.0 and rep.pooled_signal == 1.0
+        for n in (2, 5):  # the LP finds the profitable deviation too
+            assert solve_br(build_problem(F, F, H, n, 201)).gap > 0.02
+
+
+def test_censorship_pool_below_resolution_is_numeric(F):
+    # just below full disclosure the computed tail beyond a cancels to 0, so
+    # the pooled signal k = a + tail / (1 - F(a)) lands on a itself
+    for a in (1 - 1e-9, 1 - 1e-10, 1 - 2e-12):
+        with pytest.raises(ArithmeticError, match="double precision"):
+            upper_censorship(F, a)
+    assert upper_censorship(F, 1 - 1e-12) is F
+    assert upper_censorship(F, 1 - 1e-8).atom_masses[-1] == pytest.approx(1e-8)
+
+
+def test_verify_rejects_atomic_costs_at_every_threshold(F):
+    H = PiecewisePolyDist([0.0, 0.18], [np.array([0.5 / 0.18])], atoms=[(0.09, 0.5)])
+    for a in (0.2, 0.5, 0.8):  # pooled signal stopping every type (0.2) or not
+        with pytest.raises(ValueError, match="atom-free cost distribution"):
+            verify_uce(F, H, a, 5)
+    assert verify_uce(F, H, 0.0, 5).verdict == "equilibrium"

@@ -89,6 +89,21 @@ def test_unread_grid_knobs_rejected(tmp_path, capsys):
         assert knob in capsys.readouterr().err
 
 
+def test_lp_grid_knobs_rejected(tmp_path, capsys):
+    # the oracle block's grid_n is the one LP grid size; the cost quantiles
+    # are a constant of the oracle
+    for knob in ("lp", "cost_quantiles"):
+        spec = write_spec(tmp_path, f"{knob}.json", extra={"oracle": {"a": 0.4, "grid_n": 101}})
+        payload = json.loads(spec.read_text())
+        payload["market"]["grid"] = {knob: 201}
+        spec.write_text(json.dumps(payload))
+        assert main(["oracle", "--spec", str(spec)]) == 2
+        assert knob in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--spec", str(spec), "--grid", "201"])
+    assert exc.value.code == 2
+
+
 def test_unread_tolerance_rejected(tmp_path, capsys):
     # the LP runs at HiGHS's own tolerances, so no spec tolerance reaches it
     spec = write_spec(tmp_path, "lp_tol.json", extra={"oracle": {"a": 0.4, "grid_n": 101}})
@@ -115,6 +130,31 @@ def test_verify_gating(tmp_path):
     assert main(["verify", "--spec", str(bad), "--out", str(tmp_path / "v2")]) == 4
     payload = json.loads((tmp_path / "v2" / "verify.json").read_text())
     assert payload["verdict"] == "fails"
+
+
+def test_verify_full_disclosure_and_edges(tmp_path, capsys):
+    # full disclosure gets a verdict (it fails the convexity check); just
+    # below it the pooled signal is not resolvable, a numeric failure
+    full = write_spec(tmp_path, "full.json", n=5, extra={"verify": {"a": 1.0}})
+    assert main(["verify", "--spec", str(full), "--out", str(tmp_path / "f")]) == 4
+    payload = json.loads((tmp_path / "f" / "verify.json").read_text())
+    assert payload["verdict"] == "fails" and not payload["checks"]["virtual_convex"]
+    edge = write_spec(tmp_path, "edge.json", n=5, extra={"verify": {"a": 1 - 1e-10}})
+    assert main(["verify", "--spec", str(edge)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_verify_atomic_costs_config_error(tmp_path, capsys):
+    atomic = {"kind": "poly-pieces", "support": [0, 0.18],
+              "pieces": [{"to": 0.18, "coef": [0.5 / 0.18]}], "atoms": [{"at": 0.09, "mass": 0.5}]}
+    for a, code in ((0.0, 0), (0.2, 2), (0.5, 2), (0.8, 2)):
+        spec = write_spec(tmp_path, f"atomic{a}.json", n=5, extra={"verify": {"a": a}})
+        payload = json.loads(spec.read_text())
+        payload["market"]["costs"] = atomic
+        spec.write_text(json.dumps(payload))
+        assert main(["verify", "--spec", str(spec)]) == code, a
+        if code == 2:
+            assert "atom-free cost distribution" in capsys.readouterr().err
 
 
 def test_verify_n_sweep(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from censearch import censorship
+from censearch import censorship, demand, oracle
 from censearch._poly import gauss_nodes, nodes_for_degree
 from censearch.censorship import _Certificate, demand_second_derivative, upper_censorship
 from censearch.demand import (
@@ -459,3 +459,34 @@ def test_scans_do_not_call_per_point(monkeypatch, F, H_bimodal):
 
     assert verify_counts(1) == verify_counts(2)
     assert problem_counts(201) == problem_counts(401)
+
+
+def test_one_cutoff_inversion_per_curve(monkeypatch, F, H_bimodal):
+    """A demand curve inverts its cost top, inner cost breakpoints and cost
+    atoms in one call, the LP grid its cost quantiles in one more, and the
+    bisection reads the segment tables, not ``tail_gap``."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (demand, oracle):
+        monkeypatch.setattr(module, "reservation_value", counting("invert", module.reservation_value))
+    H_atoms = PiecewisePolyDist(H_bimodal.breaks, H_bimodal.coefs[:3] + [H_bimodal.coefs[3] / 2],
+                                atoms=[(0.12, 0.01), (0.2, 0.01)])
+    U3 = upper_censorship(F, 0.3)
+    for H in (H_bimodal, H_atoms):
+        counts.clear()
+        DemandCurve(U3, 5, H)
+        assert counts["invert"] == 1
+        counts.clear()
+        build_problem(U3, F, H, 5, 201)
+        assert counts["invert"] == 2
+    monkeypatch.setattr(PiecewisePolyDist, "tail_gap", counting("tail", PiecewisePolyDist.tail_gap))
+    for c in (0.05, np.linspace(0.01, 0.2, 9)):
+        counts.clear()
+        demand.reservation_value(U3, c)
+        assert counts["tail"] == 1  # the tails at the breakpoints

@@ -43,6 +43,8 @@ def test_reservation_value_examples(F):
     assert reservation_value(Ua, 0.18) == pytest.approx(0.4, abs=1e-9)
     with pytest.raises(ValueError, match="exceeds prior mean"):
         reservation_value(F, 0.6)
+    with pytest.raises(ValueError, match="exceeds prior mean"):
+        reservation_value(F, np.array([0.1, 0.6]))
 
 
 def test_truncated_mean_examples(F):
@@ -421,3 +423,63 @@ def test_queries_make_no_antiderivatives(monkeypatch):
         reservation_value(d, 0.5 * d.tail_gap(d.support_lo))
     assert mpc_check(laws["censored"], laws["cubic"])[0]
     assert not calls
+
+
+# -- the cutoff inversion against the one-cost bisection -----------------------
+
+
+def _ref_reservation_value(G, c, tol=1e-10):
+    """The cutoff inversion for one cost, bisecting on scalar ``tail_gap``
+    calls; the array inversion must reproduce it bit for bit."""
+    mu = mean(G)
+    if c > mu + 1e-12:
+        raise ValueError("cost exceeds prior mean")
+    top = G.max_supp()
+    if c <= tol:
+        return top
+    if c >= G.tail_gap(G.support_lo):
+        return mu - c
+    tails = G.tail_gap(G.breaks)
+    j = int(np.searchsorted(-tails, -c, side="right") - 1)
+    j = min(max(j, 0), len(G.breaks) - 2)
+    a, b = float(G.breaks[j]), float(G.breaks[j + 1])
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if G.tail_gap(m) - c >= 0:
+            a = m
+        else:
+            b = m
+    r = 0.5 * (a + b)
+    slope = -(1.0 - G.cdf(r))
+    if slope < -1e-14:
+        r2 = r - (G.tail_gap(r) - c) / slope
+        if a - tol <= r2 <= b + tol:
+            r = r2
+    return min(r, top)
+
+
+def test_reservation_value_matches_one_cost_bisection(
+    F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_threestep
+):
+    base = {"F": F, "F_tilted": F_tilted, "H_uniform": H_uniform, "H_convex": H_convex,
+            "H_step": H_step, "H_bimodal": H_bimodal, "H_threestep": H_threestep}
+    laws = dict(base, point=PiecewisePolyDist.point_mass(0.5), atoms=_atom_law(),
+                cubic=_cubic_law())
+    for name, d in base.items():
+        for frac in (0.0, 0.3, 0.55, 0.9):
+            laws[f"{name}@{frac}"] = upper_censorship(d, d.support_lo + frac * (d.support_hi - d.support_lo))
+    rng = np.random.default_rng(7)
+    for name, G in laws.items():
+        mu, tails = mean(G), G.tail_gap(G.breaks)
+        cs = [0.0, 1e-10, np.nextafter(1e-10, 1.0), G.tail_gap(G.support_lo), mu]
+        cs += [v for t in tails for v in (t, np.nextafter(t, 0.0), np.nextafter(t, 1.0))]
+        cs = np.array([c for c in cs + list(rng.uniform(0.0, mu, 40)) if c <= mu + 1e-12])
+        expect = np.array([_ref_reservation_value(G, float(c)) for c in cs])
+        assert _same_bits(reservation_value(G, cs), expect), name
+        pairs = cs[: len(cs) // 2 * 2].reshape(2, -1)
+        assert _same_bits(reservation_value(G, pairs), expect[: pairs.size].reshape(pairs.shape)), name
+        scalars = [reservation_value(G, float(c)) for c in cs]
+        assert all(type(v) is float for v in scalars), name
+        assert _same_bits(scalars, expect), name
+        with pytest.raises(ValueError, match="exceeds prior mean"):
+            reservation_value(G, mu + 1e-9)
