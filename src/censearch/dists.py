@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+# quantile inverts at most this many draws at a time: it bounds the ~30
+# temporaries of the iteration to a few MB, which also keeps them in cache
+# (on a 2-core Xeon, 110k draws took 16-21 ms in blocks of 2^14 against
+# 33 ms in one block; blocks of 2^12 and 2^15 were slower)
+QUANTILE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -333,29 +338,84 @@ class PiecewisePolyDist:
     tail_vec = tail_gap
 
     def quantile(self, u):
-        """Inverse CDF.
+        """Inverse CDF (u is clipped to [0, 1]).
 
         For u inside an atom's jump the atom location is returned; elsewhere
-        the unique continuity point with CDF(x) = u (64 bisection rounds on
-        the containing segment, ~1e-16 relative accuracy on unit supports).
+        the unique continuity point with CDF(x) = u, found on the containing
+        segment by a bracketed Newton iteration (:meth:`_invert_cdf`).
         """
-        u = np.asarray(u, dtype=float)
-        shape, u = u.shape, u.reshape(-1)  # bisection works on the points off the atoms
+        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        shape, u = u.shape, u.reshape(-1)  # the iteration works on the points off the atoms
         # smallest breakpoint index j with cdf(breaks[j]) >= u
-        j = np.searchsorted(self._cdf_at, np.clip(u, 0.0, 1.0), side="left")
-        j = np.minimum(j, len(self.breaks) - 1)
+        j = np.minimum(np.searchsorted(self._cdf_at, u, side="left"), len(self.breaks) - 1)
         x = self.breaks[j]
         rest = np.flatnonzero(~(u >= self._cdf_left_at[j]))
-        if len(rest):
-            i = np.maximum(j[rest] - 1, 0)
-            a, b = self.breaks[i], self.breaks[i + 1]
-            base, P, t = self._cdf_off[i], self._P[:, i], u[rest]
-            for _ in range(64):
-                m = 0.5 * (a + b)
-                ge = base + _horner(P, m) >= t
-                a, b = np.where(ge, a, m), np.where(ge, m, b)
-            x[rest] = 0.5 * (a + b)
+        for k in range(0, len(rest), QUANTILE_BLOCK):
+            block = rest[k : k + QUANTILE_BLOCK]
+            x[block] = self._invert_cdf(j[block] - 1, u[block])
         return float(x[0]) if shape == () else x.reshape(shape)
+
+    def _invert_cdf(self, i, u):
+        """The root r of the segment CDF, ``_cdf_off[i] + P_i(r) = u``, in
+        segment i (one index per element), for u strictly between the CDF
+        values at the segment's ends.
+
+        A bracketed Newton iteration.  The segment is the first bracket and
+        its false-position point the first iterate, which is the root on a
+        linear CDF piece.  Each round evaluates g = CDF(r) - u, moves the
+        bracket end on g's side to r, and steps to the root of the CDF's
+        second-order Taylor model at r (density ``_pdf`` and its slope
+        ``_dpdf``): the Newton step where the density is constant, and exact
+        where it is linear, where a plain Newton step only halves the
+        distance to a root near a zero of the density.  A step that leaves
+        the bracket gives way to false position, and false position to
+        halving when it stalls (falls outside, or the last round did not
+        halve the bracket).  Halving is geometric on a bracket above 0 that
+        spans more than a factor 4, so that roots many orders of magnitude
+        below its top are reached as well.  An element stops when g == 0,
+        when its step is at most one ulp or when its bracket is at most two
+        ulps wide, and after 64 rounds at the latest.
+        """
+        a, b = self.breaks[i], self.breaks[i + 1]
+        ga, gb = self._cdf_at[i] - u, self._cdf_left_at[i + 1] - u
+        r = a - ga * ((b - a) / (gb - ga))
+        width = np.full_like(u, np.inf)  # bracket width after the last round
+        x = np.empty_like(u)
+        todo = np.arange(len(u))
+        with np.errstate(divide="ignore", invalid="ignore"):  # failed steps fall back below
+            for _ in range(64):
+                g = self._cdf_off[i] + _horner(self._P[:, i], r) - u
+                neg, pos = g < 0, g > 0
+                np.copyto(a, r, where=neg)
+                np.copyto(ga, g, where=neg)
+                np.copyto(b, r, where=pos)
+                np.copyto(gb, g, where=pos)
+                fr = _horner(self._pdf[:, i], r)
+                newton = g / fr
+                bend = _horner(self._dpdf[:, i], r) / fr
+                step = 2.0 * newton / (1.0 + np.sqrt(1.0 - 2.0 * newton * bend))
+                nxt = r - step
+                small = np.abs(step) <= np.spacing(np.abs(r))
+                off = np.flatnonzero(~(small | ((a < nxt) & (nxt < b))))
+                if len(off):
+                    lo, hi = a[off], b[off]
+                    fp = lo - ga[off] * ((hi - lo) / (gb[off] - ga[off]))
+                    mid = np.where((lo > 0) & (hi > 4.0 * lo), np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+                    stall = ~((lo < fp) & (fp < hi)) | (hi - lo > 0.5 * width[off])
+                    nxt[off] = np.where(stall, mid, fp)
+                width = b - a
+                x[todo] = np.where(g == 0, r, nxt)
+                go = np.flatnonzero(
+                    (g != 0) & ~small & (width > 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+                )
+                r = nxt
+                if len(go) < len(todo):
+                    if not len(go):
+                        break
+                    todo, i, r, a, b, ga, gb, u, width = (
+                        v[go] for v in (todo, i, r, a, b, ga, gb, u, width)
+                    )
+        return x
 
     # -- serialization -----------------------------------------------------
 

@@ -61,12 +61,18 @@ def consumer_surplus_type(
     best revealed draw after exhausting all firms.  Above a_c they stop at
     any signal clearing a_c, so the branch quantities freeze at a_c.
     """
-    if c <= 0:
-        raise ValueError("surplus formulas need a strictly positive cost type")
     if incremental_benefit(F, a) > c:
         m = a  # searching on from a pays, so the cutoff image a_c lies above a
     else:
         m = min(a, reservation_value(F, c) if c < mean(F) else 0.0)
+    return _surplus_at_cutoff(F, c, n, m)
+
+
+def _surplus_at_cutoff(F: PiecewisePolyDist, c: float, n: int, m: float) -> tuple[float, float, float]:
+    """:func:`consumer_surplus_type` of cost type c, given its branch cutoff
+    m = min(a, a_c)."""
+    if c <= 0:
+        raise ValueError("surplus formulas need a strictly positive cost type")
     Fm = F.cdf(m)
     k_m = truncated_mean_above(F, m)
     best = _value_of_best_of_n(F, m, n) if m > F.support_lo else 0.0
@@ -86,7 +92,7 @@ def consumer_surplus(
     cfa = incremental_benefit(F, a)
     cuts = sorted({float(b) for b in H.breaks} | ({cfa} if 0 < cfa < H.support_hi else set()))
     xg, wg = gauss_nodes(64)
-    total = 0.0
+    pieces = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
@@ -94,9 +100,20 @@ def consumer_surplus(
         if np.max(np.abs(H.coefs[i])) == 0.0:
             continue
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        cs = mid + half * xg
+        pieces.append((half, mid + half * xg, i))
+    if not pieces:
+        return 0.0
+    # the branch cutoffs min(a, a_c) of all nodes, inverted in one call
+    nodes = np.concatenate([cs for _, cs, _ in pieces])
+    cut = ~(cfa > nodes) & (nodes < mean(F))
+    ms = np.where(cfa > nodes, float(a), min(float(a), 0.0))
+    if cut.any():
+        ms[cut] = np.minimum(a, reservation_value(F, nodes[cut]))
+    ms = ms.reshape(len(pieces), -1)
+    total = 0.0
+    for (half, cs, i), m in zip(pieces, ms):
         dens = polyval(H.coefs[i], cs)
-        vals = np.array([consumer_surplus_type(F, a, float(c), n)[2] for c in cs])
+        vals = np.array([_surplus_at_cutoff(F, float(c), n, float(mc))[2] for c, mc in zip(cs, m)])
         total += half * float(np.dot(wg, dens * vals))
     return float(total)
 

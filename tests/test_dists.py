@@ -8,6 +8,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from censearch import _poly
+from censearch import dists as dists_module
 from censearch.dists import (
     MarketConfig,
     PiecewisePolyDist,
@@ -381,12 +382,6 @@ def test_tables_match_per_call_formulas(law):
         assert all(type(query(d, x)) is float for x in xs[:3]), name  # numpy scalars too
         assert _same_bits(scalars, expect), name
         assert _same_bits(query(d, xs), expect), name
-    us = np.concatenate([[0.0, 1.0, 1e-12, 1 - 1e-12], cdf, cdf_left, (cdf + cdf_left) / 2,
-                         np.random.default_rng(2).uniform(0.0, 1.0, 300)])
-    assert _same_bits(d.quantile(us), _ref_quantile(d, us))
-    scalars = [d.quantile(float(u)) for u in us]
-    assert all(type(v) is float for v in scalars)
-    assert _same_bits(scalars, _ref_quantile(d, us))
 
 
 def test_cdf_poly_is_the_segment_cdf():
@@ -423,6 +418,146 @@ def test_queries_make_no_antiderivatives(monkeypatch):
         reservation_value(d, 0.5 * d.tail_gap(d.support_lo))
     assert mpc_check(laws["censored"], laws["cubic"])[0]
     assert not calls
+
+
+# -- the quantile iteration against the 64-round bisection ----------------------
+#
+# `_ref_quantile` is the bisection `quantile` used to run: 64 halvings of the
+# containing segment, returning the midpoint.  The bracketed Newton iteration
+# must return its bits wherever neither iterates, and elsewhere lie as close to
+# the exact root of the segment CDF polynomial.
+
+
+def _vanishing_law():
+    return PiecewisePolyDist([0.0, 1.0], [np.array([0.0, 0.0, 0.0, 4.0])])  # CDF x^4
+
+
+def _steep_law(w=1e-6):
+    # half the mass on a piece of width w: density 5e5 there
+    return PiecewisePolyDist([0.0, 0.4, 0.4 + w, 1.0],
+                             [np.array([0.25 / 0.4]), np.array([0.5 / w]), np.array([0.25 / (0.6 - w)])])
+
+
+def _quantile_laws():
+    return dict(_laws(), vanishing=_vanishing_law(), steep=_steep_law(), cubic11=_cubic_law(seed=13))
+
+
+def _quantile_points(d):
+    """u = 0, 1e-12, 1 - 1e-12 and 1, each CDF value at a breakpoint and one
+    ulp either side of it, the middle of each jump, and random u."""
+    ends = np.concatenate([d._cdf_at, d._cdf_left_at])
+    us = np.concatenate([[0.0, 1e-12, 1 - 1e-12, 1.0], ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0),
+                         (d._cdf_at + d._cdf_left_at) / 2,
+                         np.random.default_rng(2).uniform(0.0, 1.0, 300)])
+    return np.unique(us[(us >= 0.0) & (us <= 1.0)])
+
+
+def _exact_root(mpmath, d, i, u, x0):
+    """The 200-bit root near x0 of the segment CDF polynomial
+    ``_cdf_off[i] + P_i(r) = u``, its float coefficients taken as exact."""
+    coef = [mpmath.mpf(float(c)) for c in d._P[::-1, i]]
+    with mpmath.workprec(200):
+        g0 = mpmath.mpf(float(d._cdf_off[i])) - mpmath.mpf(float(u))
+        r = mpmath.mpf(float(x0))
+        for _ in range(200):
+            g, dg = mpmath.polyval(coef, r, derivative=True)
+            step = (g0 + g) / dg
+            r -= step
+            if abs(step) <= abs(r) * mpmath.mpf(2) ** -190:
+                return r
+    raise AssertionError(f"no 200-bit root for u={u!r}")
+
+
+@pytest.mark.parametrize("law", ["cubic", "atoms", "censored", "uniform", "vanishing", "steep",
+                                 "cubic11"])
+def test_quantile_accuracy(law):
+    mpmath = pytest.importorskip("mpmath")
+    d = _quantile_laws()[law]
+    us = _quantile_points(d)
+    if law == "vanishing":
+        us = np.concatenate([us, np.geomspace(1e-12, 1e-3, 40)])
+    ref, got = _ref_quantile(d, us), d.quantile(us)
+    scalars = [d.quantile(float(u)) for u in us]
+    assert all(type(v) is float for v in scalars)
+    assert all(type(d.quantile(u)) is float for u in us[:3])  # numpy scalars too
+    assert _same_bits(scalars, got)
+    # no iteration at u = 0 and 1, inside a jump, or at or above a jump's foot
+    cdf, cdf_left, _, _ = _ref_tables(d)
+    j = np.minimum(np.searchsorted(cdf, us, side="left"), len(d.breaks) - 1)
+    direct = (us == 0.0) | (us == 1.0) | (us >= cdf_left[j])
+    assert _same_bits(got[direct], ref[direct])
+    # elsewhere: at most an ulp farther from the exact root than the bisection
+    # (more where rounding leaves the sign of CDF(r) - u open, see below), and
+    # no farther on average
+    err_ref, err_got = [], []
+    for u, xr, xg in zip(us[~direct], ref[~direct], got[~direct]):
+        i = int(np.searchsorted(d._cdf_at, u, side="left")) - 1
+        root = _exact_root(mpmath, d, i, u, xg)
+        ulp = np.spacing(abs(float(root)))
+        er, eg = (float(abs(mpmath.mpf(float(x)) - root)) / ulp for x in (xr, xg))
+        # Evaluating _cdf_off[i] + P_i(r) - u in double precision (Horner)
+        # errs by at most `noise` [Higham, Accuracy and Stability, 5.1], so
+        # the computed sign is open within noise / density of the root: both
+        # methods land somewhere in that band.
+        rt = abs(float(root))
+        noise = (2 * len(d._P) + 2) * 2.0**-53 * (
+            abs(d._cdf_off[i]) + abs(u) + np.sum(np.abs(d._P[:, i]) * rt ** np.arange(len(d._P))))
+        band = noise / npoly.polyval(float(root), d._pdf[:, i]) / ulp
+        assert eg <= er + max(1.0, band), (u, xr, xg, er, eg, band)
+        err_ref.append(er)
+        err_got.append(eg)
+    assert np.mean(err_got) <= np.mean(err_ref), (np.mean(err_got), np.mean(err_ref))
+    # u is clipped to [0, 1]
+    assert d.quantile(-1e-300) == d.quantile(0.0) == d.breaks[0]
+    assert d.quantile(np.nextafter(1.0, 2.0)) == d.quantile(1.0)
+
+
+def test_uniform_quantile_is_the_identity():
+    # the demand probe draws firm 0's signals from uniform(0, 1)
+    U = PiecewisePolyDist.uniform(0.0, 1.0)
+    us = np.concatenate([np.random.default_rng(4).random(200_000), [5e-324, 1e-300, 0.5, 1 - 2**-53]])
+    assert _same_bits(U.quantile(us), us)
+    assert all(U.quantile(float(u)) == u for u in us[:1000])
+
+
+def _cdf_evaluations(monkeypatch, d, draws):
+    """Count quantile's segment-CDF evaluations (Horner calls on the P table)
+    over `draws` elements.  Every element iterates on its own, so the rounds
+    of one block of all draws are the most any block of them needs."""
+    count = []
+    inner = dists_module._horner
+
+    def counting(c, x):
+        if len(c) == len(d._P):
+            count.append(1)
+        return inner(c, x)
+
+    monkeypatch.setattr(dists_module, "_horner", counting)
+    monkeypatch.setattr(dists_module, "QUANTILE_BLOCK", draws, raising=False)
+    return count
+
+
+def test_quantile_rounds(monkeypatch, F, F_tilted, H_uniform, H_convex, H_step, H_bimodal,
+                         H_threestep):
+    base = {"F": F, "F_tilted": F_tilted, "H_uniform": H_uniform, "H_convex": H_convex,
+            "H_step": H_step, "H_bimodal": H_bimodal, "H_threestep": H_threestep}
+    laws = dict(base)
+    for name, d in base.items():
+        for frac in (0.0, 0.3, 0.55, 0.9):
+            laws[f"{name}@{frac}"] = upper_censorship(d, d.support_lo + frac * (d.support_hi - d.support_lo))
+    us = np.random.default_rng(9).random(100_000)
+    for name, d in laws.items():
+        count = _cdf_evaluations(monkeypatch, d, len(us))
+        d.quantile(us)
+        assert len(count) <= 8, (name, len(count))  # the bisection made 64
+    # a density vanishing at the root: the CDF x^4 has its root u^(1/4) up
+    # to 243 orders of magnitude above the secant start u
+    V = _vanishing_law()
+    tiny = np.array([5e-324, 1e-300, 1e-100, 1e-12])
+    count = _cdf_evaluations(monkeypatch, V, len(us) + len(tiny))
+    x = V.quantile(np.concatenate([us, tiny]))
+    assert len(count) < 64, len(count)
+    assert np.allclose(x[-4:] ** 4, tiny, rtol=1e-12, atol=0.0), x[-4:] ** 4 / tiny - 1
 
 
 # -- the cutoff inversion against the one-cost bisection -----------------------

@@ -76,17 +76,18 @@ def test_surplus_type_inverts_only_above_branch_cost(
     laws = [H_uniform, H_step, H_bimodal, H_threestep, H_convex,
             quasi_convex_pair()[0], quasi_concave_pair()[0]]
     nodes, inverted = [], []
-    surplus_type, invert = welfare.consumer_surplus_type, welfare.reservation_value
+    surplus_type, at_cutoff, invert = (welfare.consumer_surplus_type, welfare._surplus_at_cutoff,
+                                       welfare.reservation_value)
 
-    def spy_type(F_, a, c, n):
+    def spy_at_cutoff(F_, c, n, m):
         nodes.append(c)
-        return surplus_type(F_, a, c, n)
+        return at_cutoff(F_, c, n, m)
 
     def spy_invert(G, c, *args):
-        inverted.append(c)
+        inverted.extend(np.atleast_1d(c))
         return invert(G, c, *args)
 
-    monkeypatch.setattr(welfare, "consumer_surplus_type", spy_type)
+    monkeypatch.setattr(welfare, "_surplus_at_cutoff", spy_at_cutoff)
     monkeypatch.setattr(welfare, "reservation_value", spy_invert)
     sides = set()
     for li, H in enumerate(laws):
@@ -104,6 +105,51 @@ def test_surplus_type_inverts_only_above_branch_cost(
                     assert c >= cfa or not inverted, (li, a, n, c)
                     assert got == _surplus_type_reference(F, a, c, n), (li, a, n, c)
     assert sides == {True, False}
+
+
+def _consumer_surplus_reference(F, H, a, n):
+    """consumer_surplus with one consumer_surplus_type call, and so one
+    cutoff inversion, per quadrature node."""
+    cfa = incremental_benefit(F, a)
+    cuts = sorted({float(b) for b in H.breaks} | ({cfa} if 0 < cfa < H.support_hi else set()))
+    xg, wg = welfare.gauss_nodes(64)
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo < 1e-15:
+            continue
+        i = H._segment_index(0.5 * (lo + hi))
+        if np.max(np.abs(H.coefs[i])) == 0.0:
+            continue
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        cs = mid + half * xg
+        dens = welfare.polyval(H.coefs[i], cs)
+        vals = np.array([consumer_surplus_type(F, a, float(c), n)[2] for c in cs])
+        total += half * float(np.dot(wg, dens * vals))
+    return float(total)
+
+
+def test_surplus_inverts_all_nodes_in_one_call(F, F_tilted, H_uniform, H_step, H_bimodal,
+                                               H_convex, monkeypatch):
+    calls = []
+    invert = welfare.reservation_value
+
+    def counting(G, c, *args):
+        calls.append(c)
+        return invert(G, c, *args)
+
+    monkeypatch.setattr(welfare, "reservation_value", counting)
+    for prior in (F, F_tilted):
+        for H in (H_uniform, H_step, H_bimodal, H_convex, quasi_concave_pair()[0]):
+            for a in (0.0, 0.2, solve_a_max(prior, H)[0], 0.7, 1.0):
+                for n in (2, 5, 50):
+                    calls.clear()
+                    got = consumer_surplus(prior, H, a, n)
+                    made = len(calls)
+                    calls.clear()
+                    assert got == _consumer_surplus_reference(prior, H, a, n), (a, n)
+                    # one call where the reference inverts any node (those above
+                    # the branch cost), and none where it inverts none
+                    assert made == min(len(calls), 1), (a, n, made, len(calls))
 
 
 def test_total_surplus_examples(F, H_uniform):
