@@ -38,6 +38,7 @@ from ._poly import (
     real_roots_in,
 )
 from .costshape import (
+    CostShapeReport,
     _analysis,
     average_slope,
     concavity_tail_start,
@@ -379,7 +380,10 @@ def verify_uce(
 
 
 def solve_a_max(
-    F: PiecewisePolyDist, H: PiecewisePolyDist, tol: Tolerances | None = None
+    F: PiecewisePolyDist,
+    H: PiecewisePolyDist,
+    tol: Tolerances | None = None,
+    report: CostShapeReport | None = None,
 ) -> tuple[float, str, bool]:
     """Maximal censorship threshold from the cost-shape statistics.
 
@@ -391,6 +395,8 @@ def solve_a_max(
     usable critical set: the concavity tail start alone.  ``attained`` is
     False when the formula lands on the open upper edge (threshold 1): the
     supremum is then approached but full disclosure itself never attained.
+    A caller that already holds ``cost_shape_report(H, mean(F), tol.ineq)``
+    passes it as ``report``, so the analysis is not built twice.
     """
     tol = tol or Tolerances()
     mu = mean(F)
@@ -399,7 +405,7 @@ def solve_a_max(
         raise ValueError("cost support top must lie below the prior mean")
     if H.min_supp() > 1e-12:
         raise ValueError("threshold solver requires cost support starting at 0")
-    rep = cost_shape_report(H, mu, tol.ineq)
+    rep = report or cost_shape_report(H, mu, tol.ineq)
     if rep.case == "a":
         return 0.0, "a", True
     if rep.case == "b":

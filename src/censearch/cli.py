@@ -25,7 +25,7 @@ from .censorship import (
     verify_price_function,
     virtual_demand,
 )
-from .costshape import average_slope, cost_shape_report, scan_table, global_min_slope
+from .costshape import average_slope, cost_shape_report, scan_table
 from .demand import DemandCurve
 from .dists import GridSpec, MarketConfig, PiecewisePolyDist, Tolerances, dist_from_json
 from .oracle import GRID_N, build_problem, solve_br
@@ -114,8 +114,8 @@ def cmd_solve(spec: dict, out: Path | None, args) -> int:
     mc = load_market(spec)
     blk = spec.get("solve", {})
     _require_keys(blk, {"scan_csv"}, "solve")
-    a_max, case, attained = solve_a_max(mc.prior, mc.costs, mc.tol)
     rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
+    a_max, case, attained = solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)
     payload = {
         "a_max": a_max,
         "case": case,
@@ -285,10 +285,10 @@ def cmd_compstat(spec: dict, out: Path | None, args) -> int:
         raise ConfigError(f"unknown compstat family {family!r}")
     rows = []
     for param, Hk in members:
-        a_max, case, attained = solve_a_max(mc.prior, Hk, mc.tol)
-        evenness = global_min_slope(Hk)[0]
+        rep = cost_shape_report(Hk, mc.mu, mc.tol.ineq)
+        a_max, case, attained = solve_a_max(mc.prior, Hk, mc.tol, report=rep)
         cs = consumer_surplus(mc.prior, Hk, a_max, mc.n)
-        rows.append((param, a_max, case, attained, evenness, cs))
+        rows.append((param, a_max, case, attained, rep.min_slope, cs))
     _write_csv(out, "compstat.csv",
                ["family_param", "a_max", "case", "attained", "min_avg_slope", "CS_at_a_max"],
                rows)
@@ -310,10 +310,11 @@ def cmd_emit_plot(spec: dict, out: Path | None, args) -> int:
     mc = load_market(spec)
     blk = spec.get("emit_plot", {})
     _require_keys(blk, {"a", "points"}, "emit_plot")
-    a = float(blk.get("a", solve_a_max(mc.prior, mc.costs, mc.tol)[0]))
+    rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
+    a = float(blk.get("a", solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0]))
     pts = int(blk.get("points", 513))
     # cost panel with the tangent line through the origin at slope min S
-    smin, _ = global_min_slope(mc.costs)
+    smin = rep.min_slope
     # at the cost top both one-sided densities are the last piece's
     cs = np.linspace(0.0, mc.cbar, pts)
     cost_rows = np.column_stack([cs, mc.costs.cdf(cs), mc.costs.pdf(cs),

@@ -2,18 +2,25 @@
 
 Completely independent of the analytic certificates: discretize the set of
 feasible signal distributions as probability masses on a grid, encode the
-mean-preserving-contraction feasibility as linear constraints (cumulative
-caps at every grid point plus the mean equality), and maximize the expected
-payoff against the fixed conjecture by linear programming.  The optimal
-value minus the symmetric payoff 1/n is the equilibrium gap: zero (up to
-solver tolerance) exactly when no profitable deviation exists.
+mean-preserving-contraction feasibility as linear constraints, and maximize
+the expected payoff against the fixed conjecture by linear programming.  The
+optimal value minus the symmetric payoff 1/n is the equilibrium gap: zero
+(up to solver tolerance) exactly when no profitable deviation exists.
 
-The caps ``sum_i (x_k - x_i)^+ p_i <= int_0^{x_k} F`` are the integral-of-CDF
-view of mean-preserving contractions (Gentzkow & Kamenica, AER P&P 2016;
-Kolotilin, TE 2018).  Written densely they are an m x m matrix; through the
-cumulative variables ``C_k = sum_{i<=k} p_i`` and
-``K_k = K_{k-1} + (x_k - x_{k-1}) C_{k-1}`` (so ``K_k`` is the cap's left
-side) the same feasible set takes O(m) nonzeros.
+The contraction caps ``K_k(p) = sum_i (x_k - x_i)^+ p_i <= int_0^{x_k} F``
+are the integral-of-CDF view of mean-preserving contractions (Gentzkow &
+Kamenica, AER P&P 2016; Kolotilin, TE 2018).  The LP is written in the caps'
+slacks.  With grid spacings ``d_k = x_k - x_{k-1}`` and the hat masses
+``w_i = int phi_i dF`` (F's mass split linearly between neighbouring grid
+points), every feasible p is ``p = w - C^T z`` for scaled slacks
+``z_k = (cap_k - K_k(p)) / (d_k d_{k+1}) >= 0`` at the interior points, where
+row k of C is ``(d_{k+1}, -(d_k + d_{k+1}), d_k)`` on columns k-1, k, k+1.
+Each row of C has zero sum and zero first moment, so mass and mean hold
+identically and the end caps hold with equality: the LP has m - 2 variables,
+the m rows ``p >= 0`` and 3(m - 2) nonzeros.  Its row duals y give the
+discrete price function ``q = D + y`` of Dworczak & Martini (JPE 2019):
+convex on the grid, ``q >= D``, ``q = D`` where p > 0, and ``w @ q`` is the
+optimal value.
 
 Deviations are unobservable to consumers, so the conjecture stays fixed and
 no fixed-point iteration is needed.
@@ -27,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from ._poly import gauss_nodes
 from .demand import DemandCurve, expected_payoff
 from .dists import PiecewisePolyDist, mean, reservation_value
 
@@ -42,55 +50,42 @@ class BRProblem:
     objective: np.ndarray     # interim demand at the grid (tie-aware at atoms)
     mean_target: float
     cum_caps: np.ndarray      # int_0^{x_k} F per grid point
+    hat_masses: np.ndarray    # F's mass split linearly between neighbouring grid points
     n: int
     baseline: float           # symmetric payoff of the conjecture
 
     def lp_matrices(self):
-        """The LP that :func:`solve_br` passes to HiGHS, as
-        ``(c, A_ub, b_ub, A_eq, b_eq)`` with CSR matrices: minimize ``c @ v``
-        subject to ``A_ub @ v <= b_ub``, ``A_eq @ v == b_eq`` and ``v >= 0``.
+        """The LP that :func:`solve_br` passes to HiGHS, as ``(c, A_ub, b_ub)``:
+        minimize ``c @ z`` subject to ``A_ub @ z <= b_ub`` and ``z >= 0``.
 
-        The variables are ``v = (p, C, K)``, m each (columns 0..m-1 the
-        masses, m..2m-1 the cumulative masses, 2m..3m-1 the cumulative
-        caps' left sides).  ``A_ub`` holds the caps ``K_k <= cap_k``.
-        ``A_eq`` holds m rows ``C_k - C_{k-1} - p_k = 0``, m rows
-        ``K_k - K_{k-1} - (x_k - x_{k-1}) C_{k-1} = 0`` (``C_{-1} = K_{-1} = 0``),
-        then the mean row and the mass row.  9m - 4 nonzeros in all when
-        the grid starts at 0."""
+        Column j holds the scaled cap slack z_{j+1} of interior grid point
+        k = j + 1, ``cap_k - K_k(p) = d_k d_{k+1} z_k`` with spacings
+        ``d_k = x_k - x_{k-1}``; its entries ``(d_{k+1}, -(d_k + d_{k+1}), d_k)``
+        sit in rows k - 1, k, k + 1.  Row i is the mass ``p_i = w_i - (A_ub @ z)_i
+        >= 0``, with ``b_ub = w`` the hat masses.  ``c = A_ub.T @ D``, so the
+        payoff is ``D @ w - c @ z``.  An m x (m - 2) CSC matrix with
+        3(m - 2) nonzeros."""
         x = self.grid
         m = len(x)
-        eye = sp.eye(m, format="csr")
-        diff = eye - sp.eye(m, k=-1, format="csr")
-        zero = sp.csr_matrix((m, m))
-        A_ub = sp.hstack([zero, zero, eye], format="csr")
-        A_eq = sp.bmat(
-            [
-                [-eye, diff, None],
-                [None, sp.diags(-np.diff(x), -1, shape=(m, m)), diff],
-                [sp.csr_matrix(x[None, :]), None, None],
-                [sp.csr_matrix(np.ones((1, m))), None, None],
-            ],
-            format="csr",
+        d = np.diff(x)
+        rows = np.arange(m - 2)[:, None] + np.arange(3)
+        vals = np.column_stack([d[1:], -(d[:-1] + d[1:]), d[:-1]])
+        A_ub = sp.csc_matrix(
+            (vals.ravel(), rows.ravel(), np.arange(0, 3 * (m - 2) + 1, 3)), shape=(m, m - 2)
         )
-        b_eq = np.concatenate([np.zeros(2 * m), [self.mean_target, 1.0]])
-        c = np.concatenate([-self.objective, np.zeros(2 * m)])
-        return c, A_ub, self.cum_caps, A_eq, b_eq
+        return A_ub.T @ self.objective, A_ub, self.hat_masses
 
     def dump_triplets(self) -> str:
-        """The constraint matrices of :meth:`lp_matrices` in plain-text
-        sparse triplet form (``row col value``, floats by ``repr``).  Columns
-        follow the variables (p, C, K).  Rows 0..m-1 are ``A_ub`` (the caps)
-        and row m + r is row r of ``A_eq``: rows m..2m-1 the C recursion,
-        2m..3m-1 the K recursion, 3m the mean and 3m + 1 the total mass."""
-        _, A_ub, _, A_eq, _ = self.lp_matrices()
-        m = len(self.grid)
+        """The constraint matrix ``A_ub`` of :meth:`lp_matrices` in plain-text
+        sparse triplet form (``row col value``, floats by ``repr``): m rows,
+        one per grid mass, and m - 2 columns, one per interior cap slack."""
+        _, A_ub, _ = self.lp_matrices()
+        coo = A_ub.tocoo()
         lines = ["# row col value"]
-        for offset, A in ((0, A_ub), (m, A_eq)):
-            coo = A.tocoo()
-            lines.extend(
-                f"{r + offset} {c} {v!r}"
-                for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-            )
+        lines.extend(
+            f"{r} {c} {v!r}"
+            for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -107,6 +102,27 @@ class BRSolution:
         return self.grid[keep], self.masses[keep]
 
 
+def hat_masses(F: PiecewisePolyDist, grid: np.ndarray) -> np.ndarray:
+    """``w_i = int phi_i dF`` for the piecewise-linear hats phi_i of the grid.
+    3-point Gauss-Legendre in each grid interval's local coordinates is exact
+    for a cubic density times a linear hat, provided every grid interval lies
+    inside one piece of F; each atom of F splits linearly between the grid
+    points around it."""
+    xi, om = gauss_nodes(3)
+    d = np.diff(grid)
+    t = grid[:-1, None] + 0.5 * d[:, None] * (1.0 + xi)
+    f = F.pdf(t.ravel()).reshape(t.shape) * (0.5 * d[:, None] * om)
+    w = np.zeros(len(grid))
+    w[:-1] += f @ (0.5 * (1.0 - xi))
+    w[1:] += f @ (0.5 * (1.0 + xi))
+    if len(F.atom_locs):
+        k = np.clip(np.searchsorted(grid, F.atom_locs, side="right") - 1, 0, len(d) - 1)
+        s = np.clip((F.atom_locs - grid[k]) / d[k], 0.0, 1.0)
+        np.add.at(w, k, F.atom_masses * (1.0 - s))
+        np.add.at(w, k + 1, F.atom_masses * s)
+    return w
+
+
 def build_problem(
     G_star: PiecewisePolyDist,
     F: PiecewisePolyDist,
@@ -115,8 +131,9 @@ def build_problem(
     grid_n: int = GRID_N,
 ) -> BRProblem:
     """Assemble the LP: grid = uniform mesh plus the conjecture's breakpoints
-    and atoms, the reservation window ends, and the reservation images of
-    cost quantiles (so profitable partial-purchase signals are representable).
+    and atoms, the prior's breakpoints, the reservation window ends, and the
+    reservation images of cost quantiles (so profitable partial-purchase
+    signals are representable).
     """
     if grid_n < 51:
         raise ValueError("grid too coarse")
@@ -136,31 +153,21 @@ def build_problem(
     obj = curve.value(grid)
     caps = F.cdf_integral(grid)
     baseline = expected_payoff(G_star, G_star, n, H, curve=curve)
-    return BRProblem(grid, obj, float(mean(F)), caps, int(n), float(baseline))
+    return BRProblem(grid, obj, float(mean(F)), caps, hat_masses(F, grid), int(n), float(baseline))
 
 
 def solve_br(problem: BRProblem) -> BRSolution:
     """Maximize grid-mass payoff subject to the contraction caps; returns the
     optimum, the mass vector, the gap over the symmetric payoff, and the
-    LP duality gap.  Every bound is 0 below and free above, so the dual
-    objective is ``b_ub @ y_ub + b_eq @ y_eq`` in full."""
-    m = len(problem.grid)
-    c, A_ub, b_ub, A_eq, b_eq = problem.lp_matrices()
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
-        method="highs",
-    )
+    LP duality gap.  The only bounds are ``z >= 0``, so the dual objective
+    is ``b_ub @ y`` in full."""
+    c, A_ub, b_ub = problem.lp_matrices()
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"best-response LP failed: {res.message}")
-    dual = float(b_ub @ res.ineqlin.marginals + b_eq @ res.eqlin.marginals)
-    value = -float(res.fun)
-    duality_gap = abs(float(res.fun) - dual)
-    masses = np.maximum(res.x[:m], 0.0)
+    value = float(problem.objective @ b_ub) - float(res.fun)
+    duality_gap = abs(float(res.fun) - float(b_ub @ res.ineqlin.marginals))
+    masses = np.maximum(b_ub - A_ub @ res.x, 0.0)
     total = masses.sum()
     if abs(total - 1.0) > 1e-8:
         raise RuntimeError("LP mass constraint violated beyond tolerance")

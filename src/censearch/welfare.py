@@ -73,13 +73,20 @@ def _surplus_at_cutoff(F: PiecewisePolyDist, c: float, n: int, m: float) -> tupl
     m = min(a, a_c)."""
     if c <= 0:
         raise ValueError("surplus formulas need a strictly positive cost type")
+    value, searches = _cutoff_terms(F, n, m)
+    cost = searches * c
+    return float(value), float(cost), float(value - cost)
+
+
+def _cutoff_terms(F: PiecewisePolyDist, n: int, m: float) -> tuple[float, float]:
+    """(expected purchased value, expected number of searches) shared by every
+    cost type whose branch cutoff is m."""
     Fm = F.cdf(m)
     k_m = truncated_mean_above(F, m)
     best = _value_of_best_of_n(F, m, n) if m > F.support_lo else 0.0
     value = best + k_m * (1.0 - Fm**n)
     searches = (1.0 - Fm**n) / (1.0 - Fm) if Fm < 1.0 else float(n)
-    cost = searches * c
-    return float(value), float(cost), float(value - cost)
+    return value, searches
 
 
 def consumer_surplus(
@@ -110,10 +117,14 @@ def consumer_surplus(
     if cut.any():
         ms[cut] = np.minimum(a, reservation_value(F, nodes[cut]))
     ms = ms.reshape(len(pieces), -1)
+    # the cutoff terms once per distinct cutoff (below the branch cost every
+    # node has m = a); only the search cost differs between nodes
+    terms = {m: _cutoff_terms(F, n, m) for m in np.unique(ms).tolist()}
     total = 0.0
     for (half, cs, i), m in zip(pieces, ms):
         dens = polyval(H.coefs[i], cs)
-        vals = np.array([_surplus_at_cutoff(F, float(c), n, float(mc))[2] for c, mc in zip(cs, m)])
+        value, searches = np.array([terms[mc] for mc in m.tolist()]).T
+        vals = value - searches * cs
         total += half * float(np.dot(wg, dens * vals))
     return float(total)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from censearch import costshape
 from censearch.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -220,6 +221,28 @@ def test_compstat_families(tmp_path):
     a_col = rows[0].index("a_max")
     vals = [float(r[a_col]) for r in rows[1:]]
     assert vals == sorted(vals, reverse=True)  # stretching reduces disclosure
+
+
+def test_one_cost_shape_analysis_per_cost_law(tmp_path, monkeypatch):
+    """solve, compstat and emit-plot analyse each cost law once: solve_a_max
+    reads the cost-shape report its caller already built."""
+    built = []
+
+    class Counting(costshape._SlopeAnalysis):
+        def __init__(self, H, tol=1e-9):
+            built.append(H)
+            super().__init__(H, tol)
+
+    monkeypatch.setattr(costshape, "_SlopeAnalysis", Counting)
+    jobs = [("solve", None, 1),
+            ("compstat", {"compstat": {"family": "alpha_stretch", "alphas": [1.1, 1.3]}}, 2),
+            ("emit-plot", {"emit_plot": {"points": 65}}, 1),
+            ("emit-plot", {"emit_plot": {"a": 0.3, "points": 65}}, 1)]
+    for i, (cmd, extra, laws) in enumerate(jobs):
+        built.clear()
+        spec = write_spec(tmp_path, f"{i}.json", n=2, extra=extra)
+        assert main([cmd, "--spec", str(spec), "--out", str(tmp_path / str(i))]) == 0
+        assert len(built) == laws, (cmd, len(built))
 
 
 def test_emit_plot_panels(tmp_path):

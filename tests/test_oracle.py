@@ -2,6 +2,7 @@
 the analytic verifier."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 import scipy.sparse as sp
 from conftest import quasi_concave_pair, quasi_convex_pair
@@ -9,6 +10,7 @@ from scipy.optimize import linprog
 
 import censearch.oracle as oracle
 from censearch.censorship import solve_a_max, upper_censorship, verify_uce
+from censearch.demand import DemandCurve
 from censearch.dists import PiecewisePolyDist, mean, mpc_check
 from censearch.oracle import (
     build_problem,
@@ -69,13 +71,15 @@ def test_equilibrium_gap_examples(F, H_uniform, U4):
 
 def test_profitable_deviation_above_threshold(F, H_uniform):
     U45 = upper_censorship(F, 0.45)
-    sol = solve_br(build_problem(U45, F, H_uniform, 2, 801))
+    prob = build_problem(U45, F, H_uniform, 2, 801)
+    sol = solve_br(prob)
     assert sol.gap > 1e-3
     assert sol.duality_gap <= 1e-8
-    xs, ms = sol.support()
-    # optimal deviation puts mass on partial-purchase signals
-    inside = (xs > 0.45 + 1e-9) & (xs < 0.725 - 1e-9)
-    assert ms[inside].sum() > 0.05
+    # every optimal deviation puts mass on the partial-purchase window
+    # [0.45, 0.725]: with payoff -1 there the optimum falls
+    window = (prob.grid >= 0.45 - 1e-9) & (prob.grid <= 0.725 + 1e-9)
+    prob.objective = np.where(window, -1.0, prob.objective)
+    assert solve_br(prob).value < sol.value - 1e-3
 
 
 def test_solution_is_contraction(F, H_uniform, U4):
@@ -112,7 +116,7 @@ def test_oracle_verifier_agreement(F, H_uniform):
 
 
 def _parse_triplets(text, m):
-    """(A_ub, A_eq) rebuilt from a dump: rows 0..m-1 are A_ub, the rest A_eq."""
+    """A_ub rebuilt from a dump (m rows, m - 2 columns) and the triplet count."""
     lines = text.splitlines()
     assert lines[0] == "# row col value"
     rows, cols, vals = [], [], []
@@ -121,32 +125,49 @@ def _parse_triplets(text, m):
         rows.append(int(r))
         cols.append(int(c))
         vals.append(float(v))
-    rows, cols, vals = np.array(rows), np.array(cols), np.array(vals)
-    ub = rows < m
-    A_ub = sp.csr_matrix((vals[ub], (rows[ub], cols[ub])), shape=(m, 3 * m))
-    A_eq = sp.csr_matrix((vals[~ub], (rows[~ub] - m, cols[~ub])), shape=(2 * m + 2, 3 * m))
-    return A_ub, A_eq, len(vals)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m - 2)), len(vals)
 
 
 def _same_matrix(A, B):
     return A.shape == B.shape and (sp.csr_matrix(A) != sp.csr_matrix(B)).nnz == 0
 
 
-def test_dump_triplets_format(F, H_uniform, U4, monkeypatch):
-    prob = build_problem(U4, F, H_uniform, 2, 101)
-    seen = {}
+def _spy_linprog(monkeypatch):
+    """Record the keyword arguments and the result of every linprog call."""
+    seen = []
 
     def spy(*args, **kwargs):
-        seen.update(kwargs)
-        return linprog(*args, **kwargs)
+        res = linprog(*args, **kwargs)
+        seen.append((kwargs, res))
+        return res
 
     monkeypatch.setattr(oracle, "linprog", spy)
+    return seen
+
+
+def test_dump_triplets_format(F, H_uniform, U4, monkeypatch):
+    prob = build_problem(U4, F, H_uniform, 2, 101)
+    seen = _spy_linprog(monkeypatch)
     solve_br(prob)
-    A_ub, A_eq, nnz = _parse_triplets(prob.dump_triplets(), len(prob.grid))
-    assert _same_matrix(A_ub, seen["A_ub"])
-    assert _same_matrix(A_eq, seen["A_eq"])
-    assert nnz == seen["A_ub"].nnz + seen["A_eq"].nnz  # no duplicate or zero triplets
-    assert np.all(seen["A_ub"].data != 0.0) and np.all(seen["A_eq"].data != 0.0)
+    A_ub = seen[-1][0]["A_ub"]
+    parsed, nnz = _parse_triplets(prob.dump_triplets(), len(prob.grid))
+    assert _same_matrix(parsed, A_ub)
+    assert nnz == A_ub.nnz  # no duplicate or zero triplets
+    assert np.all(A_ub.data != 0.0)
+
+
+@pytest.mark.parametrize("grid_n", [101, 801])
+def test_slack_form_size(F, H_uniform, U4, grid_n, monkeypatch):
+    """One column per interior cap slack, one row per grid mass, three
+    nonzeros per column, and no equality rows."""
+    prob = build_problem(U4, F, H_uniform, 2, grid_n)
+    seen = _spy_linprog(monkeypatch)
+    solve_br(prob)
+    kwargs = seen[-1][0]
+    m = len(prob.grid)
+    assert kwargs.get("A_eq") is None and kwargs.get("b_eq") is None
+    assert kwargs["A_ub"].shape == (m, m - 2)
+    assert kwargs["A_ub"].nnz <= 3 * (m - 2)
 
 
 @pytest.mark.parametrize("grid_n", [201, 401, 801])
@@ -192,7 +213,7 @@ def _random_costs(rng):
 
 
 def test_matches_dense_reference(F, H_uniform, H_step, H_bimodal, H_threestep, H_convex):
-    """The cumulative-variable LP against the dense-cap LP it replaces, on the
+    """The slack-form LP against the dense-cap LP, on the
     7 test-suite cost laws and 10 random piecewise laws, below, at and above
     a_max, n = 2, 5, 50, grid_n 101 and 201.  The 1e-7 bounds are HiGHS's
     default primal feasibility tolerance."""
@@ -216,3 +237,72 @@ def test_matches_dense_reference(F, H_uniform, H_step, H_bimodal, H_threestep, H
                     assert abs(p.sum() - 1.0) <= 1e-9, case
                     assert abs(p @ x - prob.mean_target) <= 1e-9, case
                     assert sol.duality_gap <= 1e-8, (case, sol.duality_gap)
+
+
+def _cubic_prior_with_atom():
+    """Cubic density pieces on [0, 0.37] and [0.37, 1] with mass 0.8, plus an
+    atom of 0.2 at the breakpoint 0.37."""
+    dens = [np.array([0.6, 1.0, -0.5, 0.8]), np.array([1.2, -0.6, 0.3, -0.1])]
+    breaks = [0.0, 0.37, 1.0]
+    mass = sum(npoly.polyval(hi, npoly.polyint(c)) - npoly.polyval(lo, npoly.polyint(c))
+               for lo, hi, c in zip(breaks[:-1], breaks[1:], dens))
+    return PiecewisePolyDist(breaks, [c * 0.8 / mass for c in dens], atoms=[(0.37, 0.2)])
+
+
+def _exact_hat_masses(mpmath, F, grid):
+    """int phi_i dF at 200 bits: the density times each hat, integrated per
+    grid interval, plus each atom at its grid point."""
+    w = [mpmath.mpf(0)] * len(grid)
+    with mpmath.workprec(200):
+        for k in range(len(grid) - 1):
+            a, b = mpmath.mpf(float(grid[k])), mpmath.mpf(float(grid[k + 1]))
+            c = [mpmath.mpf(float(v)) for v in F.coefs[F._segment_index(0.5 * (grid[k] + grid[k + 1]))]]
+
+            def f(t):
+                return mpmath.polyval(c[::-1], t)
+
+            w[k] += mpmath.quad(lambda t: f(t) * (b - t), [a, b]) / (b - a)
+            w[k + 1] += mpmath.quad(lambda t: f(t) * (t - a), [a, b]) / (b - a)
+        for loc, mass in zip(F.atom_locs, F.atom_masses):
+            w[int(np.searchsorted(grid, loc))] += mpmath.mpf(float(mass))
+    return w
+
+
+@pytest.mark.parametrize("prior", ["uniform", "cubic_atom"])
+def test_hat_masses_exact_at_tiny_spacing(prior, H_uniform):
+    """The LP's right-hand side w on a grid with a 1e-10 gap: every hat mass
+    matches a 200-bit reference, w keeps F's mass and mean, and the solve
+    matches the dense-cap LP."""
+    mpmath = pytest.importorskip("mpmath")
+    F = PiecewisePolyDist.uniform(0.0, 1.0) if prior == "uniform" else _cubic_prior_with_atom()
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), F.breaks, [0.3 + 1e-10]]))
+    assert np.diff(grid).min() < 2e-10
+    w = oracle.hat_masses(F, grid)
+    exact = _exact_hat_masses(mpmath, F, grid)
+    assert max(abs(float(mpmath.mpf(float(v)) - e)) for v, e in zip(w, exact)) <= 1e-15
+    assert abs(w.sum() - 1.0) <= 1e-15
+    assert abs(w @ grid - mean(F)) <= 1e-15
+    curve = DemandCurve(upper_censorship(PiecewisePolyDist.uniform(0.0, 1.0), 0.4), 2, H_uniform)
+    prob = oracle.BRProblem(grid, curve.value(grid), mean(F), F.cdf_integral(grid), w, 2, 0.5)
+    sol = solve_br(prob)
+    ref, A_dense = _dense_br(prob)
+    assert abs(sol.value - ref) <= 1e-7, sol.value - ref
+    assert np.max(A_dense @ sol.masses - prob.cum_caps) <= 1e-7
+
+
+def test_row_duals_are_the_price_function(F, H_uniform, H_bimodal, H_step, monkeypatch):
+    """q = D + y, with y the LP's row duals, is a price function on the grid:
+    convex, above the demand D, equal to it on the optimal support, and its
+    integral against the hat masses is the optimal value."""
+    seen = _spy_linprog(monkeypatch)
+    cases = [(H_uniform, 0.45, 2), (H_bimodal, solve_a_max(F, H_bimodal)[0], 5),
+             (H_step, 0.3, 5), (H_bimodal, 0.6, 50)]
+    for H, a, n in cases:
+        prob = build_problem(upper_censorship(F, a), F, H, n, 201)
+        sol = solve_br(prob)
+        D, x = prob.objective, prob.grid
+        q = D - seen[-1][1].ineqlin.marginals
+        assert np.all(np.diff(np.diff(q) / np.diff(x)) >= -1e-7), (a, n)
+        assert np.all(q >= D - 1e-7), (a, n)
+        assert np.all((q - D)[sol.masses > 1e-9] <= 1e-7), (a, n)
+        assert abs(prob.hat_masses @ q - sol.value) <= 1e-9, (a, n)

@@ -75,25 +75,19 @@ def test_surplus_type_inverts_only_above_branch_cost(
     formula that inverts every cost."""
     laws = [H_uniform, H_step, H_bimodal, H_threestep, H_convex,
             quasi_convex_pair()[0], quasi_concave_pair()[0]]
-    nodes, inverted = [], []
-    surplus_type, at_cutoff, invert = (welfare.consumer_surplus_type, welfare._surplus_at_cutoff,
-                                       welfare.reservation_value)
-
-    def spy_at_cutoff(F_, c, n, m):
-        nodes.append(c)
-        return at_cutoff(F_, c, n, m)
+    inverted = []
+    surplus_type, invert = welfare.consumer_surplus_type, welfare.reservation_value
 
     def spy_invert(G, c, *args):
         inverted.extend(np.atleast_1d(c))
         return invert(G, c, *args)
 
-    monkeypatch.setattr(welfare, "_surplus_at_cutoff", spy_at_cutoff)
     monkeypatch.setattr(welfare, "reservation_value", spy_invert)
     sides = set()
     for li, H in enumerate(laws):
         for a in (0.2, solve_a_max(F, H)[0], 0.7):
             cfa = incremental_benefit(F, a)
-            nodes.clear()
+            nodes = [float(c) for _, cs, _ in _quadrature_pieces(F, H, a) for c in cs]
             inverted.clear()
             welfare.consumer_surplus(F, H, a, 2)
             assert all(c >= cfa for c in inverted), (li, a)
@@ -107,13 +101,14 @@ def test_surplus_type_inverts_only_above_branch_cost(
     assert sides == {True, False}
 
 
-def _consumer_surplus_reference(F, H, a, n):
-    """consumer_surplus with one consumer_surplus_type call, and so one
-    cutoff inversion, per quadrature node."""
+def _quadrature_pieces(F, H, a):
+    """(half width, node costs, cost segment) of each piece consumer_surplus
+    integrates: 64 Gauss-Legendre nodes per cost piece, split at the branch
+    cost."""
     cfa = incremental_benefit(F, a)
     cuts = sorted({float(b) for b in H.breaks} | ({cfa} if 0 < cfa < H.support_hi else set()))
-    xg, wg = welfare.gauss_nodes(64)
-    total = 0.0
+    xg, _ = welfare.gauss_nodes(64)
+    pieces = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
@@ -121,7 +116,16 @@ def _consumer_surplus_reference(F, H, a, n):
         if np.max(np.abs(H.coefs[i])) == 0.0:
             continue
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        cs = mid + half * xg
+        pieces.append((half, mid + half * xg, i))
+    return pieces
+
+
+def _consumer_surplus_reference(F, H, a, n):
+    """consumer_surplus with one consumer_surplus_type call, and so one
+    cutoff inversion, per quadrature node."""
+    _, wg = welfare.gauss_nodes(64)
+    total = 0.0
+    for half, cs, i in _quadrature_pieces(F, H, a):
         dens = welfare.polyval(H.coefs[i], cs)
         vals = np.array([consumer_surplus_type(F, a, float(c), n)[2] for c in cs])
         total += half * float(np.dot(wg, dens * vals))
@@ -150,6 +154,29 @@ def test_surplus_inverts_all_nodes_in_one_call(F, F_tilted, H_uniform, H_step, H
                     # one call where the reference inverts any node (those above
                     # the branch cost), and none where it inverts none
                     assert made == min(len(calls), 1), (a, n, made, len(calls))
+
+
+def test_surplus_cutoff_terms_once_per_cutoff(F, F_tilted, H_uniform, H_bimodal, monkeypatch):
+    """consumer_surplus evaluates the cutoff-only terms (the best-of-n value
+    among them) once per distinct cutoff m, not once per quadrature node."""
+    seen = []
+    best = welfare._value_of_best_of_n
+
+    def counting(F_, m, n):
+        seen.append(m)
+        return best(F_, m, n)
+
+    monkeypatch.setattr(welfare, "_value_of_best_of_n", counting)
+    for prior in (F, F_tilted):
+        for H in (H_uniform, H_bimodal):
+            for a in (0.2, 0.4, 0.7):
+                seen.clear()
+                consumer_surplus(prior, H, a, 5)
+                assert len(seen) == len(set(seen)), (a, len(seen), len(set(seen)))
+    # below the branch cost every node's cutoff is a itself
+    seen.clear()
+    consumer_surplus(F, H_bimodal, 0.2, 5)
+    assert seen == [0.2]
 
 
 def test_total_surplus_examples(F, H_uniform):
