@@ -38,7 +38,6 @@ from .costshape import (
 from .demand import (
     DemandCurve,
     demand_margins,
-    equilibrium_payoff_identity,
     expected_payoff,
     interim_demand,
     jump_size,

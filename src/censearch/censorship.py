@@ -28,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import (
-    gauss_nodes,
-    nodes_for_degree,
-    polyder,
-    polymul,
-    polyval,
-    poly_range_on,
-    real_roots_in,
-)
+from ._poly import nodes_for_degree, polyder, polymul, poly_range_on, real_roots_in
 from .costshape import (
     CostShapeReport,
     _analysis,
@@ -49,6 +41,7 @@ from .demand import DemandCurve, jump_size
 from .dists import (
     PiecewisePolyDist,
     Tolerances,
+    _density_integrals,
     _pow,
     _result,
     incremental_benefit,
@@ -649,14 +642,5 @@ def _integrate_certificate(cert: _Certificate, W: PiecewisePolyDist) -> float:
         | set(map(float, cert.curve.x_breaks))
     )
     cuts = [c for c in cuts if W.breaks[0] - 1e-12 <= c <= W.breaks[-1] + 1e-12]
-    xg, wg = gauss_nodes(nodes_for_degree(cert.curve._gl_deg + 12))
-    pieces = []  # (half width, nodes, density coefficients) per piece with density
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        coefs = W.coefs[W._segment_index(0.5 * (lo + hi))]
-        if hi - lo >= 1e-14 and np.max(np.abs(coefs)) != 0.0:
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            pieces.append((half, mid + half * xg, coefs))
-    vals = cert.value(np.array([ts for _, ts, _ in pieces]))
-    for (half, ts, coefs), v in zip(pieces, vals):
-        total += half * float(np.dot(wg, polyval(coefs, ts) * v))
-    return total
+    pieces = _density_integrals(W, cert.value, cuts, nodes_for_degree(cert.curve._gl_deg + 12))
+    return sum(pieces.tolist(), total)

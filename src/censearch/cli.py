@@ -311,7 +311,7 @@ def cmd_emit_plot(spec: dict, out: Path | None, args) -> int:
     blk = spec.get("emit_plot", {})
     _require_keys(blk, {"a", "points"}, "emit_plot")
     rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
-    a = float(blk.get("a", solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0]))
+    a = float(blk["a"]) if "a" in blk else solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0]
     pts = int(blk.get("points", 513))
     # cost panel with the tangent line through the origin at slope min S
     smin = rep.min_slope

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._poly import gauss_nodes, nodes_for_degree, polyval
-from .dists import PiecewisePolyDist, _pow, _result, mean, reservation_value
+from ._poly import gauss_legendre, nodes_for_degree
+from .dists import PiecewisePolyDist, _density_integrals, _pow, _result, mean, reservation_value
 
 __all__ = [
     "DemandCurve",
@@ -28,10 +28,7 @@ __all__ = [
     "interim_demand",
     "demand_margins",
     "expected_payoff",
-    "equilibrium_payoff_identity",
 ]
-
-NODE_BLOCK = 1 << 14  # quadrature nodes evaluated at once by the stop integral
 
 
 def jump_size(G: PiecewisePolyDist, x, n: int):
@@ -103,23 +100,9 @@ class DemandCurve:
         h = self.H.pdf_vec(cg)
         return h * (1.0 - g**self.n) / self.n
 
-    def _gl_piece(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The stop integral from lo to hi (hi >= lo), per entry.  Entries go
-        through in blocks of at most NODE_BLOCK nodes, which bounds the
-        temporaries, and each is summed by its own dot product, as a single
-        point is (a matrix-vector product would regroup the sums)."""
-        xg, wg = gauss_nodes(nodes_for_degree(self._gl_deg))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        mids, halves = np.ravel(mid), np.ravel(half)
-        sums = np.empty(mids.shape)
-        step = max(NODE_BLOCK // len(xg), 1)
-        for s in range(0, len(sums), step):
-            ts = mids[s : s + step, None] + halves[s : s + step, None] * xg
-            sums[s : s + step] = (self._stop_integrand(ts)[:, None, :] @ wg)[:, 0]
-        return half * sums.reshape(np.shape(mid))
-
     def _cumulative_stops(self) -> np.ndarray:
-        pieces = self._gl_piece(self.x_breaks[:-1], self.x_breaks[1:])
+        pieces = gauss_legendre(self._stop_integrand, self.x_breaks[:-1], self.x_breaks[1:],
+                                nodes_for_degree(self._gl_deg))
         return np.concatenate([[0.0], np.cumsum(pieces)])
 
     def stop_component(self, x):
@@ -127,7 +110,8 @@ class DemandCurve:
         # below r_lo nobody stops: clipping there leaves an empty piece
         xe = np.clip(np.asarray(x, dtype=float), self.r_lo, self.r_hi)
         i = np.clip(np.searchsorted(self.x_breaks, xe, side="right") - 1, 0, len(self.x_breaks) - 2)
-        out = self._cum[i] + self._gl_piece(self.x_breaks[i], xe)
+        out = self._cum[i] + gauss_legendre(self._stop_integrand, self.x_breaks[i], xe,
+                                            nodes_for_degree(self._gl_deg))
         if self._cost_atoms:
             cg = self.cutoff_cost(x)
             out = out + sum(np.where(c0 >= cg - 1e-12, v, 0.0) for c0, v in self._cost_atoms)
@@ -222,7 +206,10 @@ def expected_payoff(
 ) -> float:
     """A firm's expected payoff from playing G_dev while rivals play G_star
     and consumers conjecture G_star:  integral of D(x; G_star) dG_dev(x),
-    exact over polynomial pieces plus atom terms."""
+    exact over polynomial pieces (up to the node cap of
+    :func:`censearch._poly.gauss_legendre`) plus atom terms.  Against itself
+    (G_dev = G_star) every feasible symmetric strategy earns 1/n: each
+    consumer buys exactly once and firms are symmetric."""
     D = curve if curve is not None else DemandCurve(G_star, n, H)
     total = 0.0
     for m, v in zip(G_dev.atom_masses, D.value(G_dev.atom_locs)):
@@ -233,21 +220,5 @@ def expected_payoff(
     cuts.update(float(b) for b in D.x_breaks if lo0 < b < hi0)
     cuts.update(float(b) for b in D.G.breaks if lo0 < b < hi0)
     cuts.update(float(a) for a in D.G.atom_locs if lo0 < a < hi0)
-    cuts = sorted(cuts)
-    xg, wg = gauss_nodes(nodes_for_degree(D._gl_deg + 4 * n + 8))
-    pieces = []  # (half width, nodes, density coefficients) per piece with density
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        coefs = G_dev.coefs[G_dev._segment_index(0.5 * (lo + hi))]
-        if hi - lo >= 1e-15 and np.max(np.abs(coefs)) != 0.0:
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            pieces.append((half, mid + half * xg, coefs))
-    dvals = D.value(np.array([ts for _, ts, _ in pieces]))
-    for (half, ts, coefs), d in zip(pieces, dvals):
-        total += half * float(np.dot(wg, polyval(coefs, ts) * d))
-    return float(total)
-
-
-def equilibrium_payoff_identity(G: PiecewisePolyDist, n: int, H: PiecewisePolyDist) -> float:
-    """|payoff of G against itself - 1/n|: zero for every feasible symmetric
-    strategy (each consumer buys exactly once and firms are symmetric)."""
-    return abs(expected_payoff(G, G, n, H) - 1.0 / n)
+    pieces = _density_integrals(G_dev, D.value, sorted(cuts), nodes_for_degree(D._gl_deg + 4 * n + 8))
+    return float(sum(pieces.tolist(), total))

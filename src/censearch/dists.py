@@ -3,8 +3,9 @@
 A :class:`PiecewisePolyDist` is a probability distribution represented by
 piecewise-polynomial density segments (degree <= 3) plus a finite atom list.
 That representation is closed under everything the market model needs
-(truncation, censorship, mixtures) and makes every integral exact, so the
-equilibrium checks downstream carry no quadrature error.
+(truncation, censorship, mixtures) and makes every integral exact up to
+rounding, short of the Gauss-Legendre node cap that
+:func:`censearch._poly.gauss_legendre` states.
 
 Module-level operations: :func:`mean`, :func:`incremental_benefit` (expected
 gain from one more search given the current best option), its inverse
@@ -447,6 +448,26 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     for k in range(len(c) - 2, -1, -1):
         out = c[k] + out * x
     return out
+
+
+def _density_integrals(W: PiecewisePolyDist, f, cuts, npts: int) -> np.ndarray:
+    """The integrals of w * f over each pair of consecutive cuts (sorted, and
+    holding W's breakpoints) where W has density w, one entry per piece in
+    order, by :func:`_poly.gauss_legendre` with npts nodes.  Pieces narrower
+    than 1e-15 and pieces where w is zero are skipped; W's atoms are left to
+    the caller, who adds the pieces to them in order.  w is the polynomial of
+    the segment holding the piece (found from its middle node, which lies
+    inside it however narrow it is), evaluated by :func:`_horner`."""
+    cuts = np.asarray(cuts, dtype=float)
+    lo, hi = cuts[:-1], cuts[1:]
+    seg = np.searchsorted(W._inner, 0.5 * (lo + hi), side="right")
+    keep = (hi - lo >= 1e-15) & W._pdf[:, seg].any(axis=0)
+
+    def integrand(ts):
+        i = np.searchsorted(W._inner, ts[:, ts.shape[1] // 2], side="right")
+        return _horner(W._pdf[:, i, None], ts) * f(ts)
+
+    return _poly.gauss_legendre(integrand, lo[keep], hi[keep], npts)
 
 
 def _result(vals):

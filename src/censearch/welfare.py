@@ -13,9 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._poly import gauss_nodes, nodes_for_degree, polyval, real_roots_in, polyder
+from ._poly import nodes_for_degree, polyval, real_roots_in, polyder
 from .costshape import _require_continuous
-from .dists import PiecewisePolyDist, incremental_benefit, mean, reservation_value, truncated_mean_above
+from .dists import (
+    PiecewisePolyDist,
+    _density_integrals,
+    incremental_benefit,
+    mean,
+    reservation_value,
+    truncated_mean_above,
+)
 
 __all__ = [
     "consumer_surplus_type",
@@ -33,21 +40,13 @@ FOSD_GRID = 4097  # scan points of fosd_compare (plus both breakpoint sets)
 
 def _value_of_best_of_n(F: PiecewisePolyDist, m: float, n: int) -> float:
     """int_0^m x d(F(x)^n): contribution of the maximum of n revealed draws
-    conditional on all landing below m (unnormalized); exact per piece."""
-    total = 0.0
-    deg = 4 * n + 4
-    xg, wg = gauss_nodes(nodes_for_degree(deg))
-    for i in range(len(F.coefs)):
-        lo, hi = float(F.breaks[i]), float(F.breaks[i + 1])
-        hi = min(hi, m)
-        if hi <= lo:
-            break
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ts = mid + half * xg
-        dens = polyval(F.coefs[i], ts)
-        cdfs = F.cdf_vec(ts)
-        total += half * float(np.dot(wg, ts * n * cdfs ** (n - 1) * dens))
-    return total
+    conditional on all landing below m (unnormalized), over F's density
+    pieces only: F's atoms are left out."""
+    top = min(m, float(F.breaks[-1]))
+    cuts = [b for b in F.breaks.tolist() if b < top] + [top]
+    pieces = _density_integrals(F, lambda ts: ts * n * F.cdf_vec(ts) ** (n - 1), cuts,
+                                nodes_for_degree(4 * n + 4))
+    return sum(pieces.tolist(), 0.0)
 
 
 def consumer_surplus_type(
@@ -98,35 +97,21 @@ def consumer_surplus(
     _require_continuous(H)
     cfa = incremental_benefit(F, a)
     cuts = sorted({float(b) for b in H.breaks} | ({cfa} if 0 < cfa < H.support_hi else set()))
-    xg, wg = gauss_nodes(64)
-    pieces = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-15:
-            continue
-        i = H._segment_index(0.5 * (lo + hi))
-        if np.max(np.abs(H.coefs[i])) == 0.0:
-            continue
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pieces.append((half, mid + half * xg, i))
-    if not pieces:
-        return 0.0
-    # the branch cutoffs min(a, a_c) of all nodes, inverted in one call
-    nodes = np.concatenate([cs for _, cs, _ in pieces])
-    cut = ~(cfa > nodes) & (nodes < mean(F))
-    ms = np.where(cfa > nodes, float(a), min(float(a), 0.0))
-    if cut.any():
-        ms[cut] = np.minimum(a, reservation_value(F, nodes[cut]))
-    ms = ms.reshape(len(pieces), -1)
-    # the cutoff terms once per distinct cutoff (below the branch cost every
-    # node has m = a); only the search cost differs between nodes
-    terms = {m: _cutoff_terms(F, n, m) for m in np.unique(ms).tolist()}
-    total = 0.0
-    for (half, cs, i), m in zip(pieces, ms):
-        dens = polyval(H.coefs[i], cs)
-        value, searches = np.array([terms[mc] for mc in m.tolist()]).T
-        vals = value - searches * cs
-        total += half * float(np.dot(wg, dens * vals))
-    return float(total)
+    terms = {}  # cutoff m -> _cutoff_terms(F, n, m)
+
+    def surplus(cs):
+        # the branch cutoffs min(a, a_c) of a block of nodes, inverted in one call
+        cut = ~(cfa > cs) & (cs < mean(F))
+        ms = np.where(cfa > cs, float(a), min(float(a), 0.0))
+        if cut.any():
+            ms[cut] = np.minimum(a, reservation_value(F, cs[cut]))
+        # the cutoff terms once per distinct cutoff (below the branch cost
+        # every node has m = a); only the search cost differs between nodes
+        terms.update((m, _cutoff_terms(F, n, m)) for m in np.unique(ms).tolist() if m not in terms)
+        value, searches = np.array([terms[m] for m in ms.ravel().tolist()]).T.reshape(2, *cs.shape)
+        return value - searches * cs
+
+    return float(sum(_density_integrals(H, surplus, cuts, 64).tolist(), 0.0))
 
 
 def expected_search_length(F: PiecewisePolyDist, a: float, n: int) -> float:

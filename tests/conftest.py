@@ -96,3 +96,11 @@ def ramp_costs(cbar: float, k: int) -> PiecewisePolyDist:
         [0.0, cut, cbar],
         [np.array([(1.0 / k) / cut]), np.array([(1.0 - 1.0 / k) / (cbar - cut)])],
     )
+
+
+def corpus_thresholds(a_max: float) -> list[float]:
+    """Threshold positions of the benchmark's certify jobs around a_max: two
+    below it (0.6 and 0.9 of it, or 0.03 and 0.07 when it is under 0.05),
+    a_max itself, and two above (a tenth and half of the way to 1)."""
+    below = [0.03, 0.07] if a_max < 0.05 else [0.6 * a_max, 0.9 * a_max]
+    return below + [a_max, a_max + 0.1 * (1.0 - a_max), a_max + 0.5 * (1.0 - a_max)]

@@ -4,6 +4,8 @@ maximal threshold, and the generic price-function test."""
 import numpy as np
 import pytest
 
+from censearch import censorship
+from censearch._poly import gauss_nodes, nodes_for_degree, polyval
 from censearch.censorship import (
     deviation_net_gain,
     equilibrium_set,
@@ -18,6 +20,8 @@ from censearch.censorship import (
 from censearch.demand import DemandCurve
 from censearch.dists import PiecewisePolyDist, incremental_benefit
 from censearch.oracle import build_problem, solve_br
+
+from conftest import corpus_thresholds, quasi_concave_pair, quasi_convex_pair
 
 
 def test_upper_censorship_structure(F):
@@ -175,6 +179,59 @@ def test_price_function_trio(F, H_uniform):
     assert rep.min_margin == pytest.approx(0.0, abs=1e-7)  # tangency
     rep = verify_price_function(F, F, H_uniform, 50)
     assert not rep.passed and not rep.convex_ok
+
+
+def _integrate_certificate_reference(cert, W):
+    """The mass-balance integral with its own node loop: pieces narrower than
+    1e-14 are skipped, and each piece is summed by its own dot product."""
+    total = 0.0
+    for m, v in zip(W.atom_masses, cert.value(W.atom_locs)):
+        if m > 0:
+            total += m * v
+    cuts = sorted(
+        set(map(float, W.breaks))
+        | {lo for lo, _, _ in cert.segments}
+        | {hi for _, hi, _ in cert.segments}
+        | set(map(float, cert.curve.x_breaks))
+    )
+    cuts = [c for c in cuts if W.breaks[0] - 1e-12 <= c <= W.breaks[-1] + 1e-12]
+    xg, wg = gauss_nodes(nodes_for_degree(cert.curve._gl_deg + 12))
+    pieces = []  # (half width, nodes, density coefficients) per piece with density
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        coefs = W.coefs[W._segment_index(0.5 * (lo + hi))]
+        if hi - lo >= 1e-14 and np.max(np.abs(coefs)) != 0.0:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            pieces.append((half, mid + half * xg, coefs))
+    vals = cert.value(np.array([ts for _, ts, _ in pieces]))
+    for (half, ts, coefs), v in zip(pieces, vals):
+        total += half * float(np.dot(wg, polyval(coefs, ts) * v))
+    return total
+
+
+def test_certificate_integral_matches_reference(F, F_tilted, H_uniform, H_step, H_bimodal,
+                                                H_threestep, H_convex, monkeypatch):
+    """Both sides of the price-function mass balance keep the bits of the
+    reference loop, for upper censorship at the certify corpus thresholds
+    (n = 50 at a_max only, where the certificate is tangent: it is the
+    costly market size)."""
+    seen = []
+    integrate = censorship._integrate_certificate
+
+    def spy(cert, W):
+        seen.append((cert, W, integrate(cert, W)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(censorship, "_integrate_certificate", spy)
+    laws = [H_uniform, H_step, H_bimodal, H_threestep, H_convex,
+            quasi_convex_pair()[0], quasi_concave_pair()[0]]
+    for prior in (F, F_tilted):
+        for H in laws:
+            for a, n in zip(corpus_thresholds(solve_a_max(prior, H)[0]), (2, 5, 50, 2, 5)):
+                seen.clear()
+                verify_price_function(upper_censorship(prior, a), prior, H, n)
+                assert len(seen) == 2
+                for cert, W, got in seen:
+                    assert got == _integrate_certificate_reference(cert, W), (a, n)
 
 
 def test_price_function_rejects_above_maximal(F, H_uniform):

@@ -245,6 +245,18 @@ def test_one_cost_shape_analysis_per_cost_law(tmp_path, monkeypatch):
         assert len(built) == laws, (cmd, len(built))
 
 
+def test_emit_plot_given_threshold_skips_solver(tmp_path):
+    """A given threshold needs no threshold solve, so costs the solver rejects
+    (support not starting at 0) still plot."""
+    spec = write_spec(tmp_path, n=2, extra={"emit_plot": {"a": 0.3, "points": 65}})
+    payload = json.loads(spec.read_text())
+    payload["market"]["costs"]["support"] = [0.02, 0.18]
+    spec.write_text(json.dumps(payload))
+    out = tmp_path / "p"
+    assert main(["emit-plot", "--spec", str(spec), "--out", str(out)]) == 0
+    assert (out / "plot_costs.csv").exists() and (out / "plot_demand.csv").exists()
+
+
 def test_emit_plot_panels(tmp_path):
     spec = write_spec(tmp_path, n=2, extra={"emit_plot": {"a": 0.4, "points": 129}})
     out = tmp_path / "p"

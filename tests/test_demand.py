@@ -13,7 +13,6 @@ from censearch.censorship import _Certificate, demand_second_derivative, upper_c
 from censearch.demand import (
     DemandCurve,
     demand_margins,
-    equilibrium_payoff_identity,
     expected_payoff,
     interim_demand,
     jump_size,
@@ -133,14 +132,14 @@ def test_payoff_identity_battery(F, H_uniform, H_bimodal):
         ok, _ = mpc_check(G, F)
         assert ok
         for n, H in ((2, H_uniform), (5, H_bimodal)):
-            assert equilibrium_payoff_identity(G, n, H) <= 1e-10
+            assert abs(expected_payoff(G, G, n, H) - 1 / n) <= 1e-10
 
 
 def test_payoff_identity_named_cases(F, H_uniform, U4):
     delta = upper_censorship(F, 0.0)
-    assert equilibrium_payoff_identity(delta, 3, H_uniform) <= 1e-10
-    assert equilibrium_payoff_identity(U4, 2, H_uniform) <= 1e-10
-    assert equilibrium_payoff_identity(F, 2, H_uniform) <= 1e-10
+    assert abs(expected_payoff(delta, delta, 3, H_uniform) - 1 / 3) <= 1e-10
+    assert abs(expected_payoff(U4, U4, 2, H_uniform) - 1 / 2) <= 1e-10
+    assert abs(expected_payoff(F, F, 2, H_uniform) - 1 / 2) <= 1e-10
 
 
 def test_tie_value_at_interior_atom(F, H_uniform):

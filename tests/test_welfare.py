@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from censearch import welfare
-from censearch.censorship import solve_a_max
+from censearch._poly import gauss_nodes, nodes_for_degree, polyval
+from censearch.censorship import solve_a_max, upper_censorship
 from censearch.costshape import assumption_diag_check, global_min_slope
 from censearch.dists import (
     PiecewisePolyDist,
@@ -25,7 +26,7 @@ from censearch.welfare import (
     uniform_interpolate,
 )
 
-from conftest import quasi_concave_pair, quasi_convex_pair, ramp_costs
+from conftest import corpus_thresholds, quasi_concave_pair, quasi_convex_pair, ramp_costs
 
 
 def test_surplus_type_examples(F):
@@ -107,7 +108,7 @@ def _quadrature_pieces(F, H, a):
     cost."""
     cfa = incremental_benefit(F, a)
     cuts = sorted({float(b) for b in H.breaks} | ({cfa} if 0 < cfa < H.support_hi else set()))
-    xg, _ = welfare.gauss_nodes(64)
+    xg, _ = gauss_nodes(64)
     pieces = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
@@ -123,10 +124,10 @@ def _quadrature_pieces(F, H, a):
 def _consumer_surplus_reference(F, H, a, n):
     """consumer_surplus with one consumer_surplus_type call, and so one
     cutoff inversion, per quadrature node."""
-    _, wg = welfare.gauss_nodes(64)
+    _, wg = gauss_nodes(64)
     total = 0.0
     for half, cs, i in _quadrature_pieces(F, H, a):
-        dens = welfare.polyval(H.coefs[i], cs)
+        dens = polyval(H.coefs[i], cs)
         vals = np.array([consumer_surplus_type(F, a, float(c), n)[2] for c in cs])
         total += half * float(np.dot(wg, dens * vals))
     return float(total)
@@ -154,6 +155,70 @@ def test_surplus_inverts_all_nodes_in_one_call(F, F_tilted, H_uniform, H_step, H
                     # one call where the reference inverts any node (those above
                     # the branch cost), and none where it inverts none
                     assert made == min(len(calls), 1), (a, n, made, len(calls))
+
+
+def _value_of_best_of_n_reference(F, m, n):
+    """The best-of-n value with its own node loop over F's pieces below m:
+    no piece is skipped, and each is summed by its own dot product."""
+    total = 0.0
+    deg = 4 * n + 4
+    xg, wg = gauss_nodes(nodes_for_degree(deg))
+    for i in range(len(F.coefs)):
+        lo, hi = float(F.breaks[i]), float(F.breaks[i + 1])
+        hi = min(hi, m)
+        if hi <= lo:
+            break
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        ts = mid + half * xg
+        dens = polyval(F.coefs[i], ts)
+        cdfs = F.cdf_vec(ts)
+        total += half * float(np.dot(wg, ts * n * cdfs ** (n - 1) * dens))
+    return total
+
+
+def test_best_of_n_matches_reference(F, F_tilted, H_uniform, H_step, H_bimodal, H_threestep,
+                                     H_convex, monkeypatch):
+    """Every best-of-n value consumer_surplus asks for, at the certify corpus
+    thresholds, keeps the bits of the reference loop."""
+    seen = []
+    best = welfare._value_of_best_of_n
+
+    def spy(F_, m, n):
+        seen.append((F_, m, n, best(F_, m, n)))
+        return seen[-1][3]
+
+    monkeypatch.setattr(welfare, "_value_of_best_of_n", spy)
+    laws = [H_uniform, H_step, H_bimodal, H_threestep, H_convex,
+            quasi_convex_pair()[0], quasi_concave_pair()[0]]
+    for prior in (F, F_tilted):
+        for H in laws:
+            for a in corpus_thresholds(solve_a_max(prior, H)[0]):
+                for n in (2, 5, 50):
+                    consumer_surplus(prior, H, a, n)
+    assert len({m for _, m, _, _ in seen}) > 100
+    for F_, m, n, got in seen:
+        assert got == _value_of_best_of_n_reference(F_, m, n), (m, n)
+    # priors of several pieces, one of them without density, cut at, between
+    # and beyond their breakpoints
+    mixed = PiecewisePolyDist.mixture([F_tilted, PiecewisePolyDist.uniform(0.2, 0.6)], [0.5, 0.5])
+    for prior in (mixed, upper_censorship(F_tilted, 0.3)):
+        for m in [*np.linspace(0.05, 0.95, 19).tolist(), *prior.breaks.tolist(), 1.2]:
+            for n in (2, 5, 50):
+                got = welfare._value_of_best_of_n(prior, m, n)
+                assert got == _value_of_best_of_n_reference(prior, m, n), (m, n)
+
+
+def test_surplus_over_many_cost_pieces(F):
+    """Over 256 cost pieces the 64-node rule runs in more than one block of
+    pieces; the blocks keep the bits of the per-type reference."""
+    rng = np.random.default_rng(7)
+    breaks = np.linspace(0.0, 0.18, 261)
+    dens = rng.uniform(0.2, 5.0, 260)
+    dens /= np.sum(dens * np.diff(breaks))
+    H = PiecewisePolyDist(breaks, [np.array([d]) for d in dens])
+    a = 0.42  # branch cost 0.1682: the last pieces invert their cutoffs
+    assert len(_quadrature_pieces(F, H, a)) > 256
+    assert consumer_surplus(F, H, a, 5) == _consumer_surplus_reference(F, H, a, 5)
 
 
 def test_surplus_cutoff_terms_once_per_cutoff(F, F_tilted, H_uniform, H_bimodal, monkeypatch):
