@@ -38,15 +38,29 @@ def polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return npoly.polymul(np.asarray(a, float), np.asarray(b, float))
 
 
+def _counting(c: np.ndarray) -> np.ndarray:
+    """1, 2, ..., len(c) down the first axis of c, broadcast over its columns."""
+    return np.arange(1.0, len(c) + 1.0).reshape((-1,) + (1,) * (c.ndim - 1))
+
+
 def polyder(coefs: np.ndarray) -> np.ndarray:
-    if len(coefs) <= 1:
+    """Derivative of a polynomial, or of each column of a table: coefficient
+    k times k, the products ``numpy.polynomial.polynomial.polyder`` makes."""
+    c = np.asarray(coefs, dtype=float)
+    if len(c) <= 1:
         return np.zeros(1)
-    return npoly.polyder(coefs)
+    return c[1:] * _counting(c[1:])
 
 
 def polyint(coefs: np.ndarray) -> np.ndarray:
-    """Antiderivative with zero constant term."""
-    return npoly.polyint(coefs)
+    """Antiderivative with zero constant term, of a polynomial or of each
+    column of a table: coefficient k divided by k + 1, the quotients
+    ``numpy.polynomial.polynomial.polyint`` makes, and like it one term for
+    a single row of zeros."""
+    c = np.asarray(coefs, dtype=float)
+    if len(c) == 1 and not c.any():
+        return c + 0.0  # a fresh row, with any -0.0 made +0.0 as numpy does
+    return np.concatenate([np.zeros((1,) + c.shape[1:]), c / _counting(c)])
 
 
 def _trim(coefs: np.ndarray, tol: float = 0.0) -> np.ndarray:

@@ -71,14 +71,14 @@ PRICE_GRID = 2049       # scan grid of verify_price_function
 
 
 def upper_censorship(F: PiecewisePolyDist, a: float) -> PiecewisePolyDist:
-    """Censor the prior above a: density f on [0, a), a gap on [a, k), and an
-    atom of the censored mass at the conditional mean k = E[v | v >= a].
-    a = 0 gives no disclosure (point mass at the mean), a = 1 full
-    disclosure."""
+    """Censor the prior above a: density f and the atoms of F on [0, a), a
+    gap on [a, k), and an atom of the censored mass at the conditional mean
+    k = E[v | v >= a] (an atom of F at a joins it).  a = 0 gives no
+    disclosure (point mass at the mean), a = 1 full disclosure."""
     if a >= F.support_hi - 1e-12:
         return F
     a = max(float(a), F.support_lo)
-    Fa = F.cdf(a)
+    Fa = F.cdf(a) - F.atom_mass_at(a)
     k = truncated_mean_above(F, a)
     if k <= a:
         raise ArithmeticError(f"pooled signal of threshold {a!r} does not clear it in double precision")
@@ -89,7 +89,8 @@ def upper_censorship(F: PiecewisePolyDist, a: float) -> PiecewisePolyDist:
     breaks.append(a)
     coefs.append(np.zeros(1))
     breaks.append(k)
-    return PiecewisePolyDist(breaks, coefs, atoms=[(k, 1.0 - Fa)])
+    below = [(x, m) for x, m in zip(F.atom_locs.tolist(), F.atom_masses.tolist()) if x < a - 1e-12]
+    return PiecewisePolyDist(breaks, coefs, atoms=below + [(k, 1.0 - Fa)])
 
 
 def threshold_from_cost(F: PiecewisePolyDist, cost: float) -> float:

@@ -153,8 +153,8 @@ class PiecewisePolyDist:
         nseg = len(self.coefs)
         lo, hi = self.breaks[:-1], self.breaks[1:]
         self._inner = self.breaks[1:-1]
-        # at least two rows: npoly.polyint returns a one-term (not two-term)
-        # antiderivative for a table that is a single row of zeros
+        # at least two rows: _poly.polyint, like numpy's, returns a one-term
+        # (not two-term) antiderivative for a table that is a single row of zeros
         dens = np.zeros((max(2, max(len(c) for c in self.coefs)), nseg))
         for i, c in enumerate(self.coefs):
             dens[: len(c), i] = c
@@ -342,8 +342,9 @@ class PiecewisePolyDist:
         """Inverse CDF (u is clipped to [0, 1]).
 
         For u inside an atom's jump the atom location is returned; elsewhere
-        the unique continuity point with CDF(x) = u, found on the containing
-        segment by a bracketed Newton iteration (:meth:`_invert_cdf`).
+        the unique continuity point with CDF(x) = u, the root of the segment
+        CDF ``_cdf_off[i] + P_i(x) = u`` on the containing segment i, found
+        by :func:`_bracketed_newton` on the density and its slope.
         """
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         shape, u = u.shape, u.reshape(-1)  # the iteration works on the points off the atoms
@@ -353,70 +354,14 @@ class PiecewisePolyDist:
         rest = np.flatnonzero(~(u >= self._cdf_left_at[j]))
         for k in range(0, len(rest), QUANTILE_BLOCK):
             block = rest[k : k + QUANTILE_BLOCK]
-            x[block] = self._invert_cdf(j[block] - 1, u[block])
+            i, ub = j[block] - 1, u[block]
+            x[block] = _bracketed_newton(
+                i, ub, self.breaks[i], self.breaks[i + 1], self._cdf_at[i] - ub, self._cdf_left_at[i + 1] - ub,
+                lambda i, r: self._cdf_off[i] + _horner(self._P[:, i], r),
+                lambda i, r: _horner(self._pdf[:, i], r),
+                lambda i, r: _horner(self._dpdf[:, i], r),
+            )
         return float(x[0]) if shape == () else x.reshape(shape)
-
-    def _invert_cdf(self, i, u):
-        """The root r of the segment CDF, ``_cdf_off[i] + P_i(r) = u``, in
-        segment i (one index per element), for u strictly between the CDF
-        values at the segment's ends.
-
-        A bracketed Newton iteration.  The segment is the first bracket and
-        its false-position point the first iterate, which is the root on a
-        linear CDF piece.  Each round evaluates g = CDF(r) - u, moves the
-        bracket end on g's side to r, and steps to the root of the CDF's
-        second-order Taylor model at r (density ``_pdf`` and its slope
-        ``_dpdf``): the Newton step where the density is constant, and exact
-        where it is linear, where a plain Newton step only halves the
-        distance to a root near a zero of the density.  A step that leaves
-        the bracket gives way to false position, and false position to
-        halving when it stalls (falls outside, or the last round did not
-        halve the bracket).  Halving is geometric on a bracket above 0 that
-        spans more than a factor 4, so that roots many orders of magnitude
-        below its top are reached as well.  An element stops when g == 0,
-        when its step is at most one ulp or when its bracket is at most two
-        ulps wide, and after 64 rounds at the latest.
-        """
-        a, b = self.breaks[i], self.breaks[i + 1]
-        ga, gb = self._cdf_at[i] - u, self._cdf_left_at[i + 1] - u
-        r = a - ga * ((b - a) / (gb - ga))
-        width = np.full_like(u, np.inf)  # bracket width after the last round
-        x = np.empty_like(u)
-        todo = np.arange(len(u))
-        with np.errstate(divide="ignore", invalid="ignore"):  # failed steps fall back below
-            for _ in range(64):
-                g = self._cdf_off[i] + _horner(self._P[:, i], r) - u
-                neg, pos = g < 0, g > 0
-                np.copyto(a, r, where=neg)
-                np.copyto(ga, g, where=neg)
-                np.copyto(b, r, where=pos)
-                np.copyto(gb, g, where=pos)
-                fr = _horner(self._pdf[:, i], r)
-                newton = g / fr
-                bend = _horner(self._dpdf[:, i], r) / fr
-                step = 2.0 * newton / (1.0 + np.sqrt(1.0 - 2.0 * newton * bend))
-                nxt = r - step
-                small = np.abs(step) <= np.spacing(np.abs(r))
-                off = np.flatnonzero(~(small | ((a < nxt) & (nxt < b))))
-                if len(off):
-                    lo, hi = a[off], b[off]
-                    fp = lo - ga[off] * ((hi - lo) / (gb[off] - ga[off]))
-                    mid = np.where((lo > 0) & (hi > 4.0 * lo), np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
-                    stall = ~((lo < fp) & (fp < hi)) | (hi - lo > 0.5 * width[off])
-                    nxt[off] = np.where(stall, mid, fp)
-                width = b - a
-                x[todo] = np.where(g == 0, r, nxt)
-                go = np.flatnonzero(
-                    (g != 0) & ~small & (width > 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
-                )
-                r = nxt
-                if len(go) < len(todo):
-                    if not len(go):
-                        break
-                    todo, i, r, a, b, ga, gb, u, width = (
-                        v[go] for v in (todo, i, r, a, b, ga, gb, u, width)
-                    )
-        return x
 
     # -- serialization -----------------------------------------------------
 
@@ -448,6 +393,67 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     for k in range(len(c) - 2, -1, -1):
         out = c[k] + out * x
     return out
+
+
+def _bracketed_newton(i, target, a, b, ga, gb, value, slope, curve):
+    """The root r in [a, b] of ``value(i, r) = target``, per element, for a
+    value increasing on the bracket with ``ga`` = value(a) - target <= 0 and
+    ``gb`` = value(b) - target >= 0; ``slope(i, r)`` and ``curve(i, r)`` are
+    the value's first and second derivatives, and i is handed through to
+    all three (the segment index of each element).
+
+    The false-position point of the bracket is the first iterate, which is
+    the root where the value is linear.  Each round evaluates g = value(r) -
+    target, moves the bracket end on g's side to r, and steps to the root of
+    the value's second-order Taylor model at r: the Newton step where the
+    slope is constant, and exact where it is linear, where a plain Newton
+    step only halves the distance to a root near a zero of the slope.  A
+    step that leaves the bracket gives way to false position, and false
+    position to halving when it stalls (falls outside, or the last round did
+    not halve the bracket).  Halving is geometric on a bracket above 0 that
+    spans more than a factor 4, so that roots many orders of magnitude below
+    its top are reached as well.  An element stops when g == 0, when its
+    step is at most one ulp or when its bracket is at most two ulps wide,
+    and after 64 rounds at the latest.
+    """
+    r = a - ga * ((b - a) / (gb - ga))
+    width = np.full_like(target, np.inf)  # bracket width after the last round
+    x = np.empty_like(target)
+    todo = np.arange(len(target))
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed steps fall back below
+        for _ in range(64):
+            g = value(i, r) - target
+            neg, pos = g < 0, g > 0
+            np.copyto(a, r, where=neg)
+            np.copyto(ga, g, where=neg)
+            np.copyto(b, r, where=pos)
+            np.copyto(gb, g, where=pos)
+            fr = slope(i, r)
+            newton = g / fr
+            bend = curve(i, r) / fr
+            step = 2.0 * newton / (1.0 + np.sqrt(1.0 - 2.0 * newton * bend))
+            nxt = r - step
+            small = np.abs(step) <= np.spacing(np.abs(r))
+            off = np.flatnonzero(~(small | ((a < nxt) & (nxt < b))))
+            if len(off):
+                lo, hi = a[off], b[off]
+                fp = lo - ga[off] * ((hi - lo) / (gb[off] - ga[off]))
+                mid = np.where((lo > 0) & (hi > 4.0 * lo), np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+                stall = ~((lo < fp) & (fp < hi)) | (hi - lo > 0.5 * width[off])
+                nxt[off] = np.where(stall, mid, fp)
+            width = b - a
+            x[todo] = np.where(g == 0, r, nxt)
+            go = np.flatnonzero(
+                (g != 0) & ~small & (width > 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+            )
+            r = nxt
+            if len(go) < len(todo):
+                if not len(go):
+                    break
+                todo, i, r, a, b, ga, gb, target, width = (
+                    v[go] for v in (todo, i, r, a, b, ga, gb, target, width)
+                )
+    return x
 
 
 def _density_integrals(W: PiecewisePolyDist, f, cuts, npts: int) -> np.ndarray:
@@ -599,29 +605,39 @@ def incremental_benefit(G: PiecewisePolyDist, x: float) -> float:
 
 def reservation_value(G: PiecewisePolyDist, c, tol: float = 1e-10):
     """The unique r with  int_r^1 (1 - G(t)) dt = c  (stopping cutoff of a
-    consumer with search cost c).  For c -> 0 returns max(supp(G)).  Takes a
-    scalar (returns a float) or an array of costs."""
-    c = np.asarray(c, dtype=float)[()]  # numpy scalars stay scalars below
+    consumer with search cost c).  Takes a scalar (returns a float) or an
+    array of costs.
+
+    Costs c <= tol get max(supp(G)), the limit as c -> 0, and costs at or
+    above the tail at the bottom of the support get mean - c (below the
+    support the benefit is mean - r).  Elsewhere the breakpoint tails bracket
+    r in one segment, where :func:`_bracketed_newton` inverts the segment
+    tail (slope 1 - G, curvature -density) down to an ulp or two, or to the
+    band where the rounding of the computed tail leaves its sign open; tol
+    plays no part there.
+    """
+    c = np.asarray(c, dtype=float)
     mu = mean(G)
     if (c > mu + 1e-12).any():
         raise ValueError("cost exceeds prior mean")
-    top = G.max_supp()
-    # bracket by breakpoints, then bisect on the bracket's segment (the
-    # midpoints stay inside it, and so does r) and take one Newton polish
     tails = G.tail_gap(G.breaks)
-    j = np.clip(np.searchsorted(-tails, -c, side="right") - 1, 0, len(G.breaks) - 2)
-    a, b = G.breaks[j], G.breaks[j + 1]
-    while (go := b - a > tol).any():
-        m = 0.5 * (a + b)
-        ge = G._segment_tail(j, m) >= c
-        a, b = np.where(go & ge, m, a)[()], np.where(go & ~ge, m, b)[()]
-    r = 0.5 * (a + b)
-    slope = -(1.0 - G.cdf(r))
-    steep = slope < -1e-14
-    r2 = r - (G._segment_tail(j, r) - c) / np.where(steep, slope, -1.0)
-    r = np.minimum(np.where(steep & (a - tol <= r2) & (r2 <= b + tol), r2, r), top)
-    # below the support the benefit is mean - r
-    return _result(np.where(c <= tol, top, np.where(c >= tails[0], mu - c, r)))
+    cs = c.reshape(-1)
+    r = mu - cs
+    near0 = cs <= tol
+    if near0.any():
+        r[near0] = G.max_supp()
+    rest = np.flatnonzero(~near0 & (cs < tails[0]))
+    if len(rest):
+        # tails[j] >= c > tails[j + 1]: the root lies in segment j
+        cr = cs[rest]
+        j = np.clip(np.searchsorted(-tails, -cr, side="right") - 1, 0, len(G.breaks) - 2)
+        r[rest] = _bracketed_newton(
+            j, -cr, G.breaks[j], G.breaks[j + 1], cr - tails[j], cr - tails[j + 1],
+            lambda i, x: -G._segment_tail(i, x),
+            lambda i, x: 1.0 - (G._cdf_off[i] + _horner(G._P[:, i], x)),
+            lambda i, x: -_horner(G._pdf[:, i], x),
+        )
+    return float(r[0]) if c.ndim == 0 else r.reshape(c.shape)
 
 
 def truncated_mean_above(F: PiecewisePolyDist, a: float) -> float:
@@ -629,7 +645,6 @@ def truncated_mean_above(F: PiecewisePolyDist, a: float) -> float:
     surv = 1.0 - F.cdf_left(a)
     if surv <= 1e-13:
         raise ValueError("empty upper tail")
-    top = F.support_hi
     # int_a^top t dF = a*surv + int_a^top (1 - F(t)) dt  (parts)
     return float(a + F.tail_gap(a) / surv)
 

@@ -39,14 +39,16 @@ FOSD_GRID = 4097  # scan points of fosd_compare (plus both breakpoint sets)
 
 
 def _value_of_best_of_n(F: PiecewisePolyDist, m: float, n: int) -> float:
-    """int_0^m x d(F(x)^n): contribution of the maximum of n revealed draws
-    conditional on all landing below m (unnormalized), over F's density
-    pieces only: F's atoms are left out."""
+    """int_[0,m] x d(F(x)^n): contribution of the maximum of n revealed draws
+    conditional on all landing at or below m (unnormalized).  Each atom x_j
+    of F adds x_j (F(x_j)^n - F(x_j-)^n); an atom at m itself counts, as it
+    does in the probability F(m)^n of that event."""
     top = min(m, float(F.breaks[-1]))
     cuts = [b for b in F.breaks.tolist() if b < top] + [top]
     pieces = _density_integrals(F, lambda ts: ts * n * F.cdf_vec(ts) ** (n - 1), cuts,
                                 nodes_for_degree(4 * n + 4))
-    return sum(pieces.tolist(), 0.0)
+    atoms = [x * (F.cdf(x) ** n - F.cdf_left(x) ** n) for x in F.atom_locs.tolist() if x <= m]
+    return sum(pieces.tolist(), sum(atoms, 0.0))
 
 
 def consumer_surplus_type(

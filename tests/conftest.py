@@ -64,6 +64,19 @@ def H_threestep():
     )
 
 
+def tail_noise(G: PiecewisePolyDist, x: float, c: float) -> float:
+    """A bound on the rounding error of ``G.tail_gap(x) - c`` in double
+    precision: Horner on the second antiderivative of the segment holding x
+    plus the six terms around it [Higham, Accuracy and Stability, 5.1].  x
+    outside the support is clamped to it, plus the distance it was moved."""
+    i = int(np.clip(np.searchsorted(G._inner, x, side="right"), 0, len(G.coefs) - 1))
+    xe = min(max(x, G.support_lo), G.support_hi)
+    w = G.breaks[i + 1] - xe
+    terms = (abs(G._tail_at[i + 1]) + w * (1.0 + abs(G._cdf_at[i]) + abs(G._P_lo[i])) + abs(G._PP_hi[i])
+             + np.sum(np.abs(G._PP[:, i]) * abs(xe) ** np.arange(len(G._PP))) + abs(c) + abs(x - xe))
+    return (2 * len(G._PP) + 8) * 2.0**-53 * terms
+
+
 def quasi_convex_pair(cbar: float = 0.18):
     """Two symmetric dip densities h = gamma + beta (c - cbar/2)^2; the
     larger beta is the mean-preserving spread of the smaller."""

@@ -18,7 +18,7 @@ from censearch.censorship import (
     virtual_demand,
 )
 from censearch.demand import DemandCurve
-from censearch.dists import PiecewisePolyDist, incremental_benefit
+from censearch.dists import PiecewisePolyDist, incremental_benefit, mean
 from censearch.oracle import build_problem, solve_br
 
 from conftest import corpus_thresholds, quasi_concave_pair, quasi_convex_pair
@@ -32,6 +32,14 @@ def test_upper_censorship_structure(F):
     assert U4.pdf(0.2) == pytest.approx(1.0)
     assert U4.pdf(0.55) == pytest.approx(0.0)
     assert U4.atom_locs[0] == pytest.approx(0.7) and U4.atom_masses[0] == pytest.approx(0.6)
+    # a prior's atoms below a stay where they are; one at a joins the pool
+    P = PiecewisePolyDist([0.0, 1.0], [np.array([0.5])], atoms=[(0.2, 0.5)])
+    P4 = upper_censorship(P, 0.4)
+    assert P4.atom_locs.tolist() == pytest.approx([0.2, 0.7])
+    assert P4.atom_masses.tolist() == pytest.approx([0.5, 0.3])
+    P2 = upper_censorship(P, 0.2)
+    assert P2.atom_locs.tolist() == pytest.approx([0.2 + 0.16 / 0.9]) and P2.atom_masses[0] == pytest.approx(0.9)
+    assert mean(P4) == pytest.approx(mean(P), abs=1e-14) and mean(P2) == pytest.approx(mean(P), abs=1e-14)
 
 
 def test_virtual_demand_examples(F, H_uniform):

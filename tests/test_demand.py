@@ -463,7 +463,8 @@ def test_scans_do_not_call_per_point(monkeypatch, F, H_bimodal):
 def test_one_cutoff_inversion_per_curve(monkeypatch, F, H_bimodal):
     """A demand curve inverts its cost top, inner cost breakpoints and cost
     atoms in one call, the LP grid its cost quantiles in one more, and the
-    bisection reads the segment tables, not ``tail_gap``."""
+    iteration reads the segment tables, calling ``tail_gap`` only once for
+    the tails at the breakpoints."""
     counts = collections.Counter()
 
     def counting(name, fn):

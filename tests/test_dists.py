@@ -21,6 +21,8 @@ from censearch.dists import (
 )
 from censearch.censorship import upper_censorship
 
+from conftest import tail_noise
+
 
 def test_mean_examples(F):
     assert mean(F) == pytest.approx(0.5, abs=1e-14)
@@ -384,6 +386,23 @@ def test_tables_match_per_call_formulas(law):
         assert _same_bits(query(d, xs), expect), name
 
 
+def test_closed_form_antiderivatives_match_numpy():
+    # _poly makes numpy's divisions and products, on one polynomial or on
+    # every column of a table, signed zeros and a single row of zeros included
+    rng = np.random.default_rng(17)
+    for shape in [(1,), (2,), (4,), (7,), (1, 5), (2, 5), (4, 9)]:
+        for _ in range(50):
+            c = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+            c[rng.random(shape) < 0.3] = 0.0
+            c[rng.random(shape) < 0.2] = -0.0
+            assert _poly.polyint(c).shape == npoly.polyint(c).shape
+            assert _same_bits(_poly.polyint(c), npoly.polyint(c))
+            if len(c) > 1:
+                assert _same_bits(_poly.polyder(c), npoly.polyder(c))
+    for zeros in (np.zeros(1), -np.zeros((1, 3))):
+        assert _poly.polyint(zeros).shape == zeros.shape and _same_bits(_poly.polyint(zeros), npoly.polyint(zeros))
+
+
 def test_cdf_poly_is_the_segment_cdf():
     for d in _laws().values():
         for i in range(len(d.coefs)):
@@ -561,11 +580,16 @@ def test_quantile_rounds(monkeypatch, F, F_tilted, H_uniform, H_convex, H_step, 
 
 
 # -- the cutoff inversion against the one-cost bisection -----------------------
+#
+# `_ref_reservation_value` is the bisection `reservation_value` used to run:
+# halvings of the bracketing segment down to 1e-10 and one Newton polish.  The
+# bracketed Newton iteration must return its bits wherever neither iterates,
+# and elsewhere lie as close as it to the exact root of the segment tail.
 
 
 def _ref_reservation_value(G, c, tol=1e-10):
     """The cutoff inversion for one cost, bisecting on scalar ``tail_gap``
-    calls; the array inversion must reproduce it bit for bit."""
+    calls and polishing with one Newton step."""
     mu = mean(G)
     if c > mu + 1e-12:
         raise ValueError("cost exceeds prior mean")
@@ -593,28 +617,109 @@ def _ref_reservation_value(G, c, tol=1e-10):
     return min(r, top)
 
 
-def test_reservation_value_matches_one_cost_bisection(
-    F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_threestep
-):
+def _reservation_laws(F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_threestep, fracs):
     base = {"F": F, "F_tilted": F_tilted, "H_uniform": H_uniform, "H_convex": H_convex,
             "H_step": H_step, "H_bimodal": H_bimodal, "H_threestep": H_threestep}
-    laws = dict(base, point=PiecewisePolyDist.point_mass(0.5), atoms=_atom_law(),
-                cubic=_cubic_law())
+    laws = dict(base)
     for name, d in base.items():
-        for frac in (0.0, 0.3, 0.55, 0.9):
+        for frac in fracs:
             laws[f"{name}@{frac}"] = upper_censorship(d, d.support_lo + frac * (d.support_hi - d.support_lo))
+    return laws
+
+
+def _exact_tail_root(mpmath, G, i, c, x0):
+    """The 200-bit root near x0 of the segment tail ``_segment_tail(i, r) = c``,
+    its float table entries taken as exact."""
+    m = mpmath.mpf
+    hi, above, cdf_lo, pp_hi, p_lo = (m(float(v)) for v in (
+        G.breaks[i + 1], G._tail_at[i + 1], G._cdf_at[i], G._PP_hi[i], G._P_lo[i]))
+    coef = [m(float(v)) for v in G._PP[::-1, i]]
+    with mpmath.workprec(200):
+        r = m(float(x0))
+        for _ in range(200):
+            w = hi - r
+            pp, dpp = mpmath.polyval(coef, r, derivative=True)
+            g = above + w - (cdf_lo * w + (pp_hi - pp) - p_lo * w) - m(float(c))
+            dg = -1 + cdf_lo + dpp - p_lo
+            step = g / dg
+            r -= step
+            # g cancels from terms of size `scale`, so 190 bits of them at most
+            scale = abs(above) + abs(w) * (1 + abs(cdf_lo) + abs(p_lo)) + abs(pp_hi) + abs(pp)
+            if abs(step) <= max(abs(r * dg), scale) * m(2) ** -190 / abs(dg):
+                return r
+    raise AssertionError(f"no 200-bit root for c={c!r}")
+
+
+def test_reservation_value_accuracy(F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_threestep):
+    mpmath = pytest.importorskip("mpmath")
+    laws = _reservation_laws(F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_threestep,
+                             (0.0, 0.3, 0.55, 0.9))
+    laws.update(point=PiecewisePolyDist.point_mass(0.5), atoms=_atom_law(), cubic=_cubic_law())
     rng = np.random.default_rng(7)
+    err_ref, err_got = [], []
     for name, G in laws.items():
         mu, tails = mean(G), G.tail_gap(G.breaks)
         cs = [0.0, 1e-10, np.nextafter(1e-10, 1.0), G.tail_gap(G.support_lo), mu]
         cs += [v for t in tails for v in (t, np.nextafter(t, 0.0), np.nextafter(t, 1.0))]
         cs = np.array([c for c in cs + list(rng.uniform(0.0, mu, 40)) if c <= mu + 1e-12])
-        expect = np.array([_ref_reservation_value(G, float(c)) for c in cs])
-        assert _same_bits(reservation_value(G, cs), expect), name
+        ref = np.array([_ref_reservation_value(G, float(c)) for c in cs])
+        got = reservation_value(G, cs)
         pairs = cs[: len(cs) // 2 * 2].reshape(2, -1)
-        assert _same_bits(reservation_value(G, pairs), expect[: pairs.size].reshape(pairs.shape)), name
+        assert _same_bits(reservation_value(G, pairs), got[: pairs.size].reshape(pairs.shape)), name
         scalars = [reservation_value(G, float(c)) for c in cs]
         assert all(type(v) is float for v in scalars), name
-        assert _same_bits(scalars, expect), name
+        assert _same_bits(scalars, got), name
         with pytest.raises(ValueError, match="exceeds prior mean"):
             reservation_value(G, mu + 1e-9)
+        # no iteration at c <= 1e-10 (the top of the support) or at and
+        # above the tail at the bottom of the support (mean - c)
+        direct = (cs <= 1e-10) | (cs >= tails[0])
+        assert _same_bits(got[direct], ref[direct]), name
+        # elsewhere: at most an ulp farther from the exact root than the
+        # bisection (more where rounding leaves the sign of tail(r) - c open,
+        # see below), and no farther on average
+        for c, xr, xg in zip(cs[~direct], ref[~direct], got[~direct]):
+            i = int(np.clip(np.searchsorted(-tails, -c, side="right") - 1, 0, len(G.breaks) - 2))
+            root = _exact_tail_root(mpmath, G, i, c, xg)
+            rt = abs(float(root))
+            ulp = np.spacing(rt)
+            er, eg = (float(abs(mpmath.mpf(float(x)) - root)) / ulp for x in (xr, xg))
+            # Evaluating the tail minus c in double precision errs by at most
+            # tail_noise, so the computed sign is open within tail_noise /
+            # (1 - G) of the root: both methods land somewhere in that band
+            band = tail_noise(G, rt, c) / (1.0 - float(G.cdf(rt))) / ulp
+            assert eg <= er + max(1.0, band), (name, c, xr, xg, er, eg, band)
+            err_ref.append(er)
+            err_got.append(eg)
+    assert np.mean(err_got) <= np.mean(err_ref), (np.mean(err_got), np.mean(err_ref))
+
+
+def _tail_evaluations(monkeypatch):
+    """Count ``_segment_tail`` calls (the bracketing ``tail_gap`` call
+    included)."""
+    count = []
+    inner = PiecewisePolyDist._segment_tail
+
+    def counting(self, i, x):
+        count.append(1)
+        return inner(self, i, x)
+
+    monkeypatch.setattr(PiecewisePolyDist, "_segment_tail", counting)
+    return count
+
+
+def test_reservation_value_rounds(monkeypatch, F, F_tilted, H_uniform, H_convex, H_step, H_bimodal,
+                                  H_threestep):
+    laws = _reservation_laws(F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_threestep,
+                             (0.3, 0.55, 0.9))
+    rng = np.random.default_rng(3)
+    count = _tail_evaluations(monkeypatch)
+    for name, G in laws.items():
+        mu = mean(G)
+        rounds = []
+        for c in np.concatenate([rng.uniform(0.0, mu, 60), [1e-9, 1e-8, 1e-7, 1e-6]]):
+            count.clear()
+            reservation_value(G, float(c))
+            rounds.append(len(count))
+        assert np.median(rounds) <= 6, (name, sorted(rounds))
+        assert max(rounds) <= 36, (name, max(rounds))  # the bisection made 36

@@ -1,11 +1,15 @@
 """Welfare accounting and the comparative-statics families."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from censearch import welfare
 from censearch._poly import gauss_nodes, nodes_for_degree, polyval
 from censearch.censorship import solve_a_max, upper_censorship
+from censearch.cli import main
 from censearch.costshape import assumption_diag_check, global_min_slope
 from censearch.dists import (
     PiecewisePolyDist,
@@ -159,8 +163,9 @@ def test_surplus_inverts_all_nodes_in_one_call(F, F_tilted, H_uniform, H_step, H
 
 def _value_of_best_of_n_reference(F, m, n):
     """The best-of-n value with its own node loop over F's pieces below m:
-    no piece is skipped, and each is summed by its own dot product."""
-    total = 0.0
+    no piece is skipped, and each is summed by its own dot product, onto the
+    atoms at or below m."""
+    total = sum((x * (F.cdf(x) ** n - F.cdf_left(x) ** n) for x in F.atom_locs.tolist() if x <= m), 0.0)
     deg = 4 * n + 4
     xg, wg = gauss_nodes(nodes_for_degree(deg))
     for i in range(len(F.coefs)):
@@ -206,6 +211,43 @@ def test_best_of_n_matches_reference(F, F_tilted, H_uniform, H_step, H_bimodal, 
             for n in (2, 5, 50):
                 got = welfare._value_of_best_of_n(prior, m, n)
                 assert got == _value_of_best_of_n_reference(prior, m, n), (m, n)
+
+
+def _atomic_prior():
+    """0.5 x uniform[0, 1] plus an atom of 0.5 at 0.2."""
+    return {"kind": "mixture", "components": [
+        {"weight": 0.5, "kind": "uniform", "support": [0, 1]},
+        {"weight": 0.5, "kind": "atoms", "support": [0, 1], "atoms": [{"at": 0.2, "mass": 1.0}]}]}
+
+
+def test_best_of_n_counts_prior_atoms(tmp_path):
+    """On an atomic prior the purchased value of the types that stop only at
+    the pooled signal (costs below the branch cost 0.09 at a = 0.4) matches
+    an mpmath reference, atom term included."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = {"version": 1,
+            "market": {"prior": _atomic_prior(), "costs": {"kind": "uniform", "support": [0, 0.18]}, "n": 2},
+            "welfare": {"a_grid": [0.4], "cost_quantiles": [0.1, 0.25]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["welfare", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "welfare.csv")))
+    with mpmath.workdps(30):
+        half, n, m = mpmath.mpf(1) / 2, 2, mpmath.mpf("0.4")
+        atom = mpmath.mpf(0.2)
+
+        def cdf(x):
+            return half * x + (half if x >= atom else 0)
+
+        best = mpmath.quad(lambda x: x * n * cdf(x) ** (n - 1) * half, [0, atom, m])
+        best += atom * (cdf(atom) ** n - (half * atom) ** n)
+        k_m = mpmath.quad(lambda x: x * half, [m, 1]) / (1 - cdf(m))
+        value = float(best + k_m * (1 - cdf(m) ** n))
+    assert value == pytest.approx(0.46767, abs=5e-6)
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["c"]) < 0.09
+        assert float(row["value"]) == pytest.approx(value, rel=1e-13, abs=0.0), row
 
 
 def test_surplus_over_many_cost_pieces(F):
