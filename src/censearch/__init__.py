@@ -11,7 +11,6 @@ an LP best-response oracle, and replays the whole game by Monte Carlo.
 """
 
 from .dists import (
-    GridSpec,
     MarketConfig,
     PiecewisePolyDist,
     Tolerances,

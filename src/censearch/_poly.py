@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 NODE_BLOCK = 1 << 14  # quadrature nodes evaluated at once by gauss_legendre
+NODE_CAP = 192        # nodes_for_degree never gives a rule more nodes than this
+ROOT_PAD = 1e-12      # real_roots_in keeps roots this far outside the interval
 
 
 def polyval(coefs: np.ndarray, x):
@@ -71,8 +73,8 @@ def _trim(coefs: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return c[: nz[-1] + 1]
 
 
-def real_roots_in(coefs: np.ndarray, lo: float, hi: float, pad: float = 1e-12) -> np.ndarray:
-    """Real roots of the polynomial inside [lo - pad, hi + pad], clipped to [lo, hi]."""
+def real_roots_in(coefs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Real roots of the polynomial within ROOT_PAD of [lo, hi], clipped to it."""
     c = _trim(coefs, tol=0.0)
     scale = np.max(np.abs(c))
     if scale == 0.0:
@@ -82,7 +84,7 @@ def real_roots_in(coefs: np.ndarray, lo: float, hi: float, pad: float = 1e-12) -
         return np.empty(0)
     roots = npoly.polyroots(c)
     real = roots[np.abs(roots.imag) <= 1e-9 * max(1.0, np.abs(roots).max())].real
-    real = real[(real >= lo - pad) & (real <= hi + pad)]
+    real = real[(real >= lo - ROOT_PAD) & (real <= hi + ROOT_PAD)]
     return np.clip(np.unique(real), lo, hi)
 
 
@@ -100,8 +102,8 @@ def gauss_nodes(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def nodes_for_degree(degree: int, cap: int = 192) -> int:
-    return min(max(degree // 2 + 1, 2), cap)
+def nodes_for_degree(degree: int) -> int:
+    return min(max(degree // 2 + 1, 2), NODE_CAP)
 
 
 def gauss_legendre(f, lo, hi, npts: int):
@@ -116,11 +118,12 @@ def gauss_legendre(f, lo, hi, npts: int):
 
     The rule is exact up to rounding for polynomial integrands of degree
     below 2 * npts, and not beyond.  :func:`nodes_for_degree` caps the rule at
-    192 nodes, which cuts the degree bound of the expected payoff (8n + 24)
-    from n = 45 firms on, of the price-function mass balance (4n + 28) from
-    n = 89, of the stop integral of demand (4n + 16) from n = 92 and of the
-    best-of-n value (4n + 4) from n = 95.  Consumer surplus integrates with
-    64 nodes a cost integrand that is not polynomial above the branch cost.
+    ``NODE_CAP`` = 192 nodes, which cuts the degree bound of the expected
+    payoff (8n + 24) from n = 45 firms on, of the price-function mass balance
+    (4n + 28) from n = 89, of the stop integral of demand (4n + 16) from
+    n = 92 and of the best-of-n value (4n + 4) from n = 95.  Consumer surplus
+    integrates with 64 nodes a cost integrand that is not polynomial above
+    the branch cost.
     """
     xg, wg = gauss_nodes(npts)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

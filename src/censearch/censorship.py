@@ -229,17 +229,17 @@ def _power_curvature_ok(F: PiecewisePolyDist, n: int, hi: float, tol: float) -> 
     return True
 
 
-def _margin_scan(H: PiecewisePolyDist, beta: float, c_hi: float, grid: int, open_top: bool = False):
+def _margin_scan(H: PiecewisePolyDist, beta: float, c_hi: float, open_top: bool = False):
     """Candidate costs extremizing H(c) - beta*c on (0, c_hi]: exact
-    stationary points per segment plus a floor-protected grid.  The contact
-    at c = 0 is always excluded; ``open_top`` also excludes a sliver at the
-    top endpoint (used when that endpoint is a construction contact rather
-    than a constraint; a genuine violation inside the sliver implies a
-    failing kink, which the kink check reports)."""
-    floor = c_hi / max(grid - 1, 1)
+    stationary points per segment plus a floor-protected grid of MARGIN_GRID
+    points.  The contact at c = 0 is always excluded; ``open_top`` also
+    excludes a sliver at the top endpoint (used when that endpoint is a
+    construction contact rather than a constraint; a genuine violation
+    inside the sliver implies a failing kink, which the kink check reports)."""
+    floor = c_hi / (MARGIN_GRID - 1)
     top = c_hi - floor if open_top else c_hi
     cands: set[float] = set()
-    cands.update(float(c) for c in np.linspace(floor, top, grid))
+    cands.update(float(c) for c in np.linspace(floor, top, MARGIN_GRID))
     for i in range(len(H.coefs)):
         lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
         if lo >= top:
@@ -344,7 +344,7 @@ def verify_uce(
     # (iii) domination margin over partial-purchase signals
     c_hi = min(cfa, cbar)
     beta = Ha / cfa
-    cs = np.array(_margin_scan(H, beta, c_hi, MARGIN_GRID, open_top=not below))
+    cs = np.array(_margin_scan(H, beta, c_hi, open_top=not below))
     vals = J * (H.cdf(cs) - beta * cs)
     margin = float(np.min(vals))
     binds = cs[np.abs(vals) <= max(tol.ineq, 1e-7 * max(J, 1e-12))]

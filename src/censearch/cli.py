@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .censorship import (
 )
 from .costshape import average_slope, cost_shape_report, scan_table
 from .demand import DemandCurve
-from .dists import GridSpec, MarketConfig, PiecewisePolyDist, Tolerances, dist_from_json
+from .dists import MarketConfig, PiecewisePolyDist, Tolerances, dist_from_json
 from .oracle import GRID_N, build_problem, solve_br
 from .simulate import SimConfig, simulate_deviation, simulate_market
 from .welfare import (
@@ -39,6 +40,7 @@ from .welfare import (
 )
 
 SCHEMA_VERSION = 1
+PLOT_POINTS = 513  # signal grid of the --emit-phi panel and emit-plot's default
 
 _KNOWN_TOP = {"version", "market", "solve", "verify", "oracle", "simulate",
               "compstat", "welfare", "emit_plot", "output"}
@@ -70,13 +72,12 @@ def load_market(spec: dict) -> MarketConfig:
     blk = spec.get("market")
     if not isinstance(blk, dict):
         raise ConfigError("spec needs a 'market' block")
-    _require_keys(blk, {"prior", "costs", "n", "tol", "grid"}, "market")
+    _require_keys(blk, {"prior", "costs", "n", "tol"}, "market")
     with _config_errors():
         prior = dist_from_json(blk["prior"])
         costs = dist_from_json(blk["costs"])
         tol = Tolerances(**blk.get("tol", {}))
-        grid = GridSpec(**blk.get("grid", {}))
-        return MarketConfig(prior, costs, int(blk["n"]), tol=tol, grid=grid)
+        return MarketConfig(prior, costs, blk["n"], tol=tol)
 
 
 @contextmanager
@@ -125,7 +126,7 @@ def cmd_solve(spec: dict, out: Path | None, args) -> int:
     }
     _write_json(out, "solve.json", payload)
     if blk.get("scan_csv") or out is not None:
-        tab = scan_table(mc.costs, mc.grid.scan_per_segment // 8)
+        tab = scan_table(mc.costs)
         _write_csv(out, "cost_scan.csv", ["c", "H", "h", "S", "Sprime"], tab.tolist())
     return 0
 
@@ -139,14 +140,16 @@ def cmd_verify(spec: dict, out: Path | None, args) -> int:
         with _config_errors():
             a = float(blk["a"])
     if "n_sweep" in blk:
+        with _config_errors():  # each market size passes the market's own check
+            sweep = [replace(mc, n=n).n for n in blk["n_sweep"]]
         rows = []
         smallest = None
-        for n in blk["n_sweep"]:
-            rep = verify_uce(mc.prior, mc.costs, a, int(n), mc.tol)
+        for n in sweep:
+            rep = verify_uce(mc.prior, mc.costs, a, n, mc.tol)
             ok = rep.verdict == "equilibrium"
-            rows.append({"n": int(n), "verdict": rep.verdict, "checks": rep.checks})
+            rows.append({"n": n, "verdict": rep.verdict, "checks": rep.checks})
             if ok and smallest is None:
-                smallest = int(n)
+                smallest = n
         payload = {"a": a, "sweep": rows, "smallest_passing_n": smallest}
         gate_failed = smallest is None
     elif "a_grid" in blk:
@@ -166,10 +169,10 @@ def cmd_verify(spec: dict, out: Path | None, args) -> int:
     return 4 if gate_failed else 0
 
 
-def _emit_phi_csv(mc: MarketConfig, a: float, target: Path, points: int = 513) -> None:
+def _emit_phi_csv(mc: MarketConfig, a: float, target: Path) -> None:
     """(x, demand, certificate) panel for one threshold."""
     curve = DemandCurve(upper_censorship(mc.prior, a), mc.n, mc.costs)
-    xs = np.linspace(0.0, 1.0, points)
+    xs = np.linspace(0.0, 1.0, PLOT_POINTS)
     phi = virtual_demand(mc.prior, mc.costs, a, mc.n, xs, curve)
     rows = np.column_stack([xs, curve.value(xs), phi]).tolist()
     _write_csv(target.parent, target.name, ["x", "D", "phi"], rows)
@@ -184,7 +187,7 @@ def cmd_oracle(spec: dict, out: Path | None, args) -> int:
     G = upper_censorship(mc.prior, a)
     prob = build_problem(G, mc.prior, mc.costs, mc.n, grid_n)
     sol = solve_br(prob)
-    sup_x, sup_m = sol.support(1e-9)
+    sup_x, sup_m = sol.support()
     payload = {
         "a": a,
         "n": mc.n,
@@ -312,7 +315,7 @@ def cmd_emit_plot(spec: dict, out: Path | None, args) -> int:
     _require_keys(blk, {"a", "points"}, "emit_plot")
     rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
     a = float(blk["a"]) if "a" in blk else solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0]
-    pts = int(blk.get("points", 513))
+    pts = int(blk.get("points", PLOT_POINTS))
     # cost panel with the tangent line through the origin at slope min S
     smin = rep.min_slope
     # at the cost top both one-sided densities are the last piece's

@@ -51,6 +51,9 @@ __all__ = [
     "scan_table",
 ]
 
+SLOPE_TOL = 1e-9    # slack of the running-minimum and criticality tests on S
+RISE_TOL = 1e-11    # a density slope above this counts as rising
+
 
 def _require_continuous(H: PiecewisePolyDist):
     if len(H.atom_locs) and np.any(H.atom_masses > 0):
@@ -100,7 +103,7 @@ class _SlopeAnalysis:
     minimum ``run`` (``run[k]`` over the first k candidates, so ``run[0]``
     is inf).  Everything else is read from that table on first use."""
 
-    def __init__(self, H: PiecewisePolyDist, tol: float = 1e-9):
+    def __init__(self, H: PiecewisePolyDist, tol: float = SLOPE_TOL):
         self.H, self.tol = H, tol
         self.table = []
         for i in range(len(H.coefs)):
@@ -239,7 +242,7 @@ class _SlopeAnalysis:
         return "c"
 
 
-def _analysis(H: PiecewisePolyDist, tol: float = 1e-9) -> _SlopeAnalysis:
+def _analysis(H: PiecewisePolyDist, tol: float = SLOPE_TOL) -> _SlopeAnalysis:
     _require_continuous(H)
     return _SlopeAnalysis(H, tol)
 
@@ -249,8 +252,9 @@ def global_min_slope(H: PiecewisePolyDist) -> tuple[float, float]:
     return _analysis(H).global_min
 
 
-def concavity_tail_start(H: PiecewisePolyDist, tol: float = 1e-11) -> float:
-    """Infimum of c such that the density is nonincreasing on (c, cbar].
+def concavity_tail_start(H: PiecewisePolyDist) -> float:
+    """Infimum of c such that the density is nonincreasing on (c, cbar]
+    (its slope at most RISE_TOL).
 
     Walks segments from the top.  Any density discontinuity at an interior
     breakpoint closes the window (baseline model densities are continuous;
@@ -262,7 +266,7 @@ def concavity_tail_start(H: PiecewisePolyDist, tol: float = 1e-11) -> float:
     for i in range(len(H.coefs) - 1, -1, -1):
         lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
         dcoef = polyder(H.coefs[i])
-        last_pos = _last_positive_point(dcoef, lo, hi, tol)
+        last_pos = _last_positive_point(dcoef, lo, hi)
         if last_pos is not None:
             return last_pos
         start = lo
@@ -274,57 +278,55 @@ def concavity_tail_start(H: PiecewisePolyDist, tol: float = 1e-11) -> float:
     return start
 
 
-def _last_positive_point(coefs, lo: float, hi: float, tol: float) -> float | None:
-    """sup{t in [lo,hi]: p(t) > tol}, or None if p <= tol throughout."""
+def _last_positive_point(coefs, lo: float, hi: float) -> float | None:
+    """sup{t in [lo,hi]: p(t) > RISE_TOL}, or None if p <= RISE_TOL throughout."""
     cuts = [lo] + [float(r) for r in real_roots_in(np.asarray(coefs, float), lo, hi)] + [hi]
     cuts = sorted(set(cuts))
     last = None
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a < 1e-15:
             continue
-        if polyval(np.asarray(coefs, float), 0.5 * (a + b)) > tol:
+        if polyval(np.asarray(coefs, float), 0.5 * (a + b)) > RISE_TOL:
             last = b
     return last
 
 
-def critical_min_set(H: PiecewisePolyDist, tol: float = 1e-9) -> list[tuple[float, float]]:
+def critical_min_set(H: PiecewisePolyDist) -> list[tuple[float, float]]:
     """Points and closed intervals where the average slope is stationary
     (two-sided zero derivative, a flat plateau, or a kink minimum at a
     density jump) *and* is a running minimum over [0, c]."""
-    return [(c.lo, c.hi) for c in _analysis(H, tol).crit]
+    return [(c.lo, c.hi) for c in _analysis(H).crit]
 
 
-def smallest_local_min(H: PiecewisePolyDist, tol: float = 1e-9) -> float:
+def smallest_local_min(H: PiecewisePolyDist) -> float:
     """Location of the smallest critical minimum of the average slope;
     plateau ties resolve to the largest minimizer.  Empty or top-only
     critical sets fall back to the concavity tail start."""
-    return _analysis(H, tol).best_min
+    return _analysis(H).best_min
 
 
-def crossing_solution(H: PiecewisePolyDist, tol: float = 1e-9) -> float | None:
+def crossing_solution(H: PiecewisePolyDist) -> float | None:
     """The unique c above the smallest critical minimum where S re-attains
     that minimum's value; exactly cbar at the boundary equality
     S = 1/cbar; absent when the minimum lies below 1/cbar or the critical
     set is empty."""
-    return _analysis(H, tol).crossing
+    return _analysis(H).crossing
 
 
-def assumption_diag_check(
-    H: PiecewisePolyDist, tol: float = 1e-9
-) -> tuple[bool, float | None, float | None]:
+def assumption_diag_check(H: PiecewisePolyDist) -> tuple[bool, float | None, float | None]:
     """Does the average slope attain its global minimum strictly below the
     support top?  Returns (holds, minimizer, density at the minimizer); the
     minimizer reported is the smallest attaining point; its density is the
     left limit at interior kinks."""
-    return _analysis(H, tol).evenness()
+    return _analysis(H).evenness()
 
 
-def classify_case(H: PiecewisePolyDist, mu: float, tol: float = 1e-9) -> str:
+def classify_case(H: PiecewisePolyDist, mu: float) -> str:
     """Case label for the maximal-threshold formula: from the smallest
     critical minimum of the average slope -- a) at or below 1/mu,
     b) between 1/mu and 1/cbar, c) above 1/cbar, d) no usable critical set
     (empty or a single point at the support top)."""
-    return _analysis(H, tol).case(mu)
+    return _analysis(H).case(mu)
 
 
 @dataclass
@@ -359,7 +361,7 @@ class CostShapeReport:
         }
 
 
-def cost_shape_report(H: PiecewisePolyDist, mu: float, tol: float = 1e-9) -> CostShapeReport:
+def cost_shape_report(H: PiecewisePolyDist, mu: float, tol: float = SLOPE_TOL) -> CostShapeReport:
     """The cost-shape statistics of H from one analysis; ``mu`` (the prior
     mean) enters only the case label."""
     an = _analysis(H, tol)
@@ -379,7 +381,7 @@ def cost_shape_report(H: PiecewisePolyDist, mu: float, tol: float = 1e-9) -> Cos
     )
 
 
-def scan_table(H: PiecewisePolyDist, per_segment: int = 4096) -> np.ndarray:
+def scan_table(H: PiecewisePolyDist, per_segment: int = 512) -> np.ndarray:
     """Columns (c, H(c), h(c), S(c), S'(c)) on a dense per-segment grid;
     one-sided from the right, except at the support top, where both sides
     are the last piece."""

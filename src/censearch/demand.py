@@ -30,6 +30,8 @@ __all__ = [
     "expected_payoff",
 ]
 
+SNAP_TOL = 1e-9  # margins moves a cutoff cost this close to a cost breakpoint onto it
+
 
 def jump_size(G: PiecewisePolyDist, x, n: int):
     """Size of the upward jump in a consumer's purchase probability when the
@@ -50,12 +52,13 @@ def _visit_prob(g_left: float, n: int) -> float:
     return (1.0 - g_left**n) / (n * (1.0 - g_left))
 
 
-def _snap(value, knots: np.ndarray, tol: float = 1e-9):
-    """Snap computed coordinates onto the nearest structural knot so that
-    one-sided evaluation engages at kinks reached through root-finding."""
+def _snap(value, knots: np.ndarray):
+    """Snap computed coordinates onto the nearest structural knot (within
+    SNAP_TOL) so that one-sided evaluation engages at kinks reached through
+    root-finding."""
     value = np.asarray(value, dtype=float)
     near = knots[np.argmin(np.abs(knots - value[..., None]), axis=-1)]
-    return np.where(np.abs(near - value) <= tol, near, value)
+    return np.where(np.abs(near - value) <= SNAP_TOL, near, value)
 
 
 class DemandCurve:

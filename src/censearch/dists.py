@@ -24,7 +24,6 @@ from ._poly import poly_range_on, real_roots_in
 
 __all__ = [
     "Tolerances",
-    "GridSpec",
     "PiecewisePolyDist",
     "MarketConfig",
     "mean",
@@ -36,6 +35,8 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+ATOM_PAD = 1e-9    # half-width of the interval that carries a law of atoms alone
+ZERO_COST = 1e-10  # reservation_value returns the support top for costs up to this
 # quantile inverts at most this many draws at a time: it bounds the ~30
 # temporaries of the iteration to a few MB, which also keeps them in cache
 # (on a 2-core Xeon, 110k draws took 16-21 ms in blocks of 2^14 against
@@ -47,11 +48,6 @@ QUANTILE_BLOCK = 1 << 14
 class Tolerances:
     root: float = 1e-10
     ineq: float = 1e-9
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    scan_per_segment: int = 4096   # cost-shape scan resolution
 
 
 class PiecewisePolyDist:
@@ -75,6 +71,9 @@ class PiecewisePolyDist:
         "atom_locs",
         "atom_masses",
         "_inner",
+        "_dens_min",
+        "_dens_max",
+        "_atom_at",
         "_pdf",
         "_dpdf",
         "_P",
@@ -90,7 +89,7 @@ class PiecewisePolyDist:
         "_mean",
     )
 
-    def __init__(self, breaks, coefs, atoms=(), _validate: bool = True):
+    def __init__(self, breaks, coefs, atoms=()):
         breaks = np.asarray(breaks, dtype=float)
         coefs = [np.asarray(c, dtype=float) for c in coefs]
         atoms = sorted((float(a), float(m)) for a, m in atoms)
@@ -109,8 +108,7 @@ class PiecewisePolyDist:
         self.atom_locs = np.array([a for a, _ in atoms], dtype=float)
         self.atom_masses = np.array([m for _, m in atoms], dtype=float)
         self._build_tables()
-        if _validate:
-            self._validate()
+        self._validate()
 
     # -- construction -----------------------------------------------------
 
@@ -119,10 +117,10 @@ class PiecewisePolyDist:
         return cls([lo, hi], [np.array([1.0 / (hi - lo)])])
 
     @classmethod
-    def point_mass(cls, x: float, eps: float = 1e-9) -> "PiecewisePolyDist":
-        """Degenerate distribution; carried on a tiny interval so the object
-        still has a well-formed support."""
-        return cls([x - eps, x + eps], [np.zeros(1)], atoms=[(x, 1.0)])
+    def point_mass(cls, x: float) -> "PiecewisePolyDist":
+        """Degenerate distribution; carried on [x - ATOM_PAD, x + ATOM_PAD] so
+        the object still has a well-formed support."""
+        return cls([x - ATOM_PAD, x + ATOM_PAD], [np.zeros(1)], atoms=[(x, 1.0)])
 
     @classmethod
     def mixture(cls, components, weights) -> "PiecewisePolyDist":
@@ -153,6 +151,9 @@ class PiecewisePolyDist:
         nseg = len(self.coefs)
         lo, hi = self.breaks[:-1], self.breaks[1:]
         self._inner = self.breaks[1:-1]
+        # exact (min, max) of the density on each segment
+        ranges = [poly_range_on(c, lo[i], hi[i]) for i, c in enumerate(self.coefs)]
+        self._dens_min, self._dens_max = np.array(ranges).T
         # at least two rows: _poly.polyint, like numpy's, returns a one-term
         # (not two-term) antiderivative for a table that is a single row of zeros
         dens = np.zeros((max(2, max(len(c) for c in self.coefs)), nseg))
@@ -174,6 +175,7 @@ class PiecewisePolyDist:
         cdf[0] = atom_at_break[0]
         for i in range(nseg):
             cdf[i + 1] = cdf[i] + seg_mass[i] + atom_at_break[i + 1]
+        self._atom_at = atom_at_break
         self._cdf_at = cdf
         self._cdf_left_at = cdf - atom_at_break
         self._P, self._PP, self._P_lo = P, PP, P_lo
@@ -194,8 +196,7 @@ class PiecewisePolyDist:
             raise ValueError(f"total mass {total!r} != 1")
         if np.any(self.atom_masses < -MASS_TOL) or np.any(self.atom_masses > 1 + MASS_TOL):
             raise ValueError("atom masses must lie in [0, 1]")
-        for i, c in enumerate(self.coefs):
-            lo_v, _ = poly_range_on(c, self.breaks[i], self.breaks[i + 1])
+        for i, lo_v in enumerate(self._dens_min.tolist()):
             if lo_v < -1e-11:
                 raise ValueError(f"density negative on segment {i}: min={lo_v}")
 
@@ -238,33 +239,19 @@ class PiecewisePolyDist:
         return float(self.breaks[-1])
 
     def max_supp(self) -> float:
-        """Top of the support: the largest point carrying mass."""
-        for i in range(len(self.coefs) - 1, -1, -1):
-            if self._atom_mass_at_index(i + 1) > 0:
-                return float(self.breaks[i + 1])
-            lo_v, hi_v = poly_range_on(self.coefs[i], self.breaks[i], self.breaks[i + 1])
-            if hi_v > 1e-13:
-                return float(self.breaks[i + 1])
-        if self._atom_mass_at_index(0) > 0:
-            return float(self.breaks[0])
-        return float(self.breaks[-1])
+        """Top of the support: the largest breakpoint with an atom or with
+        density above 1e-13 just below it; the support top when there is none."""
+        live = self._atom_at > 0
+        live[1:] |= self._dens_max > 1e-13
+        return float(self.breaks[len(live) - 1 - np.argmax(live[::-1])])
 
     def min_supp(self) -> float:
-        if self._atom_mass_at_index(0) > 0:
-            return float(self.breaks[0])
-        for i in range(len(self.coefs)):
-            lo_v, hi_v = poly_range_on(self.coefs[i], self.breaks[i], self.breaks[i + 1])
-            if hi_v > 1e-13:
-                return float(self.breaks[i])
-            if self._atom_mass_at_index(i + 1) > 0:
-                return float(self.breaks[i + 1])
-        return float(self.breaks[0])
-
-    def _atom_mass_at_index(self, i: int) -> float:
-        if not len(self.atom_locs):
-            return 0.0
-        hit = np.abs(self.atom_locs - self.breaks[i]) <= 1e-14
-        return float(self.atom_masses[hit].sum())
+        """Bottom of the support: the smallest breakpoint with an atom or with
+        density above 1e-13 just above it; the support bottom when there is
+        none."""
+        live = self._atom_at > 0
+        live[:-1] |= self._dens_max > 1e-13
+        return float(self.breaks[np.argmax(live)])
 
     def atom_mass_at(self, x):
         """Total atom mass within 1e-12 of x."""
@@ -526,7 +513,7 @@ def dist_from_json(spec: dict) -> PiecewisePolyDist:
         atoms = [(float(a["at"]), float(a["mass"])) for a in spec["atoms"]]
         first, last = min(a for a, _ in atoms), max(a for a, _ in atoms)
         if lo is None:
-            lo, hi = first - 1e-9, last + 1e-9
+            lo, hi = first - ATOM_PAD, last + ATOM_PAD
         lo, hi = float(lo), float(hi)
         lo = min(lo, first - 1e-12)
         hi = max(hi, last + 1e-12)
@@ -555,13 +542,12 @@ def dist_from_json(spec: dict) -> PiecewisePolyDist:
 @dataclass
 class MarketConfig:
     """The full game instance: match-value prior on [0,1], search-cost
-    distribution on [0, cbar], number of firms, tolerances, grid sizes."""
+    distribution on [0, cbar], number of firms, tolerances."""
 
     prior: PiecewisePolyDist
     costs: PiecewisePolyDist
     n: int
     tol: Tolerances = field(default_factory=Tolerances)
-    grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -574,10 +560,8 @@ class MarketConfig:
             raise ValueError(
                 f"cost support top {self.cbar} must be below the prior mean {mu}"
             )
-        for i, c in enumerate(self.prior.coefs):
-            lo_v, _ = poly_range_on(c, self.prior.breaks[i], self.prior.breaks[i + 1])
-            if lo_v <= 0:
-                raise ValueError("prior must have a strictly positive density")
+        if np.any(self.prior._dens_min <= 0):
+            raise ValueError("prior must have a strictly positive density")
 
     @property
     def mu(self) -> float:
@@ -603,18 +587,18 @@ def incremental_benefit(G: PiecewisePolyDist, x: float) -> float:
     return G.tail_gap(x)
 
 
-def reservation_value(G: PiecewisePolyDist, c, tol: float = 1e-10):
+def reservation_value(G: PiecewisePolyDist, c):
     """The unique r with  int_r^1 (1 - G(t)) dt = c  (stopping cutoff of a
     consumer with search cost c).  Takes a scalar (returns a float) or an
     array of costs.
 
-    Costs c <= tol get max(supp(G)), the limit as c -> 0, and costs at or
-    above the tail at the bottom of the support get mean - c (below the
-    support the benefit is mean - r).  Elsewhere the breakpoint tails bracket
-    r in one segment, where :func:`_bracketed_newton` inverts the segment
-    tail (slope 1 - G, curvature -density) down to an ulp or two, or to the
-    band where the rounding of the computed tail leaves its sign open; tol
-    plays no part there.
+    Costs c <= ZERO_COST get max(supp(G)), the limit as c -> 0, and costs
+    at or above the tail at the bottom of the support get mean - c (below
+    the support the benefit is mean - r).  Elsewhere the breakpoint tails
+    bracket r in one segment, where :func:`_bracketed_newton` inverts the
+    segment tail (slope 1 - G, curvature -density) down to an ulp or two, or
+    to the band where the rounding of the computed tail leaves its sign
+    open; ZERO_COST plays no part there.
     """
     c = np.asarray(c, dtype=float)
     mu = mean(G)
@@ -623,7 +607,7 @@ def reservation_value(G: PiecewisePolyDist, c, tol: float = 1e-10):
     tails = G.tail_gap(G.breaks)
     cs = c.reshape(-1)
     r = mu - cs
-    near0 = cs <= tol
+    near0 = cs <= ZERO_COST
     if near0.any():
         r[near0] = G.max_supp()
     rest = np.flatnonzero(~near0 & (cs < tails[0]))

@@ -42,6 +42,8 @@ __all__ = ["BRProblem", "BRSolution", "build_problem", "solve_br", "equilibrium_
 
 GRID_N = 801          # uniform mesh points of the LP grid
 COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
+SUPPORT_MASS = 1e-9   # smallest LP mass BRSolution.support reports
+ATOM_MASS = 1e-12     # smallest LP mass masses_to_dist keeps as an atom
 
 
 @dataclass
@@ -97,8 +99,8 @@ class BRSolution:
     duality_gap: float
     grid: np.ndarray = field(repr=False, default=None)
 
-    def support(self, tol: float = 1e-9):
-        keep = self.masses > tol
+    def support(self):
+        keep = self.masses > SUPPORT_MASS
         return self.grid[keep], self.masses[keep]
 
 
@@ -193,10 +195,10 @@ def equilibrium_gap(
     return max(0.0, sol.value - 1.0 / n)
 
 
-def masses_to_dist(grid: np.ndarray, masses: np.ndarray, tol: float = 1e-12) -> PiecewisePolyDist:
-    """Reconstruct a step-CDF distribution from LP masses (for feasibility
-    cross-checks against the contraction test)."""
-    keep = masses > tol
+def masses_to_dist(grid: np.ndarray, masses: np.ndarray) -> PiecewisePolyDist:
+    """Reconstruct a step-CDF distribution from the LP masses above
+    ATOM_MASS (for feasibility cross-checks against the contraction test)."""
+    keep = masses > ATOM_MASS
     locs = grid[keep]
     w = masses[keep]
     w = w / w.sum()

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 FOSD_GRID = 4097  # scan points of fosd_compare (plus both breakpoint sets)
+SHAPE_TOL = 1e-11  # classify_density_shape: smaller slopes and jumps count as flat
 
 
 def _value_of_best_of_n(F: PiecewisePolyDist, m: float, n: int) -> float:
@@ -62,21 +63,23 @@ def consumer_surplus_type(
     best revealed draw after exhausting all firms.  Above a_c they stop at
     any signal clearing a_c, so the branch quantities freeze at a_c.
     """
-    if incremental_benefit(F, a) > c:
-        m = a  # searching on from a pays, so the cutoff image a_c lies above a
-    else:
-        m = min(a, reservation_value(F, c) if c < mean(F) else 0.0)
-    return _surplus_at_cutoff(F, c, n, m)
-
-
-def _surplus_at_cutoff(F: PiecewisePolyDist, c: float, n: int, m: float) -> tuple[float, float, float]:
-    """:func:`consumer_surplus_type` of cost type c, given its branch cutoff
-    m = min(a, a_c)."""
     if c <= 0:
         raise ValueError("surplus formulas need a strictly positive cost type")
+    m = float(_branch_cutoffs(F, a, incremental_benefit(F, a), np.array([c]))[0])
     value, searches = _cutoff_terms(F, n, m)
     cost = searches * c
     return float(value), float(cost), float(value - cost)
+
+
+def _branch_cutoffs(F: PiecewisePolyDist, a: float, cfa: float, cs: np.ndarray) -> np.ndarray:
+    """The branch cutoff m = min(a, a_c) of each cost type in cs: a below the
+    branch cost cfa = incremental_benefit(F, a), 0 from the prior mean on,
+    else min(a, reservation value), inverted in one call."""
+    cut = ~(cfa > cs) & (cs < mean(F))
+    ms = np.where(cfa > cs, float(a), min(float(a), 0.0))
+    if cut.any():
+        ms[cut] = np.minimum(a, reservation_value(F, cs[cut]))
+    return ms
 
 
 def _cutoff_terms(F: PiecewisePolyDist, n: int, m: float) -> tuple[float, float]:
@@ -86,8 +89,7 @@ def _cutoff_terms(F: PiecewisePolyDist, n: int, m: float) -> tuple[float, float]
     k_m = truncated_mean_above(F, m)
     best = _value_of_best_of_n(F, m, n) if m > F.support_lo else 0.0
     value = best + k_m * (1.0 - Fm**n)
-    searches = (1.0 - Fm**n) / (1.0 - Fm) if Fm < 1.0 else float(n)
-    return value, searches
+    return value, expected_search_length(F, m, n)
 
 
 def consumer_surplus(
@@ -102,11 +104,7 @@ def consumer_surplus(
     terms = {}  # cutoff m -> _cutoff_terms(F, n, m)
 
     def surplus(cs):
-        # the branch cutoffs min(a, a_c) of a block of nodes, inverted in one call
-        cut = ~(cfa > cs) & (cs < mean(F))
-        ms = np.where(cfa > cs, float(a), min(float(a), 0.0))
-        if cut.any():
-            ms[cut] = np.minimum(a, reservation_value(F, cs[cut]))
+        ms = _branch_cutoffs(F, a, cfa, cs)
         # the cutoff terms once per distinct cutoff (below the branch cost
         # every node has m = a); only the search cost differs between nodes
         terms.update((m, _cutoff_terms(F, n, m)) for m in np.unique(ms).tolist() if m not in terms)
@@ -180,7 +178,7 @@ def uniform_interpolate(
     return PiecewisePolyDist.mixture([uni, H0], [lam, 1.0 - lam])
 
 
-def classify_density_shape(H: PiecewisePolyDist, tol: float = 1e-11) -> str:
+def classify_density_shape(H: PiecewisePolyDist) -> str:
     """'quasi_convex_interior_dip' when the density falls then rises with a
     strict interior minimum, 'quasi_concave_interior_peak' for the mirror
     pattern, else 'neither'."""
@@ -197,7 +195,7 @@ def classify_density_shape(H: PiecewisePolyDist, tol: float = 1e-11) -> str:
         a, b = float(H.breaks[i]), float(H.breaks[i + 1])
         if i > 0:
             jump = polyval(H.coefs[i], a) - polyval(H.coefs[i - 1], a)
-            if abs(jump) > tol:
+            if abs(jump) > SHAPE_TOL:
                 push(1 if jump > 0 else -1)
         d = polyder(H.coefs[i])
         cuts = [a] + [float(r) for r in real_roots_in(d, a, b)] + [b]
@@ -205,7 +203,7 @@ def classify_density_shape(H: PiecewisePolyDist, tol: float = 1e-11) -> str:
             if v - u < 1e-14:
                 continue
             val = polyval(d, 0.5 * (u + v))
-            push(1 if val > tol else (-1 if val < -tol else 0))
+            push(1 if val > SHAPE_TOL else (-1 if val < -SHAPE_TOL else 0))
     if signs == [-1, 1]:
         return "quasi_convex_interior_dip"
     if signs == [1, -1]:

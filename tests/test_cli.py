@@ -79,15 +79,15 @@ def test_missing_required_fields_exit_2(tmp_path, capsys):
 
 
 def test_unread_grid_knobs_rejected(tmp_path, capsys):
-    # GridSpec carries only the sizes something reads; the certificate grids
-    # are constants of censorship, so a spec setting them is a config error
-    for knob in ("curvature", "margin"):
+    # the certificate grids and the cost scan are constants, so the market
+    # has no grid block: a spec setting one is a config error
+    for knob in ("curvature", "margin", "scan_per_segment"):
         spec = write_spec(tmp_path, f"{knob}.json")
         payload = json.loads(spec.read_text())
         payload["market"]["grid"] = {knob: 513}
         spec.write_text(json.dumps(payload))
         assert main(["solve", "--spec", str(spec)]) == 2
-        assert knob in capsys.readouterr().err
+        assert "'grid'" in capsys.readouterr().err
 
 
 def test_lp_grid_knobs_rejected(tmp_path, capsys):
@@ -99,7 +99,7 @@ def test_lp_grid_knobs_rejected(tmp_path, capsys):
         payload["market"]["grid"] = {knob: 201}
         spec.write_text(json.dumps(payload))
         assert main(["oracle", "--spec", str(spec)]) == 2
-        assert knob in capsys.readouterr().err
+        assert "'grid'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--spec", str(spec), "--grid", "201"])
     assert exc.value.code == 2
@@ -164,6 +164,25 @@ def test_verify_n_sweep(tmp_path):
     assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
     payload = json.loads((out / "verify.json").read_text())
     assert payload["smallest_passing_n"] == 2
+
+
+def test_fractional_firm_count_rejected(tmp_path, capsys):
+    # a market size that is not an integer is a config error, in the market
+    # block and in every sweep entry alike, never truncated to a smaller n
+    cases = {"n": write_spec(tmp_path, "n.json", n=2.7, extra={"verify": {"a": 0.4}}),
+             "sweep": write_spec(tmp_path, "sweep.json", extra={"verify": {"a": 0.4,
+                                                                           "n_sweep": [2, 2.5]}}),
+             "small": write_spec(tmp_path, "small.json", extra={"verify": {"a": 0.4,
+                                                                           "n_sweep": [1, 2]}})}
+    for name, spec in cases.items():
+        assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / name)]) == 2, name
+        assert "integer number of firms" in capsys.readouterr().err, name
+        assert not (tmp_path / name).exists(), name
+    whole = write_spec(tmp_path, "whole.json", n=5.0, extra={"verify": {"a": 0.4,
+                                                                       "n_sweep": [2.0, 3]}})
+    assert main(["verify", "--spec", str(whole), "--out", str(tmp_path / "whole")]) == 0
+    payload = json.loads((tmp_path / "whole" / "verify.json").read_text())
+    assert [row["n"] for row in payload["sweep"]] == [2, 3]
 
 
 def test_oracle_and_dump(tmp_path):

@@ -386,6 +386,64 @@ def test_tables_match_per_call_formulas(law):
         assert _same_bits(query(d, xs), expect), name
 
 
+def _ref_atom_mass_at_index(d, i):
+    hit = np.abs(d.atom_locs - d.breaks[i]) <= 1e-14
+    return float(d.atom_masses[hit].sum()) if len(d.atom_locs) else 0.0
+
+
+def _ref_max_supp(d):
+    for i in range(len(d.coefs) - 1, -1, -1):
+        if _ref_atom_mass_at_index(d, i + 1) > 0:
+            return float(d.breaks[i + 1])
+        if _poly.poly_range_on(d.coefs[i], d.breaks[i], d.breaks[i + 1])[1] > 1e-13:
+            return float(d.breaks[i + 1])
+    return float(d.breaks[0] if _ref_atom_mass_at_index(d, 0) > 0 else d.breaks[-1])
+
+
+def _ref_min_supp(d):
+    if _ref_atom_mass_at_index(d, 0) > 0:
+        return float(d.breaks[0])
+    for i in range(len(d.coefs)):
+        if _poly.poly_range_on(d.coefs[i], d.breaks[i], d.breaks[i + 1])[1] > 1e-13:
+            return float(d.breaks[i])
+        if _ref_atom_mass_at_index(d, i + 1) > 0:
+            return float(d.breaks[i + 1])
+    return float(d.breaks[0])
+
+
+def test_support_ends_match_per_segment_loops(F, F_tilted, H_uniform, H_convex, H_step,
+                                              H_bimodal, H_threestep):
+    # max_supp, min_supp and the prior's positivity check read the density
+    # range and atom tables built with the law; the per-segment loops they
+    # replaced are the reference, bit for bit
+    laws = _reservation_laws(F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_threestep,
+                             (0.0, 0.3, 0.55, 0.9))
+    laws.update(_laws(), point=PiecewisePolyDist.point_mass(0.5),
+                atoms_only=dist_from_json({"kind": "atoms", "atoms": [{"at": 0.2, "mass": 0.5},
+                                                                      {"at": 0.7, "mass": 0.5}]}),
+                gap_top=PiecewisePolyDist([0.0, 0.5, 1.0], [np.array([2.0]), np.zeros(1)]),
+                gap_bottom=PiecewisePolyDist([0.0, 0.5, 1.0], [np.zeros(1), np.array([2.0])]),
+                gap_inside=PiecewisePolyDist([0.0, 0.2, 0.6, 1.0],
+                                             [np.array([2.5]), np.zeros(1), np.array([1.25])]),
+                gap_ends_atoms=PiecewisePolyDist([0.0, 0.3, 0.6, 1.0],
+                                                 [np.zeros(1), np.array([1.0]), np.zeros(1)],
+                                                 atoms=[(0.0, 0.3), (0.6, 0.2), (1.0, 0.2)]),
+                vanishing_ends=PiecewisePolyDist([0.0, 1.0], [np.array([0.0, 6.0, -6.0])]))
+    for name, d in laws.items():
+        assert type(d.max_supp()) is float and type(d.min_supp()) is float, name
+        assert repr(d.max_supp()) == repr(_ref_max_supp(d)), name
+        assert repr(d.min_supp()) == repr(_ref_min_supp(d)), name
+        lows = [_poly.poly_range_on(c, lo, hi)[0]
+                for c, lo, hi in zip(d.coefs, d.breaks[:-1], d.breaks[1:])]
+        assert _same_bits(d._dens_min, lows), name
+        if abs(d.support_lo) <= 1e-12 and abs(d.support_hi - 1.0) <= 1e-12 and mean(d) > 0.18:
+            if min(lows) > 0:
+                MarketConfig(d, H_uniform, 2)
+            else:
+                with pytest.raises(ValueError, match="positive density"):
+                    MarketConfig(d, H_uniform, 2)
+
+
 def test_closed_form_antiderivatives_match_numpy():
     # _poly makes numpy's divisions and products, on one polynomial or on
     # every column of a table, signed zeros and a single row of zeros included
