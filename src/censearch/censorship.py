@@ -37,7 +37,7 @@ from .costshape import (
     cost_shape_report,
     global_min_slope,
 )
-from .demand import DemandCurve, jump_size
+from .demand import DemandCurve, pooled_jump
 from .dists import (
     PiecewisePolyDist,
     Tolerances,
@@ -104,15 +104,6 @@ def threshold_from_cost(F: PiecewisePolyDist, cost: float) -> float:
     return reservation_value(F, cost)
 
 
-def _pool_jump(F: PiecewisePolyDist, a: float, n: int) -> float:
-    """Jump term of the censored strategy: visit probability at the pooled
-    signal minus the max-win probability at the threshold."""
-    Fa = F.cdf(a)
-    if Fa >= 1.0 - 1e-15:
-        return 0.0
-    return (1.0 - Fa**n) / (n * (1.0 - Fa)) - Fa ** (n - 1)
-
-
 def virtual_demand(
     F: PiecewisePolyDist,
     H: PiecewisePolyDist,
@@ -146,7 +137,7 @@ def deviation_net_gain(
     if c <= 0:
         return 0.0
     cfa = incremental_benefit(F, a)
-    return _pool_jump(F, a, n) * (c / cfa - H.cdf(c))
+    return pooled_jump(F.cdf_left(a), n)[0] * (c / cfa - H.cdf(c))
 
 
 def demand_second_derivative(curve: DemandCurve, x, side: int = 1):
@@ -162,14 +153,7 @@ def demand_second_derivative(curve: DemandCurve, x, side: int = 1):
     Hc = np.where(cg >= curve.cbar, 1.0, np.where(cg > 1e-15, H.cdf_left(cg), 0.0))
     hc = np.where(inside, H.pdf(cg, side=-side), 0.0)
     hpc = np.where(inside, H.pdf_derivative(cg, side=-side), 0.0)
-    J = jump_size(G, x, n)
-    top = u >= 1.0 - 1e-14
-    dJdu = np.where(
-        top,
-        -(n - 1),
-        ((1.0 - _pow(u, n)) - n * _pow(u, n - 1) * (1.0 - u)) / (n * np.where(top, 1.0, _pow(1.0 - u, 2)))
-        - (n - 1) * _pow(u, n - 2),
-    )
+    J, dJdu = pooled_jump(u, n)
     pow3 = (n - 1) * (n - 2) * _pow(u, n - 3) if n > 2 else 0.0
     return _result(
         -g * hc * J
@@ -252,6 +236,16 @@ def _margin_scan(H: PiecewisePolyDist, beta: float, c_hi: float, open_top: bool 
     return sorted(cands)
 
 
+def _kink_turns(curve: DemandCurve, lo: float, hi: float, pad: float):
+    """At each demand kink (``curve.x_breaks``) in (lo + pad, hi - pad): the
+    right minus the left one-sided slope of demand, and the left slope.  A
+    convex certificate that follows demand there needs every turn >= 0."""
+    bs = curve.x_breaks
+    bs = bs[(lo + pad < bs) & (bs < hi - pad)]
+    dl = sum(curve.margins(bs, side=-1))
+    return sum(curve.margins(bs, side=+1)) - dl, dl
+
+
 def verify_uce(
     F: PiecewisePolyDist,
     H: PiecewisePolyDist,
@@ -296,7 +290,8 @@ def verify_uce(
     cfa = incremental_benefit(F, a)
     below = cfa >= cbar - tol.ineq      # pooled signal stops every type
     Ha = 1.0 if below else H.cdf(cfa)
-    J = _pool_jump(F, a, n)
+    Fa = F.cdf_left(a)  # an atom of F at a joins the pool
+    J = pooled_jump(Fa, n)[0]
 
     # (i) certificate convexity below the threshold
     convex = _power_curvature_ok(F, n, min(a, r_lo), tol.ineq)
@@ -305,11 +300,8 @@ def verify_uce(
         scale = 1.0 + abs(d2[len(d2) // 2])
         convex = not np.any(d2[1:-1] < -tol.ineq * scale)
         if convex:
-            bs = curve.x_breaks
-            bs = bs[(r_lo + tol.root < bs) & (bs < a - tol.root)]
-            dl = sum(curve.margins(bs, side=-1))
-            dr = sum(curve.margins(bs, side=+1))
-            convex = not np.any(dr < dl - tol.ineq * (1.0 + np.abs(dl)))
+            turn, dl = _kink_turns(curve, r_lo, a, tol.root)
+            convex = not np.any(turn < -tol.ineq * (1.0 + np.abs(dl)))
 
     if Ua is F:
         # full disclosure (the censorship is the prior itself) pools nothing:
@@ -324,7 +316,6 @@ def verify_uce(
     # exponentially small in n (the max-win term carries F(a)^(n-2)), so the
     # comparison runs against a machine-noise floor, not the loose tolerance:
     # a deficit below the floor is an equilibrium at double precision.
-    Fa = F.cdf(a)
     fa = F.pdf(a, side=-1)
     eps = np.finfo(float).eps
     maxwin_part = (n - 1) * Fa ** (n - 2) * fa
@@ -348,7 +339,7 @@ def verify_uce(
     vals = J * (H.cdf(cs) - beta * cs)
     margin = float(np.min(vals))
     binds = cs[np.abs(vals) <= max(tol.ineq, 1e-7 * max(J, 1e-12))]
-    binding = (k - binds / (1.0 - F.cdf(a))).tolist()
+    binding = (k - binds / (1.0 - Fa)).tolist()
     dominates = margin >= -tol.ineq
 
     # limit cost conditions
@@ -553,7 +544,8 @@ def verify_price_function(
     The certificate follows demand on full-disclosure intervals and bridges
     gaps, pooling intervals, and atoms with affine chords through the demand
     values at the contact points.  The candidate passes iff the assembled
-    function is convex, dominates demand everywhere, touches demand across
+    function is convex (demand's own kinks inside a disclosure interval
+    included), dominates demand everywhere, touches demand across
     every pooling interval, and integrates identically against the prior and
     the candidate.
     """
@@ -592,6 +584,8 @@ def verify_price_function(
             continue
         xs = np.linspace(lo, hi, max(PRICE_GRID // max(len(segments), 1), 129))[1:-1]
         if np.any(demand_second_derivative(curve, xs[(xs != lo) & (xs != hi)]) < -ctol):
+            convex_ok = False
+        if np.any(_kink_turns(curve, lo, hi, tol.root)[0] < -ctol):
             convex_ok = False
 
     # domination

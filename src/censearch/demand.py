@@ -23,6 +23,8 @@ from .dists import PiecewisePolyDist, _density_integrals, _pow, _result, mean, r
 
 __all__ = [
     "DemandCurve",
+    "power_sum",
+    "pooled_jump",
     "jump_size",
     "type_demand",
     "interim_demand",
@@ -33,23 +35,39 @@ __all__ = [
 SNAP_TOL = 1e-9  # margins moves a cutoff cost this close to a cost breakpoint onto it
 
 
+def power_sum(lo, hi, n: int):
+    """sum_{k<n} hi^k lo^(n-1-k) = (hi^n - lo^n) / (hi - lo), n hi^(n-1) at
+    lo = hi: n times the visit probability at G = lo (hi = 1) or the fair tie
+    value across an atom from lo to hi.  Nonnegative terms, only + and x: a
+    few n ulps relative up to 1, and an array gives the scalar bits."""
+    s, p = 0.0, 1.0
+    for _ in range(n):
+        s = s * hi + p
+        p = p * lo
+    return s
+
+
+def pooled_jump(g, n: int):
+    """(J, dJ/dg) for the jump J(g) = (1 - g^n) / (n (1 - g)) - g^(n-1), from
+    one Horner pass over the nonnegative terms of (1 - g)/n sum_{m<n-1}
+    (m + 1) g^m: accurate as g -> 1, where J = 0 and dJ/dg = -(n - 1)/2."""
+    p, dp = 0.0, 0.0
+    for c in range(n - 1, 0, -1):
+        dp = dp * g + p
+        p = p * g + c
+    return (1.0 - g) * p / n, ((1.0 - g) * dp - p) / n
+
+
 def jump_size(G: PiecewisePolyDist, x, n: int):
     """Size of the upward jump in a consumer's purchase probability when the
     signal reaches their cutoff: visit probability minus max-win probability.
     Takes a scalar (returns a float) or an array.
     """
     gl, gr = G.cdf_left(x), G.cdf(x)
-    top = gl >= 1.0 - 1e-15
-    visit = (1.0 - _pow(gl, n)) / (n * np.where(top, 1.0, 1.0 - gl))
-    return _result(np.where(top, 0.0, visit - _pow(gr, n - 1)))
-
-
-def _visit_prob(g_left: float, n: int) -> float:
-    """Probability the firm is reached while all earlier draws sit below the
-    cutoff: (1 - g^n) / (n (1 - g)), continuously extended at g = 1."""
-    if g_left >= 1.0 - 1e-12:
-        return 1.0
-    return (1.0 - g_left**n) / (n * (1.0 - g_left))
+    J = pooled_jump(gl, n)[0]
+    if np.any(gr != gl):  # less the max-win step across an atom at x
+        J = J - (gr - gl) * power_sum(gl, gr, n - 1)
+    return _result(J)
 
 
 def _snap(value, knots: np.ndarray):
@@ -91,7 +109,7 @@ class DemandCurve:
         self._cum = self._cumulative_stops()
         # cost atoms: mass stops exactly at its reservation image
         self._cost_atoms = [
-            (float(c0), float(m0) * _visit_prob(conjecture.cdf_left(r0), self.n))
+            (float(c0), float(m0) * power_sum(conjecture.cdf_left(r0), 1.0, self.n) / self.n)
             for c0, m0, r0 in zip(costs.atom_locs[atoms], costs.atom_masses[atoms], r_atoms)
         ]
 
@@ -134,10 +152,8 @@ class DemandCurve:
         gr, gl = self.G.cdf(x), self.G.cdf_left(x)
         win = _pow(gl if side < 0 else gr, self.n - 1)
         if side == 0:
-            alpha = self.G.atom_mass_at(x)
-            tie = alpha > 1e-15
-            tie_win = (_pow(gr, self.n) - _pow(gl, self.n)) / (self.n * np.where(tie, alpha, 1.0))
-            win = np.where(tie, tie_win, win)
+            tie = self.G.atom_mass_at(x) > 1e-15
+            win = np.where(tie, power_sum(gl, gr, self.n) / self.n, win)
         return _result(win)
 
     def continue_fraction(self, x):
@@ -177,10 +193,9 @@ def type_demand(G: PiecewisePolyDist, x: float, c: float, n: int) -> float:
     probability."""
     r = reservation_value(G, c)  # the top of the support for c <= 1e-10
     if x >= r and c > 1e-15:
-        return _visit_prob(G.cdf_left(r), n)
-    alpha = G.atom_mass_at(x)
-    if alpha > 1e-15:
-        return (G.cdf(x) ** n - G.cdf_left(x) ** n) / (n * alpha)
+        return power_sum(G.cdf_left(r), 1.0, n) / n
+    if G.atom_mass_at(x) > 1e-15:
+        return power_sum(G.cdf_left(x), G.cdf(x), n) / n
     return G.cdf(x) ** (n - 1)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._poly import nodes_for_degree, polyval, real_roots_in, polyder
 from .costshape import _require_continuous
+from .demand import power_sum
 from .dists import (
     PiecewisePolyDist,
     _density_integrals,
@@ -117,10 +118,7 @@ def consumer_surplus(
 def expected_search_length(F: PiecewisePolyDist, a: float, n: int) -> float:
     """Expected number of searches when only the pooled signal stops
     consumers: (1 - F(a)^n) / (1 - F(a)); 1 at a = 0."""
-    Fa = F.cdf(a)
-    if Fa >= 1.0:
-        return float(n)
-    return float((1.0 - Fa**n) / (1.0 - Fa))
+    return float(power_sum(F.cdf(a), 1.0, n))
 
 
 def alpha_stretch(

@@ -242,6 +242,31 @@ def test_certificate_integral_matches_reference(F, F_tilted, H_uniform, H_step, 
                     assert got == _integrate_certificate_reference(cert, W), (a, n)
 
 
+def test_price_function_checks_demand_kinks(F, H_step):
+    # step costs at a = 0.3: demand has a concave kink at 0.2254, the image of
+    # the cost breakpoint 0.1, inside the disclosure segment [0, 0.3]
+    G = upper_censorship(F, 0.3)
+    curve = DemandCurve(G, 5, H_step)
+    x = float(curve.x_breaks[(0.2 < curve.x_breaks) & (curve.x_breaks < 0.25)][0])
+    assert sum(curve.margins(x, side=+1)) < sum(curve.margins(x, side=-1)) - 0.5
+    assert verify_uce(F, H_step, 0.3, 5).verdict == "fails"
+    rep = verify_price_function(G, F, H_step, 5)
+    assert not rep.passed and not rep.convex_ok, rep.detail
+    assert rep.detail == "not convex"
+
+
+def test_verify_pools_prior_atom_at_threshold():
+    # upper_censorship pools an atom of F at a; the verifier's jump, kink and
+    # pooled mass read F(a-), so thresholds at the atom and just below it,
+    # which censor the same way, give the same margin
+    F = PiecewisePolyDist([0.0, 0.3, 1.0], [np.array([0.9]), np.array([0.9])], atoms=[(0.3, 0.1)])
+    H = PiecewisePolyDist.uniform(0.0, 0.05)
+    for n in (2, 5):
+        at, below = verify_uce(F, H, 0.3, n), verify_uce(F, H, 0.3 - 1e-9, n)
+        assert at.margin == pytest.approx(below.margin, rel=1e-7), n
+        assert at.verdict == below.verdict and at.checks == below.checks
+
+
 def test_price_function_rejects_above_maximal(F, H_uniform):
     rep = verify_price_function(upper_censorship(F, 0.45), F, H_uniform, 5)
     assert not rep.passed

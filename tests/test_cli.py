@@ -3,6 +3,9 @@ golden-file regression, determinism."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -293,3 +296,14 @@ def test_emit_plot_panels(tmp_path):
     (x0, y0), (x1, y1), (x2, y2) = pts[0], pts[len(pts) // 2], pts[-1]
     interp = y0 + (y2 - y0) * (x1 - x0) / (x2 - x0)
     assert y1 == pytest.approx(interp, abs=1e-9)
+
+
+def test_cli_import_leaves_test_references_out():
+    # mpmath, sympy and hypothesis serve the tests only; the command line
+    # tool's start-up must not pay for importing them
+    code = ("import sys, censearch.cli; "
+            "print(' '.join(m for m in ('mpmath', 'sympy', 'hypothesis') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

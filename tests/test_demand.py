@@ -16,10 +16,13 @@ from censearch.demand import (
     expected_payoff,
     interim_demand,
     jump_size,
+    pooled_jump,
+    power_sum,
     type_demand,
 )
 from censearch.dists import PiecewisePolyDist, mean, mpc_check, truncated_mean_above
 from censearch.oracle import build_problem
+from censearch.welfare import expected_search_length
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +160,55 @@ def test_tie_value_at_interior_atom(F, H_uniform):
     assert right > left
 
 
+def test_tie_window_off_the_atom():
+    # within atom_mass_at's 1e-12 window but off the atom, G(x-) = G(x): the
+    # tie value there is the one-sided max-win value, not 0
+    G = PiecewisePolyDist([0.0, 0.5, 1.0], [np.array([0.8]), np.array([0.8])], atoms=[(0.5, 0.2)])
+    curve = DemandCurve(G, 2, PiecewisePolyDist.uniform(0.0, 0.05))
+    assert curve.value(0.5 - 5e-13) == pytest.approx(0.4, abs=1e-11)
+    assert curve.value(0.5 + 5e-13) == pytest.approx(0.6, abs=1e-11)
+    assert curve.value(0.5) == pytest.approx(0.5, abs=1e-12)  # (0.6^2 - 0.4^2) / (2 * 0.2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 200])
+def test_power_sums_match_mpmath(F, n):
+    """The visit probability, search length, tie value and jump within n eps
+    (relative), and the jump's slope within n^2 eps (absolute), of 200-bit
+    references, up to g = 1 - 1e-15."""
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    gs = [0.0, *np.random.default_rng(7).uniform(0.0, 1.0, 40), *(1.0 - 10.0**-k for k in range(1, 16))]
+
+    def rel(got, ref):
+        return abs(mpmath.mpf(got) - ref) / ref if ref else abs(got)
+
+    with mpmath.workprec(200):
+        def psum(lo, hi, m):
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            return mpmath.fsum(hi**k * lo ** (m - 1 - k) for k in range(m))
+
+        def jump(g):
+            g = mpmath.mpf(g)
+            return (1 - g) / n * mpmath.fsum((m + 1) * g**m for m in range(n - 1))
+
+        for g in gs:
+            assert rel(power_sum(g, 1.0, n) / n, psum(g, 1.0, n) / n) <= n * eps, g
+            Fg = F.cdf(g)
+            assert rel(expected_search_length(F, g, n), psum(Fg, 1.0, n)) <= n * eps, g
+            for hi in (g + (1.0 - g) * 1e-9, g + (1.0 - g) / 2, 1.0):
+                tie = psum(g, hi, n) / n
+                if hi > g and tie > 1e-300:  # not an underflow
+                    assert rel(power_sum(g, hi, n) / n, tie) <= n * eps, (g, hi)
+            J, dJ = pooled_jump(g, n)
+            assert rel(J, jump(g)) <= n * eps, g
+            # visit(G(x-)) - G(x)^(n-1); cdf_left snaps onto the top within 1e-14
+            gl, gr = mpmath.mpf(F.cdf_left(g)), mpmath.mpf(F.cdf(g))
+            assert rel(jump_size(F, g, n), jump(gl) - (gr - gl) * psum(gl, gr, n - 1)) <= n * eps, g
+            assert abs(dJ - mpmath.diff(jump, mpmath.mpf(g))) <= n * n * eps, g
+    assert pooled_jump(1.0, n) == (0.0, -(n - 1) / 2)
+    assert jump_size(F, 1.0, n) == 0.0 and power_sum(1.0, 1.0, n) == n
+
+
 # -- array queries against the per-point formulas they replaced ---------------
 #
 # The point-by-point bodies below are the reference.  Every query must return
@@ -209,8 +261,7 @@ def _ref_max_win(curve, x, side):
     G, n = curve.G, curve.n
     alpha = _ref_atom_mass(G, x)
     if side == 0 and alpha > 1e-15:
-        gr, gl = G.cdf(x), G.cdf_left(x)
-        return (gr**n - gl**n) / (n * alpha)
+        return power_sum(G.cdf_left(x), G.cdf(x), n) / n
     g = G.cdf_left(x) if side < 0 else G.cdf(x)
     return g ** (n - 1)
 
@@ -230,10 +281,7 @@ def _ref_value(curve, x, side=0):
 def _ref_jump(G, x, n):
     gl = G.cdf_left(x)
     gr = G.cdf(x)
-    if gl >= 1.0 - 1e-15:
-        return 0.0
-    visit = (1.0 - gl**n) / (n * (1.0 - gl))
-    return visit - gr ** (n - 1)
+    return pooled_jump(gl, n)[0] - (gr - gl) * power_sum(gl, gr, n - 1)
 
 
 def _ref_snap(value, knots, tol=1e-9):
@@ -266,11 +314,7 @@ def _ref_second_derivative(curve, x, side):
     hpc = H.pdf_derivative(cg, side=-side) if inside else 0.0
     if cg >= curve.cbar:
         Hc, hc, hpc = 1.0, 0.0, 0.0
-    J = _ref_jump(G, x, n)
-    if u >= 1.0 - 1e-14:
-        dJdu = -(n - 1)
-    else:
-        dJdu = ((1.0 - u**n) - n * u ** (n - 1) * (1.0 - u)) / (n * (1.0 - u) ** 2) - (n - 1) * u ** (n - 2)
+    J, dJdu = pooled_jump(u, n)
     pow3 = (n - 1) * (n - 2) * u ** (n - 3) if n > 2 else 0.0
     return float(
         -g * hc * J

@@ -20,6 +20,7 @@ from censearch.dists import (
     truncated_mean_above,
 )
 from censearch.censorship import upper_censorship
+from censearch.demand import expected_payoff
 
 from conftest import tail_noise
 
@@ -150,6 +151,23 @@ def test_json_roundtrip_and_kinds(F, H_bimodal):
     assert mix.pdf(0.01) == pytest.approx(0.5 / 0.18 + 0.5 * 2 * 0.01 / 0.18**2, abs=1e-12)
     with pytest.raises(ValueError, match="unknown distribution kind"):
         dist_from_json({"kind": "cauchy"})
+
+
+def test_atom_next_to_a_breakpoint_sits_on_it(H_uniform):
+    # from either side, with no sliver segment; the queries at the atom then
+    # see its jump, and the payoff identity holds
+    for x in (0.5 + 1e-15, 0.5 - 1e-15):
+        d = PiecewisePolyDist([0, 0.5, 1], [[0.0], [1.8]], atoms=[(x, 0.1)])
+        assert d.breaks.tolist() == [0.0, 0.5, 1.0], x
+        assert d.atom_locs.tolist() == [0.5], x
+        assert d.cdf_left(0.5) == 0.0 and d.cdf(0.5) == pytest.approx(0.1, abs=1e-15)
+    # two atoms closer than 1e-14 merge into one
+    d = PiecewisePolyDist([0.0, 1.0], [np.array([0.8])], atoms=[(0.0, 0.15), (1.1e-308, 0.05)])
+    assert d.breaks.tolist() == [0.0, 1.0] and d.atom_locs.tolist() == [0.0]
+    assert d.atom_masses == pytest.approx([0.2], abs=1e-16)
+    for G in (d, PiecewisePolyDist([0, 0.5, 1], [[0.8], [0.8]], atoms=[(0.5 - 1e-15, 0.2)])):
+        for n in (2, 5):
+            assert abs(expected_payoff(G, G, n, H_uniform) - 1 / n) <= 1e-10
 
 
 def test_atoms_load_in_any_listed_order():

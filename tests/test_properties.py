@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from censearch._poly import poly_range_on, polyint, polyval  # noqa: E402
 from censearch.censorship import upper_censorship  # noqa: E402
+from censearch.demand import expected_payoff  # noqa: E402
 from censearch.dists import PiecewisePolyDist, mean, reservation_value  # noqa: E402
 
 from conftest import tail_noise  # noqa: E402
@@ -74,6 +75,18 @@ def test_reservation_value_properties(law, a, fracs, run):
         band = np.array([tail_noise(G, r, c) / max(1.0 - G.cdf(r), 1e-300) if c > 1e-10 else 0.0
                          for c, r in zip(cs, rs)])
         assert np.all(np.diff(rs) <= band[:-1] + band[1:]), (cs, rs, band)
+
+
+@PROPERTY_SETTINGS
+@given(piecewise_laws(), st.floats(0.0, 1.0), st.integers(2, 44), st.integers(0, 4))
+def test_payoff_identity(H_uniform, H_step, H_bimodal, H_threestep, H_convex, law, a, n, k):
+    """A strategy played against itself earns 1/n.  n stays below 45, where
+    the payoff's quadrature starts to hit the node cap (NODE_CAP)."""
+    H = (H_uniform, H_step, H_bimodal, H_threestep, H_convex)[k]
+    for G in (law, upper_censorship(law, a)):
+        if mean(G) <= H.support_hi:
+            continue  # no market: the top cost would clear the prior mean
+        assert abs(expected_payoff(G, G, n, H) - 1.0 / n) <= 1e-10, (n, k)
 
 
 def _bits(a):

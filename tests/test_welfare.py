@@ -11,6 +11,7 @@ from censearch._poly import gauss_nodes, nodes_for_degree, polyval
 from censearch.censorship import solve_a_max, upper_censorship
 from censearch.cli import main
 from censearch.costshape import assumption_diag_check, global_min_slope
+from censearch.demand import power_sum
 from censearch.dists import (
     PiecewisePolyDist,
     incremental_benefit,
@@ -66,7 +67,7 @@ def _surplus_type_reference(F, a, c, n):
     k_m = truncated_mean_above(F, m)
     best = welfare._value_of_best_of_n(F, m, n) if m > F.support_lo else 0.0
     value = best + k_m * (1.0 - Fm**n)
-    searches = (1.0 - Fm**n) / (1.0 - Fm) if Fm < 1.0 else float(n)
+    searches = power_sum(Fm, 1.0, n)
     cost = searches * c
     return float(value), float(cost), float(value - cost)
 
