@@ -13,10 +13,11 @@ import numpy as np
 from censearch import (
     MarketConfig,
     PiecewisePolyDist,
+    build_problem,
     consumer_surplus,
-    equilibrium_gap,
     expected_search_length,
     solve_a_max,
+    solve_br,
     upper_censorship,
     verify_uce,
 )
@@ -37,7 +38,8 @@ for a in (0.0, 0.2, 0.4, 0.45, 0.5):
 
 print("\nLP best-response oracle (duopoly, 801-point grid):")
 for a in (0.4, 0.45):
-    gap = equilibrium_gap(upper_censorship(F, a), F, H, 2, 801)
+    best = solve_br(build_problem(upper_censorship(F, a), F, H, 2, 801)).value
+    gap = max(0.0, best - 1 / 2)
     print(f"  a = {a:4.2f}: best deviation gain over 1/n = {gap:.3e}")
 
 print("\nwelfare ladder (n = 2):")

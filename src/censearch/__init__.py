@@ -55,7 +55,7 @@ from .censorship import (
     verify_uce,
     virtual_demand,
 )
-from .oracle import BRProblem, BRSolution, build_problem, equilibrium_gap, solve_br
+from .oracle import BRProblem, BRSolution, build_problem, solve_br
 from .welfare import (
     alpha_stretch,
     classify_density_shape,
@@ -63,7 +63,6 @@ from .welfare import (
     consumer_surplus_type,
     expected_search_length,
     fosd_compare,
-    surplus_ranking_hypothesis,
     uniform_interpolate,
 )
 from .simulate import SimConfig, SimOutcome, simulate_deviation, simulate_market

@@ -32,8 +32,14 @@ NODE_CAP = 192        # nodes_for_degree never gives a rule more nodes than this
 ROOT_PAD = 1e-12      # real_roots_in keeps roots this far outside the interval
 
 
-def polyval(coefs: np.ndarray, x):
-    return npoly.polyval(x, coefs)
+def polyval(c: np.ndarray, x):
+    """The polynomial ``c`` (ascending powers) at x, or column k of a table
+    ``c`` at x[k]: the operations of ``numpy.polynomial.polynomial.polyval``
+    in the same order, so zero padding leaves the bits unchanged."""
+    out = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        out = c[k] + out * x
+    return out
 
 
 def polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

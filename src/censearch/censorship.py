@@ -24,7 +24,7 @@ intervals, and atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -180,17 +180,7 @@ class CensorshipReport:
     binding_signals: list[float]
 
     def to_json(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "pooled_signal": self.pooled_signal,
-            "r_lo": self.r_lo,
-            "r_hi": self.r_hi,
-            "n": self.n,
-            "verdict": self.verdict,
-            "checks": dict(self.checks),
-            "margin": self.margin,
-            "binding_signals": list(self.binding_signals),
-        }
+        return asdict(self)
 
 
 def _power_curvature_ok(F: PiecewisePolyDist, n: int, hi: float, tol: float) -> bool:
@@ -444,16 +434,7 @@ class PriceFunctionReport:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "convex_ok": self.convex_ok,
-            "dominates_ok": self.dominates_ok,
-            "contact_ok": self.contact_ok,
-            "mass_balance_ok": self.mass_balance_ok,
-            "min_margin": self.min_margin,
-            "mass_gap": self.mass_gap,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 class _Certificate:

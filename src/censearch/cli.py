@@ -1,9 +1,10 @@
 """Command-line surface: JSON experiment specs in, JSON/CSV results out.
 
 Subcommands: solve, verify, oracle, simulate, compstat, welfare, emit-plot.
-Every command is deterministic given the spec (plus the seed for simulate).
-Exit codes: 0 ok, 2 config error, 3 numeric non-convergence,
-4 verification failed (for CI gating).
+Every command is deterministic given the spec; the spec holds every input,
+the simulation seed and the LP dump switch included, and the command line
+adds only where the outputs go.  Exit codes: 0 ok, 2 config error,
+3 numeric non-convergence, 4 verification failed (for CI gating).
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .welfare import (
 )
 
 SCHEMA_VERSION = 1
-PLOT_POINTS = 513  # signal grid of the --emit-phi panel and emit-plot's default
+PLOT_POINTS = 513  # emit-plot's default grid size
 
-_KNOWN_TOP = {"version", "market", "solve", "verify", "oracle", "simulate",
+_KNOWN_TOP = {"version", "market", "verify", "oracle", "simulate",
               "compstat", "welfare", "emit_plot", "output"}
 
 
@@ -89,6 +90,25 @@ def _config_errors():
         raise ConfigError(str(exc)) from exc
 
 
+def _count(blk: dict, key: str, default: int, where: str, least: int | None = None) -> int:
+    """An integer spec field (a whole float such as 5.0 counts), never
+    truncated, and at least ``least`` when that is given."""
+    v = blk.get(key, default)
+    whole = not isinstance(v, bool) and (isinstance(v, int)
+                                         or isinstance(v, float) and v.is_integer())
+    if not whole or (least is not None and v < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{where}.{key} must be an integer{bound}, got {v!r}")
+    return int(v)
+
+
+def _exclusive(blk: dict, mode: str, unread: set, where: str) -> None:
+    """Reject keys that the block's ``mode`` never reads."""
+    clash = sorted(unread & set(blk)) if mode in blk else []
+    if clash:
+        raise ConfigError(f"{where}.{mode} does not read {clash}")
+
+
 def _write_json(out: Path | None, name: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out is None:
@@ -111,10 +131,8 @@ def _write_csv(out: Path | None, name: str, header: list[str], rows) -> None:
             w.writerows(rows)
 
 
-def cmd_solve(spec: dict, out: Path | None, args) -> int:
+def cmd_solve(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
-    blk = spec.get("solve", {})
-    _require_keys(blk, {"scan_csv"}, "solve")
     rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
     a_max, case, attained = solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)
     payload = {
@@ -125,16 +143,18 @@ def cmd_solve(spec: dict, out: Path | None, args) -> int:
         "prior_mean": mc.mu,
     }
     _write_json(out, "solve.json", payload)
-    if blk.get("scan_csv") or out is not None:
+    if out is not None:
         tab = scan_table(mc.costs)
         _write_csv(out, "cost_scan.csv", ["c", "H", "h", "S", "Sprime"], tab.tolist())
     return 0
 
 
-def cmd_verify(spec: dict, out: Path | None, args) -> int:
+def cmd_verify(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("verify", {})
     _require_keys(blk, {"a", "a_grid", "n_sweep", "price_function"}, "verify")
+    _exclusive(blk, "a_grid", {"a", "price_function"}, "verify")
+    _exclusive(blk, "n_sweep", {"a_grid", "price_function"}, "verify")
     gate_failed = False
     if "n_sweep" in blk or "a_grid" not in blk:
         with _config_errors():
@@ -163,27 +183,16 @@ def cmd_verify(spec: dict, out: Path | None, args) -> int:
             pf = verify_price_function(upper_censorship(mc.prior, a), mc.prior, mc.costs, mc.n, mc.tol)
             payload["price_function"] = pf.to_json()
             gate_failed = gate_failed or not pf.passed
-        if args.emit_phi:
-            _emit_phi_csv(mc, a, Path(args.emit_phi))
     _write_json(out, "verify.json", payload)
     return 4 if gate_failed else 0
 
 
-def _emit_phi_csv(mc: MarketConfig, a: float, target: Path) -> None:
-    """(x, demand, certificate) panel for one threshold."""
-    curve = DemandCurve(upper_censorship(mc.prior, a), mc.n, mc.costs)
-    xs = np.linspace(0.0, 1.0, PLOT_POINTS)
-    phi = virtual_demand(mc.prior, mc.costs, a, mc.n, xs, curve)
-    rows = np.column_stack([xs, curve.value(xs), phi]).tolist()
-    _write_csv(target.parent, target.name, ["x", "D", "phi"], rows)
-
-
-def cmd_oracle(spec: dict, out: Path | None, args) -> int:
+def cmd_oracle(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("oracle", {})
     _require_keys(blk, {"a", "grid_n", "dump_lp"}, "oracle")
     a = float(blk.get("a", 0.0))
-    grid_n = int(blk.get("grid_n", GRID_N))
+    grid_n = _count(blk, "grid_n", GRID_N, "oracle")
     G = upper_censorship(mc.prior, a)
     prob = build_problem(G, mc.prior, mc.costs, mc.n, grid_n)
     sol = solve_br(prob)
@@ -200,27 +209,27 @@ def cmd_oracle(spec: dict, out: Path | None, args) -> int:
         "support": [{"x": float(x), "mass": float(m)} for x, m in zip(sup_x, sup_m)],
     }
     _write_json(out, "oracle.json", payload)
-    if blk.get("dump_lp") or args.dump_lp:
-        target = Path(args.dump_lp) if args.dump_lp else (out or Path(".")) / "lp_triplets.txt"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(prob.dump_triplets())
+    if blk.get("dump_lp"):
+        target = out or Path(".")
+        target.mkdir(parents=True, exist_ok=True)
+        (target / "lp_triplets.txt").write_text(prob.dump_triplets())
     return 0
 
 
-def cmd_simulate(spec: dict, out: Path | None, args) -> int:
+def cmd_simulate(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("simulate", {})
     _require_keys(blk, {"a", "consumers", "bins", "seed", "deviation", "deviation_atom"}, "simulate")
+    _exclusive(blk, "deviation", {"deviation_atom"}, "simulate")
     a = float(blk.get("a", 0.0))
-    seed = int(args.seed if args.seed is not None else blk.get("seed", 0))
     G = upper_censorship(mc.prior, a)
     cfg = SimConfig(
         prior_mean_strategy=G,
         costs=mc.costs,
         n=mc.n,
-        consumers=int(blk.get("consumers", 100000)),
-        seed=seed,
-        bins=int(blk.get("bins", 50)),
+        consumers=_count(blk, "consumers", 100000, "simulate", least=1),
+        seed=_count(blk, "seed", 0, "simulate"),
+        bins=_count(blk, "bins", 50, "simulate", least=1),
     )
     payload: dict
     if "deviation" in blk or "deviation_atom" in blk:
@@ -244,12 +253,16 @@ def cmd_simulate(spec: dict, out: Path | None, args) -> int:
     return 0
 
 
-def cmd_welfare(spec: dict, out: Path | None, args) -> int:
+def cmd_welfare(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("welfare", {})
     _require_keys(blk, {"a_grid", "cost_quantiles"}, "welfare")
     a_grid = blk.get("a_grid", [0.0, 0.1, 0.2, 0.3, 0.4])
     qs = blk.get("cost_quantiles", [0.1, 0.25, 0.5, 0.75, 0.9])
+    with _config_errors():
+        in_range = all(0.0 < q <= 1.0 for q in qs)
+    if not in_range:
+        raise ConfigError(f"welfare.cost_quantiles must lie in (0, 1], got {qs!r}")
     rows = []
     for a in a_grid:
         total = consumer_surplus(mc.prior, mc.costs, float(a), mc.n)
@@ -264,7 +277,7 @@ def cmd_welfare(spec: dict, out: Path | None, args) -> int:
     return 0
 
 
-def cmd_compstat(spec: dict, out: Path | None, args) -> int:
+def cmd_compstat(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("compstat", {})
     _require_keys(blk, {"family", "alphas", "lambdas", "halvings", "ramp_ks", "base_costs"}, "compstat")
@@ -309,13 +322,13 @@ def _ramp_family(cbar: float, k: int) -> PiecewisePolyDist:
     )
 
 
-def cmd_emit_plot(spec: dict, out: Path | None, args) -> int:
+def cmd_emit_plot(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("emit_plot", {})
     _require_keys(blk, {"a", "points"}, "emit_plot")
     rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
     a = float(blk["a"]) if "a" in blk else solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0]
-    pts = int(blk.get("points", PLOT_POINTS))
+    pts = _count(blk, "points", PLOT_POINTS, "emit_plot", least=1)
     # cost panel with the tangent line through the origin at slope min S
     smin = rep.min_slope
     # at the cost top both one-sided densities are the last piece's
@@ -354,17 +367,13 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--spec", required=True, help="experiment spec (JSON)")
     parser.add_argument("--out", default=None, help="output directory (default: stdout)")
-    parser.add_argument("--seed", type=int, default=None, help="simulation seed override")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored (nothing reads it)")
-    parser.add_argument("--dump-lp", default=None, help="write LP triplets to this path")
-    parser.add_argument("--emit-phi", default=None,
-                        help="write the (x, demand, certificate) CSV to this path (verify)")
     args = parser.parse_args(argv)
     out = Path(args.out) if args.out else None
     try:
         spec = load_spec(args.spec)
-        return _COMMANDS[args.command](spec, out, args)
+        return _COMMANDS[args.command](spec, out)
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -27,7 +27,7 @@ verdicts; the dense scan only feeds the CSV export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -337,7 +337,7 @@ class CostShapeReport:
     even_density: float | None     # density there ("evenness")
     even_ok: bool                  # global min attained strictly below cbar
     concave_from: float            # start of the nonincreasing-density tail
-    critical_set: list[tuple[float, float]]
+    critical_set: list[list[float]]  # [lo, hi] of each critical-minimum interval
     best_min: float                # smallest critical minimum location
     best_min_slope: float          # S at best_min
     crossing: float | None         # where S re-attains that value above
@@ -346,19 +346,7 @@ class CostShapeReport:
     support_hi: float
 
     def to_json(self) -> dict:
-        return {
-            "even_point": self.even_point,
-            "even_density": self.even_density,
-            "even_ok": self.even_ok,
-            "concave_from": self.concave_from,
-            "critical_set": [[lo, hi] for lo, hi in self.critical_set],
-            "best_min": self.best_min,
-            "best_min_slope": self.best_min_slope,
-            "crossing": self.crossing,
-            "min_slope": self.min_slope,
-            "case": self.case,
-            "support_hi": self.support_hi,
-        }
+        return asdict(self)
 
 
 def cost_shape_report(H: PiecewisePolyDist, mu: float, tol: float = SLOPE_TOL) -> CostShapeReport:
@@ -371,7 +359,7 @@ def cost_shape_report(H: PiecewisePolyDist, mu: float, tol: float = SLOPE_TOL) -
         even_density=hcm,
         even_ok=even_ok,
         concave_from=an.concave_from,
-        critical_set=[(c.lo, c.hi) for c in an.crit],
+        critical_set=[[c.lo, c.hi] for c in an.crit],
         best_min=an.best_min,
         best_min_slope=an.best_min_slope,
         crossing=an.crossing,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _poly
-from ._poly import poly_range_on, real_roots_in
+from ._poly import poly_range_on, polyval, real_roots_in
 
 __all__ = [
     "Tolerances",
@@ -164,9 +164,9 @@ class PiecewisePolyDist:
         P = _poly.polyint(dens)
         PP = _poly.polyint(P)
         tP = _poly.polyint(np.vstack([np.zeros(nseg), dens]))  # t * f(t)
-        P_lo = _horner(P, lo)
-        seg_mass = _horner(P, hi) - P_lo
-        seg_tmass = _horner(tP, hi) - _horner(tP, lo)
+        P_lo = polyval(P, lo)
+        seg_mass = polyval(P, hi) - P_lo
+        seg_tmass = polyval(tP, hi) - polyval(tP, lo)
         atom_at_break = np.zeros(nseg + 1)
         for a, m in zip(self.atom_locs, self.atom_masses):
             atom_at_break[int(np.argmin(np.abs(self.breaks - a)))] += m
@@ -179,7 +179,7 @@ class PiecewisePolyDist:
         self._cdf_at = cdf
         self._cdf_left_at = cdf - atom_at_break
         self._P, self._PP, self._P_lo = P, PP, P_lo
-        self._PP_lo, self._PP_hi = _horner(PP, lo), _horner(PP, hi)
+        self._PP_lo, self._PP_hi = polyval(PP, lo), polyval(PP, hi)
         self._cdf_off = cdf[:-1] - P_lo
         # K(x) = int_lo^x G  at breakpoints (atoms contribute from their location on):
         # per segment int_lo^hi [cdf(lo) + P(t)-P(lo)] dt
@@ -262,14 +262,14 @@ class PiecewisePolyDist:
     def cdf(self, x):
         """Right-continuous CDF, extended by 0/1 outside the support."""
         x, xe, i = self._points(x)
-        g = self._cdf_at[i] + _horner(self._P[:, i], xe) - self._P_lo[i]
+        g = self._cdf_at[i] + polyval(self._P[:, i], xe) - self._P_lo[i]
         g = np.where(x < self.breaks[0], 0.0, np.where(x >= self.breaks[-1], 1.0, g))
         return _result(g)
 
     def cdf_left(self, x):
         """Left limit of the CDF at x."""
         x, xe, i = self._points(x)
-        g = self._cdf_at[i] + _horner(self._P[:, i], xe) - self._P_lo[i]
+        g = self._cdf_at[i] + polyval(self._P[:, i], xe) - self._P_lo[i]
         j, on_break = self._snap(x)
         g = np.where(on_break, self._cdf_left_at[j], g)
         g = np.where(x <= self.breaks[0], 0.0, np.where(x > self.breaks[-1], 1.0, g))
@@ -280,7 +280,7 @@ class PiecewisePolyDist:
         j, on_break = self._snap(x)
         j = np.minimum(np.maximum(j if side > 0 else j - 1, 0), len(self.coefs) - 1)
         i = np.where(on_break, j, i)
-        f = _horner(table[:, i], xe)
+        f = polyval(table[:, i], xe)
         f = np.where((x < self.breaks[0]) | (x > self.breaks[-1]), 0.0, f)
         return _result(f)
 
@@ -297,7 +297,7 @@ class PiecewisePolyDist:
         lo = self.breaks[i]
         part = (
             self._cdf_at[i] * (xe - lo)
-            + (_horner(self._PP[:, i], xe) - self._PP_lo[i])
+            + (polyval(self._PP[:, i], xe) - self._PP_lo[i])
             - self._P_lo[i] * (xe - lo)
         )
         k = self._kint_at[i] + part
@@ -309,7 +309,7 @@ class PiecewisePolyDist:
         """int_x^{support_hi} (1 - G(t)) dt for x in segment i (one index per
         point): the tail above the segment plus the part inside it."""
         w = self.breaks[i + 1] - x
-        kpart = self._cdf_at[i] * w + (self._PP_hi[i] - _horner(self._PP[:, i], x)) - self._P_lo[i] * w
+        kpart = self._cdf_at[i] * w + (self._PP_hi[i] - polyval(self._PP[:, i], x)) - self._P_lo[i] * w
         return self._tail_at[i + 1] + w - kpart
 
     def tail_gap(self, x):
@@ -344,9 +344,9 @@ class PiecewisePolyDist:
             i, ub = j[block] - 1, u[block]
             x[block] = _bracketed_newton(
                 i, ub, self.breaks[i], self.breaks[i + 1], self._cdf_at[i] - ub, self._cdf_left_at[i + 1] - ub,
-                lambda i, r: self._cdf_off[i] + _horner(self._P[:, i], r),
-                lambda i, r: _horner(self._pdf[:, i], r),
-                lambda i, r: _horner(self._dpdf[:, i], r),
+                lambda i, r: self._cdf_off[i] + polyval(self._P[:, i], r),
+                lambda i, r: polyval(self._pdf[:, i], r),
+                lambda i, r: polyval(self._dpdf[:, i], r),
             )
         return float(x[0]) if shape == () else x.reshape(shape)
 
@@ -370,16 +370,6 @@ class PiecewisePolyDist:
             f"PiecewisePolyDist([{self.breaks[0]:.4g},{self.breaks[-1]:.4g}], "
             f"{len(self.coefs)} pieces, {len(self.atom_locs)} atoms)"
         )
-
-
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Column k of ``c`` (ascending powers) evaluated at x[k]: the operations
-    of ``numpy.polynomial.polynomial.polyval`` in the same order, so zero
-    padding leaves the bits unchanged."""
-    out = c[-1] + x * 0
-    for k in range(len(c) - 2, -1, -1):
-        out = c[k] + out * x
-    return out
 
 
 def _bracketed_newton(i, target, a, b, ga, gb, value, slope, curve):
@@ -450,7 +440,7 @@ def _density_integrals(W: PiecewisePolyDist, f, cuts, npts: int) -> np.ndarray:
     than 1e-15 and pieces where w is zero are skipped; W's atoms are left to
     the caller, who adds the pieces to them in order.  w is the polynomial of
     the segment holding the piece (found from its middle node, which lies
-    inside it however narrow it is), evaluated by :func:`_horner`."""
+    inside it however narrow it is), evaluated by :func:`_poly.polyval`."""
     cuts = np.asarray(cuts, dtype=float)
     lo, hi = cuts[:-1], cuts[1:]
     seg = np.searchsorted(W._inner, 0.5 * (lo + hi), side="right")
@@ -458,7 +448,7 @@ def _density_integrals(W: PiecewisePolyDist, f, cuts, npts: int) -> np.ndarray:
 
     def integrand(ts):
         i = np.searchsorted(W._inner, ts[:, ts.shape[1] // 2], side="right")
-        return _horner(W._pdf[:, i, None], ts) * f(ts)
+        return polyval(W._pdf[:, i, None], ts) * f(ts)
 
     return _poly.gauss_legendre(integrand, lo[keep], hi[keep], npts)
 
@@ -622,8 +612,8 @@ def reservation_value(G: PiecewisePolyDist, c):
         r[rest] = _bracketed_newton(
             j, -cr, G.breaks[j], G.breaks[j + 1], cr - tails[j], cr - tails[j + 1],
             lambda i, x: -G._segment_tail(i, x),
-            lambda i, x: 1.0 - (G._cdf_off[i] + _horner(G._P[:, i], x)),
-            lambda i, x: -_horner(G._pdf[:, i], x),
+            lambda i, x: 1.0 - (G._cdf_off[i] + polyval(G._P[:, i], x)),
+            lambda i, x: -polyval(G._pdf[:, i], x),
         )
     return float(r[0]) if c.ndim == 0 else r.reshape(c.shape)
 

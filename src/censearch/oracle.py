@@ -38,7 +38,7 @@ from ._poly import gauss_nodes
 from .demand import DemandCurve, expected_payoff
 from .dists import PiecewisePolyDist, mean, reservation_value
 
-__all__ = ["BRProblem", "BRSolution", "build_problem", "solve_br", "equilibrium_gap"]
+__all__ = ["BRProblem", "BRSolution", "build_problem", "solve_br"]
 
 GRID_N = 801          # uniform mesh points of the LP grid
 COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
@@ -180,19 +180,6 @@ def solve_br(problem: BRProblem) -> BRSolution:
         duality_gap=duality_gap,
         grid=problem.grid,
     )
-
-
-def equilibrium_gap(
-    G_star: PiecewisePolyDist,
-    F: PiecewisePolyDist,
-    H: PiecewisePolyDist,
-    n: int,
-    grid_n: int = GRID_N,
-) -> float:
-    """max(0, best grid deviation payoff - 1/n): zero iff the conjecture is a
-    best response to itself at this grid resolution."""
-    sol = solve_br(build_problem(G_star, F, H, n, grid_n))
-    return max(0.0, sol.value - 1.0 / n)
 
 
 def masses_to_dist(grid: np.ndarray, masses: np.ndarray) -> PiecewisePolyDist:

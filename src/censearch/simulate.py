@@ -23,7 +23,7 @@ simulated -- deviation runs are paired samples against the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,21 +61,8 @@ class SimOutcome:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "firm_payoffs": self.firm_payoffs.tolist(),
-            "payoff_se": self.payoff_se.tolist(),
-            "bin_mids": self.bin_mids.tolist(),
-            "empirical_demand": self.empirical_demand.tolist(),
-            "demand_se": self.demand_se.tolist(),
-            "bin_counts": self.bin_counts.tolist(),
-            "cs_mean": self.cs_mean,
-            "cs_se": self.cs_se,
-            "search_length_mean": self.search_length_mean,
-            "search_length_se": self.search_length_se,
-            "stop_rate_by_cost_quantile": self.stop_rate_by_cost_quantile.tolist(),
-            "consumers": self.consumers,
-            "seed": self.seed,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in asdict(self).items()}
 
 
 class _Sums:
@@ -204,7 +191,7 @@ def _finish(cfg: SimConfig, raw) -> SimOutcome:
     )
 
 
-def simulate_market(cfg: SimConfig, demand_probe: bool = True) -> SimOutcome:
+def simulate_market(cfg: SimConfig) -> SimOutcome:
     """Simulate the symmetric market (all firms draw from the conjecture).
 
     The empirical demand curve needs observations at off-path signals, so it
@@ -212,16 +199,11 @@ def simulate_market(cfg: SimConfig, demand_probe: bool = True) -> SimOutcome:
     [0, 1] (consumers cannot observe the change), populating every bin with
     unbiased win frequencies.  The probe runs in the same pass over the
     consumers; all other statistics come from the on-path market."""
-    laws = [cfg.prior_mean_strategy]
-    if demand_probe:
-        laws.append(PiecewisePolyDist.uniform(0.0, 1.0))
-    raws = _run(cfg, laws)
-    out = _finish(cfg, raws[0])
-    if demand_probe:
-        probe = _finish(cfg, raws[1])
-        out.empirical_demand = probe.empirical_demand
-        out.demand_se = probe.demand_se
-        out.bin_counts = probe.bin_counts
+    laws = [cfg.prior_mean_strategy, PiecewisePolyDist.uniform(0.0, 1.0)]
+    out, probe = (_finish(cfg, raw) for raw in _run(cfg, laws))
+    out.empirical_demand = probe.empirical_demand
+    out.demand_se = probe.demand_se
+    out.bin_counts = probe.bin_counts
     return out
 
 

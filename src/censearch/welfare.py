@@ -33,7 +33,6 @@ __all__ = [
     "fosd_compare",
     "uniform_interpolate",
     "classify_density_shape",
-    "surplus_ranking_hypothesis",
 ]
 
 FOSD_GRID = 4097  # scan points of fosd_compare (plus both breakpoint sets)
@@ -208,13 +207,3 @@ def classify_density_shape(H: PiecewisePolyDist) -> str:
         return "quasi_concave_interior_peak"
     return "neither"
 
-
-def surplus_ranking_hypothesis(
-    F: PiecewisePolyDist, a1: float, a2: float, cbar: float
-) -> bool:
-    """Hypothesis gate for cross-distribution surplus comparisons: both
-    thresholds must sit at or below the image of the top cost (every type
-    then stops only at the pooled signal), so the purchase-value and search
-    terms separate cleanly."""
-    a_top = reservation_value(F, cbar)
-    return a1 <= a_top + 1e-12 and a2 <= a_top + 1e-12

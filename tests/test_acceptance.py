@@ -21,7 +21,6 @@ from censearch.censorship import (
 )
 from censearch.dists import PiecewisePolyDist, mpc_check, truncated_mean_above
 from censearch.demand import expected_payoff
-from censearch.oracle import equilibrium_gap
 from censearch.simulate import SimConfig, simulate_deviation, simulate_market
 from censearch.welfare import (
     alpha_stretch,
@@ -34,6 +33,7 @@ from censearch.welfare import (
 
 from conftest import quasi_concave_pair, quasi_convex_pair, ramp_costs
 from test_demand import _random_contraction
+from test_oracle import equilibrium_gap
 
 GAP_TOL = 1e-6  # LP resolution: grid-relaxation bias plus solver tolerance
 

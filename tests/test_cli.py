@@ -108,6 +108,78 @@ def test_lp_grid_knobs_rejected(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--dump-lp", "lp.txt"], ["--emit-phi", "phi.csv"],
+                                  ["--seed", "3"]], ids=lambda f: f[0])
+def test_retired_flags_rejected(tmp_path, flag):
+    # the LP dump is oracle.dump_lp, the (x, D, phi) panel is emit-plot's
+    # plot_demand.csv and the simulation seed is simulate.seed
+    spec = write_spec(tmp_path, n=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--spec", str(spec), *flag])
+    assert exc.value.code == 2
+
+
+def test_scan_csv_key_rejected(tmp_path, capsys):
+    # cost_scan.csv is written exactly when --out is set, and solve reads no
+    # block of its own
+    spec = write_spec(tmp_path, n=2, extra={"solve": {"scan_csv": True}})
+    assert main(["solve", "--spec", str(spec)]) == 2
+    assert "'solve'" in capsys.readouterr().err
+
+
+BAD_COUNTS = {
+    "bins-0": ("simulate", {"simulate": {"a": 0.4, "consumers": 1000, "bins": 0}}),
+    "consumers-0": ("simulate", {"simulate": {"a": 0.4, "consumers": 0}}),
+    "consumers-fraction": ("simulate", {"simulate": {"a": 0.4, "consumers": 1000.7}}),
+    "seed-fraction": ("simulate", {"simulate": {"a": 0.4, "consumers": 1000, "seed": 3.7}}),
+    "grid_n-fraction": ("oracle", {"oracle": {"a": 0.4, "grid_n": 101.9}}),
+    "points-0": ("emit-plot", {"emit_plot": {"a": 0.4, "points": 0}}),
+    "cost_quantile-above-1": ("welfare", {"welfare": {"a_grid": [0.2], "cost_quantiles": [1.5]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_bad_counts_exit_2(tmp_path, capsys, case):
+    # counts are whole numbers, never truncated; consumers, bins and points
+    # are at least 1, and cost quantiles lie in (0, 1]
+    cmd, extra = BAD_COUNTS[case]
+    spec = write_spec(tmp_path, n=2, extra=extra)
+    assert main([cmd, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_whole_float_counts_accepted(tmp_path):
+    spec = write_spec(tmp_path, n=2, extra={"simulate": {"a": 0.4, "consumers": 2000.0,
+                                                         "bins": 10.0, "seed": 3.0}})
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "s")]) == 0
+    payload = json.loads((tmp_path / "s" / "simulate.json").read_text())
+    assert payload["consumers"] == 2000 and payload["seed"] == 3
+    assert len(payload["bin_mids"]) == 10
+
+
+UNREAD_KEYS = {
+    "a-with-a_grid": ("verify", {"verify": {"a": 0.4, "a_grid": [0.2, 0.4]}}),
+    "price_function-with-a_grid": ("verify", {"verify": {"a_grid": [0.2], "price_function": True}}),
+    "a_grid-with-n_sweep": ("verify", {"verify": {"a": 0.4, "n_sweep": [2], "a_grid": [0.2]}}),
+    "price_function-with-n_sweep": ("verify", {"verify": {"a": 0.4, "n_sweep": [2],
+                                                          "price_function": True}}),
+    "deviation-with-atom": ("simulate", {"simulate": {"a": 0.4, "consumers": 1000,
+                                                      "deviation_atom": 0.7,
+                                                      "deviation": {"kind": "uniform",
+                                                                    "support": [0, 1]}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_KEYS))
+def test_keys_the_mode_never_reads_rejected(tmp_path, capsys, case):
+    cmd, extra = UNREAD_KEYS[case]
+    spec = write_spec(tmp_path, n=2, extra=extra)
+    assert main([cmd, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "does not read" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unread_tolerance_rejected(tmp_path, capsys):
     # the LP runs at HiGHS's own tolerances, so no spec tolerance reaches it
     spec = write_spec(tmp_path, "lp_tol.json", extra={"oracle": {"a": 0.4, "grid_n": 101}})
@@ -120,15 +192,17 @@ def test_unread_tolerance_rejected(tmp_path, capsys):
 
 
 def test_verify_gating(tmp_path):
-    ok = write_spec(tmp_path, "ok.json", extra={"verify": {"a": 0.3, "price_function": True}})
-    phi = tmp_path / "phi.csv"
-    assert main(["verify", "--spec", str(ok), "--out", str(tmp_path / "v1"),
-                 "--emit-phi", str(phi)]) == 0
+    ok = write_spec(tmp_path, "ok.json", extra={"verify": {"a": 0.3, "price_function": True},
+                                               "emit_plot": {"a": 0.3}})
+    assert main(["verify", "--spec", str(ok), "--out", str(tmp_path / "v1")]) == 0
     payload = json.loads((tmp_path / "v1" / "verify.json").read_text())
     assert payload["price_function"]["passed"]
-    rows = list(csv.reader(open(phi)))
-    assert rows[0] == ["x", "D", "phi"]
+    # the (x, D, phi) panel of the verified threshold comes from emit-plot
+    assert main(["emit-plot", "--spec", str(ok), "--out", str(tmp_path / "p1")]) == 0
+    rows = list(csv.reader(open(tmp_path / "p1" / "plot_demand.csv")))
+    assert rows[0][:3] == ["x", "D", "phi"]
     gaps = [float(r[2]) - float(r[1]) for r in rows[1:]]
+    assert len(gaps) == 513
     assert min(gaps) >= -1e-9  # certificate dominates demand
     bad = write_spec(tmp_path, "bad.json", extra={"verify": {"a": 0.45}})
     assert main(["verify", "--spec", str(bad), "--out", str(tmp_path / "v2")]) == 4
@@ -189,12 +263,12 @@ def test_fractional_firm_count_rejected(tmp_path, capsys):
 
 
 def test_oracle_and_dump(tmp_path):
-    spec = write_spec(tmp_path, n=2, extra={"oracle": {"a": 0.4, "grid_n": 201}})
+    spec = write_spec(tmp_path, n=2, extra={"oracle": {"a": 0.4, "grid_n": 201, "dump_lp": True}})
     out = tmp_path / "o"
-    dump = tmp_path / "lp.txt"
-    assert main(["oracle", "--spec", str(spec), "--out", str(out), "--dump-lp", str(dump)]) == 0
+    assert main(["oracle", "--spec", str(spec), "--out", str(out)]) == 0
     payload = json.loads((out / "oracle.json").read_text())
     assert payload["equilibrium_gap"] <= 1e-6
+    dump = out / "lp_triplets.txt"
     assert dump.exists() and dump.read_text().startswith("# row col value")
 
 

@@ -620,14 +620,14 @@ def _cdf_evaluations(monkeypatch, d, draws):
     over `draws` elements.  Every element iterates on its own, so the rounds
     of one block of all draws are the most any block of them needs."""
     count = []
-    inner = dists_module._horner
+    inner = dists_module.polyval
 
     def counting(c, x):
         if len(c) == len(d._P):
             count.append(1)
         return inner(c, x)
 
-    monkeypatch.setattr(dists_module, "_horner", counting)
+    monkeypatch.setattr(dists_module, "polyval", counting)
     monkeypatch.setattr(dists_module, "QUANTILE_BLOCK", draws, raising=False)
     return count
 

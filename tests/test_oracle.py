@@ -14,12 +14,17 @@ from censearch.demand import DemandCurve
 from censearch.dists import PiecewisePolyDist, mean, mpc_check
 from censearch.oracle import (
     build_problem,
-    equilibrium_gap,
     masses_to_dist,
     solve_br,
 )
 
 GAP_TOL = 1e-6  # oracle resolution: grid-relaxation bias plus solver noise
+
+
+def equilibrium_gap(G_star, F, H, n, grid_n):
+    """max(0, best grid deviation payoff - 1/n): zero iff the conjecture is a
+    best response to itself at this grid resolution."""
+    return max(0.0, solve_br(build_problem(G_star, F, H, n, grid_n)).value - 1.0 / n)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,8 @@ from test_demand import _random_contraction
 
 def test_no_disclosure_stops_everyone(F, H_uniform):
     delta = upper_censorship(F, 0.0)
-    out = simulate_market(SimConfig(delta, H_uniform, 3, 50_000, seed=7), demand_probe=False)
+    cfg = SimConfig(delta, H_uniform, 3, 50_000, seed=7)
+    out = simulate_deviation(cfg, cfg.prior_mean_strategy)[2]
     assert out.search_length_mean == 1.0
     for p, se in zip(out.firm_payoffs, out.payoff_se):
         assert abs(p - 1 / 3) <= 4 * se
@@ -78,7 +79,8 @@ def test_tie_break_matches_combinatorial_value(F, H_uniform):
     n = 3
     curve = DemandCurve(G, n, H_uniform)
     x0 = float(G.atom_locs[0])
-    out = simulate_market(SimConfig(G, H_uniform, n, 400_000, seed=5), demand_probe=False)
+    cfg = SimConfig(G, H_uniform, n, 400_000, seed=5)
+    out = simulate_deviation(cfg, cfg.prior_mean_strategy)[2]
     # locate the bin holding the atom
     j = int(np.clip(np.digitize(x0, np.linspace(0, 1, out.bin_mids.size + 1)) - 1, 0, out.bin_mids.size - 1))
     d_emp = out.empirical_demand[j]
@@ -92,7 +94,8 @@ def test_zero_cost_consumers_visit_everyone(F):
     # costs with an atom at zero: those consumers search all firms
     H0 = PiecewisePolyDist([0.0, 0.18], [np.array([0.5 / 0.18])], atoms=[(0.0, 0.5)])
     delta = upper_censorship(F, 0.0)
-    out = simulate_market(SimConfig(delta, H0, 3, 50_000, seed=2), demand_probe=False)
+    cfg = SimConfig(delta, H0, 3, 50_000, seed=2)
+    out = simulate_deviation(cfg, cfg.prior_mean_strategy)[2]
     # half the consumers stop immediately, half visit all three firms
     assert abs(out.search_length_mean - (0.5 * 1 + 0.5 * 3)) <= 0.02
 
@@ -186,7 +189,7 @@ def test_visit_order_matches_full_rows(F, H_uniform, monkeypatch):
                 cfg = SimConfig(G, H, n, 2100, seed=31 + n, bins=20)
                 case = (li, n, a)
                 ref = _full_row_run(cfg, None)
-                assert _text(simulate_market(cfg, demand_probe=False)) == _text(ref), case
+                assert _text(simulate_deviation(cfg, cfg.prior_mean_strategy)[2]) == _text(ref), case
                 probe = _full_row_run(cfg, uniform)
                 ref.empirical_demand = probe.empirical_demand
                 ref.demand_se = probe.demand_se
