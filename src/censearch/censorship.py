@@ -71,25 +71,23 @@ PRICE_GRID = 2049       # scan grid of verify_price_function
 
 
 def upper_censorship(F: PiecewisePolyDist, a: float) -> PiecewisePolyDist:
-    """Censor the prior above a: density f and the atoms of F on [0, a), a
-    gap on [a, k), and an atom of the censored mass at the conditional mean
-    k = E[v | v >= a] (an atom of F at a joins it).  a = 0 gives no
-    disclosure (point mass at the mean), a = 1 full disclosure."""
+    """Censor the prior above a: F strictly below a, a gap on [a, k), and
+    the pooled mass 1 - F.cdf_left(a) at k = E[v | v >= a], so an atom that
+    a sits on (see ``PiecewisePolyDist._locate``) joins the pool and the mean
+    holds.  a = 0 gives no disclosure (point mass at the mean), a = 1 full."""
     if a >= F.support_hi - 1e-12:
         return F
     a = max(float(a), F.support_lo)
-    Fa = F.cdf(a) - F.atom_mass_at(a)
+    Fa = F.cdf_left(a)
     k = truncated_mean_above(F, a)
     if k <= a:
         raise ArithmeticError(f"pooled signal of threshold {a!r} does not clear it in double precision")
     if Fa <= 1e-14:
         return PiecewisePolyDist([F.support_lo, k], [np.zeros(1)], atoms=[(k, 1.0)])
-    breaks = [float(b) for b in F.breaks if b < a - 1e-14]
-    coefs = [F.coefs[i] for i in range(len(breaks))]
-    breaks.append(a)
-    coefs.append(np.zeros(1))
-    breaks.append(k)
-    below = [(x, m) for x, m in zip(F.atom_locs.tolist(), F.atom_masses.tolist()) if x < a - 1e-12]
+    breaks = [float(b) for b in F.breaks if b < a]
+    coefs = F.coefs[: len(breaks)] + [np.zeros(1)]
+    breaks += [a, k]
+    below = [(x, m) for x, m in zip(F.atom_locs.tolist(), F.atom_masses.tolist()) if x < a]
     return PiecewisePolyDist(breaks, coefs, atoms=below + [(k, 1.0 - Fa)])
 
 

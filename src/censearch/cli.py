@@ -44,7 +44,7 @@ SCHEMA_VERSION = 1
 PLOT_POINTS = 513  # emit-plot's default grid size
 
 _KNOWN_TOP = {"version", "market", "verify", "oracle", "simulate",
-              "compstat", "welfare", "emit_plot", "output"}
+              "compstat", "welfare", "emit_plot"}
 
 
 class ConfigError(ValueError):
@@ -90,15 +90,14 @@ def _config_errors():
         raise ConfigError(str(exc)) from exc
 
 
-def _count(blk: dict, key: str, default: int, where: str, least: int | None = None) -> int:
-    """An integer spec field (a whole float such as 5.0 counts), never
-    truncated, and at least ``least`` when that is given."""
-    v = blk.get(key, default)
+def _count(v, where: str, least: int | None = None) -> int:
+    """The integer value v of spec field ``where`` (a whole float such as
+    5.0 counts), never truncated, and at least ``least`` when that is given."""
     whole = not isinstance(v, bool) and (isinstance(v, int)
                                          or isinstance(v, float) and v.is_integer())
     if not whole or (least is not None and v < least):
         bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{where}.{key} must be an integer{bound}, got {v!r}")
+        raise ConfigError(f"{where} must be an integer{bound}, got {v!r}")
     return int(v)
 
 
@@ -192,7 +191,7 @@ def cmd_oracle(spec: dict, out: Path | None) -> int:
     blk = spec.get("oracle", {})
     _require_keys(blk, {"a", "grid_n", "dump_lp"}, "oracle")
     a = float(blk.get("a", 0.0))
-    grid_n = _count(blk, "grid_n", GRID_N, "oracle")
+    grid_n = _count(blk.get("grid_n", GRID_N), "oracle.grid_n")
     G = upper_censorship(mc.prior, a)
     prob = build_problem(G, mc.prior, mc.costs, mc.n, grid_n)
     sol = solve_br(prob)
@@ -227,9 +226,9 @@ def cmd_simulate(spec: dict, out: Path | None) -> int:
         prior_mean_strategy=G,
         costs=mc.costs,
         n=mc.n,
-        consumers=_count(blk, "consumers", 100000, "simulate", least=1),
-        seed=_count(blk, "seed", 0, "simulate"),
-        bins=_count(blk, "bins", 50, "simulate", least=1),
+        consumers=_count(blk.get("consumers", 100000), "simulate.consumers", least=1),
+        seed=_count(blk.get("seed", 0), "simulate.seed"),
+        bins=_count(blk.get("bins", 50), "simulate.bins", least=1),
     )
     payload: dict
     if "deviation" in blk or "deviation_atom" in blk:
@@ -277,28 +276,32 @@ def cmd_welfare(spec: dict, out: Path | None) -> int:
     return 0
 
 
+# the member list each compstat family reads
+_FAMILY_KEY = {"alpha_stretch": "alphas", "uniform_mix": "lambdas",
+               "support_halving": "halvings", "ramp_to_top": "ramp_ks"}
+
+
 def cmd_compstat(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("compstat", {})
-    _require_keys(blk, {"family", "alphas", "lambdas", "halvings", "ramp_ks", "base_costs"}, "compstat")
     family = blk.get("family", "alpha_stretch")
-    with _config_errors():
-        H0 = dist_from_json(blk["base_costs"]) if "base_costs" in blk else mc.costs
-    members: list[tuple[float, PiecewisePolyDist]] = []
-    if family == "alpha_stretch":
-        for al in blk.get("alphas", [1.1, 1.3, 1.5]):
-            members.append((float(al), alpha_stretch(H0, float(al), prior_mean=mc.mu)))
-    elif family == "uniform_mix":
-        for lam in blk.get("lambdas", [0.0, 0.25, 0.5, 0.75, 1.0]):
-            members.append((float(lam), uniform_interpolate(H0, float(lam), H0.support_hi)))
-    elif family == "support_halving":
-        for k in blk.get("halvings", range(0, 7)):
-            members.append((float(k), PiecewisePolyDist.uniform(0.0, H0.support_hi / 2**int(k))))
-    elif family == "ramp_to_top":
-        for k in blk.get("ramp_ks", range(2, 7)):
-            members.append((float(k), _ramp_family(H0.support_hi, int(k))))
-    else:
+    if family not in _FAMILY_KEY:
         raise ConfigError(f"unknown compstat family {family!r}")
+    _require_keys(blk, {"family", "base_costs", _FAMILY_KEY[family]}, f"compstat (family {family!r})")
+    with _config_errors():  # a member list that is not a list included
+        H0 = dist_from_json(blk["base_costs"]) if "base_costs" in blk else mc.costs
+        if family == "alpha_stretch":
+            members = [(float(al), alpha_stretch(H0, float(al), prior_mean=mc.mu))
+                       for al in blk.get("alphas", [1.1, 1.3, 1.5])]
+        elif family == "uniform_mix":
+            members = [(float(lam), uniform_interpolate(H0, float(lam), H0.support_hi))
+                       for lam in blk.get("lambdas", [0.0, 0.25, 0.5, 0.75, 1.0])]
+        elif family == "support_halving":
+            ks = [_count(k, "compstat.halvings", least=0) for k in blk.get("halvings", range(0, 7))]
+            members = [(float(k), PiecewisePolyDist.uniform(0.0, H0.support_hi / 2**k)) for k in ks]
+        else:
+            ks = [_count(k, "compstat.ramp_ks", least=2) for k in blk.get("ramp_ks", range(2, 7))]
+            members = [(float(k), _ramp_family(H0.support_hi, k)) for k in ks]
     rows = []
     for param, Hk in members:
         rep = cost_shape_report(Hk, mc.mu, mc.tol.ineq)
@@ -328,7 +331,7 @@ def cmd_emit_plot(spec: dict, out: Path | None) -> int:
     _require_keys(blk, {"a", "points"}, "emit_plot")
     rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
     a = float(blk["a"]) if "a" in blk else solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0]
-    pts = _count(blk, "points", PLOT_POINTS, "emit_plot", least=1)
+    pts = _count(blk.get("points", PLOT_POINTS), "emit_plot.points", least=1)
     # cost panel with the tangent line through the origin at slope min S
     smin = rep.min_slope
     # at the cost top both one-sided densities are the last piece's

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+BREAK_TOL = 1e-14  # x of the support sits on breakpoint b when b - BREAK_TOL <= x <= b
 ATOM_PAD = 1e-9    # half-width of the interval that carries a law of atoms alone
 ZERO_COST = 1e-10  # reservation_value returns the support top for costs up to this
 # quantile inverts at most this many draws at a time: it bounds the ~30
@@ -54,6 +55,11 @@ class PiecewisePolyDist:
     """Distribution on [breaks[0], breaks[-1]] with polynomial density pieces
     and atoms.  Atoms are normalized to sit on breakpoints, so the CDF only
     jumps at breakpoints and every piece is smooth inside its interval.
+
+    :meth:`_locate` alone decides which breakpoint a point sits on.  There
+    ``cdf``, ``cdf_left`` and ``atom_mass_at`` read the breakpoint tables,
+    off the breakpoints the atom is 0, so G(x-) <= G(x) and the two differ
+    by ``atom_mass_at(x)``; the one-sided densities pick the piece by side.
 
     Construction builds every per-segment table the queries need, one
     column per segment (ascending powers, zero-padded to a common degree):
@@ -100,7 +106,7 @@ class PiecewisePolyDist:
         locs = [a for a, _ in atoms]
         if len(set(locs)) != len(locs):
             raise ValueError("duplicate atom locations")
-        if atoms and (atoms[0][0] < breaks[0] - 1e-14 or atoms[-1][0] > breaks[-1] + 1e-14):
+        if atoms and (atoms[0][0] < breaks[0] - BREAK_TOL or atoms[-1][0] > breaks[-1] + BREAK_TOL):
             raise ValueError("atom outside support")
         breaks, coefs, atoms = _insert_atom_breaks(breaks, coefs, atoms)
         self.breaks = breaks
@@ -203,23 +209,19 @@ class PiecewisePolyDist:
     def _segment_index(self, x: float) -> int:
         return int(np.searchsorted(self._inner, x, side="right"))
 
-    def _points(self, x):
-        """x as a float array (a numpy scalar for scalar input), x clamped to
-        the support (where the pieces are evaluated: the same points inside,
-        and finite outside, where each query substitutes its extension), and
-        the segment holding each point (right-continuous, clipped to the end
-        segments)."""
+    def _locate(self, x):
+        """x as a float array (a numpy scalar for scalar input); x clamped to
+        the support, where the pieces are evaluated (each query substitutes
+        its extension outside); the right-continuous segment holding x and
+        the first breakpoint j >= x (both clipped to the support); and whether
+        x sits on breakpoint j: x lies in the support, at most BREAK_TOL below."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             x = x[()]
         xe = np.minimum(np.maximum(x, self.breaks[0]), self.breaks[-1])
-        return x, xe, np.searchsorted(self._inner, x, side="right")
-
-    def _snap(self, x: np.ndarray):
-        """Index of the first breakpoint >= x, and whether x lies within
-        1e-14 of it (one-sided queries treat such points as the breakpoint)."""
-        j = np.minimum(np.searchsorted(self.breaks, x), len(self.breaks) - 1)
-        return j, np.abs(self.breaks[j] - x) <= 1e-14
+        i = np.searchsorted(self._inner, x, side="right")
+        j = i + (self.breaks[i] < x)
+        return x, xe, i, j, (x == xe) & (self.breaks[j] - x <= BREAK_TOL)
 
     def cdf_poly(self, i: int) -> np.ndarray:
         """The CDF on segment i as one polynomial in x (ascending powers,
@@ -254,32 +256,27 @@ class PiecewisePolyDist:
         return float(self.breaks[np.argmax(live)])
 
     def atom_mass_at(self, x):
-        """Total atom mass within 1e-12 of x."""
-        x = np.asarray(x, dtype=float)
-        hit = np.abs(self.atom_locs - x[..., None]) <= 1e-12
-        return _result(np.where(hit, self.atom_masses, 0.0).sum(axis=-1))
+        """The atom on the breakpoint x sits on; 0 off the breakpoints."""
+        _, _, _, j, on = self._locate(x)
+        return _result(np.where(on, self._atom_at[j], 0.0))
+
+    def _cdf(self, x, at_break: np.ndarray):
+        x, xe, i, j, on = self._locate(x)
+        g = self._cdf_at[i] + polyval(self._P[:, i], xe) - self._P_lo[i]
+        g = np.where(x < self.breaks[0], 0.0, np.where(x > self.breaks[-1], 1.0, g))
+        return _result(np.where(on, at_break[j], g))
 
     def cdf(self, x):
         """Right-continuous CDF, extended by 0/1 outside the support."""
-        x, xe, i = self._points(x)
-        g = self._cdf_at[i] + polyval(self._P[:, i], xe) - self._P_lo[i]
-        g = np.where(x < self.breaks[0], 0.0, np.where(x >= self.breaks[-1], 1.0, g))
-        return _result(g)
+        return self._cdf(x, self._cdf_at)
 
     def cdf_left(self, x):
         """Left limit of the CDF at x."""
-        x, xe, i = self._points(x)
-        g = self._cdf_at[i] + polyval(self._P[:, i], xe) - self._P_lo[i]
-        j, on_break = self._snap(x)
-        g = np.where(on_break, self._cdf_left_at[j], g)
-        g = np.where(x <= self.breaks[0], 0.0, np.where(x > self.breaks[-1], 1.0, g))
-        return _result(g)
+        return self._cdf(x, self._cdf_left_at)
 
     def _density(self, table: np.ndarray, x, side: int):
-        x, xe, i = self._points(x)
-        j, on_break = self._snap(x)
-        j = np.minimum(np.maximum(j if side > 0 else j - 1, 0), len(self.coefs) - 1)
-        i = np.where(on_break, j, i)
+        x, xe, i, j, on = self._locate(x)
+        i = np.where(on, np.minimum(np.maximum(j if side > 0 else j - 1, 0), len(self.coefs) - 1), i)
         f = polyval(table[:, i], xe)
         f = np.where((x < self.breaks[0]) | (x > self.breaks[-1]), 0.0, f)
         return _result(f)
@@ -293,7 +290,7 @@ class PiecewisePolyDist:
 
     def cdf_integral(self, x):
         """K(x) = int_{lo}^{x} G(t) dt, extended linearly above the support."""
-        x, xe, i = self._points(x)
+        x, xe, i, _, _ = self._locate(x)
         lo = self.breaks[i]
         part = (
             self._cdf_at[i] * (xe - lo)
@@ -314,7 +311,7 @@ class PiecewisePolyDist:
 
     def tail_gap(self, x):
         """int_x^{support_hi} (1 - G(t)) dt; 0 above the support."""
-        x, xe, i = self._points(x)
+        x, xe, i, _, _ = self._locate(x)
         t = self._segment_tail(i, xe)
         lo = self.breaks[0]
         t = np.where(x >= self.breaks[-1], 0.0, np.where(x <= lo, self._tail_at[0] + (lo - x), t))
@@ -467,14 +464,15 @@ def _pow(u, k: int):
 
 def _insert_atom_breaks(breaks, coefs, atoms):
     """Split segments so that every atom location is a breakpoint.  An atom
-    within 1e-14 of a breakpoint, on either side, moves onto it (and merges
-    with an atom already there), so a query at the atom sees the jump."""
+    within BREAK_TOL of a breakpoint, on either side, moves onto it (and
+    merges with an atom already there) rather than leave a sliver piece."""
     breaks = list(breaks)
     coefs = list(coefs)
     placed: dict[float, float] = {}
     for a, m in atoms:
         j = int(np.searchsorted(breaks, a))
-        near = [breaks[i] for i in (j - 1, j) if 0 <= i < len(breaks) and abs(breaks[i] - a) <= 1e-14]
+        near = [breaks[i] for i in (j - 1, j)
+                if 0 <= i < len(breaks) and abs(breaks[i] - a) <= BREAK_TOL]
         if near:
             a = min(near, key=lambda b: abs(b - a))
         elif 0 < j < len(breaks):  # outside the support: left to constructor validation

@@ -319,6 +319,48 @@ def test_compstat_families(tmp_path):
     assert vals == sorted(vals, reverse=True)  # stretching reduces disclosure
 
 
+BAD_FAMILY_MEMBERS = {
+    "halving-fraction": {"family": "support_halving", "halvings": [1.5]},
+    "halving-negative": {"family": "support_halving", "halvings": [-1]},
+    "ramp-fraction": {"family": "ramp_to_top", "ramp_ks": [2.5]},
+    "ramp-below-2": {"family": "ramp_to_top", "ramp_ks": [1]},
+    "lambdas-with-alpha_stretch": {"family": "alpha_stretch", "lambdas": [0.5]},
+    "ramp_ks-with-default-family": {"ramp_ks": [2, 4]},
+    "halvings-not-a-list": {"family": "support_halving", "halvings": 3},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FAMILY_MEMBERS))
+def test_compstat_members_never_truncated_or_ignored(tmp_path, capsys, case):
+    # halvings are integers >= 0 and ramp_ks integers >= 2 (a row labelled
+    # 1.5 was computed at k = 1, and k = 1 divided by zero); a family reads
+    # its own member list only
+    spec = write_spec(tmp_path, n=2, extra={"compstat": BAD_FAMILY_MEMBERS[case]})
+    assert main(["compstat", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unread_output_block_rejected(tmp_path, capsys):
+    spec = write_spec(tmp_path, n=2, extra={"output": {"dir": "results"}})
+    assert main(["solve", "--spec", str(spec)]) == 2
+    assert "'output'" in capsys.readouterr().err
+
+
+def test_verify_threshold_next_to_a_prior_atom(tmp_path):
+    # 0.8 U[0, 1] plus 0.2 at 0.5: a threshold 1e-13 below the atom pools it
+    # (the censored law's mass read 1.2 there, a config error)
+    spec = write_spec(tmp_path, n=2, extra={"verify": {"a": 0.5 - 1e-13}})
+    payload = json.loads(spec.read_text())
+    payload["market"]["prior"] = {"kind": "mixture", "components": [
+        {"weight": 0.8, "kind": "uniform", "support": [0, 1]},
+        {"weight": 0.2, "kind": "atoms", "atoms": [{"at": 0.5, "mass": 1.0}]}]}
+    spec.write_text(json.dumps(payload))
+    assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / "v")]) in (0, 4)
+    report = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert report["pooled_signal"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
 def test_one_cost_shape_analysis_per_cost_law(tmp_path, monkeypatch):
     """solve, compstat and emit-plot analyse each cost law once: solve_a_max
     reads the cost-shape report its caller already built."""

@@ -270,8 +270,10 @@ def _random_law(seed: int) -> PiecewisePolyDist:
 def laws(H_uniform, H_convex, H_step, H_bimodal, H_threestep):
     base = [H_uniform, H_convex, H_step, H_bimodal, H_threestep,
             *quasi_convex_pair(), *quasi_concave_pair(), ramp_costs(0.18, 4)]
+    # seed 60 holds a segment whose running minimum beats a later candidate
+    # by rounding alone (test_corpus_exercises_the_traps)
     return (base + [alpha_stretch(H, 1.03) for H in base]
-            + [_random_law(seed) for seed in range(10)])
+            + [_random_law(seed) for seed in (*range(10), 60)])
 
 
 def _bits(x):

@@ -251,10 +251,14 @@ def _ref_stop(curve, x):
 
 
 def _ref_atom_mass(G, x):
-    if not len(G.atom_locs):
+    # the atoms on the breakpoint x sits on: the first at or above x, when x
+    # lies in the support within 1e-14 of it
+    if not len(G.atom_locs) or not G.breaks[0] <= x <= G.breaks[-1]:
         return 0.0
-    hit = np.abs(G.atom_locs - x) <= 1e-12
-    return float(G.atom_masses[hit].sum())
+    j = int(np.searchsorted(G.breaks, x))
+    if G.breaks[j] - x > 1e-14:
+        return 0.0
+    return float(G.atom_masses[np.abs(G.atom_locs - G.breaks[j]) <= 1e-14].sum())
 
 
 def _ref_max_win(curve, x, side):

@@ -277,23 +277,32 @@ def _ref_piece_cdf(d, x):
     return float(cdf[i] + npoly.polyval(x, ci) - npoly.polyval(d.breaks[i], ci))
 
 
-def _ref_cdf(d, x):
+def _ref_on_break(d, x):
+    """The index of the breakpoint x sits on (the first at or above it, when
+    within 1e-14 of it and x lies in the support), else None."""
+    if not d.breaks[0] <= x <= d.breaks[-1]:
+        return None
+    j = int(np.searchsorted(d.breaks, x))
+    return j if d.breaks[j] - x <= 1e-14 else None
+
+
+def _ref_cdf_side(d, x, left):
+    j = _ref_on_break(d, x)
+    if j is not None:
+        return float(_ref_tables(d)[1 if left else 0][j])
     if x < d.breaks[0]:
-        return 0.0
-    if x >= d.breaks[-1]:
-        return 1.0
-    return _ref_piece_cdf(d, x)
-
-
-def _ref_cdf_left(d, x):
-    if x <= d.breaks[0]:
         return 0.0
     if x > d.breaks[-1]:
         return 1.0
-    j = np.searchsorted(d.breaks, x)
-    if j < len(d.breaks) and abs(d.breaks[j] - x) <= 1e-14:
-        return float(_ref_tables(d)[1][j])
     return _ref_piece_cdf(d, x)
+
+
+def _ref_cdf(d, x):
+    return _ref_cdf_side(d, x, left=False)
+
+
+def _ref_cdf_left(d, x):
+    return _ref_cdf_side(d, x, left=True)
 
 
 def _ref_density(d, x, side, deriv=False):

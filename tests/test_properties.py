@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from censearch._poly import poly_range_on, polyint, polyval  # noqa: E402
 from censearch.censorship import upper_censorship  # noqa: E402
 from censearch.demand import expected_payoff  # noqa: E402
-from censearch.dists import PiecewisePolyDist, mean, reservation_value  # noqa: E402
+from censearch.dists import PiecewisePolyDist, mean, mpc_check, reservation_value  # noqa: E402
 
 from conftest import tail_noise  # noqa: E402
 
@@ -87,6 +87,61 @@ def test_payoff_identity(H_uniform, H_step, H_bimodal, H_threestep, H_convex, la
         if mean(G) <= H.support_hi:
             continue  # no market: the top cost would clear the prior mean
         assert abs(expected_payoff(G, G, n, H) - 1.0 / n) <= 1e-10, (n, k)
+
+
+# every breakpoint and atom, moved onto it, just inside BREAK_TOL of it and
+# well outside it, on either side
+NEAR = (0.0, 4e-15, -4e-15, 1e-13, -1e-13, 1e-12, -1e-12)
+
+
+def _near_marks(law, free):
+    marks = np.concatenate([law.breaks, law.atom_locs])
+    return [float(x) for x in np.concatenate([free, (marks[:, None] + NEAR).ravel()])]
+
+
+@PROPERTY_SETTINGS
+@given(piecewise_laws(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_censorship_is_a_contraction_at_every_threshold(law, free):
+    """upper_censorship keeps the prior's mean, and passes the contraction
+    test, at thresholds on, next to and away from breakpoints and atoms."""
+    for a in _near_marks(law, free):
+        U = upper_censorship(law, a)
+        assert mpc_check(U, law)[0], (a, mean(U), mean(law))
+
+
+@PROPERTY_SETTINGS
+@given(piecewise_laws(), st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=6))
+def test_cdf_jumps_exactly_at_atoms(law, free):
+    """G(x-) <= G(x), and G jumps by the atom that atom_mass_at sees, on,
+    next to and away from breakpoints and atoms: not at all where it sees
+    none, and by the atom to within an ulp of G elsewhere (an atom below
+    that, such as the 2.3e-275 Hypothesis draws, leaves no jump)."""
+    for x in _near_marks(law, free):
+        gl, gr, m = law.cdf_left(x), law.cdf(x), law.atom_mass_at(x)
+        assert gl <= gr, (x, gl, gr)
+        if m == 0.0:
+            assert gr == gl, (x, gl, gr)
+        else:
+            assert abs((gr - gl) - m) <= np.spacing(gr), (x, gl, gr, m)
+
+
+def test_pool_next_to_an_atom_keeps_the_mean():
+    # 0.8 U[0, 1] plus 0.2 at 0.5: a threshold 1e-13 below the atom pools it
+    # (a total mass of 1.2 was refused there), one 1e-13 above it leaves it
+    # out (its mean read 0.55)
+    parts = (PiecewisePolyDist.uniform(0.0, 1.0), PiecewisePolyDist.point_mass(0.5))
+    F = PiecewisePolyDist.mixture(parts, [0.8, 0.2])
+    for a, signal in ((0.5 - 1e-13, 2.0 / 3.0), (0.5 - 4e-15, 2.0 / 3.0), (0.5, 2.0 / 3.0),
+                      (0.5 + 5e-15, 0.75), (0.5 + 1e-13, 0.75)):
+        U = upper_censorship(F, a)
+        assert abs(mean(U) - 0.5) <= 1e-14, a
+        assert U.max_supp() == pytest.approx(signal, abs=1e-12), a
+        assert mpc_check(U, F)[0], a
+    # G(x-) <= G(x) just below the atom, which sits there in every query
+    for x in (0.5 - 4e-15, 0.5):
+        assert F.cdf_left(x) == 0.4000000000000001 and F.cdf(x) == 0.6000000000000001
+        assert F.atom_mass_at(x) == 0.2
+    assert F.atom_mass_at(0.5 - 1e-13) == 0.0 and F.cdf(0.5 - 1e-13) == F.cdf_left(0.5 - 1e-13)
 
 
 def _bits(a):
