@@ -22,17 +22,21 @@ discrete price function ``q = D + y`` of Dworczak & Martini (JPE 2019):
 convex on the grid, ``q >= D``, ``q = D`` where p > 0, and ``w @ q`` is the
 optimal value.
 
+scipy is imported on first use, not with the module: ``lp_matrices`` loads
+``scipy.sparse`` and the module attribute ``linprog`` loads
+``scipy.optimize``, so the commands that never solve an LP do not pay for
+either.
+
 Deviations are unobservable to consumers, so the conjecture stays fixed and
 no fixed-point iteration is needed.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from ._poly import gauss_nodes
 from .demand import DemandCurve, expected_payoff
@@ -44,6 +48,17 @@ GRID_N = 801          # uniform mesh points of the LP grid
 COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
 SUPPORT_MASS = 1e-9   # smallest LP mass BRSolution.support reports
 ATOM_MASS = 1e-12     # smallest LP mass masses_to_dist keeps as an atom
+
+
+def __getattr__(name):
+    """``linprog`` is scipy's, imported on first access and then kept in the
+    module globals, where a patched ``oracle.linprog`` replaces it."""
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -67,6 +82,8 @@ class BRProblem:
         >= 0``, with ``b_ub = w`` the hat masses.  ``c = A_ub.T @ D``, so the
         payoff is ``D @ w - c @ z``.  An m x (m - 2) CSC matrix with
         3(m - 2) nonzeros."""
+        import scipy.sparse as sp
+
         x = self.grid
         m = len(x)
         d = np.diff(x)
@@ -164,7 +181,8 @@ def solve_br(problem: BRProblem) -> BRSolution:
     LP duality gap.  The only bounds are ``z >= 0``, so the dual objective
     is ``b_ub @ y`` in full."""
     c, A_ub, b_ub = problem.lp_matrices()
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
+    # the module attribute, not the global name: see __getattr__
+    res = sys.modules[__name__].linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"best-response LP failed: {res.message}")
     value = float(problem.objective @ b_ub) - float(res.fun)

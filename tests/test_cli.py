@@ -414,12 +414,54 @@ def test_emit_plot_panels(tmp_path):
     assert y1 == pytest.approx(interp, abs=1e-9)
 
 
+def _fresh_python(code, cwd=None):
+    """Run ``code`` in a new interpreter that imports censearch from this
+    checkout and return its stdout: only a fresh process shows which modules
+    an import or a command loads."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_cli_import_leaves_test_references_out():
-    # mpmath, sympy and hypothesis serve the tests only; the command line
-    # tool's start-up must not pay for importing them
+    # mpmath, sympy and hypothesis serve the tests only and scipy only the
+    # oracle's LP; the command line tool's start-up must not pay for
+    # importing them (importing censearch.cli imports the package first)
     code = ("import sys, censearch.cli; "
-            "print(' '.join(m for m in ('mpmath', 'sympy', 'hypothesis') if m in sys.modules))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+            "print(' '.join(m for m in ('mpmath', 'sympy', 'hypothesis', 'scipy') if m in sys.modules))")
+    assert _fresh_python(code).split() == []
+
+
+def test_non_oracle_commands_leave_scipy_out(tmp_path):
+    """Every command but oracle runs without scipy: a later scipy import in
+    one of them would bring the start-up cost back to every run."""
+    spec = write_spec(tmp_path, n=2, extra={
+        "verify": {"a": 0.3},
+        "welfare": {"a_grid": [0.0, 0.2, 0.4]},
+        "simulate": {"a": 0.4, "consumers": 2000, "seed": 3},
+        "compstat": {"family": "alpha_stretch", "alphas": [1.1, 1.3]},
+        "emit_plot": {"a": 0.4, "points": 65},
+    })
+    commands = ("solve", "verify", "welfare", "simulate", "compstat", "emit-plot")
+    code = ("import sys\n"
+            "from censearch.cli import main\n"
+            f"codes = [main([c, '--spec', {str(spec)!r}, '--out', c]) for c in {commands!r}]\n"
+            "print(*codes, 'scipy' in sys.modules)")
+    assert _fresh_python(code, cwd=tmp_path).split() == ["0"] * len(commands) + ["False"]
+
+
+def test_oracle_cold_start_matches_in_process(tmp_path):
+    """The oracle command writes the same bytes whether its first LP loads
+    scipy (a fresh interpreter) or finds it loaded (this process)."""
+    spec = write_spec(tmp_path, n=2, extra={"oracle": {"a": 0.4, "grid_n": 201, "dump_lp": True}})
+    code = ("import sys\n"
+            "from censearch.cli import main\n"
+            "cold = 'scipy' not in sys.modules\n"
+            f"code = main(['oracle', '--spec', {str(spec)!r}, '--out', 'cold'])\n"
+            "print(cold, code, 'scipy.optimize' in sys.modules)")
+    assert _fresh_python(code, cwd=tmp_path).split() == ["True", "0", "True"]
+    import scipy.optimize  # noqa: F401  (the in-process run starts with scipy loaded)
+    assert main(["oracle", "--spec", str(spec), "--out", str(tmp_path / "warm")]) == 0
+    for name in ("oracle.json", "lp_triplets.txt"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes(), name
