@@ -1,8 +1,9 @@
 """Polynomial and quadrature helpers shared by the distribution machinery.
 
-All polynomials are coefficient arrays in *ascending* powers of the global
-variable (not segment-local), so a density piece ``[c0, c1, c2, c3]`` means
-``c0 + c1*t + c2*t**2 + c3*t**3`` on its interval.  Every integral in the
+All polynomials are coefficient arrays in *ascending* powers of a variable
+the caller names: ``[c0, c1, c2, c3]`` means ``c0 + c1*t + c2*t**2 +
+c3*t**3``, where t is x - origin (:func:`polyshift` moves the origin, and
+:func:`real_roots_in` returns roots in x).  Every integral in the
 library is either a closed-form antiderivative or a Gauss-Legendre rule
 (:func:`gauss_legendre`).  A rule is exact up to rounding only where its node
 count covers the integrand's degree; :func:`gauss_legendre` says where it
@@ -21,6 +22,7 @@ __all__ = [
     "polyder",
     "polyint",
     "polymul",
+    "polyshift",
     "real_roots_in",
     "poly_range_on",
     "gauss_nodes",
@@ -71,6 +73,26 @@ def polyint(coefs: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + c.shape[1:]), c / _counting(c)])
 
 
+def polyshift(coefs: np.ndarray, s) -> np.ndarray:
+    """The coefficients of p(t + s) in t, for a polynomial and a scalar s or
+    per column of a table, s one per column: each the float nearest to the
+    exact shift (synthetic division on integers), so s = 0 keeps them."""
+    c = np.asarray(coefs, dtype=float)
+    n, out = len(c) - 1, []
+    for cc, sv in zip(c.reshape(n + 1, -1).T.tolist(), (np.zeros(c.shape[1:]) + s).ravel().tolist()):
+        # c_j = m_j / d_j and s = b / q (d_j, q powers of 2): the integers
+        # B_j = c_j e q^(n - j), shifted by b, are coefficient k times e q^(n - k)
+        b, q = sv.as_integer_ratio()
+        ratios = [v.as_integer_ratio() for v in cc]
+        e = max(d for _, d in ratios)
+        B = [m * (e // d) * q ** (n - j) for j, (m, d) in enumerate(ratios)]
+        for k in range(n):
+            for j in range(n - 1, k - 1, -1):
+                B[j] += b * B[j + 1]
+        out.append([v / (e * q ** (n - k)) for k, v in enumerate(B)])
+    return np.array(out).T.reshape(c.shape)
+
+
 def _trim(coefs: np.ndarray, tol: float = 0.0) -> np.ndarray:
     c = np.asarray(coefs, dtype=float)
     nz = np.nonzero(np.abs(c) > tol)[0]
@@ -79,8 +101,9 @@ def _trim(coefs: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return c[: nz[-1] + 1]
 
 
-def real_roots_in(coefs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Real roots of the polynomial within ROOT_PAD of [lo, hi], clipped to it."""
+def real_roots_in(coefs: np.ndarray, lo: float, hi: float, origin: float = 0.0) -> np.ndarray:
+    """The real roots x of the polynomial in t = x - origin that lie within
+    ROOT_PAD of [lo, hi], clipped to it."""
     c = _trim(coefs, tol=0.0)
     scale = np.max(np.abs(c))
     if scale == 0.0:
@@ -89,7 +112,7 @@ def real_roots_in(coefs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if len(c) <= 1:
         return np.empty(0)
     roots = npoly.polyroots(c)
-    real = roots[np.abs(roots.imag) <= 1e-9 * max(1.0, np.abs(roots).max())].real
+    real = origin + roots[np.abs(roots.imag) <= 1e-9 * max(1.0, np.abs(roots).max())].real
     real = real[(real >= lo - ROOT_PAD) & (real <= hi + ROOT_PAD)]
     return np.clip(np.unique(real), lo, hi)
 

@@ -28,15 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._poly import nodes_for_degree, polyder, polymul, poly_range_on, real_roots_in
-from .costshape import (
-    CostShapeReport,
-    _analysis,
-    average_slope,
-    concavity_tail_start,
-    cost_shape_report,
-    global_min_slope,
-)
+from ._poly import nodes_for_degree, polymul, poly_range_on, real_roots_in
+from .costshape import CostShapeReport, _analysis, average_slope, cost_shape_report
 from .demand import DemandCurve, pooled_jump
 from .dists import (
     PiecewisePolyDist,
@@ -183,19 +176,18 @@ class CensorshipReport:
 
 def _power_curvature_ok(F: PiecewisePolyDist, n: int, hi: float, tol: float) -> bool:
     """Exact convexity of the max-win curve F^(n-1) on [0, hi]:
-    (n-2) f^2 + f' F >= 0 on every polynomial piece."""
+    (n-2) f^2 + f' F >= 0 on every polynomial piece, in its t = x - lo."""
     for i in range(len(F.coefs)):
         lo_b, hi_b = float(F.breaks[i]), float(F.breaks[i + 1])
         if lo_b >= hi:
             break
-        f = F.coefs[i]
+        f = F._pdf[:, i]
         q = polymul(np.array([float(n - 2)]), polymul(f, f))
-        fp = polyder(f)
-        q2 = polymul(fp, F.cdf_poly(i))
+        q2 = polymul(F._dpdf[:, i], F.cdf_poly(i))
         m = np.zeros(max(len(q), len(q2)))
         m[: len(q)] += q
         m[: len(q2)] += q2
-        mn, _ = poly_range_on(m, lo_b, min(hi_b, hi))
+        mn, _ = poly_range_on(m, 0.0, min(hi_b, hi) - lo_b)
         if mn < -tol:
             return False
     return True
@@ -330,15 +322,16 @@ def verify_uce(
     binding = (k - binds / (1.0 - Fa)).tolist()
     dominates = margin >= -tol.ineq
 
-    # limit cost conditions
+    # limit cost conditions, from one analysis of the cost law
+    an = _analysis(H)
     if below:
-        cost_ok = global_min_slope(H)[0] >= 1.0 / cfa - tol.ineq
+        cost_ok = an.global_min[0] >= 1.0 / cfa - tol.ineq
     else:
         s_at = average_slope(H, cfa)
         cost_ok = (
-            _analysis(H).min_below(cfa) >= s_at - tol.ineq
+            an.min_below(cfa) >= s_at - tol.ineq
             and s_at > H.pdf(cfa, side=-1) + tol.ineq
-            and cfa >= concavity_tail_start(H) - tol.ineq
+            and cfa >= an.concave_from - tol.ineq
         )
 
     checks = {
@@ -493,8 +486,7 @@ def _support_elements(G: PiecewisePolyDist, F: PiecewisePolyDist, tol: float):
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-14:
             continue
-        i = G._segment_index(0.5 * (lo + hi))
-        if np.max(np.abs(G.coefs[i])) <= 1e-14:
+        if np.max(np.abs(G.coefs[G._locate(0.5 * (lo + hi))[2]])) <= 1e-14:
             continue  # gap
         xs = np.linspace(lo, hi, 17)
         diff = np.max(np.abs(G.cdf(xs) - F.cdf(xs)))

@@ -77,10 +77,11 @@ def slope_derivative(H: PiecewisePolyDist, c, side: int = 1):
 
 
 def _stationary_poly(H: PiecewisePolyDist, i: int) -> np.ndarray:
-    """W(c) = c*h(c) - H(c) on segment i; W(c) = 0 <=> S'(c) = 0 for c > 0."""
-    h = H.coefs[i]
+    """W(c) = c*h(c) - H(c) on segment i in t = c - lo_i; W = 0 <=> S'(c) = 0 for c > 0."""
+    h = H._pdf[:, i]
     w = -H.cdf_poly(i)
-    w[1 : len(h) + 1] += h
+    w[1:] += h
+    w[:-1] += H.breaks[i] * h
     return w
 
 
@@ -108,7 +109,7 @@ class _SlopeAnalysis:
         self.table = []
         for i in range(len(H.coefs)):
             lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
-            roots = real_roots_in(_stationary_poly(H, i), lo, hi)
+            roots = real_roots_in(_stationary_poly(H, i), lo, hi, origin=lo)
             cs = np.array(sorted({lo, hi, *(float(r) for r in roots if r > H.support_lo + 1e-13)}))
             ss = average_slope(H, cs).tolist()
             self.table.append((cs, ss, list(accumulate(ss, _first_min, initial=np.inf))))
@@ -157,7 +158,7 @@ class _SlopeAnalysis:
             lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
             w = _stationary_poly(H, i)
             scale = max(np.max(np.abs(w)), H.cdf(hi), 1e-30)
-            if np.all(np.abs(polyval(w, np.linspace(lo, hi, 9))) <= 1e-12 * scale):  # a plateau
+            if np.all(np.abs(polyval(w, np.linspace(0.0, hi - lo, 9))) <= 1e-12 * scale):  # a plateau
                 val = average_slope(H, 0.5 * (lo + hi))
                 if val <= prefix + tol:
                     out.append(_Critical(lo, hi, val))
@@ -224,9 +225,10 @@ class _SlopeAnalysis:
             lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
             if hi <= c_loc + 1e-12:
                 continue
-            g = H.cdf_poly(i)
+            g = H.cdf_poly(i)  # H(c) - s_loc * c in t = c - lo
+            g[0] -= s_loc * lo
             g[1] -= s_loc
-            for r in real_roots_in(g, max(lo, c_loc), hi):
+            for r in real_roots_in(g, max(lo, c_loc), hi, origin=lo):
                 c = float(r)
                 if c > c_loc + 1e-10:
                     return c

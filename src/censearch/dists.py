@@ -61,14 +61,15 @@ class PiecewisePolyDist:
     off the breakpoints the atom is 0, so G(x-) <= G(x) and the two differ
     by ``atom_mass_at(x)``; the one-sided densities pick the piece by side.
 
-    Construction builds every per-segment table the queries need, one
-    column per segment (ascending powers, zero-padded to a common degree):
-    the density and its derivative, the density antiderivative P and its
-    second antiderivative, P and the second antiderivative at the segment
-    ends, and the CDF offset ``G(lo) - P(lo)``.  Every query (``cdf``,
-    ``cdf_left``, ``pdf``, ``pdf_derivative``, ``cdf_integral``,
-    ``tail_gap``, ``quantile``) is a segment lookup plus Horner on those
-    tables; it takes a scalar (and returns a float) or an array.
+    ``coefs`` holds the density pieces in x, as given.  Construction builds
+    every table the queries read, one column per segment (ascending powers,
+    zero-padded to a common degree), in the coordinate where it is accurate:
+    in t = x - lo the density ``_pdf``, its slope ``_dpdf``, G (``_P``) and
+    K (``_PP``), and in w = hi - x the survival 1 - G (``_R``) and the tail
+    (``_RR``).  G and K accumulate from the bottom, 1 - G and the tail from
+    the top.  Every query (``cdf``, ``cdf_left``, ``pdf``, ``pdf_derivative``,
+    ``cdf_integral``, ``tail_gap``, ``quantile``) is a segment lookup plus
+    Horner on one table; it takes a scalar (and returns a float) or an array.
     """
 
     __slots__ = (
@@ -84,15 +85,12 @@ class PiecewisePolyDist:
         "_dpdf",
         "_P",
         "_PP",
-        "_P_lo",
-        "_PP_lo",
-        "_PP_hi",
-        "_cdf_off",
+        "_R",
+        "_RR",
         "_cdf_at",
         "_cdf_left_at",
         "_kint_at",
         "_tail_at",
-        "_mean",
     )
 
     def __init__(self, breaks, coefs, atoms=()):
@@ -141,8 +139,7 @@ class PiecewisePolyDist:
             c = np.zeros(4)
             for w, d in zip(weights, components):
                 if d.breaks[0] <= mid <= d.breaks[-1]:
-                    seg = d._segment_index(mid)
-                    cc = d.coefs[seg]
+                    cc = d.coefs[d._locate(mid)[2]]
                     c[: len(cc)] += w * cc
             coefs.append(c)
         atoms: dict[float, float] = {}
@@ -156,6 +153,7 @@ class PiecewisePolyDist:
     def _build_tables(self):
         nseg = len(self.coefs)
         lo, hi = self.breaks[:-1], self.breaks[1:]
+        width = hi - lo
         self._inner = self.breaks[1:-1]
         # exact (min, max) of the density on each segment
         ranges = [poly_range_on(c, lo[i], hi[i]) for i, c in enumerate(self.coefs)]
@@ -165,36 +163,37 @@ class PiecewisePolyDist:
         dens = np.zeros((max(2, max(len(c) for c in self.coefs)), nseg))
         for i, c in enumerate(self.coefs):
             dens[: len(c), i] = c
-        self._pdf = dens
-        self._dpdf = _poly.polyder(dens)
-        P = _poly.polyint(dens)
-        PP = _poly.polyint(P)
-        tP = _poly.polyint(np.vstack([np.zeros(nseg), dens]))  # t * f(t)
-        P_lo = polyval(P, lo)
-        seg_mass = polyval(P, hi) - P_lo
-        seg_tmass = polyval(tP, hi) - polyval(tP, lo)
         atom_at_break = np.zeros(nseg + 1)
         for a, m in zip(self.atom_locs, self.atom_masses):
             atom_at_break[int(np.argmin(np.abs(self.breaks - a)))] += m
-        # cdf right-limit at each breakpoint
-        cdf = np.zeros(nseg + 1)
+        self._atom_at = atom_at_break
+        # each table's constant term is its value at the segment end it starts
+        # from, and its value at the other end starts the next segment's
+        self._pdf = _poly.polyshift(dens, lo)
+        self._dpdf = _poly.polyder(self._pdf)
+        P = _poly.polyint(self._pdf)
+        seg_mass = polyval(P, width)
+        cdf = np.zeros(nseg + 1)  # cdf right-limit at each breakpoint
         cdf[0] = atom_at_break[0]
         for i in range(nseg):
             cdf[i + 1] = cdf[i] + seg_mass[i] + atom_at_break[i + 1]
-        self._atom_at = atom_at_break
-        self._cdf_at = cdf
-        self._cdf_left_at = cdf - atom_at_break
-        self._P, self._PP, self._P_lo = P, PP, P_lo
-        self._PP_lo, self._PP_hi = polyval(PP, lo), polyval(PP, hi)
-        self._cdf_off = cdf[:-1] - P_lo
-        # K(x) = int_lo^x G  at breakpoints (atoms contribute from their location on):
-        # per segment int_lo^hi [cdf(lo) + P(t)-P(lo)] dt
-        seg_int = cdf[:-1] * (hi - lo) + (self._PP_hi - self._PP_lo) - P_lo * (hi - lo)
-        self._kint_at = np.cumsum(np.concatenate([[0.0], seg_int]))
-        # tail(x) = int_x^hi (1 - G) dt at breakpoints
-        self._tail_at = (self.breaks[-1] - self.breaks) - self._kint_at[-1] + self._kint_at
-        atom_part = float(np.dot(self.atom_locs, self.atom_masses)) if len(self.atom_locs) else 0.0
-        self._mean = float(seg_tmass.sum() + atom_part)
+        P[0] = cdf[:-1]
+        PP = _poly.polyint(P)
+        self._kint_at = np.cumsum(np.concatenate([[0.0], polyval(PP, width)]))
+        PP[0] = self._kint_at[:-1]
+        self._P, self._PP, self._cdf_at, self._cdf_left_at = P, PP, cdf, cdf - atom_at_break
+        # f(hi - w): the density shifted to hi, odd powers negated
+        R = _poly.polyint(_poly.polyshift(dens, hi) * (-1.0) ** np.arange(len(dens))[:, None])
+        seg_mass = polyval(R, width)
+        surv = np.zeros(nseg + 1)  # 1 - G(b-) at each breakpoint b
+        surv[-1] = atom_at_break[-1]
+        for i in range(nseg - 1, 0, -1):
+            surv[i] = surv[i + 1] + seg_mass[i] + atom_at_break[i]
+        R[0] = surv[1:]
+        RR = _poly.polyint(R)
+        self._tail_at = np.append(np.cumsum(polyval(RR, width)[::-1])[::-1], 0.0)
+        RR[0] = self._tail_at[1:]
+        self._R, self._RR = R, RR
 
     def _validate(self):
         total = self._cdf_at[-1]
@@ -205,9 +204,6 @@ class PiecewisePolyDist:
         for i, lo_v in enumerate(self._dens_min.tolist()):
             if lo_v < -1e-11:
                 raise ValueError(f"density negative on segment {i}: min={lo_v}")
-
-    def _segment_index(self, x: float) -> int:
-        return int(np.searchsorted(self._inner, x, side="right"))
 
     def _locate(self, x):
         """x as a float array (a numpy scalar for scalar input); x clamped to
@@ -224,11 +220,9 @@ class PiecewisePolyDist:
         return x, xe, i, j, (x == xe) & (self.breaks[j] - x <= BREAK_TOL)
 
     def cdf_poly(self, i: int) -> np.ndarray:
-        """The CDF on segment i as one polynomial in x (ascending powers,
-        zero-padded): G(x) = P_i(x) + G(lo_i) - P_i(lo_i) on [lo_i, hi_i)."""
-        c = self._P[:, i].copy()
-        c[0] += self._cdf_off[i]
-        return c
+        """The CDF on segment i as one polynomial in t = x - lo_i (ascending
+        powers, zero-padded): G(lo_i + t) for 0 <= t < hi_i - lo_i."""
+        return self._P[:, i].copy()
 
     # -- queries -----------------------------------------------------------
 
@@ -262,7 +256,7 @@ class PiecewisePolyDist:
 
     def _cdf(self, x, at_break: np.ndarray):
         x, xe, i, j, on = self._locate(x)
-        g = self._cdf_at[i] + polyval(self._P[:, i], xe) - self._P_lo[i]
+        g = polyval(self._P[:, i], xe - self.breaks[i])
         g = np.where(x < self.breaks[0], 0.0, np.where(x > self.breaks[-1], 1.0, g))
         return _result(np.where(on, at_break[j], g))
 
@@ -277,7 +271,7 @@ class PiecewisePolyDist:
     def _density(self, table: np.ndarray, x, side: int):
         x, xe, i, j, on = self._locate(x)
         i = np.where(on, np.minimum(np.maximum(j if side > 0 else j - 1, 0), len(self.coefs) - 1), i)
-        f = polyval(table[:, i], xe)
+        f = polyval(table[:, i], xe - self.breaks[i])
         f = np.where((x < self.breaks[0]) | (x > self.breaks[-1]), 0.0, f)
         return _result(f)
 
@@ -291,23 +285,15 @@ class PiecewisePolyDist:
     def cdf_integral(self, x):
         """K(x) = int_{lo}^{x} G(t) dt, extended linearly above the support."""
         x, xe, i, _, _ = self._locate(x)
-        lo = self.breaks[i]
-        part = (
-            self._cdf_at[i] * (xe - lo)
-            + (polyval(self._PP[:, i], xe) - self._PP_lo[i])
-            - self._P_lo[i] * (xe - lo)
-        )
-        k = self._kint_at[i] + part
+        k = polyval(self._PP[:, i], xe - self.breaks[i])
         top = self.breaks[-1]
         k = np.where(x <= self.breaks[0], 0.0, np.where(x >= top, self._kint_at[-1] + (x - top), k))
         return _result(k)
 
     def _segment_tail(self, i, x):
         """int_x^{support_hi} (1 - G(t)) dt for x in segment i (one index per
-        point): the tail above the segment plus the part inside it."""
-        w = self.breaks[i + 1] - x
-        kpart = self._cdf_at[i] * w + (self._PP_hi[i] - polyval(self._PP[:, i], x)) - self._P_lo[i] * w
-        return self._tail_at[i + 1] + w - kpart
+        point), in w = hi_i - x."""
+        return polyval(self._RR[:, i], self.breaks[i + 1] - x)
 
     def tail_gap(self, x):
         """int_x^{support_hi} (1 - G(t)) dt; 0 above the support."""
@@ -327,8 +313,8 @@ class PiecewisePolyDist:
 
         For u inside an atom's jump the atom location is returned; elsewhere
         the unique continuity point with CDF(x) = u, the root of the segment
-        CDF ``_cdf_off[i] + P_i(x) = u`` on the containing segment i, found
-        by :func:`_bracketed_newton` on the density and its slope.
+        CDF ``P_i(x - lo_i) = u`` on the containing segment i, found by
+        :func:`_bracketed_newton` on the density and its slope.
         """
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         shape, u = u.shape, u.reshape(-1)  # the iteration works on the points off the atoms
@@ -341,9 +327,9 @@ class PiecewisePolyDist:
             i, ub = j[block] - 1, u[block]
             x[block] = _bracketed_newton(
                 i, ub, self.breaks[i], self.breaks[i + 1], self._cdf_at[i] - ub, self._cdf_left_at[i + 1] - ub,
-                lambda i, r: self._cdf_off[i] + polyval(self._P[:, i], r),
-                lambda i, r: polyval(self._pdf[:, i], r),
-                lambda i, r: polyval(self._dpdf[:, i], r),
+                lambda i, r: polyval(self._P[:, i], r - self.breaks[i]),
+                lambda i, r: polyval(self._pdf[:, i], r - self.breaks[i]),
+                lambda i, r: polyval(self._dpdf[:, i], r - self.breaks[i]),
             )
         return float(x[0]) if shape == () else x.reshape(shape)
 
@@ -437,7 +423,7 @@ def _density_integrals(W: PiecewisePolyDist, f, cuts, npts: int) -> np.ndarray:
     than 1e-15 and pieces where w is zero are skipped; W's atoms are left to
     the caller, who adds the pieces to them in order.  w is the polynomial of
     the segment holding the piece (found from its middle node, which lies
-    inside it however narrow it is), evaluated by :func:`_poly.polyval`."""
+    inside it however narrow it is), evaluated in t = x - lo by polyval."""
     cuts = np.asarray(cuts, dtype=float)
     lo, hi = cuts[:-1], cuts[1:]
     seg = np.searchsorted(W._inner, 0.5 * (lo + hi), side="right")
@@ -445,7 +431,7 @@ def _density_integrals(W: PiecewisePolyDist, f, cuts, npts: int) -> np.ndarray:
 
     def integrand(ts):
         i = np.searchsorted(W._inner, ts[:, ts.shape[1] // 2], side="right")
-        return polyval(W._pdf[:, i, None], ts) * f(ts)
+        return polyval(W._pdf[:, i, None], ts - W.breaks[i, None]) * f(ts)
 
     return _poly.gauss_legendre(integrand, lo[keep], hi[keep], npts)
 
@@ -568,8 +554,8 @@ class MarketConfig:
 
 
 def mean(dist: PiecewisePolyDist) -> float:
-    """E[X]: exact polynomial integration of t*f(t) plus atom contributions."""
-    return dist._mean
+    """E[X] = support_lo + tail_gap(support_lo), the same bits."""
+    return float(dist.breaks[0] + dist._tail_at[0])
 
 
 def incremental_benefit(G: PiecewisePolyDist, x: float) -> float:
@@ -588,9 +574,9 @@ def reservation_value(G: PiecewisePolyDist, c):
     at or above the tail at the bottom of the support get mean - c (below
     the support the benefit is mean - r).  Elsewhere the breakpoint tails
     bracket r in one segment, where :func:`_bracketed_newton` inverts the
-    segment tail (slope 1 - G, curvature -density) down to an ulp or two, or
-    to the band where the rounding of the computed tail leaves its sign
-    open; ZERO_COST plays no part there.
+    segment tail in w = hi - r (slope 1 - G, curvature -density) down to an
+    ulp or two, or to the band where the rounding of the computed tail leaves
+    its sign open; ZERO_COST plays no part there.
     """
     c = np.asarray(c, dtype=float)
     mu = mean(G)
@@ -610,8 +596,8 @@ def reservation_value(G: PiecewisePolyDist, c):
         r[rest] = _bracketed_newton(
             j, -cr, G.breaks[j], G.breaks[j + 1], cr - tails[j], cr - tails[j + 1],
             lambda i, x: -G._segment_tail(i, x),
-            lambda i, x: 1.0 - (G._cdf_off[i] + polyval(G._P[:, i], x)),
-            lambda i, x: -polyval(G._pdf[:, i], x),
+            lambda i, x: polyval(G._R[:, i], G.breaks[i + 1] - x),
+            lambda i, x: -polyval(G._pdf[:, i], x - G.breaks[i]),
         )
     return float(r[0]) if c.ndim == 0 else r.reshape(c.shape)
 
@@ -636,7 +622,7 @@ def mpc_check(
     The difference is checked exactly: between consecutive breakpoints of
     either law it is a polynomial of degree <= 5 whose derivative is G - F,
     so its maximum lies at an end of the piece or at a real root of G - F
-    there.
+    there, found in t = x - (the piece's lower end).
     """
     if abs(mean(G) - mean(F)) > tol:
         return False, float("inf")
@@ -646,17 +632,14 @@ def mpc_check(
     for a, b in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (a + b)
         dcoef = np.zeros(6)
-        if G.breaks[0] <= mid <= G.breaks[-1]:
-            cg = G.cdf_poly(G._segment_index(mid))
-            dcoef[: len(cg)] += cg
-        elif mid > G.breaks[-1]:
-            dcoef[0] += 1.0
-        if F.breaks[0] <= mid <= F.breaks[-1]:
-            cf = F.cdf_poly(F._segment_index(mid))
-            dcoef[: len(cf)] -= cf
-        elif mid > F.breaks[-1]:
-            dcoef[0] -= 1.0
-        roots = real_roots_in(dcoef, a, b)
+        for sign, D in ((1.0, G), (-1.0, F)):
+            if D.breaks[0] <= mid <= D.breaks[-1]:
+                i = D._locate(mid)[2]
+                c = _poly.polyshift(D.cdf_poly(i), a - D.breaks[i])
+                dcoef[: len(c)] += sign * c
+            elif mid > D.breaks[-1]:
+                dcoef[0] += sign
+        roots = real_roots_in(dcoef, a, b, origin=a)
         if len(roots):
             worst = max(worst, float(np.max(G.cdf_integral(roots) - F.cdf_integral(roots))))
     return bool(worst <= tol), float(worst)

@@ -64,17 +64,28 @@ def H_threestep():
     )
 
 
+def horner_noise(coef, t: float, *terms: float) -> float:
+    """A bound on the rounding error of Horner's rule on the polynomial
+    ``coef`` (ascending powers) at t, with the given terms added to or
+    subtracted from the result: gamma_2n times the sum of |c_k| |t|^k
+    [Higham, Accuracy and Stability, 5.1], widened to cover the terms, each
+    of which is exact or off by one rounding."""
+    n = len(coef)
+    size = np.sum(np.abs(coef) * abs(t) ** np.arange(n)) + sum(abs(v) for v in terms)
+    return (2 * n + 2) * 2.0**-53 * float(size)
+
+
 def tail_noise(G: PiecewisePolyDist, x: float, c: float) -> float:
     """A bound on the rounding error of ``G.tail_gap(x) - c`` in double
-    precision: Horner on the second antiderivative of the segment holding x
-    plus the six terms around it [Higham, Accuracy and Stability, 5.1].  x
-    outside the support is clamped to it, plus the distance it was moved."""
+    precision: Horner on the tail polynomial of the segment holding x, in
+    w = hi - x, where the rounding of w moves the tail by up to w (1 - G)
+    times a unit roundoff.  x outside the support is clamped to it, plus the
+    distance it was moved."""
     i = int(np.clip(np.searchsorted(G._inner, x, side="right"), 0, len(G.coefs) - 1))
     xe = min(max(x, G.support_lo), G.support_hi)
     w = G.breaks[i + 1] - xe
-    terms = (abs(G._tail_at[i + 1]) + w * (1.0 + abs(G._cdf_at[i]) + abs(G._P_lo[i])) + abs(G._PP_hi[i])
-             + np.sum(np.abs(G._PP[:, i]) * abs(xe) ** np.arange(len(G._PP))) + abs(c) + abs(x - xe))
-    return (2 * len(G._PP) + 8) * 2.0**-53 * terms
+    surv = np.polynomial.polynomial.polyval(w, G._R[:, i])
+    return horner_noise(G._RR[:, i], w, c, w * surv, x - xe)
 
 
 def quasi_convex_pair(cbar: float = 0.18):

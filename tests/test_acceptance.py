@@ -245,7 +245,7 @@ def _pooling_deviation(F, a, dm=0.2, c_target=0.09):
     for i in range(len(breaks) - 1):
         midpt = 0.5 * (breaks[i] + breaks[i + 1])
         if midpt < x_lo:
-            coefs.append(F.coefs[F._segment_index(midpt)])
+            coefs.append(F.coefs[F._locate(midpt)[2]])
         else:
             coefs.append(np.zeros(1))
     return PiecewisePolyDist(breaks, coefs, atoms=sorted(atoms))

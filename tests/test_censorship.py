@@ -206,7 +206,7 @@ def _integrate_certificate_reference(cert, W):
     xg, wg = gauss_nodes(nodes_for_degree(cert.curve._gl_deg + 12))
     pieces = []  # (half width, nodes, density coefficients) per piece with density
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        coefs = W.coefs[W._segment_index(0.5 * (lo + hi))]
+        coefs = W.coefs[W._locate(0.5 * (lo + hi))[2]]
         if hi - lo >= 1e-14 and np.max(np.abs(coefs)) != 0.0:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             pieces.append((half, mid + half * xg, coefs))
@@ -293,12 +293,14 @@ def test_verify_full_disclosure(F, H_uniform, H_step, H_bimodal):
             assert solve_br(build_problem(F, F, H, n, 201)).gap > 0.02
 
 
-def test_censorship_pool_below_resolution_is_numeric(F):
-    # just below full disclosure the computed tail beyond a cancels to 0, so
-    # the pooled signal k = a + tail / (1 - F(a)) lands on a itself
-    for a in (1 - 1e-9, 1 - 1e-10, 1 - 2e-12):
-        with pytest.raises(ArithmeticError, match="double precision"):
-            upper_censorship(F, a)
+def test_censorship_pool_near_full_disclosure_is_exact(F):
+    # just below full disclosure the tail beyond a, computed in w = 1 - x,
+    # keeps its relative accuracy, so the pooled signal k = a + tail / (1 - F(a))
+    # is the uniform law's a + (1 - a) / 2 to the bit, with the mass 1 - a
+    for a in (1 - 1e-8, 1 - 1e-9, 1 - 1e-10, 1 - 1e-11, 1 - 2e-12):
+        pooled = upper_censorship(F, a)
+        assert pooled.max_supp() == a + (1 - a) / 2 > a, a
+        assert pooled.atom_masses[-1] == 1 - a, a
     assert upper_censorship(F, 1 - 1e-12) is F
     assert upper_censorship(F, 1 - 1e-8).atom_masses[-1] == pytest.approx(1e-8)
 

@@ -211,15 +211,19 @@ def test_verify_gating(tmp_path):
 
 
 def test_verify_full_disclosure_and_edges(tmp_path, capsys):
-    # full disclosure gets a verdict (it fails the convexity check); just
-    # below it the pooled signal is not resolvable, a numeric failure
+    # full disclosure gets a verdict (it fails the convexity check), and so
+    # does a threshold just below it, whose pooled signal is a + (1 - a) / 2
     full = write_spec(tmp_path, "full.json", n=5, extra={"verify": {"a": 1.0}})
     assert main(["verify", "--spec", str(full), "--out", str(tmp_path / "f")]) == 4
     payload = json.loads((tmp_path / "f" / "verify.json").read_text())
     assert payload["verdict"] == "fails" and not payload["checks"]["virtual_convex"]
-    edge = write_spec(tmp_path, "edge.json", n=5, extra={"verify": {"a": 1 - 1e-10}})
-    assert main(["verify", "--spec", str(edge)]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    a = 1 - 1e-10
+    edge = write_spec(tmp_path, "edge.json", n=5, extra={"verify": {"a": a}})
+    assert main(["verify", "--spec", str(edge), "--out", str(tmp_path / "e")]) == 4
+    payload = json.loads((tmp_path / "e" / "verify.json").read_text())
+    assert payload["verdict"] == "fails" and not payload["checks"]["virtual_convex"]
+    assert payload["pooled_signal"] == a + (1 - a) / 2
+    assert "numeric failure" not in capsys.readouterr().err
 
 
 def test_verify_atomic_costs_config_error(tmp_path, capsys):

@@ -43,7 +43,7 @@ def _ref_is_plateau(H, i):
     w = _stationary_poly(H, i)
     lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
     scale = max(np.max(np.abs(w)), H.cdf(hi), 1e-30)
-    return bool(np.all(np.abs(polyval(w, np.linspace(lo, hi, 9))) <= 1e-12 * scale))
+    return bool(np.all(np.abs(polyval(w, np.linspace(0.0, hi - lo, 9))) <= 1e-12 * scale))
 
 
 def _ref_segment_slope_candidates(H, i, upto=None):
@@ -53,7 +53,7 @@ def _ref_segment_slope_candidates(H, i, upto=None):
         if hi <= lo:
             return []
     pts = {lo, hi}
-    for r in real_roots_in(_stationary_poly(H, i), lo, hi):
+    for r in real_roots_in(_stationary_poly(H, i), lo, hi, origin=float(H.breaks[i])):
         if r > H.support_lo + 1e-13:
             pts.add(float(r))
     cs = sorted(pts)
@@ -115,7 +115,7 @@ def _ref_criticals(H, tol=1e-9):
             val = average_slope(H, b)
             if val <= min(prefix, _ref_segment_min_slope(H, i, upto=b)[0]) + tol:
                 out.append(_Crit(b, b, val))
-        for r in real_roots_in(_stationary_poly(H, i), lo, hi):
+        for r in real_roots_in(_stationary_poly(H, i), lo, hi, origin=lo):
             c0 = float(r)
             if c0 <= lo + 1e-13 or c0 >= hi - 1e-13 or c0 <= lo0 + 1e-13:
                 continue
@@ -162,8 +162,9 @@ def _ref_crossing_solution(H, tol=1e-9):
         if hi <= c_loc + 1e-12:
             continue
         g = H.cdf_poly(i)
+        g[0] -= s_loc * lo
         g[1] -= s_loc
-        for r in real_roots_in(g, max(lo, c_loc), hi):
+        for r in real_roots_in(g, max(lo, c_loc), hi, origin=lo):
             if float(r) > c_loc + 1e-10:
                 return float(r)
     return cbar

@@ -345,7 +345,7 @@ def _ref_expected_payoff(G_dev, curve, n):
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
-        coefs = G_dev.coefs[G_dev._segment_index(0.5 * (lo + hi))]
+        coefs = G_dev.coefs[G_dev._locate(0.5 * (lo + hi))[2]]
         if np.max(np.abs(coefs)) == 0.0:
             continue
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

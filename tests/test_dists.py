@@ -1,7 +1,9 @@
 """Distribution calculus: means, incremental benefit, reservation values,
 truncated means, contraction checks, serialization."""
 
+import functools
 import sys
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -22,7 +24,7 @@ from censearch.dists import (
 from censearch.censorship import upper_censorship
 from censearch.demand import expected_payoff
 
-from conftest import tail_noise
+from conftest import horner_noise, tail_noise
 
 
 def test_mean_examples(F):
@@ -193,8 +195,9 @@ def test_quantile_cdf_consistency(F, H_bimodal):
 
 # -- the table path against the per-call formulas ------------------------------
 #
-# The reference below integrates each density piece with npoly.polyint on every
-# call and evaluates with npoly.polyval, the way every query used to.  The
+# The reference below moves each density piece into its segment's coordinate
+# (t = x - lo from the bottom, w = hi - x from the top), integrates it with
+# npoly.polyint on every call and evaluates with npoly.polyval.  The
 # precomputed tables must reproduce it bit for bit.
 
 
@@ -245,36 +248,72 @@ def _ref_seg(d, x):
     return min(max(i, 0), len(d.coefs) - 1)
 
 
+def _ref_local(c, s, flip=False):
+    """The piece c (ascending powers of x) in t = x - s, or with ``flip`` in
+    w = s - x: repeated synthetic division on exact fractions, each result
+    rounded once."""
+    return np.array(_ref_shift(tuple(float(v) for v in c), float(s), flip))
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_shift(c, s, flip):
+    c = [Fraction(v) for v in c]
+    for k in range(len(c) - 1):
+        for j in range(len(c) - 2, k - 1, -1):
+            c[j] += Fraction(s) * c[j + 1]
+    return [-float(v) if flip and k % 2 else float(v) for k, v in enumerate(c)]
+
+
+def _ref_below(d, i, cdf_lo, kint_lo):
+    """G and K on segment i in t = x - lo, from their values at lo."""
+    P = npoly.polyint(_ref_local(d.coefs[i], d.breaks[i]))
+    P[0] = cdf_lo
+    PP = npoly.polyint(P)
+    PP[0] = kint_lo
+    return P, PP
+
+
+def _ref_above(d, i, surv_hi, tail_hi):
+    """1 - G and the tail on segment i in w = hi - x, from their values at hi."""
+    R = npoly.polyint(_ref_local(d.coefs[i], d.breaks[i + 1], flip=True))
+    R[0] = surv_hi
+    RR = npoly.polyint(R)
+    RR[0] = tail_hi
+    return R, RR
+
+
 def _ref_tables(d):
+    """G, G(-) and K at the breakpoints from the bottom, 1 - G(-) and the
+    tail from the top, one segment integral after another."""
     nseg = len(d.coefs)
-    seg_mass = np.empty(nseg)
-    for i, c in enumerate(d.coefs):
-        ci = npoly.polyint(c)
-        seg_mass[i] = npoly.polyval(d.breaks[i + 1], ci) - npoly.polyval(d.breaks[i], ci)
+    width = np.diff(d.breaks)
     atom_at_break = np.zeros(nseg + 1)
     for a, m in zip(d.atom_locs, d.atom_masses):
         atom_at_break[int(np.argmin(np.abs(d.breaks - a)))] += m
-    cdf = np.zeros(nseg + 1)
+    cdf, kint = np.zeros(nseg + 1), np.zeros(nseg + 1)
     cdf[0] = atom_at_break[0]
     for i in range(nseg):
-        cdf[i + 1] = cdf[i] + seg_mass[i] + atom_at_break[i + 1]
-    kint = np.zeros(nseg + 1)
-    for i, c in enumerate(d.coefs):
-        lo, hi = d.breaks[i], d.breaks[i + 1]
-        ci = npoly.polyint(c)
-        cii = npoly.polyint(ci)
-        seg = (cdf[i] * (hi - lo) + (npoly.polyval(hi, cii) - npoly.polyval(lo, cii))
-               - npoly.polyval(lo, ci) * (hi - lo))
-        kint[i + 1] = kint[i] + seg
-    tail = (d.breaks[-1] - d.breaks) - kint[-1] + kint
-    return cdf, cdf - atom_at_break, kint, tail
+        P, PP = _ref_below(d, i, cdf[i], kint[i])
+        cdf[i + 1] = npoly.polyval(width[i], P) + atom_at_break[i + 1]
+        kint[i + 1] = npoly.polyval(width[i], PP)
+    surv, tail = np.zeros(nseg + 1), np.zeros(nseg + 1)
+    surv[-1] = atom_at_break[-1]
+    for i in range(nseg - 1, -1, -1):
+        R, RR = _ref_above(d, i, surv[i + 1], tail[i + 1])
+        surv[i] = npoly.polyval(width[i], R) + atom_at_break[i]
+        tail[i] = npoly.polyval(width[i], RR)
+    return cdf, cdf - atom_at_break, kint, tail, surv
+
+
+def _ref_pieces(d, i):
+    """(G, K) of segment i in t and (1 - G, tail) in w, integrated on the call."""
+    cdf, _, kint, tail, surv = _ref_tables(d)
+    return _ref_below(d, i, cdf[i], kint[i]) + _ref_above(d, i, surv[i + 1], tail[i + 1])
 
 
 def _ref_piece_cdf(d, x):
-    cdf = _ref_tables(d)[0]
     i = _ref_seg(d, x)
-    ci = npoly.polyint(d.coefs[i])
-    return float(cdf[i] + npoly.polyval(x, ci) - npoly.polyval(d.breaks[i], ci))
+    return float(npoly.polyval(x - d.breaks[i], _ref_pieces(d, i)[0]))
 
 
 def _ref_on_break(d, x):
@@ -313,44 +352,34 @@ def _ref_density(d, x, side, deriv=False):
         i = min(max(j if side > 0 else j - 1, 0), len(d.coefs) - 1)
     else:
         i = _ref_seg(d, x)
-    c = d.coefs[i]
+    c = _ref_local(d.coefs[i], d.breaks[i])
     if deriv:
         c = npoly.polyder(c) if len(c) > 1 else np.zeros(1)
-    return float(npoly.polyval(x, c))
+    return float(npoly.polyval(x - d.breaks[i], c))
 
 
 def _ref_cdf_integral(d, x):
-    cdf, _, kint, _ = _ref_tables(d)
+    kint = _ref_tables(d)[2]
     if x <= d.breaks[0]:
         return 0.0
     if x >= d.breaks[-1]:
         return float(kint[-1] + (x - d.breaks[-1]))
     i = _ref_seg(d, x)
-    lo = d.breaks[i]
-    ci = npoly.polyint(d.coefs[i])
-    cii = npoly.polyint(ci)
-    part = (cdf[i] * (x - lo) + (npoly.polyval(x, cii) - npoly.polyval(lo, cii))
-            - npoly.polyval(lo, ci) * (x - lo))
-    return float(kint[i] + part)
+    return float(npoly.polyval(x - d.breaks[i], _ref_pieces(d, i)[1]))
 
 
 def _ref_tail_gap(d, x):
-    cdf, _, _, tail = _ref_tables(d)
+    tail = _ref_tables(d)[3]
     if x >= d.breaks[-1]:
         return 0.0
     if x <= d.breaks[0]:
         return float(tail[0] + (d.breaks[0] - x))
     i = _ref_seg(d, x)
-    lo, hi = d.breaks[i], d.breaks[i + 1]
-    ci = npoly.polyint(d.coefs[i])
-    cii = npoly.polyint(ci)
-    kpart = (cdf[i] * (hi - x) + (npoly.polyval(hi, cii) - npoly.polyval(x, cii))
-             - npoly.polyval(lo, ci) * (hi - x))
-    return float(tail[i + 1] + (hi - x) - kpart)
+    return float(npoly.polyval(d.breaks[i + 1] - x, _ref_pieces(d, i)[3]))
 
 
 def _ref_quantile(d, u):
-    cdfR, cdfL, _, _ = _ref_tables(d)
+    cdfR, cdfL = _ref_tables(d)[:2]
     u = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.empty_like(u)
     j = np.clip(np.searchsorted(cdfR, np.clip(u, 0.0, 1.0), side="left"), 0, len(d.breaks) - 1)
@@ -363,12 +392,11 @@ def _ref_quantile(d, u):
     for i in np.unique(seg):
         sel = seg == i
         lo, hi = d.breaks[i], d.breaks[i + 1]
-        ci = npoly.polyint(d.coefs[i])
-        base = cdfR[i] - npoly.polyval(lo, ci)
+        P = _ref_pieces(d, i)[0]
         a, b = np.full(sel.sum(), lo), np.full(sel.sum(), hi)
         for _ in range(64):
             m = 0.5 * (a + b)
-            ge = base + npoly.polyval(m, ci) >= target[sel]
+            ge = npoly.polyval(m - lo, P) >= target[sel]
             b[ge] = m[ge]
             a[~ge] = m[~ge]
         res[sel] = 0.5 * (a + b)
@@ -399,7 +427,7 @@ QUERIES = {
 @pytest.mark.parametrize("law", ["cubic", "atoms", "censored", "uniform"])
 def test_tables_match_per_call_formulas(law):
     d = _laws()[law]
-    cdf, cdf_left, kint, tail = _ref_tables(d)
+    cdf, cdf_left, kint, tail, _ = _ref_tables(d)
     for got, ref in ((d._cdf_at, cdf), (d._cdf_left_at, cdf_left), (d._kint_at, kint),
                      (d._tail_at, tail)):
         assert _same_bits(got, ref)
@@ -493,7 +521,31 @@ def test_cdf_poly_is_the_segment_cdf():
         for i in range(len(d.coefs)):
             lo, hi = d.breaks[i], d.breaks[i + 1]
             xs = np.linspace(lo, hi, 9)[:-1]
-            assert np.allclose(npoly.polyval(xs, d.cdf_poly(i)), d.cdf(xs), rtol=0, atol=1e-14)
+            assert np.allclose(npoly.polyval(xs - lo, d.cdf_poly(i)), d.cdf(xs), rtol=0, atol=1e-14)
+
+
+def _exact_top_tail(mpmath, d, x):
+    """The 300-bit tail int_x^hi (mass above s) ds of the top piece of d (no
+    atom at the top), its float coefficients in x taken as exact."""
+    with mpmath.workprec(300):
+        c = [mpmath.mpf(float(v)) for v in d.coefs[-1]]
+        hi, x = mpmath.mpf(float(d.breaks[-1])), mpmath.mpf(float(x))
+        mass = sum(ck * (hi ** (k + 1) - x ** (k + 1)) / (k + 1) for k, ck in enumerate(c))
+        first = sum(ck * (hi ** (k + 2) - x ** (k + 2)) / (k + 2) for k, ck in enumerate(c))
+        return first - x * mass  # int_x^hi (v - x) f(v) dv
+
+
+@pytest.mark.parametrize("law", ["uniform", "cubic"])
+def test_tail_gap_keeps_relative_accuracy_at_the_top(law):
+    # the tail at w = hi - x is of size w^2; in the global x it cancelled
+    # from terms of size w, and read 0 from w = 2e-9 on
+    mpmath = pytest.importorskip("mpmath")
+    d = PiecewisePolyDist.uniform(0.0, 1.0) if law == "uniform" else _cubic_law()
+    for e in np.geomspace(1e-4, 1e-12, 25):
+        x = d.support_hi - e
+        exact = _exact_top_tail(mpmath, d, x)
+        err = abs(mpmath.mpf(d.tail_gap(x)) - exact) / np.spacing(float(exact))
+        assert err <= 2.0, (e, d.tail_gap(x), float(exact), float(err))
 
 
 def test_queries_make_no_antiderivatives(monkeypatch):
@@ -537,9 +589,10 @@ def _vanishing_law():
 
 
 def _steep_law(w=1e-6):
-    # half the mass on a piece of width w: density 5e5 there
-    return PiecewisePolyDist([0.0, 0.4, 0.4 + w, 1.0],
-                             [np.array([0.25 / 0.4]), np.array([0.5 / w]), np.array([0.25 / (0.6 - w)])])
+    # half the mass on a piece of width about w: density 5e5 there, from the
+    # widths as stored (0.4 + 1e-6 - 0.4 is 9.99999999973e-7, not 1e-6)
+    breaks = np.array([0.0, 0.4, 0.4 + w, 1.0])
+    return PiecewisePolyDist(breaks, [np.array([m / d]) for m, d in zip((0.25, 0.5, 0.25), np.diff(breaks))])
 
 
 def _quantile_laws():
@@ -558,14 +611,14 @@ def _quantile_points(d):
 
 def _exact_root(mpmath, d, i, u, x0):
     """The 200-bit root near x0 of the segment CDF polynomial
-    ``_cdf_off[i] + P_i(r) = u``, its float coefficients taken as exact."""
+    ``P_i(r - lo_i) = u``, its float coefficients taken as exact."""
     coef = [mpmath.mpf(float(c)) for c in d._P[::-1, i]]
     with mpmath.workprec(200):
-        g0 = mpmath.mpf(float(d._cdf_off[i])) - mpmath.mpf(float(u))
+        lo = mpmath.mpf(float(d.breaks[i]))
         r = mpmath.mpf(float(x0))
         for _ in range(200):
-            g, dg = mpmath.polyval(coef, r, derivative=True)
-            step = (g0 + g) / dg
+            g, dg = mpmath.polyval(coef, r - lo, derivative=True)
+            step = (g - mpmath.mpf(float(u))) / dg
             r -= step
             if abs(step) <= abs(r) * mpmath.mpf(2) ** -190:
                 return r
@@ -586,7 +639,7 @@ def test_quantile_accuracy(law):
     assert all(type(d.quantile(u)) is float for u in us[:3])  # numpy scalars too
     assert _same_bits(scalars, got)
     # no iteration at u = 0 and 1, inside a jump, or at or above a jump's foot
-    cdf, cdf_left, _, _ = _ref_tables(d)
+    cdf, cdf_left = _ref_tables(d)[:2]
     j = np.minimum(np.searchsorted(cdf, us, side="left"), len(d.breaks) - 1)
     direct = (us == 0.0) | (us == 1.0) | (us >= cdf_left[j])
     assert _same_bits(got[direct], ref[direct])
@@ -599,14 +652,12 @@ def test_quantile_accuracy(law):
         root = _exact_root(mpmath, d, i, u, xg)
         ulp = np.spacing(abs(float(root)))
         er, eg = (float(abs(mpmath.mpf(float(x)) - root)) / ulp for x in (xr, xg))
-        # Evaluating _cdf_off[i] + P_i(r) - u in double precision (Horner)
-        # errs by at most `noise` [Higham, Accuracy and Stability, 5.1], so
-        # the computed sign is open within noise / density of the root: both
-        # methods land somewhere in that band.
-        rt = abs(float(root))
-        noise = (2 * len(d._P) + 2) * 2.0**-53 * (
-            abs(d._cdf_off[i]) + abs(u) + np.sum(np.abs(d._P[:, i]) * rt ** np.arange(len(d._P))))
-        band = noise / npoly.polyval(float(root), d._pdf[:, i]) / ulp
+        # Evaluating P_i(r - lo_i) - u in double precision errs by at most
+        # horner_noise, so the computed sign is open within that noise over
+        # the density at the root: both methods land somewhere in that band.
+        t = float(root) - d.breaks[i]
+        dens = npoly.polyval(t, d._pdf[:, i])
+        band = horner_noise(d._P[:, i], t, u, t * dens) / dens / ulp
         assert eg <= er + max(1.0, band), (u, xr, xg, er, eg, band)
         err_ref.append(er)
         err_got.append(eg)
@@ -713,24 +764,19 @@ def _reservation_laws(F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_thr
 
 
 def _exact_tail_root(mpmath, G, i, c, x0):
-    """The 200-bit root near x0 of the segment tail ``_segment_tail(i, r) = c``,
-    its float table entries taken as exact."""
+    """The 200-bit root near x0 of the segment tail ``RR_i(hi_i - r) = c``,
+    its float coefficients taken as exact."""
     m = mpmath.mpf
-    hi, above, cdf_lo, pp_hi, p_lo = (m(float(v)) for v in (
-        G.breaks[i + 1], G._tail_at[i + 1], G._cdf_at[i], G._PP_hi[i], G._P_lo[i]))
-    coef = [m(float(v)) for v in G._PP[::-1, i]]
+    coef = [m(float(v)) for v in G._RR[::-1, i]]
     with mpmath.workprec(200):
-        r = m(float(x0))
+        hi, r = m(float(G.breaks[i + 1])), m(float(x0))
         for _ in range(200):
-            w = hi - r
-            pp, dpp = mpmath.polyval(coef, r, derivative=True)
-            g = above + w - (cdf_lo * w + (pp_hi - pp) - p_lo * w) - m(float(c))
-            dg = -1 + cdf_lo + dpp - p_lo
-            step = g / dg
+            tail, slope = mpmath.polyval(coef, hi - r, derivative=True)
+            step = (c - tail) / slope  # d tail / dr = -slope
             r -= step
             # g cancels from terms of size `scale`, so 190 bits of them at most
-            scale = abs(above) + abs(w) * (1 + abs(cdf_lo) + abs(p_lo)) + abs(pp_hi) + abs(pp)
-            if abs(step) <= max(abs(r * dg), scale) * m(2) ** -190 / abs(dg):
+            scale = abs(c) + mpmath.polyval([abs(v) for v in coef], abs(hi - r))
+            if abs(step) <= max(abs(r * slope), scale) * m(2) ** -190 / abs(slope):
                 return r
     raise AssertionError(f"no 200-bit root for c={c!r}")
 
@@ -808,3 +854,10 @@ def test_reservation_value_rounds(monkeypatch, F, F_tilted, H_uniform, H_convex,
             rounds.append(len(count))
         assert np.median(rounds) <= 6, (name, sorted(rounds))
         assert max(rounds) <= 36, (name, max(rounds))  # the bisection made 36
+    # near c = 0 the segment tail in w = hi - x keeps its relative accuracy,
+    # so the iteration converges there as fast as anywhere (the tail in the
+    # global x cancelled to noise, and took 35 and 24 evaluations)
+    for G, c in ((H_uniform, 1e-9), (F, 1e-8)):
+        count.clear()
+        reservation_value(G, c)
+        assert len(count) <= 4, (c, len(count))

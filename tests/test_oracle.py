@@ -279,7 +279,7 @@ def _exact_hat_masses(mpmath, F, grid):
     with mpmath.workprec(200):
         for k in range(len(grid) - 1):
             a, b = mpmath.mpf(float(grid[k])), mpmath.mpf(float(grid[k + 1]))
-            c = [mpmath.mpf(float(v)) for v in F.coefs[F._segment_index(0.5 * (grid[k] + grid[k + 1]))]]
+            c = [mpmath.mpf(float(v)) for v in F.coefs[F._locate(0.5 * (grid[k] + grid[k + 1]))[2]]]
 
             def f(t):
                 return mpmath.polyval(c[::-1], t)

@@ -117,7 +117,7 @@ def _quadrature_pieces(F, H, a):
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
-        i = H._segment_index(0.5 * (lo + hi))
+        i = H._locate(0.5 * (lo + hi))[2]
         if np.max(np.abs(H.coefs[i])) == 0.0:
             continue
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -175,7 +175,7 @@ def _value_of_best_of_n_reference(F, m, n):
             break
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         ts = mid + half * xg
-        dens = polyval(F.coefs[i], ts)
+        dens = polyval(F._pdf[:, i], ts - F.breaks[i])
         cdfs = F.cdf_vec(ts)
         total += half * float(np.dot(wg, ts * n * cdfs ** (n - 1) * dens))
     return total
