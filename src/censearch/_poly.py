@@ -5,9 +5,11 @@ the caller names: ``[c0, c1, c2, c3]`` means ``c0 + c1*t + c2*t**2 +
 c3*t**3``, where t is x - origin (:func:`polyshift` moves the origin, and
 :func:`real_roots_in` returns roots in x).  Every integral in the
 library is either a closed-form antiderivative or a Gauss-Legendre rule
-(:func:`gauss_legendre`).  A rule is exact up to rounding only where its node
-count covers the integrand's degree; :func:`gauss_legendre` says where it
-does not.
+(:func:`gauss_legendre`), with one exception: ``oracle.hat_masses`` applies
+``gauss_nodes(3)`` itself, because its bits pick the vertex of the
+degenerate best-response LP.  A rule is exact up to rounding only where its
+node count covers the integrand's degree; :func:`gauss_legendre` says where
+it does not.
 """
 
 from __future__ import annotations

@@ -34,7 +34,8 @@ from .demand import DemandCurve, pooled_jump
 from .dists import (
     PiecewisePolyDist,
     Tolerances,
-    _density_integrals,
+    _cdf_difference,
+    _integrate,
     _pow,
     _result,
     incremental_benefit,
@@ -208,9 +209,9 @@ def _margin_scan(H: PiecewisePolyDist, beta: float, c_hi: float, open_top: bool 
         lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
         if lo >= top:
             break
-        hm = H.coefs[i].astype(float).copy()
+        hm = H._pdf[:, i].copy()
         hm[0] -= beta
-        cands.update(float(r) for r in real_roots_in(hm, lo, min(hi, top)) if r > 1e-13)
+        cands.update(float(r) for r in real_roots_in(hm, lo, min(hi, top), origin=lo) if r > 1e-13)
         if 1e-13 < hi <= top:
             cands.add(float(hi))
     return sorted(cands)
@@ -476,21 +477,18 @@ class _Certificate:
 
 
 def _support_elements(G: PiecewisePolyDist, F: PiecewisePolyDist, tol: float):
-    """Split the candidate's support into full-disclosure intervals (G = F),
-    pooling intervals (positive density, G != F), and atoms."""
-    cuts = sorted(
-        set(map(float, G.breaks))
-        | {float(b) for b in F.breaks if G.breaks[0] <= b <= G.breaks[-1]}
-    )
+    """Split the candidate's support into full-disclosure intervals (the
+    exact range of G - F on the piece within tol), pooling intervals
+    (positive density, G != F), and atoms."""
     elements = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-14:
+    for lo, hi, d in _cdf_difference(G, F):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-14 or not G.breaks[0] <= mid <= G.breaks[-1]:
             continue
-        if np.max(np.abs(G.coefs[G._locate(0.5 * (lo + hi))[2]])) <= 1e-14:
+        if G._dens_max[G._locate(mid)[2]] <= 1e-14:
             continue  # gap
-        xs = np.linspace(lo, hi, 17)
-        diff = np.max(np.abs(G.cdf(xs) - F.cdf(xs)))
-        kind = "disclosure" if diff <= tol else "pooling"
+        low, high = poly_range_on(d, 0.0, hi - lo)
+        kind = "disclosure" if max(-low, high) <= tol else "pooling"
         if elements and elements[-1][0] == kind and abs(elements[-1][2] - lo) < 1e-12:
             elements[-1] = (kind, elements[-1][1], hi)
         else:
@@ -597,16 +595,6 @@ def verify_price_function(
 
 
 def _integrate_certificate(cert: _Certificate, W: PiecewisePolyDist) -> float:
-    total = 0.0
-    for m, v in zip(W.atom_masses, cert.value(W.atom_locs)):
-        if m > 0:
-            total += m * v
-    cuts = sorted(
-        set(map(float, W.breaks))
-        | {lo for lo, _, _ in cert.segments}
-        | {hi for _, hi, _ in cert.segments}
-        | set(map(float, cert.curve.x_breaks))
-    )
-    cuts = [c for c in cuts if W.breaks[0] - 1e-12 <= c <= W.breaks[-1] + 1e-12]
-    pieces = _density_integrals(W, cert.value, cuts, nodes_for_degree(cert.curve._gl_deg + 12))
-    return sum(pieces.tolist(), total)
+    """int cert dW, cut at the certificate's segment ends and demand's kinks."""
+    kinks = [x for seg in cert.segments for x in seg[:2]] + cert.curve.x_breaks.tolist()
+    return _integrate(W, cert.value, kinks, nodes_for_degree(cert.curve._gl_deg + 12))

@@ -10,7 +10,8 @@ minimum up to any cost and the critical set.  :func:`cost_shape_report`
 collects the statistics that follow:
 
 * :func:`concavity_tail_start`  -- start of the maximal upper interval with
-                                   nonincreasing density
+                                   nonincreasing density, from the density's
+                                   trend (:func:`_density_runs`)
 * :func:`critical_min_set`      -- stationary points of S that are running
                                    minima (points, kinks, plateaus)
 * :func:`smallest_local_min`    -- location of the smallest such minimum
@@ -33,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._poly import polyder, polyval, real_roots_in
+from ._poly import polyval, real_roots_in
 from .dists import PiecewisePolyDist, _result
 
 __all__ = [
@@ -254,43 +255,46 @@ def global_min_slope(H: PiecewisePolyDist) -> tuple[float, float]:
     return _analysis(H).global_min
 
 
-def concavity_tail_start(H: PiecewisePolyDist) -> float:
-    """Infimum of c such that the density is nonincreasing on (c, cbar]
-    (its slope at most RISE_TOL).
+def _density_runs(H: PiecewisePolyDist) -> list[tuple[float, float, int, bool]]:
+    """The trend of the density, bottom to top: (lo, hi, sign, is_jump) runs.
 
-    Walks segments from the top.  Any density discontinuity at an interior
-    breakpoint closes the window (baseline model densities are continuous;
-    jump-carrying inputs are treated conservatively).  When even the topmost
-    piece increases right up to the top, returns the support top.
+    Within a segment the runs lie between the real roots of the slope
+    (``H._dpdf``, in t = c - lo); a run's sign is +1 where the slope at its
+    middle exceeds RISE_TOL, -1 where it is below -RISE_TOL, else 0.  Runs
+    narrower than 1e-15 are dropped.  A density jump at an interior
+    breakpoint b is the run (b, b, sign of the jump, True); it counts when
+    it exceeds 1e-10 * max(1, |left|, |right|) of the two one-sided values.
     """
     _require_continuous(H)
-    start = H.support_hi
-    for i in range(len(H.coefs) - 1, -1, -1):
+    width = np.diff(H.breaks)
+    left = polyval(H._pdf, width)  # each segment's density at its top
+    runs = []
+    for i in range(len(H.coefs)):
         lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
-        dcoef = polyder(H.coefs[i])
-        last_pos = _last_positive_point(dcoef, lo, hi)
-        if last_pos is not None:
-            return last_pos
-        start = lo
         if i > 0:
-            left = polyval(H.coefs[i - 1], lo)
-            right = polyval(H.coefs[i], lo)
-            if abs(left - right) > 1e-10 * max(1.0, abs(left), abs(right)):
-                return start
-    return start
+            jump = H._pdf[0, i] - left[i - 1]
+            if abs(jump) > 1e-10 * max(1.0, abs(left[i - 1]), abs(H._pdf[0, i])):
+                runs.append((lo, lo, 1 if jump > 0 else -1, True))
+        d = H._dpdf[:, i]
+        cuts = sorted({lo, hi, *(float(r) for r in real_roots_in(d, lo, hi, origin=lo))})
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if b - a >= 1e-15:
+                slope = polyval(d, 0.5 * (a + b) - lo)
+                runs.append((a, b, 1 if slope > RISE_TOL else (-1 if slope < -RISE_TOL else 0), False))
+    return runs
 
 
-def _last_positive_point(coefs, lo: float, hi: float) -> float | None:
-    """sup{t in [lo,hi]: p(t) > RISE_TOL}, or None if p <= RISE_TOL throughout."""
-    cuts = [lo] + [float(r) for r in real_roots_in(np.asarray(coefs, float), lo, hi)] + [hi]
-    cuts = sorted(set(cuts))
-    last = None
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-15:
-            continue
-        if polyval(np.asarray(coefs, float), 0.5 * (a + b)) > RISE_TOL:
-            last = b
-    return last
+def concavity_tail_start(H: PiecewisePolyDist) -> float:
+    """Infimum of c such that the density is nonincreasing on (c, cbar]
+    (its slope at most RISE_TOL): the top of the last rising run of
+    :func:`_density_runs`, or of its last jump, whichever is higher.  Any
+    density jump closes the window (baseline model densities are continuous;
+    jump-carrying inputs are treated conservatively).  The support bottom
+    when there is neither; the support top when even the topmost piece
+    increases right up to the top.
+    """
+    closing = [hi for _, hi, sign, jump in _density_runs(H) if jump or sign > 0]
+    return closing[-1] if closing else H.support_lo
 
 
 def critical_min_set(H: PiecewisePolyDist) -> list[tuple[float, float]]:

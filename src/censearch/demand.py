@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._poly import gauss_legendre, nodes_for_degree
-from .dists import PiecewisePolyDist, _density_integrals, _pow, _result, mean, reservation_value
+from .dists import PiecewisePolyDist, _integrate, _pow, _result, mean, reservation_value
 
 __all__ = [
     "DemandCurve",
@@ -229,14 +229,5 @@ def expected_payoff(
     (G_dev = G_star) every feasible symmetric strategy earns 1/n: each
     consumer buys exactly once and firms are symmetric."""
     D = curve if curve is not None else DemandCurve(G_star, n, H)
-    total = 0.0
-    for m, v in zip(G_dev.atom_masses, D.value(G_dev.atom_locs)):
-        if m > 0:
-            total += m * v
-    lo0, hi0 = G_dev.breaks[0], G_dev.breaks[-1]
-    cuts = set(G_dev.breaks)
-    cuts.update(float(b) for b in D.x_breaks if lo0 < b < hi0)
-    cuts.update(float(b) for b in D.G.breaks if lo0 < b < hi0)
-    cuts.update(float(a) for a in D.G.atom_locs if lo0 < a < hi0)
-    pieces = _density_integrals(G_dev, D.value, sorted(cuts), nodes_for_degree(D._gl_deg + 4 * n + 8))
-    return float(sum(pieces.tolist(), total))
+    kinks = np.concatenate([D.x_breaks, D.G.breaks])  # G's atoms sit on its breakpoints
+    return _integrate(G_dev, D.value, kinks, nodes_for_degree(D._gl_deg + 4 * n + 8))

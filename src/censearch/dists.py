@@ -10,7 +10,10 @@ rounding, short of the Gauss-Legendre node cap that
 Module-level operations: :func:`mean`, :func:`incremental_benefit` (expected
 gain from one more search given the current best option), its inverse
 :func:`reservation_value`, :func:`truncated_mean_above`, and
-:func:`mpc_check` (mean-preserving-contraction feasibility).
+:func:`mpc_check` (mean-preserving-contraction feasibility).  Two walks serve
+every question about a pair of laws or a law and a function:
+:func:`_cdf_difference` (G - F piece by piece, exact polynomials) and
+:func:`_integrate` (int f dW, atoms and density pieces).
 """
 
 from __future__ import annotations
@@ -61,13 +64,14 @@ class PiecewisePolyDist:
     off the breakpoints the atom is 0, so G(x-) <= G(x) and the two differ
     by ``atom_mass_at(x)``; the one-sided densities pick the piece by side.
 
-    ``coefs`` holds the density pieces in x, as given.  Construction builds
-    every table the queries read, one column per segment (ascending powers,
-    zero-padded to a common degree), in the coordinate where it is accurate:
-    in t = x - lo the density ``_pdf``, its slope ``_dpdf``, G (``_P``) and
-    K (``_PP``), and in w = hi - x the survival 1 - G (``_R``) and the tail
-    (``_RR``).  G and K accumulate from the bottom, 1 - G and the tail from
-    the top.  Every query (``cdf``, ``cdf_left``, ``pdf``, ``pdf_derivative``,
+    ``coefs`` holds the density pieces in x, as given: the input and JSON
+    form, read outside construction only to count segments or to build a new
+    law.  Construction builds every table the queries read, one column per
+    segment (ascending powers, zero-padded to a common degree), in the
+    coordinate where it is accurate: in t = x - lo the density ``_pdf``, its
+    slope ``_dpdf``, G (``_P``) and K (``_PP``), and in w = hi - x the
+    survival 1 - G (``_R``) and the tail (``_RR``).  G and K accumulate from
+    the bottom, 1 - G and the tail from the top.  Every query (``cdf``, ``cdf_left``, ``pdf``, ``pdf_derivative``,
     ``cdf_integral``, ``tail_gap``, ``quantile``) is a segment lookup plus
     Horner on one table; it takes a scalar (and returns a float) or an array.
     """
@@ -416,12 +420,26 @@ def _bracketed_newton(i, target, a, b, ga, gb, value, slope, curve):
     return x
 
 
+def _integrate(W: PiecewisePolyDist, f, kinks, npts: int) -> float:
+    """int f dW: the sum of m * f(x) over W's atoms (mass m > 0, in order),
+    then the density pieces of :func:`_density_integrals` between W's
+    breakpoints and the kinks of f that lie strictly inside W's support,
+    added in order.  f takes an array of points."""
+    total = 0.0
+    for m, v in zip(W.atom_masses, f(W.atom_locs)):
+        if m > 0:
+            total += m * v
+    kinks = np.asarray(kinks, dtype=float)
+    cuts = np.union1d(W.breaks, kinks[(W.breaks[0] < kinks) & (kinks < W.breaks[-1])])
+    return float(sum(_density_integrals(W, f, cuts, npts).tolist(), total))
+
+
 def _density_integrals(W: PiecewisePolyDist, f, cuts, npts: int) -> np.ndarray:
     """The integrals of w * f over each pair of consecutive cuts (sorted, and
     holding W's breakpoints) where W has density w, one entry per piece in
     order, by :func:`_poly.gauss_legendre` with npts nodes.  Pieces narrower
-    than 1e-15 and pieces where w is zero are skipped; W's atoms are left to
-    the caller, who adds the pieces to them in order.  w is the polynomial of
+    than 1e-15 and pieces where w is zero are skipped; W's atoms are not
+    included (:func:`_integrate` adds m * f at each).  w is the polynomial of
     the segment holding the piece (found from its middle node, which lies
     inside it however narrow it is), evaluated in t = x - lo by polyval."""
     cuts = np.asarray(cuts, dtype=float)
@@ -619,27 +637,35 @@ def mpc_check(
     True iff the means agree within tol and int_0^x G <= int_0^x F for all x.
     Returns (verdict, max signed violation of the cumulative inequality); the
     violation is positive where the contraction constraint is breached.
-    The difference is checked exactly: between consecutive breakpoints of
-    either law it is a polynomial of degree <= 5 whose derivative is G - F,
-    so its maximum lies at an end of the piece or at a real root of G - F
-    there, found in t = x - (the piece's lower end).
+    The difference is checked exactly: on each piece of
+    :func:`_cdf_difference` it is a polynomial of degree <= 5 whose derivative
+    is G - F, so its maximum lies at an end of the piece or at a real root of
+    G - F there.
     """
     if abs(mean(G) - mean(F)) > tol:
         return False, float("inf")
-    cuts = np.union1d(G.breaks, F.breaks)  # every atom sits on a breakpoint
-    worst = float(np.max(G.cdf_integral(cuts) - F.cdf_integral(cuts)))
-    # exact interior maxima: d/dx (KG - KF) = G - F, a piecewise polynomial
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    xs = np.concatenate([np.union1d(G.breaks, F.breaks)]  # every atom sits on a breakpoint
+                        + [real_roots_in(d, a, b, origin=a) for a, b, d in _cdf_difference(G, F)])
+    worst = float(np.max(G.cdf_integral(xs) - F.cdf_integral(xs)))
+    return bool(worst <= tol), worst
+
+
+def _cdf_difference(G: PiecewisePolyDist, F: PiecewisePolyDist):
+    """G - F piece by piece, bottom to top: (a, b, G - F on [a, b) as a
+    polynomial in t = x - a) for each pair of consecutive breakpoints of
+    either law.  Each law contributes its segment CDF shifted to a, 0 below
+    its support and 1 above; the polynomial's value at t = b - a is the left
+    limit at b, and every atom sits on a breakpoint, so the pieces' ranges
+    are the range of G - F."""
+    cuts = np.union1d(G.breaks, F.breaks)
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         mid = 0.5 * (a + b)
-        dcoef = np.zeros(6)
+        d = np.zeros(6)
         for sign, D in ((1.0, G), (-1.0, F)):
             if D.breaks[0] <= mid <= D.breaks[-1]:
                 i = D._locate(mid)[2]
                 c = _poly.polyshift(D.cdf_poly(i), a - D.breaks[i])
-                dcoef[: len(c)] += sign * c
+                d[: len(c)] += sign * c
             elif mid > D.breaks[-1]:
-                dcoef[0] += sign
-        roots = real_roots_in(dcoef, a, b, origin=a)
-        if len(roots):
-            worst = max(worst, float(np.max(G.cdf_integral(roots) - F.cdf_integral(roots))))
-    return bool(worst <= tol), float(worst)
+                d[0] += sign
+        yield a, b, d

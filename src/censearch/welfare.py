@@ -6,19 +6,25 @@ closed forms per cost type, with a branch at the threshold whose marginal
 searcher has exactly that cost.  The comparative-statics transforms (scale
 stretches, first-order shifts, mixing toward the uniform, mean-preserving
 spreads) reproduce the predicted movements of the maximal threshold; whether
-one cost law spreads another is :func:`censearch.dists.mpc_check`.
+one cost law spreads another is :func:`censearch.dists.mpc_check`, and whether
+it dominates another at first order is :func:`fosd_compare`, both exact on
+the pieces of :func:`censearch.dists._cdf_difference`.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
-from ._poly import nodes_for_degree, polyval, real_roots_in, polyder
-from .costshape import _require_continuous
+from ._poly import nodes_for_degree, poly_range_on
+from .costshape import _density_runs, _require_continuous
 from .demand import power_sum
 from .dists import (
     PiecewisePolyDist,
+    _cdf_difference,
     _density_integrals,
+    _integrate,
     incremental_benefit,
     mean,
     reservation_value,
@@ -34,9 +40,6 @@ __all__ = [
     "uniform_interpolate",
     "classify_density_shape",
 ]
-
-FOSD_GRID = 4097  # scan points of fosd_compare (plus both breakpoint sets)
-SHAPE_TOL = 1e-11  # classify_density_shape: smaller slopes and jumps count as flat
 
 
 def _value_of_best_of_n(F: PiecewisePolyDist, m: float, n: int) -> float:
@@ -100,7 +103,6 @@ def consumer_surplus(
     pieces, split at the branch cost)."""
     _require_continuous(H)
     cfa = incremental_benefit(F, a)
-    cuts = sorted({float(b) for b in H.breaks} | ({cfa} if 0 < cfa < H.support_hi else set()))
     terms = {}  # cutoff m -> _cutoff_terms(F, n, m)
 
     def surplus(cs):
@@ -111,7 +113,7 @@ def consumer_surplus(
         value, searches = np.array([terms[m] for m in ms.ravel().tolist()]).T.reshape(2, *cs.shape)
         return value - searches * cs
 
-    return float(sum(_density_integrals(H, surplus, cuts, 64).tolist(), 0.0))
+    return _integrate(H, surplus, [cfa], 64)
 
 
 def expected_search_length(F: PiecewisePolyDist, a: float, n: int) -> float:
@@ -143,19 +145,19 @@ def alpha_stretch(
 
 
 def fosd_compare(H1: PiecewisePolyDist, H2: PiecewisePolyDist) -> str:
-    """Pointwise CDF comparison on a common scan grid: 'H2_dominates' when
-    H2 sits weakly below H1 everywhere (stochastically larger costs),
-    'H1_dominates' for the reverse, 'equal', or 'incomparable'."""
-    lo = min(H1.support_lo, H2.support_lo)
-    hi = max(H1.support_hi, H2.support_hi)
-    cs = np.unique(np.concatenate([np.linspace(lo, hi, FOSD_GRID), H1.breaks, H2.breaks]))
-    d = H2.cdf_vec(cs) - H1.cdf_vec(cs)
+    """Exact pointwise CDF comparison, from the range of H2 - H1 on each
+    piece of :func:`censearch.dists._cdf_difference`, with 1e-11 slack:
+    'H2_dominates' when H2 sits weakly below H1 everywhere (stochastically
+    larger costs), 'H1_dominates' for the reverse, 'equal', or
+    'incomparable'."""
+    ranges = [poly_range_on(d, 0.0, b - a) for a, b, d in _cdf_difference(H2, H1)]
+    low, high = min(r[0] for r in ranges), max(r[1] for r in ranges)
     tol = 1e-11
-    if np.all(np.abs(d) <= tol):
+    if max(-low, high) <= tol:
         return "equal"
-    if np.all(d <= tol):
+    if high <= tol:
         return "H2_dominates"
-    if np.all(d >= -tol):
+    if low >= -tol:
         return "H1_dominates"
     return "incomparable"
 
@@ -178,32 +180,12 @@ def uniform_interpolate(
 def classify_density_shape(H: PiecewisePolyDist) -> str:
     """'quasi_convex_interior_dip' when the density falls then rises with a
     strict interior minimum, 'quasi_concave_interior_peak' for the mirror
-    pattern, else 'neither'."""
-    _require_continuous(H)
-    lo, hi = H.support_lo, H.support_hi
-    # sign pattern of h' across pieces and kinks
-    signs: list[int] = []
-
-    def push(s: int):
-        if s != 0 and (not signs or signs[-1] != s):
-            signs.append(s)
-
-    for i in range(len(H.coefs)):
-        a, b = float(H.breaks[i]), float(H.breaks[i + 1])
-        if i > 0:
-            jump = polyval(H.coefs[i], a) - polyval(H.coefs[i - 1], a)
-            if abs(jump) > SHAPE_TOL:
-                push(1 if jump > 0 else -1)
-        d = polyder(H.coefs[i])
-        cuts = [a] + [float(r) for r in real_roots_in(d, a, b)] + [b]
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            if v - u < 1e-14:
-                continue
-            val = polyval(d, 0.5 * (u + v))
-            push(1 if val > SHAPE_TOL else (-1 if val < -SHAPE_TOL else 0))
+    pattern, else 'neither': the signs of the runs of
+    :func:`censearch.costshape._density_runs`, flat runs dropped and repeats
+    merged."""
+    signs = [s for s, _ in groupby(s for _, _, s, _ in _density_runs(H) if s)]
     if signs == [-1, 1]:
         return "quasi_convex_interior_dip"
     if signs == [1, -1]:
         return "quasi_concave_interior_peak"
     return "neither"
-

@@ -255,6 +255,16 @@ def test_price_function_checks_demand_kinks(F, H_step):
     assert rep.detail == "not convex"
 
 
+def test_support_elements_read_the_left_limit_below_an_atom(F):
+    # G = F on [0, 0.4), an atom of 0.2 at 0.4, then flat density 2/3 up to
+    # 1: G - F is 0 on [0, 0.4) and jumps at 0.4, so [0, 0.4) is disclosure
+    # and the atom is its own element, not the end of one pooling stretch
+    G = PiecewisePolyDist([0.0, 0.4, 1.0], [np.array([1.0]), np.array([2.0 / 3.0])],
+                          atoms=[(0.4, 0.2)])
+    assert censorship._support_elements(G, F, 1e-9) == [
+        ("disclosure", 0.0, 0.4), ("atom", 0.4, 0.4), ("pooling", 0.4, 1.0)]
+
+
 def test_verify_pools_prior_atom_at_threshold():
     # upper_censorship pools an atom of F at a; the verifier's jump, kink and
     # pooled mass read F(a-), so thresholds at the atom and just below it,

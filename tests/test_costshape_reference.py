@@ -1,5 +1,6 @@
 """The one-table average-slope analysis against the per-call sweeps it
-replaced.
+replaced, and the one walk over the density's trend against the two global-x
+walks it replaced.
 
 The reference functions below are the earlier implementations: every
 public cost-shape statistic rebuilt the critical set on its own, and the
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from censearch import costshape
-from censearch._poly import polyval, real_roots_in
+from censearch._poly import polyder, polyshift, polyval, real_roots_in
 from censearch.censorship import solve_a_max, threshold_from_cost, verify_uce
 from censearch.costshape import (
     _SlopeAnalysis,
@@ -33,7 +34,7 @@ from censearch.costshape import (
     smallest_local_min,
 )
 from censearch.dists import PiecewisePolyDist, Tolerances, incremental_benefit, mean
-from censearch.welfare import alpha_stretch
+from censearch.welfare import alpha_stretch, classify_density_shape
 from conftest import quasi_concave_pair, quasi_convex_pair, ramp_costs
 
 # -- the reference: one sweep per call ----------------------------------------
@@ -246,6 +247,64 @@ def _ref_cost_condition(F, H, a, tol=Tolerances()):
     )
 
 
+def _ref_last_positive_point(coefs, lo, hi):
+    cuts = [lo] + [float(r) for r in real_roots_in(np.asarray(coefs, float), lo, hi)] + [hi]
+    cuts = sorted(set(cuts))
+    last = None
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a < 1e-15:
+            continue
+        if polyval(np.asarray(coefs, float), 0.5 * (a + b)) > costshape.RISE_TOL:
+            last = b
+    return last
+
+
+def _ref_concavity_tail_start(H):
+    """The walk from the top over the density pieces in global x."""
+    start = H.support_hi
+    for i in range(len(H.coefs) - 1, -1, -1):
+        lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
+        last_pos = _ref_last_positive_point(polyder(H.coefs[i]), lo, hi)
+        if last_pos is not None:
+            return last_pos
+        start = lo
+        if i > 0:
+            left = polyval(H.coefs[i - 1], lo)
+            right = polyval(H.coefs[i], lo)
+            if abs(left - right) > 1e-10 * max(1.0, abs(left), abs(right)):
+                return start
+    return start
+
+
+def _ref_classify_density_shape(H):
+    """The walk from the bottom over the density pieces in global x, with
+    an absolute 1e-11 threshold on slopes and jumps."""
+    signs = []
+
+    def push(s):
+        if s != 0 and (not signs or signs[-1] != s):
+            signs.append(s)
+
+    for i in range(len(H.coefs)):
+        a, b = float(H.breaks[i]), float(H.breaks[i + 1])
+        if i > 0:
+            jump = polyval(H.coefs[i], a) - polyval(H.coefs[i - 1], a)
+            if abs(jump) > 1e-11:
+                push(1 if jump > 0 else -1)
+        d = polyder(H.coefs[i])
+        cuts = [a] + [float(r) for r in real_roots_in(d, a, b)] + [b]
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            if v - u < 1e-14:
+                continue
+            val = polyval(d, 0.5 * (u + v))
+            push(1 if val > 1e-11 else (-1 if val < -1e-11 else 0))
+    if signs == [-1, 1]:
+        return "quasi_convex_interior_dip"
+    if signs == [1, -1]:
+        return "quasi_concave_interior_peak"
+    return "neither"
+
+
 # -- the corpus ------------------------------------------------------------------
 
 
@@ -265,6 +324,27 @@ def _random_law(seed: int) -> PiecewisePolyDist:
         m = (y1 - y0) / (hi - lo)
         coefs.append(np.array([y0 - m * lo, m]) if seed % 2 else np.array([y0]))
     return PiecewisePolyDist(breaks, coefs)
+
+
+def _random_cubic_law(seed: int) -> PiecewisePolyDist:
+    """Piecewise-cubic density with 2-5 pieces on [0, cbar] whose slope
+    changes sign inside the pieces: continuous (even seeds) or with jumps at
+    the breaks (odd seeds).  Each piece is drawn in t = c - lo and stored in
+    global c, as the constructor takes it."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    cbar = rng.uniform(0.12, 0.3)
+    widths = rng.uniform(0.5, 1.5, k)
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum() * cbar])
+    breaks[-1] = cbar
+    local, start = [], rng.uniform(1.0, 3.0)
+    for w in np.diff(breaks):
+        # each of the three terms stays within 0.3 * start on [0, w]
+        c = np.concatenate([[start], rng.uniform(-0.3, 0.3, 3) * start / w ** np.arange(1.0, 4.0)])
+        local.append(c)
+        start = polyval(c, w) if seed % 2 == 0 else rng.uniform(1.0, 3.0)
+    mass = sum(float(polyval(c / np.arange(1.0, 5.0), w) * w) for c, w in zip(local, np.diff(breaks)))
+    return PiecewisePolyDist(breaks, [polyshift(c / mass, -lo) for c, lo in zip(local, breaks[:-1])])
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +426,28 @@ def test_report_and_solve_root_finding_work(monkeypatch, F, H_bimodal, H_step, H
         solve_a_max(F, H)
         cost_shape_report(H, 0.5)
     assert len(calls) <= 203 // 3
+
+
+def test_density_walk_matches_global_walks(laws):
+    cubics = [_random_cubic_law(seed) for seed in range(300)]
+    for H in laws + cubics:
+        assert classify_density_shape(H) == _ref_classify_density_shape(H), H
+        assert concavity_tail_start(H) == pytest.approx(_ref_concavity_tail_start(H), abs=1e-12)
+    # the random laws reach every branch of the walk: interior turning
+    # points of the slope, rising tails, and both jump directions
+    assert len({round(_ref_concavity_tail_start(H) / H.support_hi, 6) for H in cubics}) > 100
+    assert {classify_density_shape(H) for H in laws} == {
+        "neither", "quasi_convex_interior_dip", "quasi_concave_interior_peak"}
+
+
+@pytest.mark.parametrize("rel, seen", [(1e-9, True), (1e-11, False), (1e-12, False)])
+def test_one_jump_rule_for_both_walks(rel, seen):
+    # falling density on [0, 0.09], then flat from 0.09 at (1 + rel) times
+    # the value it fell to: the jump alone makes the law a dip and ends the
+    # nonincreasing tail at 0.09
+    slope = 100.0
+    base = (1.0 + slope * 0.09**2 / 2 + slope * 0.09**2 * (1.0 + rel)) / (0.09 * (2.0 + rel))
+    H = PiecewisePolyDist([0.0, 0.09, 0.18], [np.array([base, -slope]),
+                                             np.array([(base - slope * 0.09) * (1.0 + rel)])])
+    assert classify_density_shape(H) == ("quasi_convex_interior_dip" if seen else "neither")
+    assert concavity_tail_start(H) == (0.09 if seen else 0.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from censearch import welfare
-from censearch._poly import gauss_nodes, nodes_for_degree, polyval
+from censearch._poly import gauss_nodes, nodes_for_degree, polyder, polymul, polyshift, polyval
 from censearch.censorship import solve_a_max, upper_censorship
 from censearch.cli import main
 from censearch.costshape import assumption_diag_check, global_min_slope
@@ -263,6 +263,16 @@ def test_surplus_over_many_cost_pieces(F):
     assert consumer_surplus(F, H, a, 5) == _consumer_surplus_reference(F, H, a, 5)
 
 
+def test_surplus_branch_cost_below_cost_support(F):
+    # costs U[0.02, 0.18] at a = 0.87: the branch cost 0.00845 lies below
+    # the cost support, so it cuts nothing and no mass lies below 0.02
+    H = PiecewisePolyDist.uniform(0.02, 0.18)
+    assert 0.0 < incremental_benefit(F, 0.87) < H.support_lo
+    xg, wg = np.polynomial.legendre.leggauss(64)
+    types = [consumer_surplus_type(F, 0.87, c, 5)[2] for c in 0.1 + 0.08 * xg]
+    assert consumer_surplus(F, H, 0.87, 5) == pytest.approx(0.5 * np.dot(wg, types), abs=1e-12)
+
+
 def test_surplus_cutoff_terms_once_per_cutoff(F, F_tilted, H_uniform, H_bimodal, monkeypatch):
     """consumer_surplus evaluates the cutoff-only terms (the best-of-n value
     among them) once per distinct cutoff m, not once per quadrature node."""
@@ -346,6 +356,28 @@ def test_fosd_examples(F, H_uniform):
     # crossing CDFs: a mean-preserving pair is incomparable
     H1, H2 = quasi_convex_pair()
     assert fosd_compare(H1, H2) == "incomparable"
+
+
+def test_fosd_sees_a_crossing_between_scan_points(H_uniform):
+    # H2 is H_uniform except on one cubic piece [p, p + w], where
+    # H2 - H1 = kappa t (w - t)(t - r1)(t - r2) in t = x - p: it dips to
+    # -2.1e-10 on (p + r1, p + r2) and rises to +4.1e-9 elsewhere.  The dip
+    # lies strictly between two points of a 4097-point grid on [0, 0.18],
+    # which sees only the rise.
+    s = 0.18 / 4096
+    p, w, r1, r2 = 2048.3 * s, 1.5 * s, 0.75 * s, 0.95 * s
+    diff = 1e10 * polymul(polymul([0.0, 1.0], [w, -1.0]), polymul([-r1, 1.0], [-r2, 1.0]))
+    dens = polyder(diff)
+    dens[0] += 1 / 0.18
+    H2 = PiecewisePolyDist([0.0, p, p + w, 0.18],
+                           [np.array([1 / 0.18]), polyshift(dens, -p), np.array([1 / 0.18])])
+    ts = np.linspace(0.0, w, 2001)
+    gap = H2.cdf(p + ts) - H_uniform.cdf(p + ts)
+    assert -2.2e-10 < gap.min() < -2e-10 and 4e-9 < gap.max() < 4.2e-9
+    grid = np.linspace(0.0, 0.18, 4097)
+    assert np.all(H2.cdf(grid) - H_uniform.cdf(grid) >= -1e-11)
+    assert fosd_compare(H_uniform, H2) == "incomparable"
+    assert fosd_compare(H2, H_uniform) == "incomparable"
 
 
 def test_fosd_pairs_move_threshold_down(F, H_uniform, H_threestep):
