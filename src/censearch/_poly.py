@@ -150,9 +150,9 @@ def gauss_legendre(f, lo, hi, npts: int):
     The rule is exact up to rounding for polynomial integrands of degree
     below 2 * npts, and not beyond.  :func:`nodes_for_degree` caps the rule at
     ``NODE_CAP`` = 192 nodes, which cuts the degree bound of the expected
-    payoff (8n + 24) from n = 45 firms on, of the price-function mass balance
-    (4n + 28) from n = 89, of the stop integral of demand (4n + 16) from
-    n = 92 and of the best-of-n value (4n + 4) from n = 95.  Consumer surplus
+    payoff and of the price-function mass balance (4n + 19) and of the stop
+    integral of demand (4n + 16) from n = 92 firms on, and of the best-of-n
+    value (4n + 4) from n = 95.  Consumer surplus
     integrates with 64 nodes a cost integrand that is not polynomial above
     the branch cost.
     """

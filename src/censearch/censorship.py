@@ -12,14 +12,16 @@ distribution's average slope.
 
 Two verification routes are deliberately kept separate:
 
-* :func:`verify_uce` runs the direct finite-n certificate (curvature, kink,
-  domination margin) and, independently, the limit cost conditions;
+* :func:`verify_uce` runs the direct finite-n certificate (convexity below
+  the threshold, the kink at it, the domination margin) and, independently,
+  the limit cost conditions;
 * :func:`solve_a_max` evaluates the closed-form maximal threshold from the
   cost-shape statistics (case labels a-d).
 
 :func:`verify_price_function` generalizes the certificate to any candidate
 strategy whose support splits into full-disclosure intervals, pooling
-intervals, and atoms.
+intervals, and atoms.  Both test demand's convexity with
+``DemandCurve.convex_on``.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._poly import nodes_for_degree, polymul, poly_range_on, real_roots_in
+from ._poly import nodes_for_degree, poly_range_on, real_roots_in
 from .costshape import CostShapeReport, _analysis, average_slope, cost_shape_report
-from .demand import DemandCurve, pooled_jump
+from .demand import DemandCurve, demand_second_derivative, pooled_jump
 from .dists import (
     PiecewisePolyDist,
     Tolerances,
     _cdf_difference,
     _integrate,
-    _pow,
     _result,
     incremental_benefit,
     mean,
@@ -59,9 +60,8 @@ __all__ = [
     "demand_second_derivative",
 ]
 
-CURVATURE_GRID = 2049   # second-derivative scan of the certificate below the threshold
-MARGIN_GRID = 257       # cost grid of the domination margin
-PRICE_GRID = 2049       # scan grid of verify_price_function
+MARGIN_GRID = 257       # the margin's floor and top sliver are c_hi / (MARGIN_GRID - 1) wide
+PRICE_GRID = 2049       # domination scan of verify_price_function
 
 
 def upper_censorship(F: PiecewisePolyDist, a: float) -> PiecewisePolyDist:
@@ -104,18 +104,17 @@ def virtual_demand(
     x,
     curve: DemandCurve | None = None,
 ):
-    """The price-function certificate for the censored strategy: interim
-    demand below a, the secant of demand from a to the pooled signal
-    k = max supp of the censored conjecture above (extended linearly past
-    the pool; flat when nothing is pooled, k <= a).  A ``curve`` passed in
-    must be the demand curve of the censored strategy.  Takes a scalar
-    (returns a float) or an array."""
+    """The price-function certificate of :func:`verify_price_function` for
+    the censored strategy: interim demand below a, the chord of demand from
+    a to the pooled signal k = max supp of the censored conjecture above
+    (extended linearly past k; when nothing is pooled, k <= a, demand
+    continued along its slope at a).  A ``curve`` passed in must be the
+    demand curve of the censored strategy.  Takes a scalar (returns a
+    float) or an array."""
     D = curve if curve is not None else DemandCurve(upper_censorship(F, a), n, H)
     k = D.G.max_supp()
-    da, dk = D.value(a), D.value(k)
-    slope = (dk - da) / (k - a) if k > a else 0.0
-    x = np.asarray(x, dtype=float)
-    return _result(np.where(x <= a, D.value(x), da + slope * (x - a)))
+    segments = [(min(D.G.support_lo, a), a, "demand")] + ([(a, k, "affine")] if k > a else [])
+    return _Certificate(segments, D).value(x)
 
 
 def deviation_net_gain(
@@ -130,31 +129,6 @@ def deviation_net_gain(
         return 0.0
     cfa = incremental_benefit(F, a)
     return pooled_jump(F.cdf_left(a), n)[0] * (c / cfa - H.cdf(c))
-
-
-def demand_second_derivative(curve: DemandCurve, x, side: int = 1):
-    """D'' at points where the conjecture has a density (no atom), from the
-    stopping/max-win decomposition of D'.  Takes a scalar (returns a float)
-    or an array."""
-    G, H, n = curve.G, curve.H, curve.n
-    u = G.cdf(x)
-    g = G.pdf(x, side=side)
-    gp = G.pdf_derivative(x, side=side)
-    cg = curve.cutoff_cost(x)
-    inside = (0 < cg) & (cg < curve.cbar)
-    Hc = np.where(cg >= curve.cbar, 1.0, np.where(cg > 1e-15, H.cdf_left(cg), 0.0))
-    hc = np.where(inside, H.pdf(cg, side=-side), 0.0)
-    hpc = np.where(inside, H.pdf_derivative(cg, side=-side), 0.0)
-    J, dJdu = pooled_jump(u, n)
-    pow3 = (n - 1) * (n - 2) * _pow(u, n - 3) if n > 2 else 0.0
-    return _result(
-        -g * hc * J
-        - _pow(1.0 - u, 2) * hpc * J
-        + (1.0 - u) * hc * g * dJdu
-        + pow3 * _pow(g, 2) * Hc
-        + (n - 1) * _pow(u, n - 2) * gp * Hc
-        - (n - 1) * _pow(u, n - 2) * g * hc * (1.0 - u)
-    )
 
 
 @dataclass
@@ -175,36 +149,17 @@ class CensorshipReport:
         return asdict(self)
 
 
-def _power_curvature_ok(F: PiecewisePolyDist, n: int, hi: float, tol: float) -> bool:
-    """Exact convexity of the max-win curve F^(n-1) on [0, hi]:
-    (n-2) f^2 + f' F >= 0 on every polynomial piece, in its t = x - lo."""
-    for i in range(len(F.coefs)):
-        lo_b, hi_b = float(F.breaks[i]), float(F.breaks[i + 1])
-        if lo_b >= hi:
-            break
-        f = F._pdf[:, i]
-        q = polymul(np.array([float(n - 2)]), polymul(f, f))
-        q2 = polymul(F._dpdf[:, i], F.cdf_poly(i))
-        m = np.zeros(max(len(q), len(q2)))
-        m[: len(q)] += q
-        m[: len(q2)] += q2
-        mn, _ = poly_range_on(m, 0.0, min(hi_b, hi) - lo_b)
-        if mn < -tol:
-            return False
-    return True
-
-
 def _margin_scan(H: PiecewisePolyDist, beta: float, c_hi: float, open_top: bool = False):
-    """Candidate costs extremizing H(c) - beta*c on (0, c_hi]: exact
-    stationary points per segment plus a floor-protected grid of MARGIN_GRID
-    points.  The contact at c = 0 is always excluded; ``open_top`` also
-    excludes a sliver at the top endpoint (used when that endpoint is a
-    construction contact rather than a constraint; a genuine violation
+    """Candidate costs extremizing H(c) - beta*c on (0, c_hi]: the ends of
+    the stretch [floor, top], and per segment of H its end and the exact
+    stationary points (H is atom-free here).  The contact at c = 0 is always
+    excluded by a floor c_hi / (MARGIN_GRID - 1) wide; ``open_top`` also
+    excludes a sliver as wide at the top endpoint (used when that endpoint is
+    a construction contact rather than a constraint; a genuine violation
     inside the sliver implies a failing kink, which the kink check reports)."""
     floor = c_hi / (MARGIN_GRID - 1)
     top = c_hi - floor if open_top else c_hi
-    cands: set[float] = set()
-    cands.update(float(c) for c in np.linspace(floor, top, MARGIN_GRID))
+    cands = {floor, top}
     for i in range(len(H.coefs)):
         lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
         if lo >= top:
@@ -215,16 +170,6 @@ def _margin_scan(H: PiecewisePolyDist, beta: float, c_hi: float, open_top: bool 
         if 1e-13 < hi <= top:
             cands.add(float(hi))
     return sorted(cands)
-
-
-def _kink_turns(curve: DemandCurve, lo: float, hi: float, pad: float):
-    """At each demand kink (``curve.x_breaks``) in (lo + pad, hi - pad): the
-    right minus the left one-sided slope of demand, and the left slope.  A
-    convex certificate that follows demand there needs every turn >= 0."""
-    bs = curve.x_breaks
-    bs = bs[(lo + pad < bs) & (bs < hi - pad)]
-    dl = sum(curve.margins(bs, side=-1))
-    return sum(curve.margins(bs, side=+1)) - dl, dl
 
 
 def verify_uce(
@@ -238,8 +183,8 @@ def verify_uce(
     the censored strategy with threshold a.
 
     Finite-n verdict: (i) the certificate is convex below the threshold
-    (exact polynomial check on the max-win part; closed-form curvature plus
-    one-sided slope comparisons on the partial-stopping part), (ii) the kink
+    (``DemandCurve.convex_on``: exact on the max-win part below r_lo, a D''
+    scan above it, one-sided slopes at every kink), (ii) the kink
     at the threshold turns upward, (iii) the domination margin over the
     partial-purchase region is nonnegative.  Binding equalities pass.
 
@@ -275,14 +220,7 @@ def verify_uce(
     J = pooled_jump(Fa, n)[0]
 
     # (i) certificate convexity below the threshold
-    convex = _power_curvature_ok(F, n, min(a, r_lo), tol.ineq)
-    if convex and a > r_lo + tol.root:
-        d2 = demand_second_derivative(curve, np.linspace(r_lo, a, max(CURVATURE_GRID // 4, 129)))
-        scale = 1.0 + abs(d2[len(d2) // 2])
-        convex = not np.any(d2[1:-1] < -tol.ineq * scale)
-        if convex:
-            turn, dl = _kink_turns(curve, r_lo, a, tol.root)
-            convex = not np.any(turn < -tol.ineq * (1.0 + np.abs(dl)))
+    convex = curve.convex_on(F.support_lo, a, tol.ineq, tol.root)
 
     if Ua is F:
         # full disclosure (the censorship is the prior itself) pools nothing:
@@ -446,7 +384,7 @@ class _Certificate:
         first = self.segments[0][0]
         lo, last, kind = self.segments[-1]
         if kind == "demand":
-            s = sum(self.curve.margins(last, side=-1))
+            s = self.curve.slope(last, side=-1)
         else:
             v0, v1 = self.vals[-1]
             s = (v1 - v0) / (last - lo) if last > lo else 0.0
@@ -469,7 +407,7 @@ class _Certificate:
         out = []
         for (lo, hi, kind), (v0, v1) in zip(self.segments, self.vals):
             if kind == "demand":
-                out.append((sum(self.curve.margins(lo, side=+1)), sum(self.curve.margins(hi, side=-1))))
+                out.append((self.curve.slope(lo, side=+1), self.curve.slope(hi, side=-1)))
             else:
                 s = (v1 - v0) / (hi - lo) if hi > lo else None
                 out.append((s, s))
@@ -543,19 +481,9 @@ def verify_price_function(
     ctol = 1e-6 * scale
 
     # convexity
-    convex_ok = True
     flat = [s for pair in cert.slope_pairs() for s in pair if s is not None]
-    for s0, s1 in zip(flat[:-1], flat[1:]):
-        if s1 < s0 - ctol:
-            convex_ok = False
-    for lo, hi, kind in segments:
-        if kind != "demand":
-            continue
-        xs = np.linspace(lo, hi, max(PRICE_GRID // max(len(segments), 1), 129))[1:-1]
-        if np.any(demand_second_derivative(curve, xs[(xs != lo) & (xs != hi)]) < -ctol):
-            convex_ok = False
-        if np.any(_kink_turns(curve, lo, hi, tol.root)[0] < -ctol):
-            convex_ok = False
+    convex_ok = not any(s1 < s0 - ctol for s0, s1 in zip(flat[:-1], flat[1:])) and all(
+        curve.convex_on(lo, hi, ctol, tol.root) for lo, hi, kind in segments if kind == "demand")
 
     # domination
     xs = np.linspace(0.0, max(1.0, segments[-1][1]), PRICE_GRID)
@@ -595,6 +523,7 @@ def verify_price_function(
 
 
 def _integrate_certificate(cert: _Certificate, W: PiecewisePolyDist) -> float:
-    """int cert dW, cut at the certificate's segment ends and demand's kinks."""
+    """int cert dW, cut at the certificate's segment ends and demand's kinks
+    (degree <= _gl_deg on a cut piece, a density piece of W <= 3)."""
     kinks = [x for seg in cert.segments for x in seg[:2]] + cert.curve.x_breaks.tolist()
-    return _integrate(W, cert.value, kinks, nodes_for_degree(cert.curve._gl_deg + 12))
+    return _integrate(W, cert.value, kinks, nodes_for_degree(cert.curve._gl_deg + 3))

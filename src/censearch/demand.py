@@ -11,14 +11,16 @@ shared by rivals wins a tie with equal probability).
 
 The decomposition of the demand derivative into the stopping margins
 (consumers who halt precisely at x) and the max-win margin is exposed by
-:func:`demand_margins`.
+:func:`demand_margins`; the slope, D'' and the one convexity test of both
+verifiers (``DemandCurve.convex_on``) live here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
-from ._poly import gauss_legendre, nodes_for_degree
+from ._poly import gauss_legendre, nodes_for_degree, poly_range_on, polymul
 from .dists import PiecewisePolyDist, _integrate, _pow, _result, mean, reservation_value
 
 __all__ = [
@@ -29,10 +31,12 @@ __all__ = [
     "type_demand",
     "interim_demand",
     "demand_margins",
+    "demand_second_derivative",
     "expected_payoff",
 ]
 
 SNAP_TOL = 1e-9  # margins moves a cutoff cost this close to a cost breakpoint onto it
+CURVATURE_GRID = 512  # D'' samples of convex_on above r_lo
 
 
 def power_sum(lo, hi, n: int):
@@ -186,6 +190,66 @@ class DemandCurve:
         intensive = (self.n - 1) * _pow(g, self.n - 2) * gdens * hfrac
         return _result(extensive), _result(intensive)
 
+    def slope(self, x, side: int = 1):
+        """One-sided slope of D at x: the sum of the two :meth:`margins`."""
+        return sum(self.margins(x, side))
+
+    def convex_on(self, lo: float, hi: float, slack: float, pad: float) -> bool:
+        """Whether D is convex on [lo, hi] up to ``slack``: below r_lo, where
+        D = G^(n-1), the exact minimum of (n - 2) g^2 + g' G on each piece of
+        G is >= -slack; at each breakpoint of the curve or of G in
+        (lo + pad, hi - pad) the slope turns by >= -slack (1 + |left slope|);
+        above r_lo, D'' at CURVATURE_GRID points (ends excluded) is
+        >= -slack (1 + |D'' at the middle point|)."""
+        G, n = self.G, self.n
+        top = min(hi, self.r_lo)
+        for i in range(len(G.coefs)):
+            b0, b1 = float(G.breaks[i]), float(G.breaks[i + 1])
+            if b0 >= top:
+                break
+            if b1 <= lo:
+                continue
+            f = G._pdf[:, i]
+            m = npoly.polyadd((n - 2) * polymul(f, f), polymul(G._dpdf[:, i], G.cdf_poly(i)))
+            if poly_range_on(m, max(lo, b0) - b0, min(b1, top) - b0)[0] < -slack:
+                return False
+        bs = np.union1d(self.x_breaks, G.breaks)
+        bs = bs[(lo + pad < bs) & (bs < hi - pad)]
+        if len(bs):
+            left = self.slope(bs, side=-1)
+            if np.any(self.slope(bs, side=+1) - left < -slack * (1.0 + np.abs(left))):
+                return False
+        start = max(lo, self.r_lo)
+        if hi <= start + pad:
+            return True
+        d2 = demand_second_derivative(self, np.linspace(start, hi, CURVATURE_GRID))
+        return not np.any(d2[1:-1] < -slack * (1.0 + abs(d2[len(d2) // 2])))
+
+
+def demand_second_derivative(curve: DemandCurve, x, side: int = 1):
+    """D'' at points where the conjecture has a density (no atom), from the
+    stopping/max-win decomposition of D'.  Takes a scalar (returns a float)
+    or an array."""
+    G, H, n = curve.G, curve.H, curve.n
+    u = G.cdf(x)
+    g = G.pdf(x, side=side)
+    gp = G.pdf_derivative(x, side=side)
+    cg = curve.cutoff_cost(x)
+    inside = (0 < cg) & (cg < curve.cbar)
+    Hc = np.where(cg >= curve.cbar, 1.0, np.where(cg > 1e-15, H.cdf_left(cg), 0.0))
+    hc = np.where(inside, H.pdf(cg, side=-side), 0.0)
+    hpc = np.where(inside, H.pdf_derivative(cg, side=-side), 0.0)
+    J, dJdu = pooled_jump(u, n)
+    pow3 = (n - 1) * (n - 2) * _pow(u, n - 3) if n > 2 else 0.0
+    return _result(
+        -g * hc * J
+        - _pow(1.0 - u, 2) * hpc * J
+        + (1.0 - u) * hc * g * dJdu
+        + pow3 * _pow(g, 2) * Hc
+        + (n - 1) * _pow(u, n - 2) * gp * Hc
+        - (n - 1) * _pow(u, n - 2) * g * hc * (1.0 - u)
+    )
+
 
 def type_demand(G: PiecewisePolyDist, x: float, c: float, n: int) -> float:
     """Purchase probability from a single consumer type with cost c: the
@@ -230,4 +294,5 @@ def expected_payoff(
     consumer buys exactly once and firms are symmetric."""
     D = curve if curve is not None else DemandCurve(G_star, n, H)
     kinks = np.concatenate([D.x_breaks, D.G.breaks])  # G's atoms sit on its breakpoints
-    return _integrate(G_dev, D.value, kinks, nodes_for_degree(D._gl_deg + 4 * n + 8))
+    # D has degree <= _gl_deg on each cut piece, a density piece of G_dev <= 3
+    return _integrate(G_dev, D.value, kinks, nodes_for_degree(D._gl_deg + 3))

@@ -65,10 +65,7 @@ def __getattr__(name):
 class BRProblem:
     grid: np.ndarray          # candidate signal locations in [0, 1]
     objective: np.ndarray     # interim demand at the grid (tie-aware at atoms)
-    mean_target: float
-    cum_caps: np.ndarray      # int_0^{x_k} F per grid point
     hat_masses: np.ndarray    # F's mass split linearly between neighbouring grid points
-    n: int
     baseline: float           # symmetric payoff of the conjecture
 
     def lp_matrices(self):
@@ -170,9 +167,8 @@ def build_problem(
     keep = np.concatenate([[True], np.diff(grid) > 1e-11])
     grid = grid[keep]
     obj = curve.value(grid)
-    caps = F.cdf_integral(grid)
     baseline = expected_payoff(G_star, G_star, n, H, curve=curve)
-    return BRProblem(grid, obj, float(mean(F)), caps, hat_masses(F, grid), int(n), float(baseline))
+    return BRProblem(grid, obj, hat_masses(F, grid), float(baseline))
 
 
 def solve_br(problem: BRProblem) -> BRSolution:

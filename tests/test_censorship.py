@@ -203,7 +203,7 @@ def _integrate_certificate_reference(cert, W):
         | set(map(float, cert.curve.x_breaks))
     )
     cuts = [c for c in cuts if W.breaks[0] - 1e-12 <= c <= W.breaks[-1] + 1e-12]
-    xg, wg = gauss_nodes(nodes_for_degree(cert.curve._gl_deg + 12))
+    xg, wg = gauss_nodes(nodes_for_degree(cert.curve._gl_deg + 3))
     pieces = []  # (half width, nodes, density coefficients) per piece with density
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         coefs = W.coefs[W._locate(0.5 * (lo + hi))[2]]
@@ -321,3 +321,30 @@ def test_verify_rejects_atomic_costs_at_every_threshold(F):
         with pytest.raises(ValueError, match="atom-free cost distribution"):
             verify_uce(F, H, a, 5)
     assert verify_uce(F, H, 0.0, 5).verdict == "equilibrium"
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("a", [0.6, 0.7])
+def test_both_verifiers_see_prior_kinks_below_r_lo(a, n):
+    # below r_lo nobody stops and D = F^(n-1), so the prior's density drop at
+    # 0.5 is a concave kink of demand (the slope falls by 1.0 at n = 2 and by
+    # 1.69 at n = 5) that lies below every breakpoint of the demand curve
+    F = PiecewisePolyDist([0.0, 0.5, 1.0], [np.array([1.5]), np.array([0.5])])
+    H = PiecewisePolyDist.uniform(0.0, 0.02)
+    G = upper_censorship(F, a)
+    curve = DemandCurve(G, n, H)
+    assert curve.r_lo > 0.5 and sum(curve.margins(0.5, +1)) < sum(curve.margins(0.5, -1)) - 0.9
+    rep = verify_uce(F, H, a, n)
+    assert rep.verdict == "fails" and not rep.checks["virtual_convex"]
+    pf = verify_price_function(G, F, H, n)
+    assert not pf.passed and pf.detail == "not convex"
+    assert solve_br(build_problem(G, F, H, n, 201)).gap > 1e-6  # the LP agrees
+
+
+def test_binding_signals_are_the_ends_of_a_flat_margin(F, H_uniform):
+    # uniform costs at their tangency threshold 0.4: H(c) - beta c is 0 on the
+    # whole stretch, and the binding signals are its two ends, not grid points
+    rep = verify_uce(F, H_uniform, 0.4, 5)
+    floor = 0.18 / (censorship.MARGIN_GRID - 1)
+    k, mass = rep.pooled_signal, 1.0 - F.cdf(0.4)
+    assert rep.binding_signals == pytest.approx([k - 0.18 / mass, k - floor / mass], abs=1e-12)

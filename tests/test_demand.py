@@ -341,7 +341,7 @@ def _ref_expected_payoff(G_dev, curve, n):
     cuts.update(float(b) for b in curve.G.breaks if lo0 < b < hi0)
     cuts.update(float(a) for a in curve.G.atom_locs if lo0 < a < hi0)
     cuts = sorted(cuts)
-    xg, wg = gauss_nodes(nodes_for_degree(curve._gl_deg + 4 * n + 8))
+    xg, wg = gauss_nodes(nodes_for_degree(curve._gl_deg + 3))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
@@ -493,7 +493,7 @@ def test_scans_do_not_call_per_point(monkeypatch, F, H_bimodal):
     monkeypatch.setattr(DemandCurve, "value", counting("value", DemandCurve.value))
 
     def verify_counts(scale):
-        monkeypatch.setattr(censorship, "CURVATURE_GRID", 2049 * scale)
+        monkeypatch.setattr(demand, "CURVATURE_GRID", 512 * scale)
         monkeypatch.setattr(censorship, "MARGIN_GRID", 257 * scale)
         counts.clear()
         censorship.verify_uce(F, H_bimodal, 0.3, 5)

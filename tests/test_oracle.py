@@ -34,10 +34,11 @@ def U4(F):
 
 def test_problem_caps(F, H_uniform, U4):
     prob = build_problem(U4, F, H_uniform, 2, 101)
-    assert prob.cum_caps[0] == pytest.approx(0.0, abs=1e-15)
-    assert prob.cum_caps[-1] == pytest.approx(1.0 - mean(F), abs=1e-12)
-    assert np.all(np.diff(prob.cum_caps) >= -1e-15)
-    slopes = np.diff(prob.cum_caps) / np.diff(prob.grid)
+    caps = F.cdf_integral(prob.grid)
+    assert caps[0] == pytest.approx(0.0, abs=1e-15)
+    assert caps[-1] == pytest.approx(1.0 - mean(F), abs=1e-12)
+    assert np.all(np.diff(caps) >= -1e-15)
+    slopes = np.diff(caps) / np.diff(prob.grid)
     assert np.all(np.diff(slopes) >= -1e-9)  # convex in the grid
     assert prob.grid[0] == 0.0 and prob.grid[-1] == 1.0
     assert any(abs(g - 0.7) < 1e-12 for g in prob.grid)  # pool atom injected
@@ -196,20 +197,21 @@ def test_dump_is_linear_in_grid(F, H_uniform, U4, grid_n):
     assert nnz <= 10 * len(prob.grid), (grid_n, len(prob.grid), nnz)
 
 
-def _dense_br(prob):
+def _dense_br(prob, F):
     """The contraction LP with the caps written out as the dense m x m
-    matrix sum_i (x_k - x_i)^+ p_i <= cap_k: the reference formulation,
-    solved at 1e-10 primal and dual feasibility tolerances (HiGHS's default
-    1e-7 lets its optimum breach the caps and overshoot the value)."""
+    matrix sum_i (x_k - x_i)^+ p_i <= cap_k = int_0^{x_k} F and the prior's
+    mean: the reference formulation, solved at 1e-10 primal and dual
+    feasibility tolerances (HiGHS's default 1e-7 lets its optimum breach
+    the caps and overshoot the value)."""
     x = prob.grid
     m = len(x)
     A_ub = np.maximum(x[:, None] - x[None, :], 0.0)
     res = linprog(
         -prob.objective,
         A_ub=A_ub,
-        b_ub=prob.cum_caps,
+        b_ub=F.cdf_integral(x),
         A_eq=np.vstack([np.ones(m), x]),
-        b_eq=np.array([1.0, prob.mean_target]),
+        b_eq=np.array([1.0, mean(F)]),
         bounds=(0.0, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
@@ -252,13 +254,13 @@ def test_matches_dense_reference(F, H_uniform, H_step, H_bimodal, H_threestep, H
                 for grid_n in (101, 201):
                     prob = build_problem(G, F, H, n, grid_n)
                     sol = solve_br(prob)
-                    ref, A_dense = _dense_br(prob)
+                    ref, A_dense = _dense_br(prob, F)
                     case = (li, a, n, grid_n)
                     p, x = sol.masses, prob.grid
                     assert abs(sol.value - ref) <= 1e-10, (case, sol.value - ref)
-                    assert np.max(A_dense @ p - prob.cum_caps) <= 1e-9, case
+                    assert np.max(A_dense @ p - F.cdf_integral(x)) <= 1e-9, case
                     assert abs(p.sum() - 1.0) <= 1e-9, case
-                    assert abs(p @ x - prob.mean_target) <= 1e-9, case
+                    assert abs(p @ x - mean(F)) <= 1e-9, case
                     assert sol.duality_gap <= 1e-8, (case, sol.duality_gap)
 
 
@@ -306,11 +308,11 @@ def test_hat_masses_exact_at_tiny_spacing(prior, H_uniform):
     assert abs(w.sum() - 1.0) <= 1e-15
     assert abs(w @ grid - mean(F)) <= 1e-15
     curve = DemandCurve(upper_censorship(PiecewisePolyDist.uniform(0.0, 1.0), 0.4), 2, H_uniform)
-    prob = oracle.BRProblem(grid, curve.value(grid), mean(F), F.cdf_integral(grid), w, 2, 0.5)
+    prob = oracle.BRProblem(grid, curve.value(grid), w, 0.5)
     sol = solve_br(prob)
-    ref, A_dense = _dense_br(prob)
+    ref, A_dense = _dense_br(prob, F)
     assert abs(sol.value - ref) <= 1e-7, sol.value - ref
-    assert np.max(A_dense @ sol.masses - prob.cum_caps) <= 1e-7
+    assert np.max(A_dense @ sol.masses - F.cdf_integral(grid)) <= 1e-7
 
 
 def test_row_duals_are_the_price_function(F, H_uniform, H_bimodal, H_step, monkeypatch):
