@@ -331,9 +331,9 @@ class PiecewisePolyDist:
             i, ub = j[block] - 1, u[block]
             x[block] = _bracketed_newton(
                 i, ub, self.breaks[i], self.breaks[i + 1], self._cdf_at[i] - ub, self._cdf_left_at[i + 1] - ub,
-                lambda i, r: polyval(self._P[:, i], r - self.breaks[i]),
-                lambda i, r: polyval(self._pdf[:, i], r - self.breaks[i]),
-                lambda i, r: polyval(self._dpdf[:, i], r - self.breaks[i]),
+                lambda i, r: polyval(self._P.take(i, axis=1), r - self.breaks[i]),
+                lambda i, r: polyval(self._pdf.take(i, axis=1), r - self.breaks[i]),
+                lambda i, r: polyval(self._dpdf.take(i, axis=1), r - self.breaks[i]),
             )
         return float(x[0]) if shape == () else x.reshape(shape)
 
@@ -614,8 +614,8 @@ def reservation_value(G: PiecewisePolyDist, c):
         r[rest] = _bracketed_newton(
             j, -cr, G.breaks[j], G.breaks[j + 1], cr - tails[j], cr - tails[j + 1],
             lambda i, x: -G._segment_tail(i, x),
-            lambda i, x: polyval(G._R[:, i], G.breaks[i + 1] - x),
-            lambda i, x: -polyval(G._pdf[:, i], x - G.breaks[i]),
+            lambda i, x: polyval(G._R.take(i, axis=1), G.breaks[i + 1] - x),
+            lambda i, x: -polyval(G._pdf.take(i, axis=1), x - G.breaks[i]),
         )
     return float(r[0]) if c.ndim == 0 else r.reshape(c.shape)
 

@@ -19,6 +19,15 @@ Randomness is counter-based (Philox keyed by seed and a fixed-size consumer
 block index), so runs are bit-identical for a given seed and consumer count,
 and the underlying uniforms per consumer do not depend on the strategy being
 simulated -- deviation runs are paired samples against the baseline.
+
+A block is drawn and searched in sub-blocks of at most ``SUB_UNIFORMS``
+uniforms (4 MB), whose rows continue the block's Philox stream, so memory is
+set by the sub-block and not by ``CHUNK`` or n, and the bits are those of
+the whole block.  Only consumers still searching after their first visit
+need the rest of their visit order, so only their rows are argsorted.  The
+win, bin, stop, type and visit tallies are integer-valued and add up
+exactly per sub-block; the surplus sums are not, so each consumer's surplus
+goes into one array per block, and its sums are taken once per block.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ from .dists import PiecewisePolyDist
 __all__ = ["SimConfig", "SimOutcome", "simulate_market", "simulate_deviation"]
 
 CHUNK = 1 << 17  # consumers per RNG block; fixed so streams are index-stable
+SUB_UNIFORMS = 1 << 19  # uniforms per sub-block of a block (4 MB)
+SUB_ROWS = 1 << 14  # at most this many consumers per sub-block
 
 
 @dataclass
@@ -75,35 +86,43 @@ class _Sums:
         self.stops = np.zeros(10)
         self.cs = self.cs_sq = self.len = self.len_sq = 0.0
 
-    def add(self, s0, firm, value, visits, stopped, costs, dec, edges):
+    def add(self, s0, firm, value, visits, stopped, costs, dec, edges, cs):
+        """Tally one sub-block; its surplus goes to ``cs``, its slice of
+        the block's surplus array (see :meth:`add_surplus`)."""
         self.wins += np.bincount(firm, minlength=len(self.wins))
         # empirical demand: firm 0's (signal, win) pairs, one per consumer
-        sig_bin = np.clip(np.digitize(s0, edges) - 1, 0, len(self.sig_bins) - 1)
-        np.add.at(self.sig_bins, sig_bin, 1.0)
-        np.add.at(self.win_bins, sig_bin[firm == 0], 1.0)
-        cs = value - costs * visits
-        self.cs += float(cs.sum())
-        self.cs_sq += float((cs**2).sum())
+        bins = len(self.sig_bins)
+        sig_bin = np.clip(np.digitize(s0, edges) - 1, 0, bins - 1)
+        self.sig_bins += np.bincount(sig_bin, minlength=bins)
+        self.win_bins += np.bincount(sig_bin[firm == 0], minlength=bins)
+        np.subtract(value, costs * visits, out=cs)
         self.len += float(visits.sum())
         self.len_sq += float((visits.astype(float) ** 2).sum())
-        np.add.at(self.stops, dec[stopped], 1.0)
+        self.stops += np.bincount(dec[stopped], minlength=10)
+
+    def add_surplus(self, cs):
+        """Reduce one whole block's surplus: the pairwise sums see the same
+        array at any sub-block size."""
+        self.cs += float(cs.sum())
+        self.cs_sq += float((cs**2).sum())
 
 
-def _search(G, s0, costs, order, sig, sig_u):
-    """One block of consumers, firm 0 showing ``s0``, searching in visit
-    ``order``.  Entry (i, j) of ``sig`` holds firm j's signal for consumer i
-    once some pass has needed it (NaN before), from the uniform ``sig_u[i, j]``;
-    column 0 is overwritten with ``s0``.  Returns, per consumer, the firm
-    bought from, its signal, the number of visits and whether they stopped."""
-    b, n = order.shape
+def _search(G, s0, costs, order_u, sig, sig_u):
+    """One sub-block of consumers, firm 0 showing ``s0``, visiting firms in
+    the order that sorts their row of ``order_u`` (stably).  Entry (i, j) of
+    ``sig`` holds firm j's signal for consumer i once some pass has needed
+    it (NaN before), from the uniform ``sig_u[i, j]``; column 0 is
+    overwritten with ``s0``.  Returns, per consumer, the firm bought from,
+    its signal, the number of visits and whether they stopped."""
+    b, n = order_u.shape
     sig[:, 0] = s0
     firm = np.empty(b, dtype=np.intp)
     value = np.empty(b)
     visits = np.full(b, n)
     stopped = np.zeros(b, dtype=bool)
     live = np.arange(b)
+    f = order_u.argmin(axis=1)  # the first minimum: the stable argsort's first column
     for k in range(n):
-        f = order[live, k]
         s = sig[live, f]
         new = np.isnan(s)
         if new.any():
@@ -116,12 +135,21 @@ def _search(G, s0, costs, order, sig, sig_u):
         done = live[stop]
         firm[done], value[done], visits[done], stopped[done] = f[stop], s[stop], k + 1, True
         live = live[~stop]
-        if not len(live):
+        if k == 0:
+            # only the consumers searching on need the rest of their order;
+            # row i of ``order`` belongs to live[i]
+            order = np.argsort(order_u[live], axis=1, kind="stable")
+            row = np.arange(len(live))
+        else:
+            row = row[~stop]
+        if not len(live) or k == n - 1:
             break
+        f = order[row, k + 1]
     # the rest have seen every firm and buy the best, ties to the earliest
     # visit (uniform over tied firms by symmetry of the order)
-    seen = np.take_along_axis(sig[live], order[live], axis=1)
-    firm[live] = order[live, seen.argmax(axis=1)]
+    order = order[row]
+    seen = np.take_along_axis(sig[live], order, axis=1)
+    firm[live] = order[np.arange(len(live)), seen.argmax(axis=1)]
     value[live] = seen.max(axis=1)
     return firm, value, visits, stopped
 
@@ -129,7 +157,7 @@ def _search(G, s0, costs, order, sig, sig_u):
 def _run(cfg: SimConfig, laws: list[PiecewisePolyDist]) -> list[tuple]:
     """One pass over the consumer blocks, simulating the market once per
     firm-0 signal law in ``laws``; returns the raw sums of each for
-    :func:`_finish`.  The passes of a block share its uniforms, costs,
+    :func:`_finish`.  The passes of a sub-block share its uniforms, costs,
     visit orders and the signals of firms 1..n-1 drawn so far."""
     G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
     total = cfg.consumers
@@ -137,21 +165,26 @@ def _run(cfg: SimConfig, laws: list[PiecewisePolyDist]) -> list[tuple]:
     dec_edges = H.quantile((np.arange(1, 10) / 10.0))
     sums = [_Sums(n, cfg.bins) for _ in laws]
     type_counts = np.zeros(10)
+    m = max(1, min(SUB_ROWS, SUB_UNIFORMS // (2 * n + 1)))
     done = 0
     chunk_idx = 0
     while done < total:
         b = min(CHUNK, total - done)
         gen = np.random.Generator(np.random.Philox(key=[cfg.seed, chunk_idx]))
-        u = gen.random((b, 2 * n + 1))
-        cost_u, sig_u, order_u = u[:, 0], u[:, 1 : n + 1], u[:, n + 1 :]
-        costs = H.quantile(cost_u)
-        order = np.argsort(order_u, axis=1, kind="stable")
-        dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
-        np.add.at(type_counts, dec, 1.0)
-        sig = np.full((b, n), np.nan)
-        for law, acc in zip(laws, sums):
-            s0 = law.quantile(sig_u[:, 0])
-            acc.add(s0, *_search(G, s0, costs, order, sig, sig_u), costs, dec, edges)
+        cs = np.empty((len(laws), b))
+        for lo in range(0, b, m):
+            u = gen.random((min(m, b - lo), 2 * n + 1))  # continues the block's stream
+            cost_u, sig_u, order_u = u[:, 0], u[:, 1 : n + 1], u[:, n + 1 :]
+            costs = H.quantile(cost_u)
+            dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
+            type_counts += np.bincount(dec, minlength=10)
+            sig = np.full((len(u), n), np.nan)
+            for law, acc, law_cs in zip(laws, sums, cs):
+                s0 = law.quantile(sig_u[:, 0])
+                acc.add(s0, *_search(G, s0, costs, order_u, sig, sig_u), costs, dec, edges,
+                        law_cs[lo : lo + len(u)])
+        for acc, law_cs in zip(sums, cs):
+            acc.add_surplus(law_cs)
         done += b
         chunk_idx += 1
     return [

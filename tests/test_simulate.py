@@ -1,6 +1,7 @@
 """Monte Carlo market simulation against the analytic quantities."""
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -169,6 +170,22 @@ def _text(out) -> str:
     return json.dumps(out.to_json())
 
 
+def _assert_matches_full_rows(cfg: SimConfig, pool: float, case):
+    """Every entry point bit-equal to the full rows: on-path, the market with
+    its probe, a point mass at the ``pool`` and uniform."""
+    uniform = PiecewisePolyDist.uniform(0.0, 1.0)
+    ref = _full_row_run(cfg, None)
+    assert _text(simulate_deviation(cfg, cfg.prior_mean_strategy)[2]) == _text(ref), case
+    probe = _full_row_run(cfg, uniform)
+    ref.empirical_demand = probe.empirical_demand
+    ref.demand_se = probe.demand_se
+    ref.bin_counts = probe.bin_counts
+    assert _text(simulate_market(cfg)) == _text(ref), case
+    for dev in (PiecewisePolyDist.point_mass(pool), uniform):
+        ref = probe if dev is uniform else _full_row_run(cfg, dev)
+        assert _text(simulate_deviation(cfg, dev)[2]) == _text(ref), case
+
+
 def test_visit_order_matches_full_rows(F, H_uniform, monkeypatch):
     """The visit-order pass against full rows: outputs bit-equal for costs
     with atoms at 0 and at the top, n = 1..50, thresholds where ties at the
@@ -181,23 +198,40 @@ def test_visit_order_matches_full_rows(F, H_uniform, monkeypatch):
         PiecewisePolyDist([0.0, cbar], [np.array([0.5 / cbar])], atoms=[(0.0, 0.5)]),
         PiecewisePolyDist([0.0, cbar], [np.array([0.5 / cbar])], atoms=[(cbar, 0.5)]),
     ]
-    uniform = PiecewisePolyDist.uniform(0.0, 1.0)
     for li, H in enumerate(cost_laws):
         for n in (1, 2, 5, 50):
             for a in (0.0, 0.3, 0.4, 1.0):
-                G = upper_censorship(F, a)
-                cfg = SimConfig(G, H, n, 2100, seed=31 + n, bins=20)
-                case = (li, n, a)
-                ref = _full_row_run(cfg, None)
-                assert _text(simulate_deviation(cfg, cfg.prior_mean_strategy)[2]) == _text(ref), case
-                probe = _full_row_run(cfg, uniform)
-                ref.empirical_demand = probe.empirical_demand
-                ref.demand_se = probe.demand_se
-                ref.bin_counts = probe.bin_counts
-                assert _text(simulate_market(cfg)) == _text(ref), case
-                for dev in (PiecewisePolyDist.point_mass(0.5 * (1.0 + a)), uniform):
-                    ref = probe if dev is uniform else _full_row_run(cfg, dev)
-                    assert _text(simulate_deviation(cfg, dev)[2]) == _text(ref), case
+                cfg = SimConfig(upper_censorship(F, a), H, n, 2100, seed=31 + n, bins=20)
+                _assert_matches_full_rows(cfg, 0.5 * (1.0 + a), (li, n, a))
+
+
+def test_sub_block_seams_match_full_rows(F, H_uniform, monkeypatch):
+    """Blocks searched in sub-blocks of 300 consumers (which do not divide
+    the 997-consumer blocks, so each block ends on a short one) and of 1,
+    bit-equal to the full rows."""
+    monkeypatch.setattr(simulate, "CHUNK", 997)
+    n = 5
+    for budget, rows, consumers in ((300 * (2 * n + 1), 300, 2100), (1, 1, 1200)):
+        monkeypatch.setattr(simulate, "SUB_UNIFORMS", budget)
+        for a in (0.3, 0.4):
+            cfg = SimConfig(upper_censorship(F, a), H_uniform, n, consumers, seed=41, bins=20)
+            _assert_matches_full_rows(cfg, 0.5 * (1.0 + a), (rows, a))
+
+
+def test_memory_bounded_at_large_n(F, H_uniform, monkeypatch):
+    """At n = 2000 the simulator holds one sub-block, not the whole block
+    of (consumers, 2n + 1) uniforms, and the outcome is the one-sub-block
+    run's, bit for bit."""
+    cfg = SimConfig(upper_censorship(F, 0.4), H_uniform, 2000, 4000, seed=5)
+    tracemalloc.start()
+    try:
+        out = simulate_market(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    monkeypatch.setattr(simulate, "SUB_UNIFORMS", cfg.consumers * (2 * cfg.n + 1))
+    assert _text(out) == _text(simulate_market(cfg))
 
 
 def test_signals_drawn_only_on_visit(F, H_uniform, monkeypatch):
