@@ -361,18 +361,21 @@ _COMMANDS = {
 }
 
 
+# built once: constructing it costs several times what parsing does
+_PARSER = argparse.ArgumentParser(
+    prog="censearch",
+    description="Upper-censorship equilibria of competitive information "
+                "disclosure in consumer-search markets",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--spec", required=True, help="experiment spec (JSON)")
+_PARSER.add_argument("--out", default=None, help="output directory (default: stdout)")
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored (nothing reads it)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="censearch",
-        description="Upper-censorship equilibria of competitive information "
-                    "disclosure in consumer-search markets",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--spec", required=True, help="experiment spec (JSON)")
-    parser.add_argument("--out", default=None, help="output directory (default: stdout)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored (nothing reads it)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     out = Path(args.out) if args.out else None
     try:
         spec = load_spec(args.spec)

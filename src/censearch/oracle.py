@@ -27,6 +27,12 @@ scipy is imported on first use, not with the module: ``lp_matrices`` loads
 ``scipy.optimize``, so the commands that never solve an LP do not pay for
 either.
 
+HiGHS solves the LP by dual simplex with devex pricing (Harris, Math.
+Programming 1973), presolve on.  On a 2-core Xeon VM, 12 benchmark LPs at
+grid 801 (m = 868) took 0.17-0.18 s where the default pricing took
+0.25-0.29 s, with the same gaps to 4 digits and the same duality gaps; the
+three at grid 3201 (m = 3268) took 0.35-0.41 s against 1.2-1.3 s.
+
 Deviations are unobservable to consumers, so the conjecture stays fixed and
 no fixed-point iteration is needed.
 """
@@ -178,7 +184,10 @@ def solve_br(problem: BRProblem) -> BRSolution:
     is ``b_ub @ y`` in full."""
     c, A_ub, b_ub = problem.lp_matrices()
     # the module attribute, not the global name: see __getattr__
-    res = sys.modules[__name__].linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
+    res = sys.modules[__name__].linprog(
+        c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs",
+        options={"simplex_dual_edge_weight_strategy": "devex"},
+    )
     if res.status != 0:
         raise RuntimeError(f"best-response LP failed: {res.message}")
     value = float(problem.objective @ b_ub) - float(res.fun)

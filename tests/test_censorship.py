@@ -56,12 +56,13 @@ def test_virtual_demand_takes_arrays(F, H_uniform):
     points = [virtual_demand(F, H_uniform, a, 2, float(x), curve) for x in xs]
     assert all(type(v) is float for v in points)
     assert got.tobytes() == np.array(points).tobytes()
-    # the secant formula the CLI panels wrote before
+    # demand up to a, the chord from (a, D(a)) to (k, D(k)), its line beyond k
     k = curve.G.max_supp()
-    da = curve.value(a)
-    slope = (curve.value(k) - da) / (k - a)
-    d = curve.value(xs)
-    assert got.tobytes() == np.where(xs <= a, d, da + slope * (xs - a)).tobytes()
+    v0, v1 = curve.value(a), curve.value(k)
+    slope = (v1 - v0) / (k - a)
+    chord = v0 + ((xs - a) / (k - a)) * (v1 - v0)
+    ref = np.where(xs <= a, curve.value(xs), np.where(xs <= k, chord, v1 + slope * (xs - k)))
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_net_gain_examples(F, H_uniform):

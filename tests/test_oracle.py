@@ -1,6 +1,8 @@
 """LP best-response oracle: feasibility encoding, gaps, and agreement with
 the analytic verifier."""
 
+import warnings
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -313,6 +315,32 @@ def test_hat_masses_exact_at_tiny_spacing(prior, H_uniform):
     ref, A_dense = _dense_br(prob, F)
     assert abs(sol.value - ref) <= 1e-7, sol.value - ref
     assert np.max(A_dense @ sol.masses - F.cdf_integral(grid)) <= 1e-7
+
+
+def test_devex_pricing_keeps_the_optimum(F, H_uniform, H_bimodal, H_threestep):
+    """solve_br's pricing option against HiGHS's default pricing, on the
+    benchmark's three LPs at grid 801 (below a_max at n = 2, at it at n = 5,
+    above it at n = 50).  An option HiGHS does not know only warns, and the
+    solve then keeps the default pricing, so warnings are errors here."""
+    cases = []
+    for H, n, where in ((H_uniform, 2, "below"), (H_bimodal, 5, "at"), (H_threestep, 50, "above")):
+        a_max = solve_a_max(F, H)[0]
+        a = {"below": 0.8 * a_max, "at": a_max, "above": a_max + 0.2 * (1.0 - a_max)}[where]
+        cases.append((upper_censorship(F, a), H, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for G, H, n in cases:
+            prob = build_problem(G, F, H, n, 801)
+            sol = solve_br(prob)
+            c, A_ub, b_ub = prob.lp_matrices()
+            res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
+            assert res.status == 0, res.message
+            gap = float(prob.objective @ b_ub) - float(res.fun) - prob.baseline
+            assert abs(sol.gap - gap) <= 1e-12, (n, sol.gap, gap)
+            assert sol.duality_gap <= 1e-12, n
+            assert abs(float(res.fun) - float(b_ub @ res.ineqlin.marginals)) <= 1e-12, n
+            assert abs(sol.masses.sum() - 1.0) <= 1e-9, n
+            assert abs(prob.grid @ sol.masses - mean(F)) <= 1e-9, n
 
 
 def test_row_duals_are_the_price_function(F, H_uniform, H_bimodal, H_step, monkeypatch):
