@@ -10,7 +10,6 @@ adds only where the outputs go.  Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -118,16 +117,14 @@ def _write_json(out: Path | None, name: str, payload: dict) -> None:
 
 
 def _write_csv(out: Path | None, name: str, header: list[str], rows) -> None:
+    """The bytes ``csv.writer`` writes for rows that need no quoting: each
+    field's ``str()``, joined by commas, and ``\\r\\n`` row ends."""
+    text = "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
     if out is None:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
+        print(text, end="")
     else:
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+        (out / name).write_text(text, newline="")
 
 
 def cmd_solve(spec: dict, out: Path | None) -> int:

@@ -25,7 +25,8 @@ optimal value.
 scipy is imported on first use, not with the module: ``lp_matrices`` loads
 ``scipy.sparse`` and the module attribute ``linprog`` loads
 ``scipy.optimize``, so the commands that never solve an LP do not pay for
-either.
+either.  ``linprog`` is looked up on each access and never stored in the
+module, whose attributes stay those it was imported with.
 
 HiGHS solves the LP by dual simplex with devex pricing (Harris, Math.
 Programming 1973), presolve on.  On a 2-core Xeon VM, 12 benchmark LPs at
@@ -57,12 +58,12 @@ ATOM_MASS = 1e-12     # smallest LP mass masses_to_dist keeps as an atom
 
 
 def __getattr__(name):
-    """``linprog`` is scipy's, imported on first access and then kept in the
-    module globals, where a patched ``oracle.linprog`` replaces it."""
+    """``linprog`` is scipy's, imported on first access; later accesses find
+    it in ``scipy.optimize``, already loaded.  Nothing is added to the module
+    globals, so a patched ``oracle.linprog``, a module attribute, wins."""
     if name == "linprog":
         from scipy.optimize import linprog
 
-        globals()["linprog"] = linprog
         return linprog
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

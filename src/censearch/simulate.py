@@ -1,33 +1,44 @@
 """Monte Carlo simulation of the search game.
 
-Each consumer draws a private search cost, forms the reservation cutoff
-implied by the conjectured signal distribution, then visits firms in a
-uniformly random order with perfect recall: stop and buy at the first signal
-clearing the cutoff, otherwise buy the best signal seen after exhausting all
-firms (ties resolved uniformly).  Zero-cost consumers visit everyone.
+Each consumer draws a private search cost c, forms the reservation cutoff
+r = ``reservation_value(G, c)`` of the conjectured signal distribution G,
+then visits firms in a uniformly random order with perfect recall: stop and
+buy at the first signal s >= r, otherwise buy the best signal seen after
+exhausting all firms, the first seen among equals.  Zero-cost consumers
+clear at no signal and visit everyone.
 
-The simulation walks the visit positions k = 0..n-1 over the consumers who
-have not stopped yet.  A firm's signal is inverted from its uniform, and
-tested against the cutoff, only when a consumer visits that firm; signals of
-firms a consumer never reaches cannot change any outcome.  Firm 0's signal
-is drawn for every consumer, since the empirical demand bins need it.  The
-demand probe (firm 0 signalling uniformly on [0, 1]) runs in the same pass
-as the on-path market and shares each block's costs, visit orders and the
-signals of firms 1..n-1 drawn so far.
+Firms 1..n-1 all play G and are interchangeable (Wolinsky, QJE 1986), so a
+consumer's path is drawn by inversion (Devroye, 1986) from one row of seven
+uniforms, whatever n is:
+
+* the cost, and firm 0's signal (drawn for every consumer, since the
+  empirical demand bins need it);
+* firm 0's place in the visit order, uniform on 0..n-1;
+* the number of rivals visited before the first one that clears, geometric
+  with P(a rival falls short) = G(r-), where a count of n - 1 means none
+  clears;
+* two signal draws: the signal that clears, G's quantile on [G(r-), 1]; or
+  where none clears, the best rival before firm 0 and the best after it,
+  G's quantile at G(r-) u^(1/m) for the m rivals on that side;
+* the label of the rival who sells, uniform on 1..n-1.
+
+After an exhausted search firm 0 sells exactly when its signal beats the
+best before it and is at least the best after it.  The demand probe (firm 0
+signalling uniformly on [0, 1]) runs in the same pass as the on-path market
+and shares each consumer's path but firm 0's signal.
 
 Randomness is counter-based (Philox keyed by seed and a fixed-size consumer
 block index), so runs are bit-identical for a given seed and consumer count,
 and the underlying uniforms per consumer do not depend on the strategy being
 simulated -- deviation runs are paired samples against the baseline.
 
-A block is drawn and searched in sub-blocks of at most ``SUB_UNIFORMS``
-uniforms (4 MB), whose rows continue the block's Philox stream, so memory is
-set by the sub-block and not by ``CHUNK`` or n, and the bits are those of
-the whole block.  Only consumers still searching after their first visit
-need the rest of their visit order, so only their rows are argsorted.  The
-win, bin, stop, type and visit tallies are integer-valued and add up
-exactly per sub-block; the surplus sums are not, so each consumer's surplus
-goes into one array per block, and its sums are taken once per block.
+A block is drawn and searched in sub-blocks of ``SUB_ROWS`` consumers,
+whose rows continue the block's Philox stream, so memory is set by the
+sub-block and not by ``CHUNK`` or n, and the bits are those of the whole
+block.  The win, bin, stop, type and visit tallies are integer-valued and
+add up exactly per sub-block; the surplus sums are not, so each consumer's
+surplus goes into one array per block, and its sums are taken once per
+block.
 """
 
 from __future__ import annotations
@@ -36,13 +47,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dists import PiecewisePolyDist
+from .dists import PiecewisePolyDist, reservation_value
 
 __all__ = ["SimConfig", "SimOutcome", "simulate_market", "simulate_deviation"]
 
 CHUNK = 1 << 17  # consumers per RNG block; fixed so streams are index-stable
-SUB_UNIFORMS = 1 << 19  # uniforms per sub-block of a block (4 MB)
-SUB_ROWS = 1 << 14  # at most this many consumers per sub-block
+SUB_ROWS = 1 << 14  # consumers per sub-block of a block
 
 
 @dataclass
@@ -107,86 +117,68 @@ class _Sums:
         self.cs_sq += float((cs**2).sum())
 
 
-def _search(G, s0, costs, order_u, sig, sig_u):
-    """One sub-block of consumers, firm 0 showing ``s0``, visiting firms in
-    the order that sorts their row of ``order_u`` (stably).  Entry (i, j) of
-    ``sig`` holds firm j's signal for consumer i once some pass has needed
-    it (NaN before), from the uniform ``sig_u[i, j]``; column 0 is
-    overwritten with ``s0``.  Returns, per consumer, the firm bought from,
-    its signal, the number of visits and whether they stopped."""
-    b, n = order_u.shape
-    sig[:, 0] = s0
-    firm = np.empty(b, dtype=np.intp)
-    value = np.empty(b)
-    visits = np.full(b, n)
-    stopped = np.zeros(b, dtype=bool)
-    live = np.arange(b)
-    f = order_u.argmin(axis=1)  # the first minimum: the stable argsort's first column
-    for k in range(n):
-        s = sig[live, f]
-        new = np.isnan(s)
-        if new.any():
-            s[new] = G.quantile(sig_u[live[new], f[new]])
-            sig[live[new], f[new]] = s[new]
-        # a signal clears the cutoff of cost c exactly when the benefit of
-        # searching on from it is at most c; zero-cost consumers visit everyone
-        c = costs[live]
-        stop = (G.tail_gap(s) <= c) & (c > 1e-15)
-        done = live[stop]
-        firm[done], value[done], visits[done], stopped[done] = f[stop], s[stop], k + 1, True
-        live = live[~stop]
-        if k == 0:
-            # only the consumers searching on need the rest of their order;
-            # row i of ``order`` belongs to live[i]
-            order = np.argsort(order_u[live], axis=1, kind="stable")
-            row = np.arange(len(live))
-        else:
-            row = row[~stop]
-        if not len(live) or k == n - 1:
-            break
-        f = order[row, k + 1]
-    # the rest have seen every firm and buy the best, ties to the earliest
-    # visit (uniform over tied firms by symmetry of the order)
-    order = order[row]
-    seen = np.take_along_axis(sig[live], order, axis=1)
-    firm[live] = order[np.arange(len(live)), seen.argmax(axis=1)]
-    value[live] = seen.max(axis=1)
-    return firm, value, visits, stopped
+def _search(G, n, costs, u, laws):
+    """One sub-block of consumers with search ``costs``, drawing their paths
+    from ``u`` (the row of seven uniforms of each consumer), once per firm-0
+    signal law in ``laws``.  Yields per law firm 0's signals and, per
+    consumer, the firm bought from, its signal, the number of visits and
+    whether they stopped at a signal that clears the cutoff."""
+    b = len(costs)
+    searching = costs > 1e-15  # zero-cost consumers clear at no signal
+    r = reservation_value(G, costs)
+    p = np.where(searching, G.cdf_left(r), 1.0)  # a rival falls short of r
+    k0 = (u[:, 2] * n).astype(np.intp)  # firm 0's place in the visit order
+    # j rivals fall short before one clears, P(j >= i) = p^i; j = n - 1: none clears
+    g = 1.0 - u[:, 3]
+    some = g > p ** (n - 1)
+    j = np.full(b, n - 1)
+    with np.errstate(divide="ignore"):  # log(0) where every rival clears
+        j[some] = np.minimum(np.log(g[some]) / np.log(p[some]), n - 2)
+    rival_visits = np.minimum(j + 1 + (j >= k0), n)
+    label = 1 + (u[:, 6] * (n - 1)).astype(np.intp)
+    # the rival's offer: the signal that clears, G on [p, 1], or where none
+    # clears, the best of the m rivals before and after firm 0, G at p u^(1/m)
+    offer = np.empty(b)
+    offer[some] = G.quantile(p[some] + (1.0 - p[some]) * u[some, 4])
+    none = np.flatnonzero(~some)
+    m = np.stack([k0[none], n - 1 - k0[none]], axis=1)
+    with np.errstate(divide="ignore"):  # 1 / 0 where a side holds no rivals
+        best = np.where(m > 0, G.quantile(p[none, None] * u[none, 4:6] ** (1.0 / m)), -np.inf)
+    offer[none] = best.max(axis=1)
+    for law in laws:
+        s0 = law.quantile(u[:, 1])
+        stop0 = (s0 >= r) & searching & (k0 <= j)
+        # after an exhausted search the first best signal in visit order sells
+        win = stop0.copy()
+        win[none] |= (s0[none] > best[:, 0]) & (s0[none] >= best[:, 1])
+        yield (s0, np.where(win, 0, label), np.where(win, s0, offer),
+               np.where(stop0, k0 + 1, rival_visits), stop0 | some)
 
 
 def _run(cfg: SimConfig, laws: list[PiecewisePolyDist]) -> list[tuple]:
     """One pass over the consumer blocks, simulating the market once per
     firm-0 signal law in ``laws``; returns the raw sums of each for
-    :func:`_finish`.  The passes of a sub-block share its uniforms, costs,
-    visit orders and the signals of firms 1..n-1 drawn so far."""
+    :func:`_finish`.  The passes of a sub-block share its costs and all of
+    each consumer's path but firm 0's signal."""
     G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
     total = cfg.consumers
     edges = np.linspace(0.0, 1.0, cfg.bins + 1)
     dec_edges = H.quantile((np.arange(1, 10) / 10.0))
     sums = [_Sums(n, cfg.bins) for _ in laws]
     type_counts = np.zeros(10)
-    m = max(1, min(SUB_ROWS, SUB_UNIFORMS // (2 * n + 1)))
-    done = 0
-    chunk_idx = 0
-    while done < total:
-        b = min(CHUNK, total - done)
+    for chunk_idx, start in enumerate(range(0, total, CHUNK)):
+        b = min(CHUNK, total - start)
         gen = np.random.Generator(np.random.Philox(key=[cfg.seed, chunk_idx]))
         cs = np.empty((len(laws), b))
-        for lo in range(0, b, m):
-            u = gen.random((min(m, b - lo), 2 * n + 1))  # continues the block's stream
-            cost_u, sig_u, order_u = u[:, 0], u[:, 1 : n + 1], u[:, n + 1 :]
-            costs = H.quantile(cost_u)
+        for lo in range(0, b, SUB_ROWS):
+            u = gen.random((min(SUB_ROWS, b - lo), 7))  # continues the block's stream
+            costs = H.quantile(u[:, 0])
             dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
             type_counts += np.bincount(dec, minlength=10)
-            sig = np.full((len(u), n), np.nan)
-            for law, acc, law_cs in zip(laws, sums, cs):
-                s0 = law.quantile(sig_u[:, 0])
-                acc.add(s0, *_search(G, s0, costs, order_u, sig, sig_u), costs, dec, edges,
-                        law_cs[lo : lo + len(u)])
+            for acc, law_cs, path in zip(sums, cs, _search(G, n, costs, u, laws)):
+                acc.add(*path, costs, dec, edges, law_cs[lo : lo + len(u)])
         for acc, law_cs in zip(sums, cs):
             acc.add_surplus(law_cs)
-        done += b
-        chunk_idx += 1
     return [
         (acc.wins, acc.win_bins, acc.sig_bins, acc.cs, acc.cs_sq, acc.len, acc.len_sq,
          acc.stops, type_counts, edges)

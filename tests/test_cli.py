@@ -2,6 +2,7 @@
 golden-file regression, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from censearch import costshape
-from censearch.cli import main
+from censearch.cli import _write_csv, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -300,6 +301,23 @@ def test_simulate_deviation_spec(tmp_path):
     assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
     payload = json.loads((out / "simulate.json").read_text())
     assert abs(payload["deviating_payoff"] - 0.7) <= 5 * payload["payoff_se"]
+
+
+def test_csv_bytes_match_csv_writer(tmp_path, capsys):
+    # the rows every command writes: Python and numpy floats (repr-length
+    # digits, nan, inf), ints, bools and unquoted strings
+    header = ["x", "y", "case", "ok", "k"]
+    rows = [(0.1, np.float64(1 / 3), "b", True, 7),
+            (1e-300, np.float64(-2.5e17), "interior", False, -1),
+            (float("nan"), np.float64("inf"), "a", np.bool_(True), np.int64(3))]
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(header)
+    w.writerows(rows)
+    _write_csv(tmp_path, "t.csv", header, iter(rows))
+    assert (tmp_path / "t.csv").read_bytes() == ref.getvalue().encode()
+    _write_csv(None, "t.csv", header, rows)
+    assert capsys.readouterr().out == ref.getvalue()
 
 
 def test_welfare_csv(tmp_path):

@@ -2,8 +2,10 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
+from scipy.special import bdtr, bdtrc, ndtri
 
 from censearch import simulate
 from censearch.censorship import upper_censorship
@@ -170,27 +172,52 @@ def _text(out) -> str:
     return json.dumps(out.to_json())
 
 
-def _assert_matches_full_rows(cfg: SimConfig, pool: float, case):
-    """Every entry point bit-equal to the full rows: on-path, the market with
-    its probe, a point mass at the ``pool`` and uniform."""
-    uniform = PiecewisePolyDist.uniform(0.0, 1.0)
-    ref = _full_row_run(cfg, None)
-    assert _text(simulate_deviation(cfg, cfg.prior_mean_strategy)[2]) == _text(ref), case
-    probe = _full_row_run(cfg, uniform)
-    ref.empirical_demand = probe.empirical_demand
-    ref.demand_se = probe.demand_se
-    ref.bin_counts = probe.bin_counts
-    assert _text(simulate_market(cfg)) == _text(ref), case
-    for dev in (PiecewisePolyDist.point_mass(pool), uniform):
-        ref = probe if dev is uniform else _full_row_run(cfg, dev)
-        assert _text(simulate_deviation(cfg, dev)[2]) == _text(ref), case
+def _firm0_laws(cfg: SimConfig, pool: float) -> tuple:
+    """Firm 0 on-path, a point mass at the ``pool`` and uniform (the probe)."""
+    return (cfg.prior_mean_strategy, PiecewisePolyDist.point_mass(pool),
+            PiecewisePolyDist.uniform(0.0, 1.0))
+
+
+def _entry_points(cfg: SimConfig, pool: float) -> list:
+    """The market with its probe, then a deviation run per firm-0 law."""
+    return [simulate_market(cfg)] + [simulate_deviation(cfg, law)[2] for law in _firm0_laws(cfg, pool)]
+
+
+def _z_scores(a, b, H) -> list[float]:
+    """z-scores of the differences between two independent runs ``a`` and
+    ``b`` of one market with cost law ``H``: firm payoffs, stop rates per
+    cost decile and demand bins as proportions (pooled), the mean search
+    length and the mean surplus by their standard errors.  A statistic
+    neither run can vary must be equal in both and is not scored."""
+    N = a.consumers
+    dec_edges = H.quantile(np.arange(1, 10) / 10.0)
+    types = N * np.diff(np.concatenate([[0.0], H.cdf_left(dec_edges), [1.0]]))
+    diffs, var = [], []
+    for ra, rb, na, nb in ((a.firm_payoffs, b.firm_payoffs, N, N),
+                           (a.stop_rate_by_cost_quantile, b.stop_rate_by_cost_quantile, types, types),
+                           (a.empirical_demand, b.empirical_demand, a.bin_counts, b.bin_counts)):
+        seen = ~np.isnan(ra)
+        assert np.array_equal(seen, ~np.isnan(rb))
+        ra, rb, na, nb = (np.broadcast_to(v, seen.shape)[seen] for v in (ra, rb, na, nb))
+        pool = (ra * na + rb * nb) / (na + nb)
+        diffs.append(ra - rb)
+        var.append(pool * (1.0 - pool) * (1.0 / na + 1.0 / nb))
+    for ma, mb, sa, sb in ((a.search_length_mean, b.search_length_mean, a.search_length_se, b.search_length_se),
+                           (a.cs_mean, b.cs_mean, a.cs_se, b.cs_se)):
+        diffs.append([ma - mb])
+        var.append([sa**2 + sb**2])
+    d, v = np.concatenate(diffs), np.concatenate(var)
+    assert np.all(d[v == 0] == 0)
+    return (d[v > 0] / np.sqrt(v[v > 0])).tolist()
 
 
 def test_visit_order_matches_full_rows(F, H_uniform, monkeypatch):
-    """The visit-order pass against full rows: outputs bit-equal for costs
-    with atoms at 0 and at the top, n = 1..50, thresholds where ties at the
-    pooled atom are common, firm-0 laws on-path, a point mass at the pool
-    and uniform (the probe), over several RNG blocks."""
+    """The path draw against the full-row reference with independent seeds,
+    a two-sample test of every statistic at family level 1e-3 (Bonferroni):
+    costs with atoms at 0 and at the top, n = 1..50, thresholds where ties
+    at the pooled atom are common, firm-0 laws on-path, a point mass at the
+    pool and uniform (the probe), over several RNG blocks.  The market's
+    outcome is the on-path one with the probe's demand bins, bit for bit."""
     monkeypatch.setattr(simulate, "CHUNK", 997)
     cbar = 0.18
     cost_laws = [
@@ -198,30 +225,42 @@ def test_visit_order_matches_full_rows(F, H_uniform, monkeypatch):
         PiecewisePolyDist([0.0, cbar], [np.array([0.5 / cbar])], atoms=[(0.0, 0.5)]),
         PiecewisePolyDist([0.0, cbar], [np.array([0.5 / cbar])], atoms=[(cbar, 0.5)]),
     ]
-    for li, H in enumerate(cost_laws):
+    z = []
+    for H in cost_laws:
         for n in (1, 2, 5, 50):
             for a in (0.0, 0.3, 0.4, 1.0):
                 cfg = SimConfig(upper_censorship(F, a), H, n, 2100, seed=31 + n, bins=20)
-                _assert_matches_full_rows(cfg, 0.5 * (1.0 + a), (li, n, a))
+                pool = 0.5 * (1.0 + a)
+                market, *outs = _entry_points(cfg, pool)
+                ref = replace(outs[0], empirical_demand=outs[2].empirical_demand,
+                              demand_se=outs[2].demand_se, bin_counts=outs[2].bin_counts)
+                assert _text(market) == _text(ref), (n, a)
+                ref_cfg = replace(cfg, seed=1031 + n)
+                for out, law in zip(outs, _firm0_laws(cfg, pool)):
+                    z += _z_scores(out, _full_row_run(ref_cfg, law), H)
+    bound = -ndtri(1e-3 / (2 * len(z)))
+    assert max(map(abs, z)) <= bound, (max(map(abs, z)), bound, len(z))
 
 
-def test_sub_block_seams_match_full_rows(F, H_uniform, monkeypatch):
+def test_sub_block_seams_match_one_sub_block(F, H_uniform, monkeypatch):
     """Blocks searched in sub-blocks of 300 consumers (which do not divide
     the 997-consumer blocks, so each block ends on a short one) and of 1,
-    bit-equal to the full rows."""
+    bit-equal to blocks searched whole."""
     monkeypatch.setattr(simulate, "CHUNK", 997)
     n = 5
-    for budget, rows, consumers in ((300 * (2 * n + 1), 300, 2100), (1, 1, 1200)):
-        monkeypatch.setattr(simulate, "SUB_UNIFORMS", budget)
+    for rows, consumers in ((300, 2100), (1, 1200)):
         for a in (0.3, 0.4):
             cfg = SimConfig(upper_censorship(F, a), H_uniform, n, consumers, seed=41, bins=20)
-            _assert_matches_full_rows(cfg, 0.5 * (1.0 + a), (rows, a))
+            whole = [_text(out) for out in _entry_points(cfg, 0.5 * (1.0 + a))]
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "SUB_ROWS", rows)
+                split = [_text(out) for out in _entry_points(cfg, 0.5 * (1.0 + a))]
+            assert split == whole, (rows, a)
 
 
 def test_memory_bounded_at_large_n(F, H_uniform, monkeypatch):
-    """At n = 2000 the simulator holds one sub-block, not the whole block
-    of (consumers, 2n + 1) uniforms, and the outcome is the one-sub-block
-    run's, bit for bit."""
+    """At n = 2000 the simulator holds one sub-block, not the whole block,
+    and the outcome is the one-sub-block run's, bit for bit."""
     cfg = SimConfig(upper_censorship(F, 0.4), H_uniform, 2000, 4000, seed=5)
     tracemalloc.start()
     try:
@@ -230,14 +269,29 @@ def test_memory_bounded_at_large_n(F, H_uniform, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
-    monkeypatch.setattr(simulate, "SUB_UNIFORMS", cfg.consumers * (2 * cfg.n + 1))
+    monkeypatch.setattr(simulate, "SUB_ROWS", cfg.consumers)
     assert _text(out) == _text(simulate_market(cfg))
 
 
+def test_full_block_at_n2000(F):
+    """One full ``CHUNK`` block at n = 2000: the payoffs sum to 1 and firm
+    0's wins pass an exact two-sided binomial test against 1/n at level
+    1e-3."""
+    n = 2000
+    cfg = SimConfig(upper_censorship(F, 0.4), PiecewisePolyDist.uniform(0.0, 0.18), n,
+                    simulate.CHUNK, seed=9)
+    out = simulate_market(cfg)
+    assert abs(out.firm_payoffs.sum() - 1.0) <= 1e-9
+    k = round(out.firm_payoffs[0] * cfg.consumers)
+    tail = min(bdtr(k, cfg.consumers, 1.0 / n), bdtrc(k - 1, cfg.consumers, 1.0 / n))
+    assert 2.0 * tail >= 1e-3, (k, tail)
+
+
 def test_signals_drawn_only_on_visit(F, H_uniform, monkeypatch):
-    """At n = 50 most consumers stop within a few visits: the conjecture's
-    quantile sees a small share of the 2 * consumers * n entries the two
-    full-row passes inverted, and the costs are drawn once per block."""
+    """At n = 50 the conjecture's quantile sees at most 2 entries per
+    consumer (firm 0's on-path signal and one rival draw where a rival
+    clears), none of the 2 * consumers * n entries the two full-row passes
+    inverted, and the costs are drawn once per block."""
     monkeypatch.setattr(simulate, "CHUNK", 997)
     G = upper_censorship(F, 0.4)
     n, consumers = 50, 5000
@@ -254,5 +308,5 @@ def test_signals_drawn_only_on_visit(F, H_uniform, monkeypatch):
 
     monkeypatch.setattr(PiecewisePolyDist, "quantile", quantile)
     simulate_market(SimConfig(G, H_uniform, n, consumers, seed=3))
-    assert seen["G"] <= 0.25 * 2 * consumers * n, seen
+    assert seen["G"] <= 2 * consumers, seen
     assert seen["H"] == blocks + 1, seen  # plus the cost deciles
