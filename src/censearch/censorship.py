@@ -20,7 +20,10 @@ Two verification routes are deliberately kept separate:
 
 :func:`verify_price_function` generalizes the certificate to any candidate
 strategy whose support splits into full-disclosure intervals, pooling
-intervals, and atoms.  Both test demand's convexity with
+intervals, and atoms, atoms inside pooling intervals included.  Its
+certificate lives on sorted knots, the ends of those pieces and the atoms:
+demand on the knot intervals inside a disclosure run, the chord of demand
+between two knots elsewhere.  Both verifiers test demand's convexity with
 ``DemandCurve.convex_on``.
 """
 
@@ -113,8 +116,8 @@ def virtual_demand(
     float) or an array."""
     D = curve if curve is not None else DemandCurve(upper_censorship(F, a), n, H)
     k = D.G.max_supp()
-    segments = [(min(D.G.support_lo, a), a, "demand")] + ([(a, k, "affine")] if k > a else [])
-    return _Certificate(segments, D).value(x)
+    knots = [min(D.G.support_lo, a), a] + ([k] if k > a else [])
+    return _Certificate(knots, [True, False][: len(knots) - 1], D).value(x)
 
 
 def deviation_net_gain(
@@ -195,19 +198,14 @@ def verify_uce(
     tol = tol or Tolerances()
     cbar = H.support_hi
     if a <= tol.root:
-        # no disclosure: a constant certificate works for any n
+        # no disclosure: the constant certificate 1/n = D(k) works for any n
+        # and touches demand at the pool, so the margin is exactly 0
         dmu = upper_censorship(F, 0.0)
-        curve = DemandCurve(dmu, n, H)
         k = dmu.max_supp()
-        margin = float(np.min(1.0 / n - curve.value(np.linspace(curve.r_lo, k, MARGIN_GRID))))
-        checks = {
-            "virtual_convex": True,
-            "kink_increasing": True,
-            "virtual_dominates": margin >= -tol.ineq,
-            "cost_condition": True,
-        }
-        return CensorshipReport(0.0, k, curve.r_lo, k, n, "equilibrium", checks,
-                                max(margin, 0.0), [k])
+        checks = dict.fromkeys(["virtual_convex", "kink_increasing", "virtual_dominates",
+                                "cost_condition"], True)
+        return CensorshipReport(0.0, k, reservation_value(dmu, cbar), k, n, "equilibrium",
+                                checks, 0.0, [k])
 
     Ua = upper_censorship(F, a)
     k = Ua.max_supp()
@@ -368,50 +366,53 @@ class PriceFunctionReport:
 
 
 class _Certificate:
-    """Piecewise certificate: follows demand on contact intervals, affine
-    chords elsewhere, constant before the first contact, linear extension
-    after the last."""
+    """Price-function certificate on sorted knots x_0 < ... < x_m: demand
+    itself on the knot intervals flagged in ``follows``, the chord of demand
+    between the interval's two knots elsewhere; D(x_0) below the first knot,
+    and past the last knot the line along the last interval's exit slope (0
+    with a single knot).  Only an interval that follows demand may have zero
+    width."""
 
-    def __init__(self, segments, curve: DemandCurve):
-        # segments: list of (lo, hi, kind) with kind in {demand, affine}
-        self.segments = segments
+    def __init__(self, knots, follows, curve: DemandCurve):
+        self.knots = np.asarray(knots, dtype=float)
+        self.follows = np.asarray(follows, dtype=bool)
         self.curve = curve
-        self.vals = [(curve.value(lo), curve.value(hi)) for lo, hi, _ in segments]
+        self.vals = curve.value(self.knots)
+        k, v = self.knots, self.vals
+        if not len(self.follows):
+            self.exit_slope = 0.0
+        elif self.follows[-1]:
+            self.exit_slope = curve.slope(k[-1], side=-1)
+        else:
+            self.exit_slope = (v[-1] - v[-2]) / (k[-1] - k[-2])
 
     def value(self, x):
-        """The certificate at x; takes a scalar (returns a float) or an array."""
+        """The certificate at x; takes a scalar (returns a float) or an array.
+        A point within 1e-14 above a knot keeps the interval ending there."""
         x = np.asarray(x, dtype=float)
-        first = self.segments[0][0]
-        lo, last, kind = self.segments[-1]
-        if kind == "demand":
-            s = self.curve.slope(last, side=-1)
-        else:
-            v0, v1 = self.vals[-1]
-            s = (v1 - v0) / (last - lo) if last > lo else 0.0
-        out = np.where(x <= first, self.vals[0][0], self.vals[-1][1] + s * (x - last))
-        todo = (x > first) & (x < last)  # each takes the first segment holding it
-        for (lo, hi, kind), (v0, v1) in zip(self.segments, self.vals):
-            on = todo & (lo - 1e-14 <= x) & (x <= hi + 1e-14)
-            if kind == "demand":
-                out[on] = self.curve.value(x[on])
-            else:
-                t = (x[on] - lo) / (hi - lo) if hi > lo else 0.0
-                out[on] = v0 + t * (v1 - v0)
-            todo &= ~on
-        if np.any(todo):
-            raise AssertionError("certificate segments must tile the support")
+        k, v = self.knots, self.vals
+        out = np.where(x <= k[0], v[0], v[-1] + self.exit_slope * (x - k[-1]))
+        inside = (x > k[0]) & (x < k[-1])
+        xi = x[inside]
+        i = np.searchsorted(k[1:] + 1e-14, xi)
+        on = self.follows[i]
+        vi = np.empty_like(xi)
+        vi[on] = self.curve.value(xi[on])
+        j, xc = i[~on], xi[~on]
+        vi[~on] = v[j] + (xc - k[j]) / (k[j + 1] - k[j]) * (v[j + 1] - v[j])
+        out[inside] = vi
         return _result(out)
 
-    def slope_pairs(self):
-        """(entry slope, exit slope) per segment, for convexity checks."""
-        out = []
-        for (lo, hi, kind), (v0, v1) in zip(self.segments, self.vals):
-            if kind == "demand":
-                out.append((self.curve.slope(lo, side=+1), self.curve.slope(hi, side=-1)))
-            else:
-                s = (v1 - v0) / (hi - lo) if hi > lo else None
-                out.append((s, s))
-        return out
+    def slopes(self):
+        """Entry and exit slope of each knot interval in order, for the
+        convexity check: demand's one-sided slopes where the certificate
+        follows demand, the chord's slope twice elsewhere."""
+        k, f = self.knots, self.follows
+        out = np.empty((len(f), 2))
+        out[~f] = (np.diff(self.vals)[~f] / np.diff(k)[~f])[:, None]
+        out[f, 0] = self.curve.slope(k[:-1][f], side=+1)
+        out[f, 1] = self.curve.slope(k[1:][f], side=-1)
+        return out.ravel()
 
 
 def _support_elements(G: PiecewisePolyDist, F: PiecewisePolyDist, tol: float):
@@ -448,45 +449,38 @@ def verify_price_function(
     """Equilibrium test for an arbitrary candidate strategy via an explicit
     convex certificate.
 
-    The certificate follows demand on full-disclosure intervals and bridges
-    gaps, pooling intervals, and atoms with affine chords through the demand
-    values at the contact points.  The candidate passes iff the assembled
-    function is convex (demand's own kinks inside a disclosure interval
-    included), dominates demand everywhere, touches demand across
-    every pooling interval, and integrates identically against the prior and
-    the candidate.
+    The certificate's knots are the ends of the candidate's disclosure runs
+    and pooling intervals and its atoms, merged within 1e-14.  It follows
+    demand on each knot interval whose midpoint lies in a disclosure run and
+    is the chord of demand between the two knots on every other one (gaps,
+    pooling intervals, and the pieces of a pooling interval split by an atom
+    inside it), so it equals demand at every knot.  The candidate passes iff
+    the certificate is convex (demand's own kinks inside a disclosure run
+    included), dominates demand everywhere, touches demand across every
+    pooling interval, and integrates identically against the prior and the
+    candidate.
     """
     tol = tol or Tolerances()
     curve = DemandCurve(G, n, H)
     elements = _support_elements(G, F, 1e3 * tol.ineq)
     if not elements:
         raise ValueError("unsupported candidate shape: empty support")
-    segments: list[tuple[float, float, str]] = []
-    pos = elements[0][1]
-    for kind, lo, hi in elements:
-        if lo < pos - 1e-12:
-            raise ValueError("unsupported candidate shape: overlapping support elements")
-        if lo > pos + 1e-14:
-            segments.append((pos, lo, "affine"))
-        if kind == "disclosure":
-            segments.append((lo, hi, "demand"))
-        elif kind == "pooling":
-            segments.append((lo, hi, "affine"))
-        pos = max(pos, hi)
-    if not segments:  # single atom
-        x0 = elements[0][1]
-        segments = [(x0, x0, "affine")]
-    cert = _Certificate(segments, curve)
-    scale = 1.0 + max(abs(v) for pair in cert.vals for v in pair)
+    ends = np.unique([x for _, lo, hi in elements for x in (lo, hi)])
+    knots = ends[np.concatenate([[True], np.diff(ends) > 1e-14])]
+    runs = np.array([(lo, hi) for kind, lo, hi in elements if kind == "disclosure"]).reshape(-1, 2, 1)
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    cert = _Certificate(knots, ((runs[:, 0] <= mids) & (mids <= runs[:, 1])).any(axis=0), curve)
+    scale = 1.0 + float(np.max(np.abs(cert.vals)))
     ctol = 1e-6 * scale
 
     # convexity
-    flat = [s for pair in cert.slope_pairs() for s in pair if s is not None]
-    convex_ok = not any(s1 < s0 - ctol for s0, s1 in zip(flat[:-1], flat[1:])) and all(
-        curve.convex_on(lo, hi, ctol, tol.root) for lo, hi, kind in segments if kind == "demand")
+    s, f = cert.slopes(), cert.follows
+    convex_ok = not np.any(s[1:] < s[:-1] - ctol) and all(
+        curve.convex_on(lo, hi, ctol, tol.root)
+        for lo, hi in zip(knots[:-1][f].tolist(), knots[1:][f].tolist()))
 
     # domination
-    xs = np.linspace(0.0, max(1.0, segments[-1][1]), PRICE_GRID)
+    xs = np.linspace(0.0, max(1.0, knots[-1]), PRICE_GRID)
     min_margin = float(np.min(cert.value(xs) - curve.value(xs)))
     dominates_ok = min_margin >= -ctol
 
@@ -523,7 +517,7 @@ def verify_price_function(
 
 
 def _integrate_certificate(cert: _Certificate, W: PiecewisePolyDist) -> float:
-    """int cert dW, cut at the certificate's segment ends and demand's kinks
-    (degree <= _gl_deg on a cut piece, a density piece of W <= 3)."""
-    kinks = [x for seg in cert.segments for x in seg[:2]] + cert.curve.x_breaks.tolist()
+    """int cert dW, cut at the certificate's knots and demand's kinks (degree
+    <= _gl_deg on a cut piece, a density piece of W <= 3)."""
+    kinks = np.concatenate([cert.knots, cert.curve.x_breaks])
     return _integrate(W, cert.value, kinks, nodes_for_degree(cert.curve._gl_deg + 3))

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -118,13 +119,14 @@ def _write_json(out: Path | None, name: str, payload: dict) -> None:
 
 def _write_csv(out: Path | None, name: str, header: list[str], rows) -> None:
     """The bytes ``csv.writer`` writes for rows that need no quoting: each
-    field's ``str()``, joined by commas, and ``\\r\\n`` row ends."""
-    text = "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
-    if out is None:
-        print(text, end="")
-    else:
+    field's ``str()``, joined by commas, and ``\\r\\n`` row ends.  The rows
+    go out 1024 at a time through one open file, so no file is held whole."""
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text, newline="")
+    rows = chain([header], rows)
+    with nullcontext(sys.stdout) if out is None else open(out / name, "w", newline="") as fh:
+        while chunk := list(islice(rows, 1024)):
+            fh.write("".join(",".join(map(str, row)) + "\r\n" for row in chunk))
 
 
 def cmd_solve(spec: dict, out: Path | None) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from ._poly import gauss_legendre, nodes_for_degree, poly_range_on, polymul
-from .dists import PiecewisePolyDist, _integrate, _pow, _result, mean, reservation_value
+from .dists import PiecewisePolyDist, _integrate, _pow, _result, reservation_value
 
 __all__ = [
     "DemandCurve",
@@ -145,10 +145,10 @@ class DemandCurve:
     # -- evaluation ----------------------------------------------------------
 
     def cutoff_cost(self, x):
-        """Search cost of the consumer indifferent at signal x (the inverse
-        reservation map), clipped to the cost support."""
-        x = np.asarray(x, dtype=float)
-        return _result(np.where(x >= self.G.support_lo, self.G.tail_gap(x), mean(self.G) - x))
+        """Search cost of the consumer indifferent at signal x, the inverse
+        reservation map: G's tail gap, mean(G) - x below its support and 0
+        above it (not clipped to the cost support)."""
+        return self.G.tail_gap(x)
 
     def max_win_prob(self, x, side: int = 0):
         """Probability of being the purchase after consumers exhaust search:

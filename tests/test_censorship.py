@@ -2,6 +2,7 @@
 maximal threshold, and the generic price-function test."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from censearch import censorship
@@ -18,7 +19,7 @@ from censearch.censorship import (
     virtual_demand,
 )
 from censearch.demand import DemandCurve
-from censearch.dists import PiecewisePolyDist, incremental_benefit, mean
+from censearch.dists import PiecewisePolyDist, incremental_benefit, mean, mpc_check
 from censearch.oracle import build_problem, solve_br
 
 from conftest import corpus_thresholds, quasi_concave_pair, quasi_convex_pair
@@ -199,8 +200,7 @@ def _integrate_certificate_reference(cert, W):
             total += m * v
     cuts = sorted(
         set(map(float, W.breaks))
-        | {lo for lo, _, _ in cert.segments}
-        | {hi for _, hi, _ in cert.segments}
+        | set(map(float, cert.knots))
         | set(map(float, cert.curve.x_breaks))
     )
     cuts = [c for c in cuts if W.breaks[0] - 1e-12 <= c <= W.breaks[-1] + 1e-12]
@@ -266,6 +266,46 @@ def test_support_elements_read_the_left_limit_below_an_atom(F):
         ("disclosure", 0.0, 0.4), ("atom", 0.4, 0.4), ("pooling", 0.4, 1.0)]
 
 
+def test_price_function_judges_an_atom_inside_a_pool(F, H_uniform):
+    # F on [0, 0.2) and [0.6, 1], half of F's density on [0.2, 0.6) and the
+    # removed mass 0.2 as an atom at 0.4: a contraction whose atom sits inside
+    # a pooling interval, so the certificate's chord must pass through D(0.4)
+    G = PiecewisePolyDist([0.0, 0.2, 0.6, 1.0], [np.array([1.0]), np.array([0.5]), np.array([1.0])],
+                          atoms=[(0.4, 0.2)])
+    assert mpc_check(G, F)[0]
+    for n in (2, 5):
+        rep = verify_price_function(G, F, H_uniform, n)
+        assert solve_br(build_problem(G, F, H_uniform, n, 401)).gap > 1e-6
+        assert not rep.passed, n
+
+
+def test_price_function_agrees_with_the_lp_on_partial_pools(F, F_tilted, H_uniform, H_step):
+    # each law halves the prior's density on a random interval and puts the
+    # removed mass as an atom at its conditional mean; wherever the LP
+    # resolves the sign, the certificate's verdict agrees with it
+    rng = np.random.default_rng(34)
+    resolved = 0
+    for trial in range(12):
+        prior = (F, F_tilted)[trial % 2]
+        H = (H_uniform, H_step)[trial // 2 % 2]
+        n = (2, 5)[trial // 4 % 2]
+        lo, hi = np.sort(rng.uniform(0.02, 0.98, 2))
+        half = prior.coefs[0] / 2
+        cum = npoly.polyint(half)
+        mass = npoly.polyval(hi, cum) - npoly.polyval(lo, cum)
+        first = npoly.polyint(npoly.polymulx(half))
+        at = (npoly.polyval(hi, first) - npoly.polyval(lo, first)) / mass
+        G = PiecewisePolyDist([0.0, lo, hi, 1.0], [prior.coefs[0], half, prior.coefs[0]],
+                              atoms=[(at, mass)])
+        assert mpc_check(G, prior)[0], (lo, hi)
+        rep = verify_price_function(G, prior, H, n)
+        gap = solve_br(build_problem(G, prior, H, n, 401)).gap
+        if abs(gap) > 1e-6:
+            resolved += 1
+            assert rep.passed == (gap < 0), (lo, hi, n, gap, rep.detail)
+    assert resolved >= 6
+
+
 def test_verify_pools_prior_atom_at_threshold():
     # upper_censorship pools an atom of F at a; the verifier's jump, kink and
     # pooled mass read F(a-), so thresholds at the atom and just below it,
@@ -314,6 +354,17 @@ def test_censorship_pool_near_full_disclosure_is_exact(F):
         assert pooled.atom_masses[-1] == 1 - a, a
     assert upper_censorship(F, 1 - 1e-12) is F
     assert upper_censorship(F, 1 - 1e-8).atom_masses[-1] == pytest.approx(1e-8)
+
+
+def test_no_disclosure_margin_is_exact(F, H_uniform, monkeypatch):
+    # the constant certificate 1/n = D(k) touches demand at the pool: the
+    # margin is exactly 0, read without building a demand curve
+    built = []
+    monkeypatch.setattr(censorship, "DemandCurve", lambda *args: built.append(args))
+    rep = verify_uce(F, H_uniform, 0.0, 2)
+    assert rep.margin == 0.0 and rep.binding_signals == [0.5] and not built
+    assert rep.verdict == "equilibrium" and all(rep.checks.values())
+    assert rep.r_lo == 0.5 - 0.18 and type(rep.r_lo) is float
 
 
 def test_verify_rejects_atomic_costs_at_every_threshold(F):

@@ -320,6 +320,18 @@ def test_csv_bytes_match_csv_writer(tmp_path, capsys):
     assert capsys.readouterr().out == ref.getvalue()
 
 
+def test_csv_bytes_match_csv_writer_across_slices(tmp_path, capsys):
+    # more rows than the 1024 written at a time, from a generator
+    header = ["i", "x"]
+    rows = [(i, np.float64(i) / 7) for i in range(2500)]
+    ref = io.StringIO(newline="")
+    csv.writer(ref).writerows([header, *rows])
+    _write_csv(tmp_path, "t.csv", header, (row for row in rows))
+    assert (tmp_path / "t.csv").read_bytes() == ref.getvalue().encode()
+    _write_csv(None, "t.csv", header, rows)
+    assert capsys.readouterr().out == ref.getvalue()
+
+
 def test_welfare_csv(tmp_path):
     spec = write_spec(tmp_path, n=2, extra={"welfare": {"a_grid": [0.0, 0.2, 0.4]}})
     out = tmp_path / "w"

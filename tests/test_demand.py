@@ -438,15 +438,14 @@ def test_expected_payoff_matches_point_formula(case, F, F_tilted, H_uniform, H_b
 def test_certificate_matches_point_formula(F, H_uniform):
     curve = DemandCurve(upper_censorship(F, 0.4), 2, H_uniform)
     cases = [
-        [(0.0, 0.4, "demand"), (0.4, 0.7, "affine")],
-        [(0.1, 0.4, "demand"), (0.4, 0.7, "affine"), (0.7, 0.9, "demand")],
-        [(0.55, 0.55, "affine")],
+        ([0.0, 0.4, 0.7], [True, False]),
+        ([0.1, 0.4, 0.7, 0.9], [True, False, True]),
+        ([0.55], []),
     ]
-    for segments in cases:
-        cert = _Certificate(segments, curve)
-        ends = [v for lo, hi, _ in segments for v in (lo, hi)]
+    for knots, follows in cases:
+        cert = _Certificate(knots, follows, curve)
         xs = np.array([-0.1, 0.05, 0.3, 0.5, 0.65, 0.8, 1.3]
-                      + [e + d for e in ends for d in (-1e-14, -4e-15, 0.0, 4e-15, 1e-14)])
+                      + [e + d for e in knots for d in (-1e-14, -4e-15, 0.0, 4e-15, 1e-14)])
         expect = np.array([_ref_certificate(cert, float(x)) for x in xs])
         scalars = [cert.value(float(x)) for x in xs]
         assert all(type(v) is float for v in scalars)
@@ -455,24 +454,25 @@ def test_certificate_matches_point_formula(F, H_uniform):
 
 
 def _ref_certificate(cert, x):
-    segs = cert.segments
-    if x <= segs[0][0]:
-        return cert.vals[0][0]
-    if x >= segs[-1][1]:
-        lo, hi, kind = segs[-1]
-        if kind == "demand":
-            s = sum(_ref_margins(cert.curve, hi, -1))
+    knots = cert.knots.tolist()
+    vals = [_ref_value(cert.curve, k) for k in knots]
+    if x <= knots[0]:
+        return vals[0]
+    if x >= knots[-1]:
+        if not len(cert.follows):
+            s = 0.0
+        elif cert.follows[-1]:
+            s = sum(_ref_margins(cert.curve, knots[-1], -1))
         else:
-            v0, v1 = cert.vals[-1]
-            s = (v1 - v0) / (hi - lo) if hi > lo else 0.0
-        return cert.vals[-1][1] + s * (x - hi)
-    for (lo, hi, kind), (v0, v1) in zip(cert.segments, cert.vals):
-        if lo - 1e-14 <= x <= hi + 1e-14:
-            if kind == "demand":
+            s = (vals[-1] - vals[-2]) / (knots[-1] - knots[-2])
+        return vals[-1] + s * (x - knots[-1])
+    for lo, hi, v0, v1, follows in zip(knots, knots[1:], vals, vals[1:], cert.follows):
+        if lo - 1e-14 <= x <= hi + 1e-14:  # the first interval holding x
+            if follows:
                 return _ref_value(cert.curve, x)
-            t = (x - lo) / (hi - lo) if hi > lo else 0.0
+            t = (x - lo) / (hi - lo)
             return v0 + t * (v1 - v0)
-    raise AssertionError("certificate segments must tile the support")
+    raise AssertionError("knot intervals must cover the knots' span")
 
 
 def test_scans_do_not_call_per_point(monkeypatch, F, H_bimodal):
