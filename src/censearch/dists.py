@@ -43,8 +43,9 @@ ATOM_PAD = 1e-9    # half-width of the interval that carries a law of atoms alon
 ZERO_COST = 1e-10  # reservation_value returns the support top for costs up to this
 # quantile inverts at most this many draws at a time: it bounds the ~30
 # temporaries of the iteration to a few MB, which also keeps them in cache
-# (on a 2-core Xeon, 110k draws took 16-21 ms in blocks of 2^14 against
-# 33 ms in one block; blocks of 2^12 and 2^15 were slower)
+# (on a 2-core Xeon, 110k draws from the density 3x^2 took 32-34 ms in blocks
+# of 2^14 against 45-61 ms in one block, and 39-44 ms in blocks of 2^12 or
+# 2^15; from a linear density, one round per draw, 8-9 ms in blocks of 2^14)
 QUANTILE_BLOCK = 1 << 14
 
 
@@ -91,6 +92,8 @@ class PiecewisePolyDist:
         "_PP",
         "_R",
         "_RR",
+        "_P_exact",
+        "_RR_exact",
         "_cdf_at",
         "_cdf_left_at",
         "_kint_at",
@@ -117,6 +120,10 @@ class PiecewisePolyDist:
         self.atom_masses = np.array([m for _, m in atoms], dtype=float)
         self._build_tables()
         self._validate()
+        # _validate checked the rounded sum of the masses; G reads exactly 1 at
+        # the top, and G(-) there 1 less the top atom
+        self._cdf_at[-1] = 1.0
+        self._cdf_left_at[-1] = 1.0 - self._atom_at[-1]
 
     # -- construction -----------------------------------------------------
 
@@ -198,6 +205,9 @@ class PiecewisePolyDist:
         self._tail_at = np.append(np.cumsum(polyval(RR, width)[::-1])[::-1], 0.0)
         RR[0] = self._tail_at[1:]
         self._R, self._RR = R, RR
+        # per segment: G (the tail) has degree <= 2 there, where the
+        # second-order Taylor step of _bracketed_newton is exact
+        self._P_exact, self._RR_exact = ~P[3:].any(axis=0), ~RR[3:].any(axis=0)
 
     def _validate(self):
         total = self._cdf_at[-1]
@@ -260,7 +270,7 @@ class PiecewisePolyDist:
 
     def _cdf(self, x, at_break: np.ndarray):
         x, xe, i, j, on = self._locate(x)
-        g = polyval(self._P[:, i], xe - self.breaks[i])
+        g = polyval(self._P.take(i, axis=1), xe - self.breaks[i])
         g = np.where(x < self.breaks[0], 0.0, np.where(x > self.breaks[-1], 1.0, g))
         return _result(np.where(on, at_break[j], g))
 
@@ -275,7 +285,7 @@ class PiecewisePolyDist:
     def _density(self, table: np.ndarray, x, side: int):
         x, xe, i, j, on = self._locate(x)
         i = np.where(on, np.minimum(np.maximum(j if side > 0 else j - 1, 0), len(self.coefs) - 1), i)
-        f = polyval(table[:, i], xe - self.breaks[i])
+        f = polyval(table.take(i, axis=1), xe - self.breaks[i])
         f = np.where((x < self.breaks[0]) | (x > self.breaks[-1]), 0.0, f)
         return _result(f)
 
@@ -289,7 +299,7 @@ class PiecewisePolyDist:
     def cdf_integral(self, x):
         """K(x) = int_{lo}^{x} G(t) dt, extended linearly above the support."""
         x, xe, i, _, _ = self._locate(x)
-        k = polyval(self._PP[:, i], xe - self.breaks[i])
+        k = polyval(self._PP.take(i, axis=1), xe - self.breaks[i])
         top = self.breaks[-1]
         k = np.where(x <= self.breaks[0], 0.0, np.where(x >= top, self._kint_at[-1] + (x - top), k))
         return _result(k)
@@ -297,7 +307,7 @@ class PiecewisePolyDist:
     def _segment_tail(self, i, x):
         """int_x^{support_hi} (1 - G(t)) dt for x in segment i (one index per
         point), in w = hi_i - x."""
-        return polyval(self._RR[:, i], self.breaks[i + 1] - x)
+        return polyval(self._RR.take(i, axis=1), self.breaks[i + 1] - x)
 
     def tail_gap(self, x):
         """int_x^{support_hi} (1 - G(t)) dt; 0 above the support."""
@@ -318,7 +328,10 @@ class PiecewisePolyDist:
         For u inside an atom's jump the atom location is returned; elsewhere
         the unique continuity point with CDF(x) = u, the root of the segment
         CDF ``P_i(x - lo_i) = u`` on the containing segment i, found by
-        :func:`_bracketed_newton` on the density and its slope.
+        :func:`_bracketed_newton` on the density and its slope.  On a segment
+        whose density is constant or linear the segment CDF has degree <= 2,
+        and one Taylor step from the false-position point finds the root: one
+        evaluation of it per draw.
         """
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         shape, u = u.shape, u.reshape(-1)  # the iteration works on the points off the atoms
@@ -331,6 +344,7 @@ class PiecewisePolyDist:
             i, ub = j[block] - 1, u[block]
             x[block] = _bracketed_newton(
                 i, ub, self.breaks[i], self.breaks[i + 1], self._cdf_at[i] - ub, self._cdf_left_at[i + 1] - ub,
+                self._P_exact,
                 lambda i, r: polyval(self._P.take(i, axis=1), r - self.breaks[i]),
                 lambda i, r: polyval(self._pdf.take(i, axis=1), r - self.breaks[i]),
                 lambda i, r: polyval(self._dpdf.take(i, axis=1), r - self.breaks[i]),
@@ -359,43 +373,58 @@ class PiecewisePolyDist:
         )
 
 
-def _bracketed_newton(i, target, a, b, ga, gb, value, slope, curve):
+def _bracketed_newton(i, target, a, b, ga, gb, exact, value, slope, curve):
     """The root r in [a, b] of ``value(i, r) = target``, per element, for a
     value increasing on the bracket with ``ga`` = value(a) - target <= 0 and
     ``gb`` = value(b) - target >= 0; ``slope(i, r)`` and ``curve(i, r)`` are
     the value's first and second derivatives, and i is handed through to
-    all three (the segment index of each element).
+    all three (the segment index of each element).  ``exact`` flags, per
+    segment, a value that is a polynomial of degree <= 2 there.
 
     The false-position point of the bracket is the first iterate, which is
     the root where the value is linear.  Each round evaluates g = value(r) -
-    target, moves the bracket end on g's side to r, and steps to the root of
-    the value's second-order Taylor model at r: the Newton step where the
-    slope is constant, and exact where it is linear, where a plain Newton
-    step only halves the distance to a root near a zero of the slope.  A
-    step that leaves the bracket gives way to false position, and false
-    position to halving when it stalls (falls outside, or the last round did
-    not halve the bracket).  Halving is geometric on a bracket above 0 that
+    target and steps to the root of the value's second-order Taylor model at
+    r: the Newton step where the slope is constant, and exact where the value
+    has degree <= 2, where a plain Newton step only halves the distance to a
+    root near a zero of the slope.  Every element makes the first round
+    with no bracket upkeep, and stops there when g == 0, or when its segment
+    is ``exact`` and the step lands strictly inside the bracket.  The others
+    go on from that round's state, with the same arithmetic as if there had
+    been no stop: each round moves the bracket end on g's side to r, a step
+    that leaves the bracket gives way to false position, and false position
+    to halving when it stalls (falls outside, or the last round did not
+    halve the bracket).  Halving is geometric on a bracket above 0 that
     spans more than a factor 4, so that roots many orders of magnitude below
     its top are reached as well.  An element stops when g == 0, when its
     step is at most one ulp or when its bracket is at most two ulps wide,
     and after 64 rounds at the latest.
     """
+
+    def taylor(i, r, target):
+        g = value(i, r) - target
+        fr = slope(i, r)
+        newton = g / fr
+        bend = curve(i, r) / fr
+        return g, 2.0 * newton / (1.0 + np.sqrt(1.0 - 2.0 * newton * bend))
+
     r = a - ga * ((b - a) / (gb - ga))
-    width = np.full_like(target, np.inf)  # bracket width after the last round
-    x = np.empty_like(target)
-    todo = np.arange(len(target))
     with np.errstate(divide="ignore", invalid="ignore"):  # failed steps fall back below
-        for _ in range(64):
-            g = value(i, r) - target
+        g, step = taylor(i, r, target)
+        x = np.where(g == 0, r, r - step)
+        todo = np.flatnonzero((g != 0) & ~(exact[i] & (a < x) & (x < b)))
+        if not len(todo):
+            return x
+        if len(todo) < len(x):
+            i, r, a, b, ga, gb, target, g, step = (v[todo] for v in (i, r, a, b, ga, gb, target, g, step))
+        width = np.full_like(target, np.inf)  # bracket width after the last round
+        for rnd in range(64):
+            if rnd:
+                g, step = taylor(i, r, target)
             neg, pos = g < 0, g > 0
             np.copyto(a, r, where=neg)
             np.copyto(ga, g, where=neg)
             np.copyto(b, r, where=pos)
             np.copyto(gb, g, where=pos)
-            fr = slope(i, r)
-            newton = g / fr
-            bend = curve(i, r) / fr
-            step = 2.0 * newton / (1.0 + np.sqrt(1.0 - 2.0 * newton * bend))
             nxt = r - step
             small = np.abs(step) <= np.spacing(np.abs(r))
             off = np.flatnonzero(~(small | ((a < nxt) & (nxt < b))))
@@ -594,7 +623,9 @@ def reservation_value(G: PiecewisePolyDist, c):
     bracket r in one segment, where :func:`_bracketed_newton` inverts the
     segment tail in w = hi - r (slope 1 - G, curvature -density) down to an
     ulp or two, or to the band where the rounding of the computed tail leaves
-    its sign open; ZERO_COST plays no part there.
+    its sign open; ZERO_COST plays no part there.  On a segment of constant
+    density the tail has degree 2, and one Taylor step from the
+    false-position point finds the root: one tail evaluation per cost.
     """
     c = np.asarray(c, dtype=float)
     mu = mean(G)
@@ -612,7 +643,7 @@ def reservation_value(G: PiecewisePolyDist, c):
         cr = cs[rest]
         j = np.clip(np.searchsorted(-tails, -cr, side="right") - 1, 0, len(G.breaks) - 2)
         r[rest] = _bracketed_newton(
-            j, -cr, G.breaks[j], G.breaks[j + 1], cr - tails[j], cr - tails[j + 1],
+            j, -cr, G.breaks[j], G.breaks[j + 1], cr - tails[j], cr - tails[j + 1], G._RR_exact,
             lambda i, x: -G._segment_tail(i, x),
             lambda i, x: polyval(G._R.take(i, axis=1), G.breaks[i + 1] - x),
             lambda i, x: -polyval(G._pdf.take(i, axis=1), x - G.breaks[i]),

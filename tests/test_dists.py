@@ -12,6 +12,7 @@ import pytest
 from censearch import _poly
 from censearch import dists as dists_module
 from censearch.dists import (
+    QUANTILE_BLOCK,
     MarketConfig,
     PiecewisePolyDist,
     dist_from_json,
@@ -284,7 +285,8 @@ def _ref_above(d, i, surv_hi, tail_hi):
 
 def _ref_tables(d):
     """G, G(-) and K at the breakpoints from the bottom, 1 - G(-) and the
-    tail from the top, one segment integral after another."""
+    tail from the top, one segment integral after another; G at the top
+    reads exactly 1 (and G(-) there 1 less the top atom)."""
     nseg = len(d.coefs)
     width = np.diff(d.breaks)
     atom_at_break = np.zeros(nseg + 1)
@@ -296,6 +298,7 @@ def _ref_tables(d):
         P, PP = _ref_below(d, i, cdf[i], kint[i])
         cdf[i + 1] = npoly.polyval(width[i], P) + atom_at_break[i + 1]
         kint[i + 1] = npoly.polyval(width[i], PP)
+    cdf[-1] = 1.0
     surv, tail = np.zeros(nseg + 1), np.zeros(nseg + 1)
     surv[-1] = atom_at_break[-1]
     for i in range(nseg - 1, -1, -1):
@@ -439,6 +442,21 @@ def test_tables_match_per_call_formulas(law):
         assert all(type(query(d, x)) is float for x in xs[:3]), name  # numpy scalars too
         assert _same_bits(scalars, expect), name
         assert _same_bits(query(d, xs), expect), name
+
+
+def test_cdf_reads_one_at_the_top():
+    # the stretched uniform costs of the benchmark corpus, density h(c/s)/s
+    # on [0, 0.18 s]: the rounded sum of the segment masses falls an ulp
+    # short of 1 for about half of them
+    for s in np.random.default_rng(17).uniform(1.0, 1.05, 2000).tolist():
+        H = dist_from_json({"kind": "poly-pieces", "support": [0.0, 0.18 * s],
+                            "pieces": [{"to": 0.18 * s, "coef": [(1 / 0.18) / s]}]})
+        top = H.support_hi
+        assert H.cdf(top) == 1.0, s
+        assert H.cdf(np.array([top, 0.5 * top, top]))[[0, 2]].tolist() == [1.0, 1.0], s
+    # below a top atom the left limit is 1 less the atom
+    A = PiecewisePolyDist([0.0, 0.3, 1.0], [np.array([1.0]), np.array([0.4])], atoms=[(1.0, 0.42)])
+    assert A.cdf(1.0) == 1.0 and A.cdf_left(1.0) == 1.0 - 0.42
 
 
 def _ref_atom_mass_at_index(d, i):
@@ -705,6 +723,16 @@ def test_quantile_rounds(monkeypatch, F, F_tilted, H_uniform, H_convex, H_step, 
         count = _cdf_evaluations(monkeypatch, d, len(us))
         d.quantile(us)
         assert len(count) <= 8, (name, len(count))  # the bisection made 64
+    # where every segment CDF has degree <= 2 (a piecewise-constant or
+    # piecewise-linear density) the first Taylor step lands on the root
+    exact = ("F", "F@0.55", "F_tilted", "F_tilted@0.3", "H_uniform@0.3", "H_convex", "H_step",
+             "H_step@0.55", "H_bimodal", "H_bimodal@0.9", "H_threestep", "H_threestep@0.3")
+    for name in exact:
+        d = laws[name]
+        assert d._P_exact.all(), name
+        count = _cdf_evaluations(monkeypatch, d, QUANTILE_BLOCK)
+        d.quantile(us[:QUANTILE_BLOCK])
+        assert len(count) == 1, (name, len(count))
     # a density vanishing at the root: the CDF x^4 has its root u^(1/4) up
     # to 243 orders of magnitude above the secant start u
     V = _vanishing_law()
@@ -854,6 +882,17 @@ def test_reservation_value_rounds(monkeypatch, F, F_tilted, H_uniform, H_convex,
             rounds.append(len(count))
         assert np.median(rounds) <= 6, (name, sorted(rounds))
         assert max(rounds) <= 36, (name, max(rounds))  # the bisection made 36
+    # where every segment tail has degree <= 2 (a piecewise-constant density)
+    # the first Taylor step lands on the root: one evaluation after the
+    # bracketing tail_gap call
+    cs = rng.random(QUANTILE_BLOCK)
+    for name in ("F", "F@0.55", "H_uniform", "H_uniform@0.3", "H_step", "H_step@0.9", "H_bimodal",
+                 "H_bimodal@0.3", "H_threestep", "H_threestep@0.55"):
+        G = laws[name]
+        assert G._RR_exact.all(), name
+        count.clear()
+        reservation_value(G, cs * mean(G))
+        assert len(count) == 2, (name, len(count))
     # near c = 0 the segment tail in w = hi - x keeps its relative accuracy,
     # so the iteration converges there as fast as anywhere (the tail in the
     # global x cancelled to noise, and took 35 and 24 evaluations)
@@ -861,3 +900,74 @@ def test_reservation_value_rounds(monkeypatch, F, F_tilted, H_uniform, H_convex,
         count.clear()
         reservation_value(G, c)
         assert len(count) <= 4, (c, len(count))
+
+
+# -- the inversion where no segment is exact, against the full iteration ------
+#
+# `_full_bracketed_newton` is `_bracketed_newton` with no early stop on an
+# exact segment: every round, the first included, keeps the bracket.  Where
+# no segment's value has degree <= 2 the iteration must return its bits.
+
+
+def _full_bracketed_newton(i, target, a, b, ga, gb, value, slope, curve):
+    r = a - ga * ((b - a) / (gb - ga))
+    width = np.full_like(target, np.inf)
+    x = np.empty_like(target)
+    todo = np.arange(len(target))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            g = value(i, r) - target
+            neg, pos = g < 0, g > 0
+            np.copyto(a, r, where=neg)
+            np.copyto(ga, g, where=neg)
+            np.copyto(b, r, where=pos)
+            np.copyto(gb, g, where=pos)
+            fr = slope(i, r)
+            newton = g / fr
+            bend = curve(i, r) / fr
+            step = 2.0 * newton / (1.0 + np.sqrt(1.0 - 2.0 * newton * bend))
+            nxt = r - step
+            small = np.abs(step) <= np.spacing(np.abs(r))
+            off = np.flatnonzero(~(small | ((a < nxt) & (nxt < b))))
+            if len(off):
+                lo, hi = a[off], b[off]
+                fp = lo - ga[off] * ((hi - lo) / (gb[off] - ga[off]))
+                mid = np.where((lo > 0) & (hi > 4.0 * lo), np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+                stall = ~((lo < fp) & (fp < hi)) | (hi - lo > 0.5 * width[off])
+                nxt[off] = np.where(stall, mid, fp)
+            width = b - a
+            x[todo] = np.where(g == 0, r, nxt)
+            go = np.flatnonzero(
+                (g != 0) & ~small & (width > 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+            )
+            r = nxt
+            if len(go) < len(todo):
+                if not len(go):
+                    break
+                todo, i, r, a, b, ga, gb, target, width = (
+                    v[go] for v in (todo, i, r, a, b, ga, gb, target, width)
+                )
+    return x
+
+
+def test_inexact_segments_keep_the_full_iteration(monkeypatch):
+    from conftest import quasi_concave_pair, quasi_convex_pair
+
+    laws = {"3x^2": PiecewisePolyDist([0.0, 1.0], [np.array([0.0, 0.0, 3.0])]),
+            "quasi_concave": quasi_concave_pair()[0], "quasi_convex": quasi_convex_pair()[0],
+            "cubic": _cubic_law()}
+    rng = np.random.default_rng(21)
+    us = rng.random(20_000)
+    for name, G in laws.items():
+        assert not (G._P_exact.any() or G._RR_exact.any()), name
+        cs = rng.uniform(0.0, mean(G), 20_000)
+        runs = []
+        for newton in (dists_module._bracketed_newton,
+                       lambda i, target, a, b, ga, gb, exact, *fns: _full_bracketed_newton(
+                           i, target, a, b, ga, gb, *fns)):
+            monkeypatch.setattr(dists_module, "_bracketed_newton", newton)
+            runs.append((G.quantile(us), reservation_value(G, cs),
+                         [G.quantile(u) for u in us[:200].tolist()],
+                         [reservation_value(G, c) for c in cs[:200].tolist()]))
+        for got, ref in zip(*runs):
+            assert _same_bits(got, ref), name
