@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
@@ -63,9 +64,11 @@ def load_spec(path: str) -> dict:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read spec: {exc}") from exc
-    if spec.get("version") != SCHEMA_VERSION:
+    if _object(spec, "spec").get("version") != SCHEMA_VERSION:
         raise ConfigError(f"spec version must be {SCHEMA_VERSION}")
     _require_keys(spec, _KNOWN_TOP, "spec")
+    for key in sorted(set(spec) - {"version"}):
+        _object(spec[key], key)
     return spec
 
 
@@ -77,7 +80,8 @@ def load_market(spec: dict) -> MarketConfig:
     with _config_errors():
         prior = dist_from_json(blk["prior"])
         costs = dist_from_json(blk["costs"])
-        tol = Tolerances(**blk.get("tol", {}))
+        tol = Tolerances(**{k: _number(v, f"market.tol.{k}")
+                            for k, v in _object(blk.get("tol", {}), "market.tol").items()})
         return MarketConfig(prior, costs, blk["n"], tol=tol)
 
 
@@ -99,6 +103,28 @@ def _count(v, where: str, least: int | None = None) -> int:
         bound = "" if least is None else f" >= {least}"
         raise ConfigError(f"{where} must be an integer{bound}, got {v!r}")
     return int(v)
+
+
+def _number(v, where: str) -> float:
+    """The value v of spec field ``where``: a finite JSON number (not a
+    bool, a string, null or a list)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, where: str) -> list[float]:
+    """The list v of spec field ``where``, each entry read by :func:`_number`."""
+    if not isinstance(v, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {v!r}")
+    return [_number(x, where) for x in v]
+
+
+def _object(v, where: str) -> dict:
+    """The JSON object v of spec block ``where``."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {v!r}")
+    return v
 
 
 def _exclusive(blk: dict, mode: str, unread: set, where: str) -> None:
@@ -155,8 +181,7 @@ def cmd_verify(spec: dict, out: Path | None) -> int:
     _exclusive(blk, "n_sweep", {"a_grid", "price_function"}, "verify")
     gate_failed = False
     if "n_sweep" in blk or "a_grid" not in blk:
-        with _config_errors():
-            a = float(blk["a"])
+        a = _number(blk.get("a"), "verify.a")
     if "n_sweep" in blk:
         with _config_errors():  # each market size passes the market's own check
             sweep = [replace(mc, n=n).n for n in blk["n_sweep"]]
@@ -171,7 +196,8 @@ def cmd_verify(spec: dict, out: Path | None) -> int:
         payload = {"a": a, "sweep": rows, "smallest_passing_n": smallest}
         gate_failed = smallest is None
     elif "a_grid" in blk:
-        res = equilibrium_set(mc.prior, mc.costs, blk["a_grid"], mc.n, mc.tol)
+        res = equilibrium_set(mc.prior, mc.costs, _numbers(blk["a_grid"], "verify.a_grid"),
+                              mc.n, mc.tol)
         payload = {"n": mc.n, "sweep": [{"a": a, "equilibrium": ok} for a, ok in res]}
     else:
         rep = verify_uce(mc.prior, mc.costs, a, mc.n, mc.tol)
@@ -189,7 +215,7 @@ def cmd_oracle(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("oracle", {})
     _require_keys(blk, {"a", "grid_n", "dump_lp"}, "oracle")
-    a = float(blk.get("a", 0.0))
+    a = _number(blk.get("a", 0.0), "oracle.a")
     grid_n = _count(blk.get("grid_n", GRID_N), "oracle.grid_n")
     G = upper_censorship(mc.prior, a)
     prob = build_problem(G, mc.prior, mc.costs, mc.n, grid_n)
@@ -219,7 +245,7 @@ def cmd_simulate(spec: dict, out: Path | None) -> int:
     blk = spec.get("simulate", {})
     _require_keys(blk, {"a", "consumers", "bins", "seed", "deviation", "deviation_atom"}, "simulate")
     _exclusive(blk, "deviation", {"deviation_atom"}, "simulate")
-    a = float(blk.get("a", 0.0))
+    a = _number(blk.get("a", 0.0), "simulate.a")
     G = upper_censorship(mc.prior, a)
     cfg = SimConfig(
         prior_mean_strategy=G,
@@ -235,7 +261,8 @@ def cmd_simulate(spec: dict, out: Path | None) -> int:
             with _config_errors():
                 G_dev = dist_from_json(blk["deviation"])
         else:
-            G_dev = PiecewisePolyDist.point_mass(float(blk["deviation_atom"]))
+            atom = _number(blk["deviation_atom"], "simulate.deviation_atom")
+            G_dev = PiecewisePolyDist.point_mass(atom)
         pay, se, outcome = simulate_deviation(cfg, G_dev)
         payload = {"deviating_payoff": pay, "payoff_se": se, "baseline": 1.0 / mc.n,
                    "outcome": outcome.to_json()}
@@ -255,19 +282,17 @@ def cmd_welfare(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("welfare", {})
     _require_keys(blk, {"a_grid", "cost_quantiles"}, "welfare")
-    a_grid = blk.get("a_grid", [0.0, 0.1, 0.2, 0.3, 0.4])
-    qs = blk.get("cost_quantiles", [0.1, 0.25, 0.5, 0.75, 0.9])
-    with _config_errors():
-        in_range = all(0.0 < q <= 1.0 for q in qs)
-    if not in_range:
+    a_grid = _numbers(blk.get("a_grid", [0.0, 0.1, 0.2, 0.3, 0.4]), "welfare.a_grid")
+    qs = _numbers(blk.get("cost_quantiles", [0.1, 0.25, 0.5, 0.75, 0.9]), "welfare.cost_quantiles")
+    if not all(0.0 < q <= 1.0 for q in qs):
         raise ConfigError(f"welfare.cost_quantiles must lie in (0, 1], got {qs!r}")
     rows = []
     for a in a_grid:
-        total = consumer_surplus(mc.prior, mc.costs, float(a), mc.n)
-        slen = expected_search_length(mc.prior, float(a), mc.n)
+        total = consumer_surplus(mc.prior, mc.costs, a, mc.n)
+        slen = expected_search_length(mc.prior, a, mc.n)
         for q in qs:
             c = float(mc.costs.quantile([q])[0])
-            b, cost, cs = consumer_surplus_type(mc.prior, float(a), c, mc.n)
+            b, cost, cs = consumer_surplus_type(mc.prior, a, c, mc.n)
             rows.append((a, q, c, b, cost, cs, total, slen))
     _write_csv(out, "welfare.csv",
                ["a", "cost_quantile", "c", "value", "search_cost", "surplus",
@@ -284,17 +309,17 @@ def cmd_compstat(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("compstat", {})
     family = blk.get("family", "alpha_stretch")
-    if family not in _FAMILY_KEY:
+    if not isinstance(family, str) or family not in _FAMILY_KEY:
         raise ConfigError(f"unknown compstat family {family!r}")
     _require_keys(blk, {"family", "base_costs", _FAMILY_KEY[family]}, f"compstat (family {family!r})")
     with _config_errors():  # a member list that is not a list included
         H0 = dist_from_json(blk["base_costs"]) if "base_costs" in blk else mc.costs
         if family == "alpha_stretch":
-            members = [(float(al), alpha_stretch(H0, float(al), prior_mean=mc.mu))
-                       for al in blk.get("alphas", [1.1, 1.3, 1.5])]
+            members = [(al, alpha_stretch(H0, al, prior_mean=mc.mu))
+                       for al in _numbers(blk.get("alphas", [1.1, 1.3, 1.5]), "compstat.alphas")]
         elif family == "uniform_mix":
-            members = [(float(lam), uniform_interpolate(H0, float(lam), H0.support_hi))
-                       for lam in blk.get("lambdas", [0.0, 0.25, 0.5, 0.75, 1.0])]
+            lams = _numbers(blk.get("lambdas", [0.0, 0.25, 0.5, 0.75, 1.0]), "compstat.lambdas")
+            members = [(lam, uniform_interpolate(H0, lam, H0.support_hi)) for lam in lams]
         elif family == "support_halving":
             ks = [_count(k, "compstat.halvings", least=0) for k in blk.get("halvings", range(0, 7))]
             members = [(float(k), PiecewisePolyDist.uniform(0.0, H0.support_hi / 2**k)) for k in ks]
@@ -329,7 +354,8 @@ def cmd_emit_plot(spec: dict, out: Path | None) -> int:
     blk = spec.get("emit_plot", {})
     _require_keys(blk, {"a", "points"}, "emit_plot")
     rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
-    a = float(blk["a"]) if "a" in blk else solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0]
+    a = (_number(blk["a"], "emit_plot.a") if "a" in blk
+         else solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0])
     pts = _count(blk.get("points", PLOT_POINTS), "emit_plot.points", least=1)
     # cost panel with the tangent line through the origin at slope min S
     smin = rep.min_slope

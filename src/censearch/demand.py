@@ -11,8 +11,8 @@ shared by rivals wins a tie with equal probability).
 
 The decomposition of the demand derivative into the stopping margins
 (consumers who halt precisely at x) and the max-win margin is exposed by
-:func:`demand_margins`; the slope, D'' and the one convexity test of both
-verifiers (``DemandCurve.convex_on``) live here too.
+:meth:`DemandCurve.margins`; the slope, D'' and the one convexity test of
+both verifiers (``DemandCurve.convex_on``) live here too.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "expected_payoff",
 ]
 
+NO_COST = 1e-15  # a cost at or below this is zero: the consumer clears at no signal
 SNAP_TOL = 1e-9  # margins moves a cutoff cost this close to a cost breakpoint onto it
 CURVATURE_GRID = 512  # D'' samples of convex_on above r_lo
 
@@ -102,7 +103,7 @@ class DemandCurve:
         self.r_hi = conjecture.max_supp()
         # one inversion for the cost top, inner breakpoints and (positive) atoms
         inner = costs.breaks[(1e-14 < costs.breaks) & (costs.breaks < self.cbar - 1e-14)]
-        atoms = (costs.atom_locs > 1e-15) & (costs.atom_masses > 0)
+        atoms = (costs.atom_locs > NO_COST) & (costs.atom_masses > 0)
         rs = reservation_value(conjecture, np.concatenate([[self.cbar], inner, costs.atom_locs[atoms]]))
         r_top, r_inner, r_atoms = np.split(rs, [1, 1 + len(inner)])
         self.r_lo = float(r_top[0])
@@ -164,7 +165,7 @@ class DemandCurve:
         """Fraction of consumers still searching after seeing x (cutoff
         strictly above x); zero-cost consumers always continue."""
         cg = self.cutoff_cost(x)
-        return _result(np.where(cg <= 1e-15, self.H.cdf(self.H.support_lo), self.H.cdf_left(cg)))
+        return _result(np.where(cg <= NO_COST, self.H.cdf(self.H.support_lo), self.H.cdf_left(cg)))
 
     def value(self, x, side: int = 0):
         """Interim demand D(x); at atoms of G the fair-tie value (side=0) or
@@ -186,7 +187,7 @@ class DemandCurve:
         # at the cost top both one-sided densities are the last piece's
         hd = np.where(inside, self.H.pdf(cg, side=-side), 0.0)
         extensive = np.where(inside, (1.0 - g) * hd * jump_size(self.G, x, self.n), 0.0)
-        hfrac = np.where(cg > 1e-15, self.H.cdf_left(cg), 0.0)
+        hfrac = np.where(cg > NO_COST, self.H.cdf_left(cg), 0.0)
         intensive = (self.n - 1) * _pow(g, self.n - 2) * gdens * hfrac
         return _result(extensive), _result(intensive)
 
@@ -236,7 +237,7 @@ def demand_second_derivative(curve: DemandCurve, x, side: int = 1):
     gp = G.pdf_derivative(x, side=side)
     cg = curve.cutoff_cost(x)
     inside = (0 < cg) & (cg < curve.cbar)
-    Hc = np.where(cg >= curve.cbar, 1.0, np.where(cg > 1e-15, H.cdf_left(cg), 0.0))
+    Hc = np.where(cg >= curve.cbar, 1.0, np.where(cg > NO_COST, H.cdf_left(cg), 0.0))
     hc = np.where(inside, H.pdf(cg, side=-side), 0.0)
     hpc = np.where(inside, H.pdf_derivative(cg, side=-side), 0.0)
     J, dJdu = pooled_jump(u, n)
@@ -256,7 +257,7 @@ def type_demand(G: PiecewisePolyDist, x: float, c: float, n: int) -> float:
     visit probability if x clears their cutoff, else the (tie-aware) max-win
     probability."""
     r = reservation_value(G, c)  # the top of the support for c <= 1e-10
-    if x >= r and c > 1e-15:
+    if x >= r and c > NO_COST:
         return power_sum(G.cdf_left(r), 1.0, n) / n
     if G.atom_mass_at(x) > 1e-15:
         return power_sum(G.cdf_left(x), G.cdf(x), n) / n

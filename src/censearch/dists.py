@@ -41,6 +41,8 @@ MASS_TOL = 1e-12
 BREAK_TOL = 1e-14  # x of the support sits on breakpoint b when b - BREAK_TOL <= x <= b
 ATOM_PAD = 1e-9    # half-width of the interval that carries a law of atoms alone
 ZERO_COST = 1e-10  # reservation_value returns the support top for costs up to this
+# (demand.NO_COST = 1e-15 is the other zero-cost rule: it decides who searches
+# at all, so a consumer of cost in (1e-15, 1e-10] searches and stops only at the top)
 # quantile inverts at most this many draws at a time: it bounds the ~30
 # temporaries of the iteration to a few MB, which also keeps them in cache
 # (on a 2-core Xeon, 110k draws from the density 3x^2 took 32-34 ms in blocks

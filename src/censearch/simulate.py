@@ -11,8 +11,7 @@ Firms 1..n-1 all play G and are interchangeable (Wolinsky, QJE 1986), so a
 consumer's path is drawn by inversion (Devroye, 1986) from one row of seven
 uniforms, whatever n is:
 
-* the cost, and firm 0's signal (drawn for every consumer, since the
-  empirical demand bins need it);
+* the cost, and firm 0's signal;
 * firm 0's place in the visit order, uniform on 0..n-1;
 * the number of rivals visited before the first one that clears, geometric
   with P(a rival falls short) = G(r-), where a count of n - 1 means none
@@ -22,10 +21,15 @@ uniforms, whatever n is:
   G's quantile at G(r-) u^(1/m) for the m rivals on that side;
 * the label of the rival who sells, uniform on 1..n-1.
 
-After an exhausted search firm 0 sells exactly when its signal beats the
-best before it and is at least the best after it.  The demand probe (firm 0
-signalling uniformly on [0, 1]) runs in the same pass as the on-path market
-and shares each consumer's path but firm 0's signal.
+Everything but firm 0's signal s is drawn once per consumer, and firm 0
+sells exactly when s clears one cutoff t, closed or open: t = inf when a
+rival before firm 0 clears r; t = r, closed, when firm 0 is reached and a
+later rival clears; and where none clears, t = min(r, max(b0, b1)) for the
+best rivals b0 before and b1 after firm 0, closed at r and where b0 < b1
+(after an exhausted search the first best signal in visit order sells).
+Each firm-0 law then only draws s and compares it with t.  The demand
+probe (firm 0 signalling uniformly on [0, 1]) shares the on-path pass and
+the cutoffs, and only fills the demand bins.
 
 Randomness is counter-based (Philox keyed by seed and a fixed-size consumer
 block index), so runs are bit-identical for a given seed and consumer count,
@@ -47,6 +51,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .demand import NO_COST
 from .dists import PiecewisePolyDist, reservation_value
 
 __all__ = ["SimConfig", "SimOutcome", "simulate_market", "simulate_deviation"]
@@ -86,47 +91,19 @@ class SimOutcome:
                 for k, v in asdict(self).items()}
 
 
-class _Sums:
-    """Running sums of one firm-0 signal law over the consumer blocks."""
-
-    def __init__(self, n: int, bins: int):
-        self.wins = np.zeros(n)
-        self.win_bins = np.zeros(bins)
-        self.sig_bins = np.zeros(bins)
-        self.stops = np.zeros(10)
-        self.cs = self.cs_sq = self.len = self.len_sq = 0.0
-
-    def add(self, s0, firm, value, visits, stopped, costs, dec, edges, cs):
-        """Tally one sub-block; its surplus goes to ``cs``, its slice of
-        the block's surplus array (see :meth:`add_surplus`)."""
-        self.wins += np.bincount(firm, minlength=len(self.wins))
-        # empirical demand: firm 0's (signal, win) pairs, one per consumer
-        bins = len(self.sig_bins)
-        sig_bin = np.clip(np.digitize(s0, edges) - 1, 0, bins - 1)
-        self.sig_bins += np.bincount(sig_bin, minlength=bins)
-        self.win_bins += np.bincount(sig_bin[firm == 0], minlength=bins)
-        np.subtract(value, costs * visits, out=cs)
-        self.len += float(visits.sum())
-        self.len_sq += float((visits.astype(float) ** 2).sum())
-        self.stops += np.bincount(dec[stopped], minlength=10)
-
-    def add_surplus(self, cs):
-        """Reduce one whole block's surplus: the pairwise sums see the same
-        array at any sub-block size."""
-        self.cs += float(cs.sum())
-        self.cs_sq += float((cs**2).sum())
-
-
-def _search(G, n, costs, u, laws):
+def _search(G, n, costs, u):
     """One sub-block of consumers with search ``costs``, drawing their paths
-    from ``u`` (the row of seven uniforms of each consumer), once per firm-0
-    signal law in ``laws``.  Yields per law firm 0's signals and, per
-    consumer, the firm bought from, its signal, the number of visits and
-    whether they stopped at a signal that clears the cutoff."""
+    from ``u`` (the row of seven uniforms of each consumer) but firm 0's
+    signal.  Returns per consumer firm 0's winning cutoff ``t`` and whether
+    it is ``closed`` (see :func:`_cutoff`), the reservation value r (inf for
+    zero-cost consumers), firm 0's place ``k0``, the rival's ``label``, its
+    ``offer`` and the rival visit count where firm 0 does not sell, and
+    ``some``, whether a rival clears r."""
     b = len(costs)
-    searching = costs > 1e-15  # zero-cost consumers clear at no signal
+    searching = costs > NO_COST  # zero-cost consumers clear at no signal
     r = reservation_value(G, costs)
     p = np.where(searching, G.cdf_left(r), 1.0)  # a rival falls short of r
+    r = np.where(searching, r, np.inf)
     k0 = (u[:, 2] * n).astype(np.intp)  # firm 0's place in the visit order
     # j rivals fall short before one clears, P(j >= i) = p^i; j = n - 1: none clears
     g = 1.0 - u[:, 3]
@@ -137,53 +114,80 @@ def _search(G, n, costs, u, laws):
     rival_visits = np.minimum(j + 1 + (j >= k0), n)
     label = 1 + (u[:, 6] * (n - 1)).astype(np.intp)
     # the rival's offer: the signal that clears, G on [p, 1], or where none
-    # clears, the best of the m rivals before and after firm 0, G at p u^(1/m)
+    # clears, the best of the m rivals before and after firm 0, G at p u^(1/m);
+    # a rival that clears after firm 0 is a best rival of +inf to firm 0
     offer = np.empty(b)
     offer[some] = G.quantile(p[some] + (1.0 - p[some]) * u[some, 4])
     none = np.flatnonzero(~some)
     m = np.stack([k0[none], n - 1 - k0[none]], axis=1)
+    best = np.full((b, 2), np.inf)
     with np.errstate(divide="ignore"):  # 1 / 0 where a side holds no rivals
-        best = np.where(m > 0, G.quantile(p[none, None] * u[none, 4:6] ** (1.0 / m)), -np.inf)
-    offer[none] = best.max(axis=1)
-    for law in laws:
-        s0 = law.quantile(u[:, 1])
-        stop0 = (s0 >= r) & searching & (k0 <= j)
-        # after an exhausted search the first best signal in visit order sells
-        win = stop0.copy()
-        win[none] |= (s0[none] > best[:, 0]) & (s0[none] >= best[:, 1])
-        yield (s0, np.where(win, 0, label), np.where(win, s0, offer),
-               np.where(stop0, k0 + 1, rival_visits), stop0 | some)
+        best[none] = np.where(m > 0, G.quantile(p[none, None] * u[none, 4:6] ** (1.0 / m)), -np.inf)
+    offer[none] = best[none].max(axis=1)
+    t, closed = _cutoff(r, best[:, 0], best[:, 1], some & (j < k0))
+    return t, closed, r, k0, label, offer, rival_visits, some
 
 
-def _run(cfg: SimConfig, laws: list[PiecewisePolyDist]) -> list[tuple]:
-    """One pass over the consumer blocks, simulating the market once per
-    firm-0 signal law in ``laws``; returns the raw sums of each for
-    :func:`_finish`.  The passes of a sub-block share its costs and all of
-    each consumer's path but firm 0's signal."""
+def _cutoff(r, b0, b1, blocked):
+    """Firm 0's winning cutoff (t, closed) for consumers with reservation
+    value ``r``, best rivals ``b0`` before and ``b1`` after firm 0 in visit
+    order (-inf where a side holds none) and ``blocked`` where a rival
+    before firm 0 clears r.  A blocked consumer never reaches firm 0:
+    t = inf.  Otherwise firm 0 sells at s >= r, or after an exhausted search
+    where s is the first best signal in visit order: t = min(r, max(b0, b1)),
+    closed at r and where b0 < b1.  A rival that clears after firm 0 has
+    b1 >= r, so there t = r, closed."""
+    t = np.where(blocked, np.inf, np.minimum(r, np.maximum(b0, b1)))
+    return t, (t == r) | (b0 < b1)
+
+
+def _sells(s, t, closed):
+    """Whether firm 0 sells at signal ``s`` to consumers with cutoffs (t, closed)."""
+    return (s > t) | ((s == t) & closed)
+
+
+def _run(cfg: SimConfig, law: PiecewisePolyDist, probe: PiecewisePolyDist | None = None) -> tuple:
+    """One pass over the consumer blocks with firm 0 signalling from
+    ``law``; returns the raw sums for :func:`_finish`.  The demand bins
+    count ``probe``'s (signal, sale) pairs where it is given and ``law``'s
+    own otherwise: the probe shares each consumer's cutoff, and only draws
+    its signal and fills the bins."""
     G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
     total = cfg.consumers
     edges = np.linspace(0.0, 1.0, cfg.bins + 1)
     dec_edges = H.quantile((np.arange(1, 10) / 10.0))
-    sums = [_Sums(n, cfg.bins) for _ in laws]
-    type_counts = np.zeros(10)
+    wins, win_bins, sig_bins = np.zeros(n), np.zeros(cfg.bins), np.zeros(cfg.bins)
+    stops, type_counts = np.zeros(10), np.zeros(10)
+    cs_sum = cs_sq = len_sum = len_sq = 0.0
     for chunk_idx, start in enumerate(range(0, total, CHUNK)):
         b = min(CHUNK, total - start)
         gen = np.random.Generator(np.random.Philox(key=[cfg.seed, chunk_idx]))
-        cs = np.empty((len(laws), b))
+        cs = np.empty(b)  # the surplus sums are taken once per block
         for lo in range(0, b, SUB_ROWS):
             u = gen.random((min(SUB_ROWS, b - lo), 7))  # continues the block's stream
             costs = H.quantile(u[:, 0])
             dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
             type_counts += np.bincount(dec, minlength=10)
-            for acc, law_cs, path in zip(sums, cs, _search(G, n, costs, u, laws)):
-                acc.add(*path, costs, dec, edges, law_cs[lo : lo + len(u)])
-        for acc, law_cs in zip(sums, cs):
-            acc.add_surplus(law_cs)
-    return [
-        (acc.wins, acc.win_bins, acc.sig_bins, acc.cs, acc.cs_sq, acc.len, acc.len_sq,
-         acc.stops, type_counts, edges)
-        for acc in sums
-    ]
+            t, closed, r, k0, label, offer, rival_visits, some = _search(G, n, costs, u)
+            s0 = law.quantile(u[:, 1])
+            win = _sells(s0, t, closed)
+            stop0 = win & (s0 >= r)  # firm 0 stops the search
+            visits = np.where(stop0, k0 + 1, rival_visits)
+            wins += np.bincount(np.where(win, 0, label), minlength=n)
+            np.subtract(np.where(win, s0, offer), costs * visits, out=cs[lo : lo + len(u)])
+            len_sum += float(visits.sum())
+            len_sq += float((visits.astype(float) ** 2).sum())
+            stops += np.bincount(dec[stop0 | some], minlength=10)
+            if probe is not None:
+                s0 = probe.quantile(u[:, 1])
+                win = _sells(s0, t, closed)
+            # empirical demand: firm 0's (signal, sale) pairs, one per consumer
+            sig_bin = np.clip(np.digitize(s0, edges) - 1, 0, cfg.bins - 1)
+            sig_bins += np.bincount(sig_bin, minlength=cfg.bins)
+            win_bins += np.bincount(sig_bin[win], minlength=cfg.bins)
+        cs_sum += float(cs.sum())
+        cs_sq += float((cs**2).sum())
+    return (wins, win_bins, sig_bins, cs_sum, cs_sq, len_sum, len_sq, stops, type_counts, edges)
 
 
 def _finish(cfg: SimConfig, raw) -> SimOutcome:
@@ -222,21 +226,17 @@ def simulate_market(cfg: SimConfig) -> SimOutcome:
     The empirical demand curve needs observations at off-path signals, so it
     comes from a paired probe: firm 0 redraws its signal uniformly on
     [0, 1] (consumers cannot observe the change), populating every bin with
-    unbiased win frequencies.  The probe runs in the same pass over the
-    consumers; all other statistics come from the on-path market."""
-    laws = [cfg.prior_mean_strategy, PiecewisePolyDist.uniform(0.0, 1.0)]
-    out, probe = (_finish(cfg, raw) for raw in _run(cfg, laws))
-    out.empirical_demand = probe.empirical_demand
-    out.demand_se = probe.demand_se
-    out.bin_counts = probe.bin_counts
-    return out
+    unbiased win frequencies.  The probe shares the pass over the consumers
+    and their cutoffs; all other statistics come from the on-path market."""
+    return _finish(cfg, _run(cfg, cfg.prior_mean_strategy, PiecewisePolyDist.uniform(0.0, 1.0)))
 
 
 def simulate_deviation(cfg: SimConfig, G_dev: PiecewisePolyDist) -> tuple[float, float, SimOutcome]:
     """Firm 0 draws signals from G_dev while consumers keep the conjecture;
     returns (firm 0 payoff, its standard error, full outcome).  Uses the
-    same consumer uniforms as the baseline run with the same seed."""
-    out = _finish(cfg, _run(cfg, [G_dev])[0])
+    same consumer uniforms as the baseline run with the same seed; the
+    demand bins count firm 0's own deviating signals."""
+    out = _finish(cfg, _run(cfg, G_dev))
     p = float(out.firm_payoffs[0])
     se = float(out.payoff_se[0])
     return p, se, out

@@ -150,6 +150,40 @@ def test_bad_counts_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 
+_UNIFORM = {"kind": "uniform", "support": [0, 1]}
+MALFORMED = {
+    "spec-list": ("solve", [1]),
+    "oracle-null": ("oracle", {"oracle": None}),
+    "oracle.a-null": ("oracle", {"oracle": {"a": None, "grid_n": 101}}),
+    "simulate.a-list": ("simulate", {"simulate": {"a": [1], "consumers": 1000}}),
+    "deviation_atom-null": ("simulate", {"simulate": {"a": 0.4, "consumers": 1000,
+                                                      "deviation_atom": None}}),
+    "emit_plot.a-null": ("emit-plot", {"emit_plot": {"a": None}}),
+    "welfare.a_grid-null": ("welfare", {"welfare": {"a_grid": [None]}}),
+    "welfare.a_grid-number": ("welfare", {"welfare": {"a_grid": 3}}),
+    "verify.a_grid-null": ("verify", {"verify": {"a_grid": [None]}}),
+    "compstat.family-list": ("compstat", {"compstat": {"family": [1]}}),
+    "tol.root-string": ("verify", {"verify": {"a": 0.4},
+                                   "market": {"prior": _UNIFORM, "n": 2, "tol": {"root": "x"},
+                                              "costs": {"kind": "uniform", "support": [0, 0.18]}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_spec_exit_2(tmp_path, capsys, case):
+    # a spec or block that is not a JSON object, and a number field holding
+    # null, a list or a string, are config errors, not crashes
+    cmd, extra = MALFORMED[case]
+    if isinstance(extra, dict):
+        spec = write_spec(tmp_path, n=2, extra=extra)
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(extra))
+    assert main([cmd, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_whole_float_counts_accepted(tmp_path):
     spec = write_spec(tmp_path, n=2, extra={"simulate": {"a": 0.4, "consumers": 2000.0,
                                                          "bins": 10.0, "seed": 3.0}})

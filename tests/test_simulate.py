@@ -9,8 +9,8 @@ from scipy.special import bdtr, bdtrc, ndtri
 
 from censearch import simulate
 from censearch.censorship import upper_censorship
-from censearch.demand import DemandCurve
-from censearch.dists import PiecewisePolyDist
+from censearch.demand import NO_COST, DemandCurve
+from censearch.dists import PiecewisePolyDist, reservation_value
 from censearch.simulate import SimConfig, simulate_deviation, simulate_market
 from censearch.welfare import consumer_surplus
 
@@ -103,10 +103,46 @@ def test_zero_cost_consumers_visit_everyone(F):
     assert abs(out.search_length_mean - (0.5 * 1 + 0.5 * 3)) <= 0.02
 
 
-def _full_row_run(cfg: SimConfig, Gdev):
-    """Reference: every consumer's n signals and cutoff tests in full rows,
-    one pass per firm-0 law (``Gdev``; None for the conjecture)."""
+def _full_rows(cfg: SimConfig, Gdev, chunk_idx: int, b: int) -> dict:
+    """Reference walk of block ``chunk_idx`` (``b`` consumers): every
+    consumer's n signals and cutoff tests in full rows, firm 0 signalling
+    from ``Gdev`` (None for the conjecture)."""
     G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
+    gen = np.random.Generator(np.random.Philox(key=[cfg.seed, chunk_idx]))
+    u = gen.random((b, 2 * n + 1))
+    cost_u, sig_u, order_u = u[:, 0], u[:, 1 : n + 1], u[:, n + 1 :]
+    costs = H.quantile(cost_u)
+    signals = np.empty((b, n))
+    clears = np.empty((b, n), dtype=bool)
+    for j in range(n):
+        src = Gdev if (Gdev is not None and j == 0) else G
+        signals[:, j] = src.quantile(sig_u[:, j])
+        clears[:, j] = (G.tail_gap(signals[:, j]) <= costs) & (costs > 1e-15)
+    order = np.argsort(order_u, axis=1, kind="stable")
+    sig_by_visit = np.take_along_axis(signals, order, axis=1)
+    stop_mask = np.take_along_axis(clears, order, axis=1)
+    any_stop = stop_mask.any(axis=1)
+    first_stop = np.where(any_stop, stop_mask.argmax(axis=1), n - 1)
+    visits = np.where(any_stop, first_stop + 1, n)
+    row = np.arange(b)
+    stop_firm = order[row, first_stop]
+    stop_value = sig_by_visit[row, first_stop]
+    best = signals.max(axis=1)
+    pos_of_firm = np.empty_like(order)
+    np.put_along_axis(pos_of_firm, order, np.arange(n)[None, :].repeat(b, 0), axis=1)
+    tie_pos = np.where(np.abs(signals - best[:, None]) <= 0.0, pos_of_firm, n + 1)
+    recall_pos = tie_pos.min(axis=1)
+    recall_firm = order[row, np.minimum(recall_pos, n - 1)]
+    return {"costs": costs, "signals": signals, "clears": clears, "pos": pos_of_firm,
+            "any_stop": any_stop, "visits": visits,
+            "firm": np.where(any_stop, stop_firm, recall_firm),
+            "value": np.where(any_stop, stop_value, best)}
+
+
+def _full_row_run(cfg: SimConfig, Gdev):
+    """Reference: the :func:`_full_rows` walk of every block, one pass per
+    firm-0 law (``Gdev``; None for the conjecture)."""
+    H, n = cfg.costs, cfg.n
     total = cfg.consumers
     bins = cfg.bins
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -122,45 +158,20 @@ def _full_row_run(cfg: SimConfig, Gdev):
     chunk_idx = 0
     while done < total:
         b = min(simulate.CHUNK, total - done)
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, chunk_idx]))
-        u = gen.random((b, 2 * n + 1))
-        cost_u, sig_u, order_u = u[:, 0], u[:, 1 : n + 1], u[:, n + 1 :]
-        costs = H.quantile(cost_u)
-        signals = np.empty((b, n))
-        clears = np.empty((b, n), dtype=bool)
-        for j in range(n):
-            src = Gdev if (Gdev is not None and j == 0) else G
-            signals[:, j] = src.quantile(sig_u[:, j])
-            clears[:, j] = (G.tail_gap(signals[:, j]) <= costs) & (costs > 1e-15)
-        order = np.argsort(order_u, axis=1, kind="stable")
-        sig_by_visit = np.take_along_axis(signals, order, axis=1)
-        stop_mask = np.take_along_axis(clears, order, axis=1)
-        any_stop = stop_mask.any(axis=1)
-        first_stop = np.where(any_stop, stop_mask.argmax(axis=1), n - 1)
-        visits = np.where(any_stop, first_stop + 1, n)
-        row = np.arange(b)
-        stop_firm = order[row, first_stop]
-        stop_value = sig_by_visit[row, first_stop]
-        best = signals.max(axis=1)
-        pos_of_firm = np.empty_like(order)
-        np.put_along_axis(pos_of_firm, order, np.arange(n)[None, :].repeat(b, 0), axis=1)
-        tie_pos = np.where(np.abs(signals - best[:, None]) <= 0.0, pos_of_firm, n + 1)
-        recall_pos = tie_pos.min(axis=1)
-        recall_firm = order[row, np.minimum(recall_pos, n - 1)]
-        firm = np.where(any_stop, stop_firm, recall_firm)
-        value = np.where(any_stop, stop_value, best)
+        rows = _full_rows(cfg, Gdev, chunk_idx, b)
+        costs, firm, visits = rows["costs"], rows["firm"], rows["visits"]
         wins += np.bincount(firm, minlength=n)
-        sig_bin = np.clip(np.digitize(signals[:, 0], edges) - 1, 0, bins - 1)
+        sig_bin = np.clip(np.digitize(rows["signals"][:, 0], edges) - 1, 0, bins - 1)
         np.add.at(sig_count_bins, sig_bin, 1.0)
         np.add.at(win_count_bins, sig_bin[firm == 0], 1.0)
-        cs = value - costs * visits
+        cs = rows["value"] - costs * visits
         cs_sum += float(cs.sum())
         cs_sq += float((cs**2).sum())
         len_sum += float(visits.sum())
         len_sq += float((visits.astype(float) ** 2).sum())
         dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
         np.add.at(type_counts, dec, 1.0)
-        np.add.at(stop_counts, dec[any_stop], 1.0)
+        np.add.at(stop_counts, dec[rows["any_stop"]], 1.0)
         done += b
         chunk_idx += 1
     return simulate._finish(cfg, (wins, win_count_bins, sig_count_bins, cs_sum, cs_sq,
@@ -240,6 +251,61 @@ def test_visit_order_matches_full_rows(F, H_uniform, monkeypatch):
                     z += _z_scores(out, _full_row_run(ref_cfg, law), H)
     bound = -ndtri(1e-3 / (2 * len(z)))
     assert max(map(abs, z)) <= bound, (max(map(abs, z)), bound, len(z))
+
+
+def test_cutoff_rule_matches_full_rows(F, H_uniform):
+    """Firm 0's winning cutoff against the full-row walk, bit for bit: the
+    walk's r, best rivals before and after firm 0 and whether a rival before
+    it clears, fed to the simulator's cutoff rule, give the walk's firm-0
+    sale for every consumer.  Costs with atoms at 0 and at the top, n = 1,
+    2, 5, 50, thresholds where ties at the pooled atom are common, firm-0
+    laws on-path, a point mass at the pool and uniform."""
+    cbar = 0.18
+    cost_laws = [
+        H_uniform,
+        PiecewisePolyDist([0.0, cbar], [np.array([0.5 / cbar])], atoms=[(0.0, 0.5)]),
+        PiecewisePolyDist([0.0, cbar], [np.array([0.5 / cbar])], atoms=[(cbar, 0.5)]),
+    ]
+    ties = np.zeros(2, dtype=int)  # s0 == t at open and at closed cutoffs
+    for H in cost_laws:
+        for n in (1, 2, 5, 50):
+            for a in (0.0, 0.3, 0.4, 1.0):
+                cfg = SimConfig(upper_censorship(F, a), H, n, 2100, seed=31 + n)
+                G = cfg.prior_mean_strategy
+                for law in _firm0_laws(cfg, 0.5 * (1.0 + a)):
+                    rows = _full_rows(cfg, law, 0, cfg.consumers)
+                    costs, signals, pos = rows["costs"], rows["signals"], rows["pos"]
+                    r = np.where(costs > NO_COST, reservation_value(G, costs), np.inf)
+                    # the walk clears a signal exactly where it is at least r
+                    assert np.array_equal(rows["clears"], signals >= r[:, None]), (n, a)
+                    before = pos[:, 1:] < pos[:, :1]
+                    rivals = signals[:, 1:]
+                    b0 = np.where(before, rivals, -np.inf).max(axis=1, initial=-np.inf)
+                    b1 = np.where(before, -np.inf, rivals).max(axis=1, initial=-np.inf)
+                    blocked = (rows["clears"][:, 1:] & before).any(axis=1)
+                    t, closed = simulate._cutoff(r, b0, b1, blocked)
+                    s0 = signals[:, 0]
+                    assert np.array_equal(simulate._sells(s0, t, closed), rows["firm"] == 0), (n, a)
+                    ties += np.bincount(closed[s0 == t], minlength=2)
+    assert ties.min() > 0, ties  # the grid reaches both sides of the rule
+
+
+def test_signal_at_reservation_value_stops(F):
+    """Closed at r: with every consumer's cost at the top, firm 0 signalling
+    exactly the reservation value r sells to and stops the same consumers
+    as firm 0 signalling the next float above r."""
+    H = PiecewisePolyDist.point_mass(0.18)
+    for n in (2, 5):
+        for a in (0.0, 0.3, 0.4):
+            cfg = SimConfig(upper_censorship(F, a), H, n, 5000, seed=7)
+            r = float(reservation_value(cfg.prior_mean_strategy, 0.18))
+            at, above = (simulate_deviation(cfg, PiecewisePolyDist.point_mass(x))[2]
+                         for x in (r, np.nextafter(r, 1.0)))
+            assert 0.0 < at.firm_payoffs[0] < 1.0, (n, a)
+            assert np.array_equal(at.firm_payoffs, above.firm_payoffs), (n, a)
+            assert np.array_equal(at.stop_rate_by_cost_quantile, above.stop_rate_by_cost_quantile,
+                                  equal_nan=True), (n, a)
+            assert at.search_length_mean == above.search_length_mean, (n, a)
 
 
 def test_sub_block_seams_match_one_sub_block(F, H_uniform, monkeypatch):
