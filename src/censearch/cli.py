@@ -80,9 +80,12 @@ def load_market(spec: dict) -> MarketConfig:
     with _config_errors():
         prior = dist_from_json(blk["prior"])
         costs = dist_from_json(blk["costs"])
-        tol = Tolerances(**{k: _number(v, f"market.tol.{k}")
-                            for k, v in _object(blk.get("tol", {}), "market.tol").items()})
-        return MarketConfig(prior, costs, blk["n"], tol=tol)
+        tol = {k: _number(v, f"market.tol.{k}")
+               for k, v in _object(blk.get("tol", {}), "market.tol").items()}
+        for k, v in tol.items():
+            if v <= 0:
+                raise ConfigError(f"market.tol.{k} must be > 0, got {v!r}")
+        return MarketConfig(prior, costs, blk["n"], tol=Tolerances(**tol))
 
 
 @contextmanager
@@ -111,6 +114,13 @@ def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ConfigError(f"{where} must be a finite number, got {v!r}")
     return float(v)
+
+
+def _flag(v, where: str) -> bool:
+    """The switch v of spec field ``where``: a JSON boolean, true or false."""
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where} must be true or false, got {v!r}")
+    return v
 
 
 def _numbers(v, where: str) -> list[float]:
@@ -179,6 +189,7 @@ def cmd_verify(spec: dict, out: Path | None) -> int:
     _require_keys(blk, {"a", "a_grid", "n_sweep", "price_function"}, "verify")
     _exclusive(blk, "a_grid", {"a", "price_function"}, "verify")
     _exclusive(blk, "n_sweep", {"a_grid", "price_function"}, "verify")
+    price_function = _flag(blk.get("price_function", False), "verify.price_function")
     gate_failed = False
     if "n_sweep" in blk or "a_grid" not in blk:
         a = _number(blk.get("a"), "verify.a")
@@ -203,7 +214,7 @@ def cmd_verify(spec: dict, out: Path | None) -> int:
         rep = verify_uce(mc.prior, mc.costs, a, mc.n, mc.tol)
         payload = rep.to_json()
         gate_failed = rep.verdict != "equilibrium"
-        if blk.get("price_function"):
+        if price_function:
             pf = verify_price_function(upper_censorship(mc.prior, a), mc.prior, mc.costs, mc.n, mc.tol)
             payload["price_function"] = pf.to_json()
             gate_failed = gate_failed or not pf.passed
@@ -217,6 +228,7 @@ def cmd_oracle(spec: dict, out: Path | None) -> int:
     _require_keys(blk, {"a", "grid_n", "dump_lp"}, "oracle")
     a = _number(blk.get("a", 0.0), "oracle.a")
     grid_n = _count(blk.get("grid_n", GRID_N), "oracle.grid_n")
+    dump_lp = _flag(blk.get("dump_lp", False), "oracle.dump_lp")
     G = upper_censorship(mc.prior, a)
     prob = build_problem(G, mc.prior, mc.costs, mc.n, grid_n)
     sol = solve_br(prob)
@@ -233,7 +245,7 @@ def cmd_oracle(spec: dict, out: Path | None) -> int:
         "support": [{"x": float(x), "mass": float(m)} for x, m in zip(sup_x, sup_m)],
     }
     _write_json(out, "oracle.json", payload)
-    if blk.get("dump_lp"):
+    if dump_lp:
         target = out or Path(".")
         target.mkdir(parents=True, exist_ok=True)
         (target / "lp_triplets.txt").write_text(prob.dump_triplets())

@@ -23,10 +23,8 @@ convex on the grid, ``q >= D``, ``q = D`` where p > 0, and ``w @ q`` is the
 optimal value.
 
 scipy is imported on first use, not with the module: ``lp_matrices`` loads
-``scipy.sparse`` and the module attribute ``linprog`` loads
-``scipy.optimize``, so the commands that never solve an LP do not pay for
-either.  ``linprog`` is looked up on each access and never stored in the
-module, whose attributes stay those it was imported with.
+``scipy.sparse`` and ``solve_br`` loads ``scipy.optimize``, so the commands
+that never solve an LP do not pay for either.
 
 HiGHS solves the LP by dual simplex with devex pricing (Harris, Math.
 Programming 1973), presolve on.  On a 2-core Xeon VM, 12 benchmark LPs at
@@ -40,7 +38,6 @@ no fixed-point iteration is needed.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,17 +52,6 @@ GRID_N = 801          # uniform mesh points of the LP grid
 COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
 SUPPORT_MASS = 1e-9   # smallest LP mass BRSolution.support reports
 ATOM_MASS = 1e-12     # smallest LP mass masses_to_dist keeps as an atom
-
-
-def __getattr__(name):
-    """``linprog`` is scipy's, imported on first access; later accesses find
-    it in ``scipy.optimize``, already loaded.  Nothing is added to the module
-    globals, so a patched ``oracle.linprog``, a module attribute, wins."""
-    if name == "linprog":
-        from scipy.optimize import linprog
-
-        return linprog
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -183,9 +169,10 @@ def solve_br(problem: BRProblem) -> BRSolution:
     optimum, the mass vector, the gap over the symmetric payoff, and the
     LP duality gap.  The only bounds are ``z >= 0``, so the dual objective
     is ``b_ub @ y`` in full."""
+    from scipy.optimize import linprog
+
     c, A_ub, b_ub = problem.lp_matrices()
-    # the module attribute, not the global name: see __getattr__
-    res = sys.modules[__name__].linprog(
+    res = linprog(
         c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs",
         options={"simplex_dual_edge_weight_strategy": "devex"},
     )

@@ -29,20 +29,15 @@ best rivals b0 before and b1 after firm 0, closed at r and where b0 < b1
 (after an exhausted search the first best signal in visit order sells).
 Each firm-0 law then only draws s and compares it with t.  The demand
 probe (firm 0 signalling uniformly on [0, 1]) shares the on-path pass and
-the cutoffs, and only fills the demand bins.
+the cutoffs: its signal is the uniform that firm 0's signal is drawn from,
+as inverting U[0, 1] is the identity, and it only fills the demand bins.
 
-Randomness is counter-based (Philox keyed by seed and a fixed-size consumer
-block index), so runs are bit-identical for a given seed and consumer count,
-and the underlying uniforms per consumer do not depend on the strategy being
+Randomness is counter-based: each block of ``CHUNK`` consumers is drawn
+from its own Philox stream, keyed by the seed and the block index (Salmon
+et al., SC 2011), so runs are bit-identical for a given seed, consumer
+count and ``CHUNK``, memory is set by ``CHUNK`` and not by n, and the
+underlying uniforms per consumer do not depend on the strategy being
 simulated -- deviation runs are paired samples against the baseline.
-
-A block is drawn and searched in sub-blocks of ``SUB_ROWS`` consumers,
-whose rows continue the block's Philox stream, so memory is set by the
-sub-block and not by ``CHUNK`` or n, and the bits are those of the whole
-block.  The win, bin, stop, type and visit tallies are integer-valued and
-add up exactly per sub-block; the surplus sums are not, so each consumer's
-surplus goes into one array per block, and its sums are taken once per
-block.
 """
 
 from __future__ import annotations
@@ -56,8 +51,7 @@ from .dists import PiecewisePolyDist, reservation_value
 
 __all__ = ["SimConfig", "SimOutcome", "simulate_market", "simulate_deviation"]
 
-CHUNK = 1 << 17  # consumers per RNG block; fixed so streams are index-stable
-SUB_ROWS = 1 << 14  # consumers per sub-block of a block
+CHUNK = 1 << 14  # consumers per RNG block; fixed so streams are index-stable
 
 
 @dataclass
@@ -92,7 +86,7 @@ class SimOutcome:
 
 
 def _search(G, n, costs, u):
-    """One sub-block of consumers with search ``costs``, drawing their paths
+    """One block of consumers with search ``costs``, drawing their paths
     from ``u`` (the row of seven uniforms of each consumer) but firm 0's
     signal.  Returns per consumer firm 0's winning cutoff ``t`` and whether
     it is ``closed`` (see :func:`_cutoff`), the reservation value r (inf for
@@ -146,12 +140,12 @@ def _sells(s, t, closed):
     return (s > t) | ((s == t) & closed)
 
 
-def _run(cfg: SimConfig, law: PiecewisePolyDist, probe: PiecewisePolyDist | None = None) -> tuple:
+def _run(cfg: SimConfig, law: PiecewisePolyDist, probe: bool) -> tuple:
     """One pass over the consumer blocks with firm 0 signalling from
     ``law``; returns the raw sums for :func:`_finish`.  The demand bins
-    count ``probe``'s (signal, sale) pairs where it is given and ``law``'s
-    own otherwise: the probe shares each consumer's cutoff, and only draws
-    its signal and fills the bins."""
+    count ``law``'s own (signal, sale) pairs, or with ``probe`` those of
+    firm 0 signalling its uniform itself: the probe shares each consumer's
+    cutoff, and only fills the bins."""
     G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
     total = cfg.consumers
     edges = np.linspace(0.0, 1.0, cfg.bins + 1)
@@ -159,34 +153,31 @@ def _run(cfg: SimConfig, law: PiecewisePolyDist, probe: PiecewisePolyDist | None
     wins, win_bins, sig_bins = np.zeros(n), np.zeros(cfg.bins), np.zeros(cfg.bins)
     stops, type_counts = np.zeros(10), np.zeros(10)
     cs_sum = cs_sq = len_sum = len_sq = 0.0
-    for chunk_idx, start in enumerate(range(0, total, CHUNK)):
-        b = min(CHUNK, total - start)
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, chunk_idx]))
-        cs = np.empty(b)  # the surplus sums are taken once per block
-        for lo in range(0, b, SUB_ROWS):
-            u = gen.random((min(SUB_ROWS, b - lo), 7))  # continues the block's stream
-            costs = H.quantile(u[:, 0])
-            dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
-            type_counts += np.bincount(dec, minlength=10)
-            t, closed, r, k0, label, offer, rival_visits, some = _search(G, n, costs, u)
-            s0 = law.quantile(u[:, 1])
-            win = _sells(s0, t, closed)
-            stop0 = win & (s0 >= r)  # firm 0 stops the search
-            visits = np.where(stop0, k0 + 1, rival_visits)
-            wins += np.bincount(np.where(win, 0, label), minlength=n)
-            np.subtract(np.where(win, s0, offer), costs * visits, out=cs[lo : lo + len(u)])
-            len_sum += float(visits.sum())
-            len_sq += float((visits.astype(float) ** 2).sum())
-            stops += np.bincount(dec[stop0 | some], minlength=10)
-            if probe is not None:
-                s0 = probe.quantile(u[:, 1])
-                win = _sells(s0, t, closed)
-            # empirical demand: firm 0's (signal, sale) pairs, one per consumer
-            sig_bin = np.clip(np.digitize(s0, edges) - 1, 0, cfg.bins - 1)
-            sig_bins += np.bincount(sig_bin, minlength=cfg.bins)
-            win_bins += np.bincount(sig_bin[win], minlength=cfg.bins)
+    for block, start in enumerate(range(0, total, CHUNK)):
+        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, block]))
+        u = gen.random((min(CHUNK, total - start), 7))
+        costs = H.quantile(u[:, 0])
+        dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
+        type_counts += np.bincount(dec, minlength=10)
+        t, closed, r, k0, label, offer, rival_visits, some = _search(G, n, costs, u)
+        s0 = law.quantile(u[:, 1])
+        win = _sells(s0, t, closed)
+        stop0 = win & (s0 >= r)  # firm 0 stops the search
+        visits = np.where(stop0, k0 + 1, rival_visits)
+        wins += np.bincount(np.where(win, 0, label), minlength=n)
+        cs = np.where(win, s0, offer) - costs * visits
         cs_sum += float(cs.sum())
         cs_sq += float((cs**2).sum())
+        len_sum += float(visits.sum())
+        len_sq += float((visits.astype(float) ** 2).sum())
+        stops += np.bincount(dec[stop0 | some], minlength=10)
+        if probe:
+            s0 = u[:, 1]
+            win = _sells(s0, t, closed)
+        # empirical demand: firm 0's (signal, sale) pairs, one per consumer
+        sig_bin = np.clip(np.digitize(s0, edges) - 1, 0, cfg.bins - 1)
+        sig_bins += np.bincount(sig_bin, minlength=cfg.bins)
+        win_bins += np.bincount(sig_bin[win], minlength=cfg.bins)
     return (wins, win_bins, sig_bins, cs_sum, cs_sq, len_sum, len_sq, stops, type_counts, edges)
 
 
@@ -228,7 +219,7 @@ def simulate_market(cfg: SimConfig) -> SimOutcome:
     [0, 1] (consumers cannot observe the change), populating every bin with
     unbiased win frequencies.  The probe shares the pass over the consumers
     and their cutoffs; all other statistics come from the on-path market."""
-    return _finish(cfg, _run(cfg, cfg.prior_mean_strategy, PiecewisePolyDist.uniform(0.0, 1.0)))
+    return _finish(cfg, _run(cfg, cfg.prior_mean_strategy, probe=True))
 
 
 def simulate_deviation(cfg: SimConfig, G_dev: PiecewisePolyDist) -> tuple[float, float, SimOutcome]:
@@ -236,7 +227,7 @@ def simulate_deviation(cfg: SimConfig, G_dev: PiecewisePolyDist) -> tuple[float,
     returns (firm 0 payoff, its standard error, full outcome).  Uses the
     same consumer uniforms as the baseline run with the same seed; the
     demand bins count firm 0's own deviating signals."""
-    out = _finish(cfg, _run(cfg, G_dev))
+    out = _finish(cfg, _run(cfg, G_dev, probe=False))
     p = float(out.firm_payoffs[0])
     se = float(out.payoff_se[0])
     return p, se, out

@@ -166,13 +166,23 @@ MALFORMED = {
     "tol.root-string": ("verify", {"verify": {"a": 0.4},
                                    "market": {"prior": _UNIFORM, "n": 2, "tol": {"root": "x"},
                                               "costs": {"kind": "uniform", "support": [0, 0.18]}}}),
+    "tol.root-negative": ("verify", {"verify": {"a": 0.3},
+                                     "market": {"prior": _UNIFORM, "n": 2, "tol": {"root": -1},
+                                                "costs": {"kind": "uniform", "support": [0, 0.18]}}}),
+    "tol.ineq-zero": ("verify", {"verify": {"a": 0.3},
+                                 "market": {"prior": _UNIFORM, "n": 2, "tol": {"ineq": 0},
+                                            "costs": {"kind": "uniform", "support": [0, 0.18]}}}),
+    "dump_lp-string": ("oracle", {"oracle": {"a": 0.4, "grid_n": 101, "dump_lp": "no"}}),
+    "dump_lp-null": ("oracle", {"oracle": {"a": 0.4, "grid_n": 101, "dump_lp": None}}),
+    "price_function-string": ("verify", {"verify": {"a": 0.3, "price_function": "false"}}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_spec_exit_2(tmp_path, capsys, case):
-    # a spec or block that is not a JSON object, and a number field holding
-    # null, a list or a string, are config errors, not crashes
+    # a spec or block that is not a JSON object, a number field holding
+    # null, a list or a string, a tolerance <= 0 and a switch that is not a
+    # JSON boolean are config errors, not crashes
     cmd, extra = MALFORMED[case]
     if isinstance(extra, dict):
         spec = write_spec(tmp_path, n=2, extra=extra)

@@ -308,44 +308,25 @@ def test_signal_at_reservation_value_stops(F):
             assert at.search_length_mean == above.search_length_mean, (n, a)
 
 
-def test_sub_block_seams_match_one_sub_block(F, H_uniform, monkeypatch):
-    """Blocks searched in sub-blocks of 300 consumers (which do not divide
-    the 997-consumer blocks, so each block ends on a short one) and of 1,
-    bit-equal to blocks searched whole."""
-    monkeypatch.setattr(simulate, "CHUNK", 997)
-    n = 5
-    for rows, consumers in ((300, 2100), (1, 1200)):
-        for a in (0.3, 0.4):
-            cfg = SimConfig(upper_censorship(F, a), H_uniform, n, consumers, seed=41, bins=20)
-            whole = [_text(out) for out in _entry_points(cfg, 0.5 * (1.0 + a))]
-            with monkeypatch.context() as m:
-                m.setattr(simulate, "SUB_ROWS", rows)
-                split = [_text(out) for out in _entry_points(cfg, 0.5 * (1.0 + a))]
-            assert split == whole, (rows, a)
-
-
-def test_memory_bounded_at_large_n(F, H_uniform, monkeypatch):
-    """At n = 2000 the simulator holds one sub-block, not the whole block,
-    and the outcome is the one-sub-block run's, bit for bit."""
+def test_memory_bounded_at_large_n(F, H_uniform):
+    """At n = 2000 the simulator holds no array of n columns."""
     cfg = SimConfig(upper_censorship(F, 0.4), H_uniform, 2000, 4000, seed=5)
     tracemalloc.start()
     try:
-        out = simulate_market(cfg)
+        simulate_market(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
-    monkeypatch.setattr(simulate, "SUB_ROWS", cfg.consumers)
-    assert _text(out) == _text(simulate_market(cfg))
 
 
 def test_full_block_at_n2000(F):
-    """One full ``CHUNK`` block at n = 2000: the payoffs sum to 1 and firm
+    """Eight full ``CHUNK`` blocks at n = 2000: the payoffs sum to 1 and firm
     0's wins pass an exact two-sided binomial test against 1/n at level
     1e-3."""
     n = 2000
     cfg = SimConfig(upper_censorship(F, 0.4), PiecewisePolyDist.uniform(0.0, 0.18), n,
-                    simulate.CHUNK, seed=9)
+                    8 * simulate.CHUNK, seed=9)
     out = simulate_market(cfg)
     assert abs(out.firm_payoffs.sum() - 1.0) <= 1e-9
     k = round(out.firm_payoffs[0] * cfg.consumers)
