@@ -94,8 +94,6 @@ def threshold_from_cost(F: PiecewisePolyDist, cost: float) -> float:
     mu = mean(F)
     if cost >= mu:
         return 0.0
-    if cost <= 0.0:
-        return F.support_hi
     return reservation_value(F, cost)
 
 

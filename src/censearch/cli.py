@@ -116,6 +116,14 @@ def _number(v, where: str) -> float:
     return float(v)
 
 
+def _threshold(v, where: str) -> float:
+    """The threshold v of spec field ``where``: a number in the prior's support [0, 1]."""
+    a = _number(v, where)
+    if not 0.0 <= a <= 1.0:
+        raise ConfigError(f"{where} must lie in [0, 1], got {v!r}")
+    return a
+
+
 def _flag(v, where: str) -> bool:
     """The switch v of spec field ``where``: a JSON boolean, true or false."""
     if not isinstance(v, bool):
@@ -123,11 +131,11 @@ def _flag(v, where: str) -> bool:
     return v
 
 
-def _numbers(v, where: str) -> list[float]:
-    """The list v of spec field ``where``, each entry read by :func:`_number`."""
+def _numbers(v, where: str, read=_number) -> list[float]:
+    """The list v of spec field ``where``, each entry read by ``read``."""
     if not isinstance(v, list):
         raise ConfigError(f"{where} must be a list of numbers, got {v!r}")
-    return [_number(x, where) for x in v]
+    return [read(x, where) for x in v]
 
 
 def _object(v, where: str) -> dict:
@@ -192,22 +200,19 @@ def cmd_verify(spec: dict, out: Path | None) -> int:
     price_function = _flag(blk.get("price_function", False), "verify.price_function")
     gate_failed = False
     if "n_sweep" in blk or "a_grid" not in blk:
-        a = _number(blk.get("a"), "verify.a")
+        a = _threshold(blk.get("a"), "verify.a")
     if "n_sweep" in blk:
         with _config_errors():  # each market size passes the market's own check
             sweep = [replace(mc, n=n).n for n in blk["n_sweep"]]
         rows = []
-        smallest = None
         for n in sweep:
             rep = verify_uce(mc.prior, mc.costs, a, n, mc.tol)
-            ok = rep.verdict == "equilibrium"
             rows.append({"n": n, "verdict": rep.verdict, "checks": rep.checks})
-            if ok and smallest is None:
-                smallest = n
+        smallest = min((r["n"] for r in rows if r["verdict"] == "equilibrium"), default=None)
         payload = {"a": a, "sweep": rows, "smallest_passing_n": smallest}
         gate_failed = smallest is None
     elif "a_grid" in blk:
-        res = equilibrium_set(mc.prior, mc.costs, _numbers(blk["a_grid"], "verify.a_grid"),
+        res = equilibrium_set(mc.prior, mc.costs, _numbers(blk["a_grid"], "verify.a_grid", _threshold),
                               mc.n, mc.tol)
         payload = {"n": mc.n, "sweep": [{"a": a, "equilibrium": ok} for a, ok in res]}
     else:
@@ -226,7 +231,7 @@ def cmd_oracle(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("oracle", {})
     _require_keys(blk, {"a", "grid_n", "dump_lp"}, "oracle")
-    a = _number(blk.get("a", 0.0), "oracle.a")
+    a = _threshold(blk.get("a", 0.0), "oracle.a")
     grid_n = _count(blk.get("grid_n", GRID_N), "oracle.grid_n")
     dump_lp = _flag(blk.get("dump_lp", False), "oracle.dump_lp")
     G = upper_censorship(mc.prior, a)
@@ -257,7 +262,7 @@ def cmd_simulate(spec: dict, out: Path | None) -> int:
     blk = spec.get("simulate", {})
     _require_keys(blk, {"a", "consumers", "bins", "seed", "deviation", "deviation_atom"}, "simulate")
     _exclusive(blk, "deviation", {"deviation_atom"}, "simulate")
-    a = _number(blk.get("a", 0.0), "simulate.a")
+    a = _threshold(blk.get("a", 0.0), "simulate.a")
     G = upper_censorship(mc.prior, a)
     cfg = SimConfig(
         prior_mean_strategy=G,
@@ -294,7 +299,7 @@ def cmd_welfare(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("welfare", {})
     _require_keys(blk, {"a_grid", "cost_quantiles"}, "welfare")
-    a_grid = _numbers(blk.get("a_grid", [0.0, 0.1, 0.2, 0.3, 0.4]), "welfare.a_grid")
+    a_grid = _numbers(blk.get("a_grid", [0.0, 0.1, 0.2, 0.3, 0.4]), "welfare.a_grid", _threshold)
     qs = _numbers(blk.get("cost_quantiles", [0.1, 0.25, 0.5, 0.75, 0.9]), "welfare.cost_quantiles")
     if not all(0.0 < q <= 1.0 for q in qs):
         raise ConfigError(f"welfare.cost_quantiles must lie in (0, 1], got {qs!r}")
@@ -323,21 +328,20 @@ def cmd_compstat(spec: dict, out: Path | None) -> int:
     family = blk.get("family", "alpha_stretch")
     if not isinstance(family, str) or family not in _FAMILY_KEY:
         raise ConfigError(f"unknown compstat family {family!r}")
-    _require_keys(blk, {"family", "base_costs", _FAMILY_KEY[family]}, f"compstat (family {family!r})")
+    _require_keys(blk, {"family", _FAMILY_KEY[family]}, f"compstat (family {family!r})")
     with _config_errors():  # a member list that is not a list included
-        H0 = dist_from_json(blk["base_costs"]) if "base_costs" in blk else mc.costs
         if family == "alpha_stretch":
-            members = [(al, alpha_stretch(H0, al, prior_mean=mc.mu))
+            members = [(al, alpha_stretch(mc.costs, al, prior_mean=mc.mu))
                        for al in _numbers(blk.get("alphas", [1.1, 1.3, 1.5]), "compstat.alphas")]
         elif family == "uniform_mix":
             lams = _numbers(blk.get("lambdas", [0.0, 0.25, 0.5, 0.75, 1.0]), "compstat.lambdas")
-            members = [(lam, uniform_interpolate(H0, lam, H0.support_hi)) for lam in lams]
+            members = [(lam, uniform_interpolate(mc.costs, lam, mc.cbar)) for lam in lams]
         elif family == "support_halving":
             ks = [_count(k, "compstat.halvings", least=0) for k in blk.get("halvings", range(0, 7))]
-            members = [(float(k), PiecewisePolyDist.uniform(0.0, H0.support_hi / 2**k)) for k in ks]
+            members = [(float(k), PiecewisePolyDist.uniform(0.0, mc.cbar / 2**k)) for k in ks]
         else:
             ks = [_count(k, "compstat.ramp_ks", least=2) for k in blk.get("ramp_ks", range(2, 7))]
-            members = [(float(k), _ramp_family(H0.support_hi, k)) for k in ks]
+            members = [(float(k), _ramp_family(mc.cbar, k)) for k in ks]
     rows = []
     for param, Hk in members:
         rep = cost_shape_report(Hk, mc.mu, mc.tol.ineq)
@@ -366,7 +370,7 @@ def cmd_emit_plot(spec: dict, out: Path | None) -> int:
     blk = spec.get("emit_plot", {})
     _require_keys(blk, {"a", "points"}, "emit_plot")
     rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
-    a = (_number(blk["a"], "emit_plot.a") if "a" in blk
+    a = (_threshold(blk["a"], "emit_plot.a") if "a" in blk
          else solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0])
     pts = _count(blk.get("points", PLOT_POINTS), "emit_plot.points", least=1)
     # cost panel with the tangent line through the origin at slope min S

@@ -21,7 +21,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from ._poly import gauss_legendre, nodes_for_degree, poly_range_on, polymul
-from .dists import PiecewisePolyDist, _integrate, _pow, _result, reservation_value
+from .dists import NO_COST, PiecewisePolyDist, _integrate, _pow, _result, reservation_value
 
 __all__ = [
     "DemandCurve",
@@ -35,7 +35,6 @@ __all__ = [
     "expected_payoff",
 ]
 
-NO_COST = 1e-15  # a cost at or below this is zero: the consumer clears at no signal
 SNAP_TOL = 1e-9  # margins moves a cutoff cost this close to a cost breakpoint onto it
 CURVATURE_GRID = 512  # D'' samples of convex_on above r_lo
 
@@ -102,7 +101,7 @@ class DemandCurve:
         self.cbar = costs.support_hi
         self.r_hi = conjecture.max_supp()
         # one inversion for the cost top, inner breakpoints and (positive) atoms
-        inner = costs.breaks[(1e-14 < costs.breaks) & (costs.breaks < self.cbar - 1e-14)]
+        inner = costs.breaks[(NO_COST < costs.breaks) & (costs.breaks < self.cbar - 1e-14)]
         atoms = (costs.atom_locs > NO_COST) & (costs.atom_masses > 0)
         rs = reservation_value(conjecture, np.concatenate([[self.cbar], inner, costs.atom_locs[atoms]]))
         r_top, r_inner, r_atoms = np.split(rs, [1, 1 + len(inner)])

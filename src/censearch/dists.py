@@ -40,9 +40,7 @@ __all__ = [
 MASS_TOL = 1e-12
 BREAK_TOL = 1e-14  # x of the support sits on breakpoint b when b - BREAK_TOL <= x <= b
 ATOM_PAD = 1e-9    # half-width of the interval that carries a law of atoms alone
-ZERO_COST = 1e-10  # reservation_value returns the support top for costs up to this
-# (demand.NO_COST = 1e-15 is the other zero-cost rule: it decides who searches
-# at all, so a consumer of cost in (1e-15, 1e-10] searches and stops only at the top)
+NO_COST = 1e-15    # the one zero-cost rule: a cost at or below it is zero (no search)
 # quantile inverts at most this many draws at a time: it bounds the ~30
 # temporaries of the iteration to a few MB, which also keeps them in cache
 # (on a 2-core Xeon, 110k draws from the density 3x^2 took 32-34 ms in blocks
@@ -619,14 +617,14 @@ def reservation_value(G: PiecewisePolyDist, c):
     consumer with search cost c).  Takes a scalar (returns a float) or an
     array of costs.
 
-    Costs c <= ZERO_COST get max(supp(G)), the limit as c -> 0, and costs
-    at or above the tail at the bottom of the support get mean - c (below
-    the support the benefit is mean - r).  Elsewhere the breakpoint tails
-    bracket r in one segment, where :func:`_bracketed_newton` inverts the
-    segment tail in w = hi - r (slope 1 - G, curvature -density) down to an
-    ulp or two, or to the band where the rounding of the computed tail leaves
-    its sign open; ZERO_COST plays no part there.  On a segment of constant
-    density the tail has degree 2, and one Taylor step from the
+    Costs c <= NO_COST (zero) get max(supp(G)), the limit as c -> 0, and
+    costs at or above the tail at the bottom of the support get mean - c
+    (below the support the benefit is mean - r).  Every other cost is
+    inverted: the breakpoint tails bracket r in one segment, where
+    :func:`_bracketed_newton` inverts the segment tail in w = hi - r (slope
+    1 - G, curvature -density) down to an ulp or two, or to the band where
+    the rounding of the computed tail leaves its sign open.  On a segment of
+    constant density the tail has degree 2, and one Taylor step from the
     false-position point finds the root: one tail evaluation per cost.
     """
     c = np.asarray(c, dtype=float)
@@ -636,7 +634,7 @@ def reservation_value(G: PiecewisePolyDist, c):
     tails = G.tail_gap(G.breaks)
     cs = c.reshape(-1)
     r = mu - cs
-    near0 = cs <= ZERO_COST
+    near0 = cs <= NO_COST
     if near0.any():
         r[near0] = G.max_supp()
     rest = np.flatnonzero(~near0 & (cs < tails[0]))

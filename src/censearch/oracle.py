@@ -44,7 +44,7 @@ import numpy as np
 
 from ._poly import gauss_nodes
 from .demand import DemandCurve, expected_payoff
-from .dists import PiecewisePolyDist, mean, reservation_value
+from .dists import NO_COST, PiecewisePolyDist, mean, reservation_value
 
 __all__ = ["BRProblem", "BRSolution", "build_problem", "solve_br"]
 
@@ -155,7 +155,7 @@ def build_problem(
     pts.add(curve.r_lo)
     pts.add(min(curve.r_hi, 1.0))
     cs = H.quantile((np.arange(COST_QUANTILES) + 0.5) / COST_QUANTILES)
-    pts.update(float(t) for t in reservation_value(G_star, cs[cs > 1e-12]) if 0.0 <= t <= 1.0)
+    pts.update(float(t) for t in reservation_value(G_star, cs[cs > NO_COST]) if 0.0 <= t <= 1.0)
     grid = np.array(sorted(pts))
     keep = np.concatenate([[True], np.diff(grid) > 1e-11])
     grid = grid[keep]

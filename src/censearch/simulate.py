@@ -46,8 +46,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .demand import NO_COST
-from .dists import PiecewisePolyDist, reservation_value
+from .dists import NO_COST, PiecewisePolyDist, reservation_value
 
 __all__ = ["SimConfig", "SimOutcome", "simulate_market", "simulate_deviation"]
 

@@ -74,7 +74,6 @@ def test_missing_required_fields_exit_2(tmp_path, capsys):
         "verify-null": ("verify", {"verify": {"a": None}}),
         "deviation": ("simulate", {"simulate": {"a": 0.4, "consumers": 1000,
                                                 "deviation": no_support}}),
-        "base-costs": ("compstat", {"compstat": {"base_costs": no_support}}),
     }
     for name, (cmd, extra) in cases.items():
         spec = write_spec(tmp_path, f"{name}.json", n=2, extra=extra)
@@ -118,6 +117,16 @@ def test_retired_flags_rejected(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--spec", str(spec), *flag])
     assert exc.value.code == 2
+
+
+def test_base_costs_knob_rejected(tmp_path, capsys):
+    # compstat varies the market's own cost law, market.costs: a base law of
+    # its own is an unknown field
+    base = {"kind": "uniform", "support": [0, 0.18]}
+    spec = write_spec(tmp_path, n=2, extra={"compstat": {"base_costs": base}})
+    assert main(["compstat", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown fields in compstat" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_scan_csv_key_rejected(tmp_path, capsys):
@@ -175,14 +184,23 @@ MALFORMED = {
     "dump_lp-string": ("oracle", {"oracle": {"a": 0.4, "grid_n": 101, "dump_lp": "no"}}),
     "dump_lp-null": ("oracle", {"oracle": {"a": 0.4, "grid_n": 101, "dump_lp": None}}),
     "price_function-string": ("verify", {"verify": {"a": 0.3, "price_function": "false"}}),
+    "verify.a-negative": ("verify", {"verify": {"a": -0.3}}),
+    "verify.a-above-1-sweep": ("verify", {"verify": {"a": 1.2, "n_sweep": [2, 5]}}),
+    "verify.a_grid-above-1": ("verify", {"verify": {"a_grid": [0.2, 1.5]}}),
+    "oracle.a-above-1": ("oracle", {"oracle": {"a": 1.7, "grid_n": 101}}),
+    "simulate.a-negative": ("simulate", {"simulate": {"a": -0.1, "consumers": 1000}}),
+    "emit_plot.a-above-1": ("emit-plot", {"emit_plot": {"a": 1.01}}),
+    "welfare.a_grid-negative": ("welfare", {"welfare": {"a_grid": [-0.5, 0.2]}}),
+    "welfare.a_grid-above-1": ("welfare", {"welfare": {"a_grid": [0.2, 1.5]}}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_spec_exit_2(tmp_path, capsys, case):
     # a spec or block that is not a JSON object, a number field holding
-    # null, a list or a string, a tolerance <= 0 and a switch that is not a
-    # JSON boolean are config errors, not crashes
+    # null, a list or a string, a tolerance <= 0, a switch that is not a
+    # JSON boolean and a threshold outside the prior's support [0, 1] are
+    # config errors, not crashes or clamped thresholds
     cmd, extra = MALFORMED[case]
     if isinstance(extra, dict):
         spec = write_spec(tmp_path, n=2, extra=extra)
@@ -289,6 +307,12 @@ def test_verify_n_sweep(tmp_path):
     out = tmp_path / "s"
     assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
     payload = json.loads((out / "verify.json").read_text())
+    assert payload["smallest_passing_n"] == 2
+    # every size passes at a = 0.3: the smallest is reported, not the first listed
+    spec = write_spec(tmp_path, "desc.json", extra={"verify": {"a": 0.3, "n_sweep": [50, 5, 2]}})
+    assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
+    payload = json.loads((tmp_path / "d" / "verify.json").read_text())
+    assert [r["verdict"] for r in payload["sweep"]] == ["equilibrium"] * 3
     assert payload["smallest_passing_n"] == 2
 
 

@@ -10,8 +10,10 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from censearch import _poly
+from censearch import demand
 from censearch import dists as dists_module
 from censearch.dists import (
+    NO_COST,
     QUANTILE_BLOCK,
     MarketConfig,
     PiecewisePolyDist,
@@ -24,6 +26,7 @@ from censearch.dists import (
 )
 from censearch.censorship import upper_censorship
 from censearch.demand import expected_payoff
+from censearch.simulate import _search
 
 from conftest import horner_noise, tail_noise
 
@@ -107,6 +110,27 @@ def test_reservation_inverts_benefit(F, F_tilted):
             if c <= 1e-12:
                 continue
             assert reservation_value(G, c) == pytest.approx(float(x), abs=1e-8)
+
+
+def test_one_zero_cost_rule(F):
+    """NO_COST is the one zero-cost rule of every judge: a cost at or below
+    it gets the top of the support (r = inf in the simulator, which clears
+    at no signal), and every cost above it gets its own cutoff, below the
+    top, where the sign of tail(x) - c changes within an ulp of the cutoff
+    up to the rounding bound of the tail."""
+    assert demand.NO_COST is dists_module.NO_COST
+    for G in (F, upper_censorship(F, 0.4)):
+        top = G.max_supp()
+        for c in (np.nextafter(NO_COST, 1.0), 1e-12, 1e-10):
+            r = reservation_value(G, c)
+            assert r < top, (c, r, top)
+            below, above = np.nextafter(r, -1.0), np.nextafter(r, 2.0)
+            assert G.tail_gap(below) - c >= -tail_noise(G, below, c), (c, r)
+            assert G.tail_gap(above) - c <= tail_noise(G, above, c), (c, r)
+        assert reservation_value(G, NO_COST) == top
+        costs = np.array([NO_COST, np.nextafter(NO_COST, 1.0)])
+        r = _search(G, 2, costs, np.full((2, 7), 0.5))[2]
+        assert r[0] == np.inf and r[1] == reservation_value(G, costs[1]) < top
 
 
 def test_validation_rejects_bad_inputs():
@@ -758,7 +782,7 @@ def _ref_reservation_value(G, c, tol=1e-10):
     if c > mu + 1e-12:
         raise ValueError("cost exceeds prior mean")
     top = G.max_supp()
-    if c <= tol:
+    if c <= NO_COST:
         return top
     if c >= G.tail_gap(G.support_lo):
         return mu - c
@@ -830,9 +854,9 @@ def test_reservation_value_accuracy(F, F_tilted, H_uniform, H_convex, H_step, H_
         assert _same_bits(scalars, got), name
         with pytest.raises(ValueError, match="exceeds prior mean"):
             reservation_value(G, mu + 1e-9)
-        # no iteration at c <= 1e-10 (the top of the support) or at and
+        # no iteration at c <= NO_COST (the top of the support) or at and
         # above the tail at the bottom of the support (mean - c)
-        direct = (cs <= 1e-10) | (cs >= tails[0])
+        direct = (cs <= NO_COST) | (cs >= tails[0])
         assert _same_bits(got[direct], ref[direct]), name
         # elsewhere: at most an ulp farther from the exact root than the
         # bisection (more where rounding leaves the sign of tail(r) - c open,

@@ -225,6 +225,7 @@ def _random_costs(rng):
     return PiecewisePolyDist(breaks, [c / mass for c in coefs])
 
 
+@pytest.mark.slow
 def test_matches_dense_reference(F, H_uniform, H_step, H_bimodal, H_threestep, H_convex):
     """The slack-form LP against the dense-cap LP, on the
     7 test-suite cost laws and 10 random piecewise laws, below, at and above
