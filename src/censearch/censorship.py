@@ -37,6 +37,7 @@ from ._poly import nodes_for_degree, poly_range_on, real_roots_in
 from .costshape import CostShapeReport, _analysis, average_slope, cost_shape_report
 from .demand import DemandCurve, demand_second_derivative, pooled_jump
 from .dists import (
+    TOL,
     PiecewisePolyDist,
     Tolerances,
     _cdf_difference,
@@ -178,7 +179,7 @@ def verify_uce(
     H: PiecewisePolyDist,
     a: float,
     n: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = TOL,  # settable only for callers that pass MarketConfig.tol
 ) -> CensorshipReport:
     """Run both the finite-n certificate and the limit cost conditions for
     the censored strategy with threshold a.
@@ -193,7 +194,6 @@ def verify_uce(
     the threshold's incremental-benefit level and is reported separately in
     ``checks['cost_condition']``.
     """
-    tol = tol or Tolerances()
     cbar = H.support_hi
     if a <= tol.root:
         # no disclosure: the constant certificate 1/n = D(k) works for any n
@@ -216,7 +216,7 @@ def verify_uce(
     J = pooled_jump(Fa, n)[0]
 
     # (i) certificate convexity below the threshold
-    convex = curve.convex_on(F.support_lo, a, tol.ineq, tol.root)
+    convex = curve.convex_on(F.support_lo, a, tol.ineq)
 
     if Ua is F:
         # full disclosure (the censorship is the prior itself) pools nothing:
@@ -281,10 +281,7 @@ def verify_uce(
 
 
 def solve_a_max(
-    F: PiecewisePolyDist,
-    H: PiecewisePolyDist,
-    tol: Tolerances | None = None,
-    report: CostShapeReport | None = None,
+    F: PiecewisePolyDist, H: PiecewisePolyDist, report: CostShapeReport | None = None
 ) -> tuple[float, str, bool]:
     """Maximal censorship threshold from the cost-shape statistics.
 
@@ -296,17 +293,16 @@ def solve_a_max(
     usable critical set: the concavity tail start alone.  ``attained`` is
     False when the formula lands on the open upper edge (threshold 1): the
     supremum is then approached but full disclosure itself never attained.
-    A caller that already holds ``cost_shape_report(H, mean(F), tol.ineq)``
-    passes it as ``report``, so the analysis is not built twice.
+    A caller that already holds ``cost_shape_report(H, mean(F))`` passes it
+    as ``report``, so the analysis is not built twice.
     """
-    tol = tol or Tolerances()
     mu = mean(F)
     cbar = H.support_hi
     if cbar >= mu:
         raise ValueError("cost support top must lie below the prior mean")
     if H.min_supp() > 1e-12:
         raise ValueError("threshold solver requires cost support starting at 0")
-    rep = report or cost_shape_report(H, mu, tol.ineq)
+    rep = report or cost_shape_report(H, mu)
     if rep.case == "a":
         return 0.0, "a", True
     if rep.case == "b":
@@ -314,22 +310,18 @@ def solve_a_max(
     target = rep.concave_from
     if rep.case == "c":
         target = max(target, rep.crossing if rep.crossing is not None else 0.0)
-    if target <= tol.root:
+    if target <= TOL.root:
         # supremum edge: every threshold short of full disclosure passes
         return F.support_hi - 1e-12, rep.case, False
     return threshold_from_cost(F, target), rep.case, True
 
 
 def equilibrium_set(
-    F: PiecewisePolyDist,
-    H: PiecewisePolyDist,
-    a_grid,
-    n: int,
-    tol: Tolerances | None = None,
+    F: PiecewisePolyDist, H: PiecewisePolyDist, a_grid, n: int
 ) -> list[tuple[float, bool]]:
     """Sweep the finite-n verifier over a threshold grid."""
     return [
-        (float(a), verify_uce(F, H, float(a), n, tol).verdict == "equilibrium")
+        (float(a), verify_uce(F, H, float(a), n).verdict == "equilibrium")
         for a in a_grid
     ]
 
@@ -438,11 +430,7 @@ def _support_elements(G: PiecewisePolyDist, F: PiecewisePolyDist, tol: float):
 
 
 def verify_price_function(
-    G: PiecewisePolyDist,
-    F: PiecewisePolyDist,
-    H: PiecewisePolyDist,
-    n: int,
-    tol: Tolerances | None = None,
+    G: PiecewisePolyDist, F: PiecewisePolyDist, H: PiecewisePolyDist, n: int
 ) -> PriceFunctionReport:
     """Equilibrium test for an arbitrary candidate strategy via an explicit
     convex certificate.
@@ -458,9 +446,8 @@ def verify_price_function(
     pooling interval, and integrates identically against the prior and the
     candidate.
     """
-    tol = tol or Tolerances()
     curve = DemandCurve(G, n, H)
-    elements = _support_elements(G, F, 1e3 * tol.ineq)
+    elements = _support_elements(G, F, 1e3 * TOL.ineq)
     if not elements:
         raise ValueError("unsupported candidate shape: empty support")
     ends = np.unique([x for _, lo, hi in elements for x in (lo, hi)])
@@ -474,7 +461,7 @@ def verify_price_function(
     # convexity
     s, f = cert.slopes(), cert.follows
     convex_ok = not np.any(s[1:] < s[:-1] - ctol) and all(
-        curve.convex_on(lo, hi, ctol, tol.root)
+        curve.convex_on(lo, hi, ctol)
         for lo, hi in zip(knots[:-1][f].tolist(), knots[1:][f].tolist()))
 
     # domination

@@ -30,7 +30,7 @@ from .censorship import (
 )
 from .costshape import average_slope, cost_shape_report, scan_table
 from .demand import DemandCurve
-from .dists import MarketConfig, PiecewisePolyDist, Tolerances, dist_from_json
+from .dists import MarketConfig, PiecewisePolyDist, dist_from_json
 from .oracle import GRID_N, build_problem, solve_br
 from .simulate import SimConfig, simulate_deviation, simulate_market
 from .welfare import (
@@ -76,16 +76,9 @@ def load_market(spec: dict) -> MarketConfig:
     blk = spec.get("market")
     if not isinstance(blk, dict):
         raise ConfigError("spec needs a 'market' block")
-    _require_keys(blk, {"prior", "costs", "n", "tol"}, "market")
+    _require_keys(blk, {"prior", "costs", "n"}, "market")
     with _config_errors():
-        prior = dist_from_json(blk["prior"])
-        costs = dist_from_json(blk["costs"])
-        tol = {k: _number(v, f"market.tol.{k}")
-               for k, v in _object(blk.get("tol", {}), "market.tol").items()}
-        for k, v in tol.items():
-            if v <= 0:
-                raise ConfigError(f"market.tol.{k} must be > 0, got {v!r}")
-        return MarketConfig(prior, costs, blk["n"], tol=Tolerances(**tol))
+        return MarketConfig(dist_from_json(blk["prior"]), dist_from_json(blk["costs"]), blk["n"])
 
 
 @contextmanager
@@ -175,8 +168,8 @@ def _write_csv(out: Path | None, name: str, header: list[str], rows) -> None:
 
 def cmd_solve(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
-    rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
-    a_max, case, attained = solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)
+    rep = cost_shape_report(mc.costs, mc.mu)
+    a_max, case, attained = solve_a_max(mc.prior, mc.costs, report=rep)
     payload = {
         "a_max": a_max,
         "case": case,
@@ -197,6 +190,9 @@ def cmd_verify(spec: dict, out: Path | None) -> int:
     _require_keys(blk, {"a", "a_grid", "n_sweep", "price_function"}, "verify")
     _exclusive(blk, "a_grid", {"a", "price_function"}, "verify")
     _exclusive(blk, "n_sweep", {"a_grid", "price_function"}, "verify")
+    for key in ("n_sweep", "a_grid"):  # a sweep over nothing verifies nothing
+        if blk.get(key) == []:
+            raise ConfigError(f"verify.{key} must not be empty")
     price_function = _flag(blk.get("price_function", False), "verify.price_function")
     gate_failed = False
     if "n_sweep" in blk or "a_grid" not in blk:
@@ -206,21 +202,21 @@ def cmd_verify(spec: dict, out: Path | None) -> int:
             sweep = [replace(mc, n=n).n for n in blk["n_sweep"]]
         rows = []
         for n in sweep:
-            rep = verify_uce(mc.prior, mc.costs, a, n, mc.tol)
+            rep = verify_uce(mc.prior, mc.costs, a, n)
             rows.append({"n": n, "verdict": rep.verdict, "checks": rep.checks})
         smallest = min((r["n"] for r in rows if r["verdict"] == "equilibrium"), default=None)
         payload = {"a": a, "sweep": rows, "smallest_passing_n": smallest}
         gate_failed = smallest is None
     elif "a_grid" in blk:
         res = equilibrium_set(mc.prior, mc.costs, _numbers(blk["a_grid"], "verify.a_grid", _threshold),
-                              mc.n, mc.tol)
+                              mc.n)
         payload = {"n": mc.n, "sweep": [{"a": a, "equilibrium": ok} for a, ok in res]}
     else:
-        rep = verify_uce(mc.prior, mc.costs, a, mc.n, mc.tol)
+        rep = verify_uce(mc.prior, mc.costs, a, mc.n)
         payload = rep.to_json()
         gate_failed = rep.verdict != "equilibrium"
         if price_function:
-            pf = verify_price_function(upper_censorship(mc.prior, a), mc.prior, mc.costs, mc.n, mc.tol)
+            pf = verify_price_function(upper_censorship(mc.prior, a), mc.prior, mc.costs, mc.n)
             payload["price_function"] = pf.to_json()
             gate_failed = gate_failed or not pf.passed
     _write_json(out, "verify.json", payload)
@@ -344,8 +340,8 @@ def cmd_compstat(spec: dict, out: Path | None) -> int:
             members = [(float(k), _ramp_family(mc.cbar, k)) for k in ks]
     rows = []
     for param, Hk in members:
-        rep = cost_shape_report(Hk, mc.mu, mc.tol.ineq)
-        a_max, case, attained = solve_a_max(mc.prior, Hk, mc.tol, report=rep)
+        rep = cost_shape_report(Hk, mc.mu)
+        a_max, case, attained = solve_a_max(mc.prior, Hk, report=rep)
         cs = consumer_surplus(mc.prior, Hk, a_max, mc.n)
         rows.append((param, a_max, case, attained, rep.min_slope, cs))
     _write_csv(out, "compstat.csv",
@@ -369,9 +365,9 @@ def cmd_emit_plot(spec: dict, out: Path | None) -> int:
     mc = load_market(spec)
     blk = spec.get("emit_plot", {})
     _require_keys(blk, {"a", "points"}, "emit_plot")
-    rep = cost_shape_report(mc.costs, mc.mu, mc.tol.ineq)
+    rep = cost_shape_report(mc.costs, mc.mu)
     a = (_threshold(blk["a"], "emit_plot.a") if "a" in blk
-         else solve_a_max(mc.prior, mc.costs, mc.tol, report=rep)[0])
+         else solve_a_max(mc.prior, mc.costs, report=rep)[0])
     pts = _count(blk.get("points", PLOT_POINTS), "emit_plot.points", least=1)
     # cost panel with the tangent line through the origin at slope min S
     smin = rep.min_slope

@@ -35,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._poly import polyval, real_roots_in
-from .dists import PiecewisePolyDist, _result
+from .dists import TOL, PiecewisePolyDist, _result
 
 __all__ = [
     "CostShapeReport",
@@ -52,7 +52,6 @@ __all__ = [
     "scan_table",
 ]
 
-SLOPE_TOL = 1e-9    # slack of the running-minimum and criticality tests on S
 RISE_TOL = 1e-11    # a density slope above this counts as rising
 
 
@@ -105,8 +104,8 @@ class _SlopeAnalysis:
     minimum ``run`` (``run[k]`` over the first k candidates, so ``run[0]``
     is inf).  Everything else is read from that table on first use."""
 
-    def __init__(self, H: PiecewisePolyDist, tol: float = SLOPE_TOL):
-        self.H, self.tol = H, tol
+    def __init__(self, H: PiecewisePolyDist):
+        self.H = H
         self.table = []
         for i in range(len(H.coefs)):
             lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
@@ -151,7 +150,7 @@ class _SlopeAnalysis:
     def crit(self) -> list[_Critical]:
         """Stationary points of S that are running minima, merged into
         points and closed intervals."""
-        H, tol = self.H, self.tol
+        H, tol = self.H, TOL.ineq
         out: list[_Critical] = []
         prefix = np.inf  # running min of S over [0, segment start)
         lo0, top = H.support_lo, H.support_hi
@@ -205,7 +204,7 @@ class _SlopeAnalysis:
         if self.top_only:
             return self.concave_from
         best = min(c.value for c in self.crit)
-        return float(max(c.hi for c in self.crit if c.value <= best + self.tol))
+        return float(max(c.hi for c in self.crit if c.value <= best + TOL.ineq))
 
     @cached_property
     def best_min_slope(self) -> float:
@@ -218,7 +217,7 @@ class _SlopeAnalysis:
         H, cbar = self.H, self.H.support_hi
         c_loc, s_loc = self.best_min, self.best_min_slope
         s_top = 1.0 / cbar
-        if abs(s_loc - s_top) <= self.tol * max(1.0, s_top):
+        if abs(s_loc - s_top) <= TOL.ineq * max(1.0, s_top):
             return cbar
         if s_loc < s_top:
             return None
@@ -238,16 +237,16 @@ class _SlopeAnalysis:
     def case(self, mu: float) -> str:
         if self.top_only:
             return "d"
-        if self.best_min_slope <= 1.0 / mu + self.tol:
+        if self.best_min_slope <= 1.0 / mu + TOL.ineq:
             return "a"
-        if self.best_min_slope <= 1.0 / self.H.support_hi + self.tol:
+        if self.best_min_slope <= 1.0 / self.H.support_hi + TOL.ineq:
             return "b"
         return "c"
 
 
-def _analysis(H: PiecewisePolyDist, tol: float = SLOPE_TOL) -> _SlopeAnalysis:
+def _analysis(H: PiecewisePolyDist) -> _SlopeAnalysis:
     _require_continuous(H)
-    return _SlopeAnalysis(H, tol)
+    return _SlopeAnalysis(H)
 
 
 def global_min_slope(H: PiecewisePolyDist) -> tuple[float, float]:
@@ -355,10 +354,10 @@ class CostShapeReport:
         return asdict(self)
 
 
-def cost_shape_report(H: PiecewisePolyDist, mu: float, tol: float = SLOPE_TOL) -> CostShapeReport:
+def cost_shape_report(H: PiecewisePolyDist, mu: float) -> CostShapeReport:
     """The cost-shape statistics of H from one analysis; ``mu`` (the prior
     mean) enters only the case label."""
-    an = _analysis(H, tol)
+    an = _analysis(H)
     even_ok, cm, hcm = an.evenness()
     return CostShapeReport(
         even_point=cm,

@@ -21,7 +21,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from ._poly import gauss_legendre, nodes_for_degree, poly_range_on, polymul
-from .dists import NO_COST, PiecewisePolyDist, _integrate, _pow, _result, reservation_value
+from .dists import NO_COST, TOL, PiecewisePolyDist, _integrate, _pow, _result, reservation_value
 
 __all__ = [
     "DemandCurve",
@@ -194,11 +194,11 @@ class DemandCurve:
         """One-sided slope of D at x: the sum of the two :meth:`margins`."""
         return sum(self.margins(x, side))
 
-    def convex_on(self, lo: float, hi: float, slack: float, pad: float) -> bool:
+    def convex_on(self, lo: float, hi: float, slack: float) -> bool:
         """Whether D is convex on [lo, hi] up to ``slack``: below r_lo, where
         D = G^(n-1), the exact minimum of (n - 2) g^2 + g' G on each piece of
-        G is >= -slack; at each breakpoint of the curve or of G in
-        (lo + pad, hi - pad) the slope turns by >= -slack (1 + |left slope|);
+        G is >= -slack; at each breakpoint of the curve or of G more than
+        TOL.root inside (lo, hi) the slope turns by >= -slack (1 + |left slope|);
         above r_lo, D'' at CURVATURE_GRID points (ends excluded) is
         >= -slack (1 + |D'' at the middle point|)."""
         G, n = self.G, self.n
@@ -214,13 +214,13 @@ class DemandCurve:
             if poly_range_on(m, max(lo, b0) - b0, min(b1, top) - b0)[0] < -slack:
                 return False
         bs = np.union1d(self.x_breaks, G.breaks)
-        bs = bs[(lo + pad < bs) & (bs < hi - pad)]
+        bs = bs[(lo + TOL.root < bs) & (bs < hi - TOL.root)]
         if len(bs):
             left = self.slope(bs, side=-1)
             if np.any(self.slope(bs, side=+1) - left < -slack * (1.0 + np.abs(left))):
                 return False
         start = max(lo, self.r_lo)
-        if hi <= start + pad:
+        if hi <= start + TOL.root:
             return True
         d2 = demand_second_derivative(self, np.linspace(start, hi, CURVATURE_GRID))
         return not np.any(d2[1:-1] < -slack * (1.0 + abs(d2[len(d2) // 2])))
@@ -255,7 +255,7 @@ def type_demand(G: PiecewisePolyDist, x: float, c: float, n: int) -> float:
     """Purchase probability from a single consumer type with cost c: the
     visit probability if x clears their cutoff, else the (tie-aware) max-win
     probability."""
-    r = reservation_value(G, c)  # the top of the support for c <= 1e-10
+    r = reservation_value(G, c)  # the top of the support for c <= NO_COST
     if x >= r and c > NO_COST:
         return power_sum(G.cdf_left(r), 1.0, n) / n
     if G.atom_mass_at(x) > 1e-15:

@@ -18,7 +18,7 @@ every question about a pair of laws or a law and a function:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,19 @@ QUANTILE_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class Tolerances:
+    """The verifiers' fixed slacks; ``TOL`` is the one instance.  ``ineq`` is
+    the slack of ``verify_uce``'s convexity, domination and cost checks and of
+    the cost law's slope analysis, and 1e3 ineq that of the disclosure test of
+    ``verify_price_function``.  ``root`` is read by no root finder: it is the
+    threshold at or below which ``verify_uce`` sees no disclosure, the pad
+    ``DemandCurve.convex_on`` leaves at interval ends, and ``solve_a_max``'s
+    supremum edge."""
+
     root: float = 1e-10
     ineq: float = 1e-9
+
+
+TOL = Tolerances()
 
 
 class PiecewisePolyDist:
@@ -567,12 +578,11 @@ def dist_from_json(spec: dict) -> PiecewisePolyDist:
 @dataclass
 class MarketConfig:
     """The full game instance: match-value prior on [0,1], search-cost
-    distribution on [0, cbar], number of firms, tolerances."""
+    distribution on [0, cbar], number of firms."""
 
     prior: PiecewisePolyDist
     costs: PiecewisePolyDist
     n: int
-    tol: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -591,6 +601,10 @@ class MarketConfig:
     @property
     def mu(self) -> float:
         return mean(self.prior)
+
+    @property
+    def tol(self) -> Tolerances:  # always TOL: no market sets its own slacks
+        return TOL
 
     @property
     def cbar(self) -> float:

@@ -172,15 +172,11 @@ MALFORMED = {
     "welfare.a_grid-number": ("welfare", {"welfare": {"a_grid": 3}}),
     "verify.a_grid-null": ("verify", {"verify": {"a_grid": [None]}}),
     "compstat.family-list": ("compstat", {"compstat": {"family": [1]}}),
-    "tol.root-string": ("verify", {"verify": {"a": 0.4},
-                                   "market": {"prior": _UNIFORM, "n": 2, "tol": {"root": "x"},
-                                              "costs": {"kind": "uniform", "support": [0, 0.18]}}}),
-    "tol.root-negative": ("verify", {"verify": {"a": 0.3},
-                                     "market": {"prior": _UNIFORM, "n": 2, "tol": {"root": -1},
-                                                "costs": {"kind": "uniform", "support": [0, 0.18]}}}),
-    "tol.ineq-zero": ("verify", {"verify": {"a": 0.3},
-                                 "market": {"prior": _UNIFORM, "n": 2, "tol": {"ineq": 0},
-                                            "costs": {"kind": "uniform", "support": [0, 0.18]}}}),
+    "market.tol": ("verify", {"verify": {"a": 0.3},
+                              "market": {"prior": _UNIFORM, "n": 2, "tol": {"root": 1e-10, "ineq": 1e-9},
+                                         "costs": {"kind": "uniform", "support": [0, 0.18]}}}),
+    "verify.n_sweep-empty": ("verify", {"verify": {"a": 0.3, "n_sweep": []}}),
+    "verify.a_grid-empty": ("verify", {"verify": {"a_grid": []}}),
     "dump_lp-string": ("oracle", {"oracle": {"a": 0.4, "grid_n": 101, "dump_lp": "no"}}),
     "dump_lp-null": ("oracle", {"oracle": {"a": 0.4, "grid_n": 101, "dump_lp": None}}),
     "price_function-string": ("verify", {"verify": {"a": 0.3, "price_function": "false"}}),
@@ -198,9 +194,10 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_spec_exit_2(tmp_path, capsys, case):
     # a spec or block that is not a JSON object, a number field holding
-    # null, a list or a string, a tolerance <= 0, a switch that is not a
-    # JSON boolean and a threshold outside the prior's support [0, 1] are
-    # config errors, not crashes or clamped thresholds
+    # null, a list or a string, a switch that is not a JSON boolean, a
+    # threshold outside the prior's support [0, 1], a verify sweep over
+    # nothing and a tolerance (the verifiers' are fixed) are config errors,
+    # not crashes, clamped thresholds or failed verifications
     cmd, extra = MALFORMED[case]
     if isinstance(extra, dict):
         spec = write_spec(tmp_path, n=2, extra=extra)
@@ -244,14 +241,18 @@ def test_keys_the_mode_never_reads_rejected(tmp_path, capsys, case):
 
 
 def test_unread_tolerance_rejected(tmp_path, capsys):
-    # the LP runs at HiGHS's own tolerances, so no spec tolerance reaches it
-    spec = write_spec(tmp_path, "lp_tol.json", extra={"oracle": {"a": 0.4, "grid_n": 101}})
+    # the verifiers' slacks are fixed (dists.TOL) and the LP runs at HiGHS's
+    # own tolerances, so a spec sets no tolerance, not even a valid one
+    spec = write_spec(tmp_path, "tol.json", extra={"verify": {"a": 0.3},
+                                                   "oracle": {"a": 0.4, "grid_n": 101}})
     payload = json.loads(spec.read_text())
-    payload["market"]["tol"] = {"lp": 1e-8}
-    spec.write_text(json.dumps(payload))
-    for cmd in ("solve", "oracle"):
-        assert main([cmd, "--spec", str(spec)]) == 2
-        assert "'lp'" in capsys.readouterr().err
+    for tol in ({"root": 1e-10, "ineq": 1e-9}, {"lp": 1e-8}):
+        payload["market"]["tol"] = tol
+        spec.write_text(json.dumps(payload))
+        for cmd in ("solve", "verify", "oracle"):
+            assert main([cmd, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+            assert "unknown fields in market: ['tol']" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
 
 def test_verify_gating(tmp_path):
@@ -469,9 +470,9 @@ def test_one_cost_shape_analysis_per_cost_law(tmp_path, monkeypatch):
     built = []
 
     class Counting(costshape._SlopeAnalysis):
-        def __init__(self, H, tol=1e-9):
+        def __init__(self, H):
             built.append(H)
-            super().__init__(H, tol)
+            super().__init__(H)
 
     monkeypatch.setattr(costshape, "_SlopeAnalysis", Counting)
     jobs = [("solve", None, 1),

@@ -366,17 +366,15 @@ def test_public_statistics_match_reference(laws, F, F_tilted):
     for H in laws:
         assert _bits(global_min_slope(H)) == _bits(_ref_global_min_slope(H))
         assert _bits(assumption_diag_check(H)) == _bits(_ref_assumption_diag_check(H))
-        # the single statistics at the slope tolerance they are fixed to, and
-        # all of them at a second tolerance through the report, which keeps one
+        # every statistic at the slope tolerance it is fixed to (TOL.ineq)
         crit = [(c.lo, c.hi) for c in _ref_criticals(H, 1e-9)]
         assert _bits(critical_min_set(H)) == _bits(crit)
         assert _bits(smallest_local_min(H)) == _bits(_ref_smallest_local_min(H, 1e-9))
         assert _bits(crossing_solution(H)) == _bits(_ref_crossing_solution(H, 1e-9))
         for mu in (0.5, mean(F_tilted)):
             assert classify_case(H, mu) == _ref_classify_case(H, mu, 1e-9)
-            for tol in (1e-9, 1e-6):
-                assert (_bits(cost_shape_report(H, mu, tol).to_json())
-                        == _bits(_ref_report_json(H, mu, tol)))
+            assert (_bits(cost_shape_report(H, mu).to_json())
+                    == _bits(_ref_report_json(H, mu, 1e-9)))
         for prior in (F, F_tilted):
             assert _bits(solve_a_max(prior, H)) == _bits(_ref_solve_a_max(prior, H))
 
