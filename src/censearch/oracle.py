@@ -23,14 +23,18 @@ convex on the grid, ``q >= D``, ``q = D`` where p > 0, and ``w @ q`` is the
 optimal value.
 
 scipy is imported on first use, not with the module: ``lp_matrices`` loads
-``scipy.sparse`` and ``solve_br`` loads ``scipy.optimize``, so the commands
-that never solve an LP do not pay for either.
+``scipy.sparse`` and ``solve_br`` loads scipy's HiGHS bindings, so the
+commands that never solve an LP do not pay for either.
 
-HiGHS solves the LP by dual simplex with devex pricing (Harris, Math.
-Programming 1973), presolve on.  On a 2-core Xeon VM, 12 benchmark LPs at
-grid 801 (m = 868) took 0.17-0.18 s where the default pricing took
-0.25-0.29 s, with the same gaps to 4 digits and the same duality gaps; the
-three at grid 3201 (m = 3268) took 0.35-0.41 s against 1.2-1.3 s.
+HiGHS solves the LP by primal simplex, presolve off, from the basis of the
+conjecture's own grid masses (``BRProblem.start``).  The conjecture is a
+contraction of F, so its masses are a feasible point, and where it is a best
+response (below and at a_max) they are the optimum: the solve takes 0
+iterations.  On a 2-core Xeon VM, best of 5, the benchmark's 18 LPs
+(rounds 0-1 of lp-oracle seeds 1-3) at grid 801 (m = 868) took 2.1-4.8 ms
+each, 66-214 iterations above a_max; a cold dual simplex with devex pricing and presolve
+on took 12.8-20.9 ms in 608-959 iterations.  At grid 3201 (m = 3268) they
+took 13-42 ms against 91-206 ms.
 
 Deviations are unobservable to consumers, so the conjecture stays fixed and
 no fixed-point iteration is needed.
@@ -52,6 +56,10 @@ GRID_N = 801          # uniform mesh points of the LP grid
 COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
 SUPPORT_MASS = 1e-9   # smallest LP mass BRSolution.support reports
 ATOM_MASS = 1e-12     # smallest LP mass masses_to_dist keeps as an atom
+# Start masses and scaled cap slacks above START_BASIC make a row or a column
+# basic in solve_br's starting basis.  It only chooses where the simplex
+# starts: a wrong choice costs iterations, never a wrong answer.
+START_BASIC = 1e-12
 
 
 @dataclass
@@ -60,6 +68,7 @@ class BRProblem:
     objective: np.ndarray     # interim demand at the grid (tie-aware at atoms)
     hat_masses: np.ndarray    # F's mass split linearly between neighbouring grid points
     baseline: float           # symmetric payoff of the conjecture
+    start: np.ndarray         # the conjecture's own grid masses, a feasible point
 
     def lp_matrices(self):
         """The LP that :func:`solve_br` passes to HiGHS, as ``(c, A_ub, b_ub)``:
@@ -84,6 +93,15 @@ class BRProblem:
         )
         return A_ub.T @ self.objective, A_ub, self.hat_masses
 
+    def slacks(self, p: np.ndarray) -> np.ndarray:
+        """The scaled cap slacks z of masses p, so that ``p = w - A_ub @ z``
+        (:meth:`lp_matrices`), in O(m): ``K_k(w) - K_k(p)`` grows by
+        ``d_{k+1} Q_k`` from grid point k to k + 1, with Q the cumulative
+        sum of ``w - p``.  p meets every interior cap exactly when z >= 0."""
+        d = np.diff(self.grid)
+        slack = np.cumsum(d[:-1] * np.cumsum(self.hat_masses - p)[:-2])
+        return slack / (d[:-1] * d[1:])
+
     def dump_triplets(self) -> str:
         """The constraint matrix ``A_ub`` of :meth:`lp_matrices` in plain-text
         sparse triplet form (``row col value``, floats by ``repr``): m rows,
@@ -105,6 +123,8 @@ class BRSolution:
     gap: float                # value - symmetric payoff of the conjecture
     duality_gap: float
     grid: np.ndarray = field(repr=False, default=None)
+    row_duals: np.ndarray = field(repr=False, default=None)  # y >= 0: objective + y is the price function
+    iterations: int = 0       # simplex iterations from the conjecture's basis
 
     def support(self):
         keep = self.masses > SUPPORT_MASS
@@ -161,26 +181,87 @@ def build_problem(
     grid = grid[keep]
     obj = curve.value(grid)
     baseline = expected_payoff(G_star, G_star, n, H, curve=curve)
-    return BRProblem(grid, obj, hat_masses(F, grid), float(baseline))
+    return BRProblem(grid, obj, hat_masses(F, grid), float(baseline), hat_masses(G_star, grid))
+
+
+def _highs_core():
+    """scipy's HiGHS bindings: the private class ``linprog`` itself drives,
+    which unlike ``linprog`` takes a starting basis."""
+    try:
+        from scipy.optimize._highspy import _core
+
+        _core._Highs, _core.HighsBasis
+    except (ImportError, AttributeError) as exc:
+        raise ImportError(
+            "solve_br needs scipy >= 1.17.1, whose HiGHS bindings"
+            " (scipy.optimize._highspy._core._Highs) take a starting basis"
+        ) from exc
+    return _core
+
+
+def _start_basis(core, problem: BRProblem, m: int):
+    """The basis of the conjecture's masses: a column is basic where its
+    scaled cap slack is positive, a row where the start's mass is.  A
+    degenerate start (at a = 0 the point mass at F's mean leaves m - 1
+    basics) is completed by its first nonbasic rows.  A start with more than
+    m basics (a partial pool, where mass and slack are both positive) goes
+    to HiGHS as an alien basis, which HiGHS trims; it replaces the columns
+    of a singular basis by slacks when it factorizes."""
+    cols = problem.slacks(problem.start) > START_BASIC
+    rows = problem.start > START_BASIC
+    short = m - int(cols.sum()) - int(rows.sum())
+    if short > 0:
+        rows[np.flatnonzero(~rows)[:short]] = True
+    S = core.HighsBasisStatus
+    basis = core.HighsBasis()
+    basis.col_status = [S.kBasic if b else S.kLower for b in cols]
+    basis.row_status = [S.kBasic if b else S.kUpper for b in rows]
+    basis.alien = short < 0
+    return basis
 
 
 def solve_br(problem: BRProblem) -> BRSolution:
     """Maximize grid-mass payoff subject to the contraction caps; returns the
-    optimum, the mass vector, the gap over the symmetric payoff, and the
-    LP duality gap.  The only bounds are ``z >= 0``, so the dual objective
-    is ``b_ub @ y`` in full."""
-    from scipy.optimize import linprog
+    optimum, the mass vector, the gap over the symmetric payoff, the LP
+    duality gap, the row duals and the simplex iteration count.  The only
+    bounds are ``z >= 0``, so the dual objective is ``b_ub @ y`` in full.
 
+    One HiGHS model solves the LP of :meth:`BRProblem.lp_matrices` by primal
+    simplex from :func:`_start_basis`, presolve off (presolve drops a basis).
+    The primal feasibility tolerance is 1e-10: at HiGHS's default 1e-7 a warm
+    primal solve can end with a mass of -2e-8, which breaks the mass check."""
+    core = _highs_core()
     c, A_ub, b_ub = problem.lp_matrices()
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs",
-        options={"simplex_dual_edge_weight_strategy": "devex"},
-    )
-    if res.status != 0:
-        raise RuntimeError(f"best-response LP failed: {res.message}")
-    value = float(problem.objective @ b_ub) - float(res.fun)
-    duality_gap = abs(float(res.fun) - float(b_ub @ res.ineqlin.marginals))
-    masses = np.maximum(b_ub - A_ub @ res.x, 0.0)
+    m, cols = A_ub.shape
+    lp = core.HighsLp()
+    lp.num_col_, lp.num_row_ = cols, m
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = np.zeros(cols), np.full(cols, np.inf)
+    lp.row_lower_, lp.row_upper_ = np.full(m, -np.inf), b_ub
+    mat = lp.a_matrix_
+    mat.format_ = core.MatrixFormat.kColwise
+    mat.num_col_, mat.num_row_ = cols, m
+    mat.start_, mat.index_, mat.value_ = A_ub.indptr, A_ub.indices, A_ub.data
+    highs = core._Highs()
+    for key, val in (
+        ("output_flag", False), ("presolve", "off"), ("solver", "simplex"),
+        ("simplex_strategy", int(core.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)),
+        ("primal_feasibility_tolerance", 1e-10),
+    ):
+        if highs.setOptionValue(key, val) != core.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected the option {key} = {val!r}")
+    highs.passModel(lp)
+    highs.setBasis(_start_basis(core, problem, m))
+    highs.run()
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"best-response LP failed: {highs.modelStatusToString(status)}")
+    info, sol = highs.getInfo(), highs.getSolution()
+    fun = float(info.objective_function_value)
+    row_dual = np.array(sol.row_dual)
+    value = float(problem.objective @ b_ub) - fun
+    duality_gap = abs(fun - float(b_ub @ row_dual))
+    masses = np.maximum(b_ub - A_ub @ np.array(sol.col_value), 0.0)
     total = masses.sum()
     if abs(total - 1.0) > 1e-8:
         raise RuntimeError("LP mass constraint violated beyond tolerance")
@@ -190,6 +271,8 @@ def solve_br(problem: BRProblem) -> BRSolution:
         gap=value - problem.baseline,
         duality_gap=duality_gap,
         grid=problem.grid,
+        row_duals=-row_dual,
+        iterations=int(info.simplex_iteration_count),
     )
 
 

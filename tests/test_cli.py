@@ -241,8 +241,8 @@ def test_keys_the_mode_never_reads_rejected(tmp_path, capsys, case):
 
 
 def test_unread_tolerance_rejected(tmp_path, capsys):
-    # the verifiers' slacks are fixed (dists.TOL) and the LP runs at HiGHS's
-    # own tolerances, so a spec sets no tolerance, not even a valid one
+    # the verifiers' slacks are fixed (dists.TOL) and the LP's tolerances are
+    # fixed in oracle.solve_br, so a spec sets no tolerance, not even a valid one
     spec = write_spec(tmp_path, "tol.json", extra={"verify": {"a": 0.3},
                                                    "oracle": {"a": 0.4, "grid_n": 101}})
     payload = json.loads(spec.read_text())

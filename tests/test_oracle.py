@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-import scipy.optimize
 import scipy.sparse as sp
 from conftest import quasi_concave_pair, quasi_convex_pair
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 import censearch.oracle as oracle
 from censearch.censorship import solve_a_max, upper_censorship, verify_uce
@@ -141,24 +141,34 @@ def _same_matrix(A, B):
     return A.shape == B.shape and (sp.csr_matrix(A) != sp.csr_matrix(B)).nnz == 0
 
 
-def _spy_linprog(monkeypatch):
-    """Record the keyword arguments and the result of every linprog call."""
+def _spy_highs(monkeypatch):
+    """Record every HiGHS model that solve_br runs."""
     seen = []
 
-    def spy(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        seen.append((kwargs, res))
-        return res
+    class Spy(_core._Highs):
+        def run(self):
+            seen.append(self)
+            return super().run()
 
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    monkeypatch.setattr(_core, "_Highs", Spy)
     return seen
+
+
+def _model(highs):
+    """The LP a HiGHS model holds: its constraint matrix (CSC) and the model."""
+    highs.ensureColwise()
+    lp = highs.getLp()
+    a = lp.a_matrix_
+    A = sp.csc_matrix((np.array(a.value_), np.array(a.index_), np.array(a.start_)),
+                      shape=(lp.num_row_, lp.num_col_))
+    return A, lp
 
 
 def test_dump_triplets_format(F, H_uniform, U4, monkeypatch):
     prob = build_problem(U4, F, H_uniform, 2, 101)
-    seen = _spy_linprog(monkeypatch)
+    seen = _spy_highs(monkeypatch)
     solve_br(prob)
-    A_ub = seen[-1][0]["A_ub"]
+    A_ub, _ = _model(seen[-1])
     parsed, nnz = _parse_triplets(prob.dump_triplets(), len(prob.grid))
     assert _same_matrix(parsed, A_ub)
     assert nnz == A_ub.nnz  # no duplicate or zero triplets
@@ -170,13 +180,13 @@ def test_slack_form_size(F, H_uniform, U4, grid_n, monkeypatch):
     """One column per interior cap slack, one row per grid mass, three
     nonzeros per column, and no equality rows."""
     prob = build_problem(U4, F, H_uniform, 2, grid_n)
-    seen = _spy_linprog(monkeypatch)
+    seen = _spy_highs(monkeypatch)
     solve_br(prob)
-    kwargs = seen[-1][0]
+    A_ub, lp = _model(seen[-1])
     m = len(prob.grid)
-    assert kwargs.get("A_eq") is None and kwargs.get("b_eq") is None
-    assert kwargs["A_ub"].shape == (m, m - 2)
-    assert kwargs["A_ub"].nnz <= 3 * (m - 2)
+    assert np.all(np.isneginf(lp.row_lower_))  # every row is one-sided: no equality rows
+    assert A_ub.shape == (m, m - 2)
+    assert A_ub.nnz <= 3 * (m - 2)
 
 
 @pytest.mark.parametrize("grid_n", [201, 401, 801])
@@ -209,6 +219,15 @@ def _dense_br(prob, F):
     return -float(res.fun), A_ub
 
 
+def _cold_value(prob):
+    """The slack LP's optimal payoff from a cold linprog solve (presolve on,
+    no starting basis)."""
+    c, A_ub, b_ub = prob.lp_matrices()
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(prob.objective @ b_ub) - float(res.fun)
+
+
 def _random_costs(rng):
     """Piecewise constant or linear positive density on [0, cbar], mass 1."""
     cbar = rng.uniform(0.12, 0.3)
@@ -231,7 +250,8 @@ def test_matches_dense_reference(F, H_uniform, H_step, H_bimodal, H_threestep, H
     7 test-suite cost laws and 10 random piecewise laws, below, at and above
     a_max, n = 2, 5, 50, grid_n 101 and 201.  The reference is solved at
     1e-10 feasibility tolerances; the caps of the slack form's optimum hold
-    to 1e-9."""
+    to 1e-9.  The warm start from the conjecture also matches a cold solve
+    of the same slack LP."""
     rng = np.random.default_rng(2016)
     laws = [H_uniform, H_step, H_bimodal, H_threestep, H_convex,
             quasi_convex_pair()[0], quasi_concave_pair()[0]]
@@ -248,6 +268,8 @@ def test_matches_dense_reference(F, H_uniform, H_step, H_bimodal, H_threestep, H
                     case = (li, a, n, grid_n)
                     p, x = sol.masses, prob.grid
                     assert abs(sol.value - ref) <= 1e-10, (case, sol.value - ref)
+                    cold = _cold_value(prob)
+                    assert abs(sol.value - cold) <= 1e-10, (case, sol.value - cold)
                     assert np.max(A_dense @ p - F.cdf_integral(x)) <= 1e-9, case
                     assert abs(p.sum() - 1.0) <= 1e-9, case
                     assert abs(p @ x - mean(F)) <= 1e-9, case
@@ -298,18 +320,18 @@ def test_hat_masses_exact_at_tiny_spacing(prior, H_uniform):
     assert abs(w.sum() - 1.0) <= 1e-15
     assert abs(w @ grid - mean(F)) <= 1e-15
     curve = DemandCurve(upper_censorship(PiecewisePolyDist.uniform(0.0, 1.0), 0.4), 2, H_uniform)
-    prob = oracle.BRProblem(grid, curve.value(grid), w, 0.5)
+    prob = oracle.BRProblem(grid, curve.value(grid), w, 0.5, w)
     sol = solve_br(prob)
     ref, A_dense = _dense_br(prob, F)
     assert abs(sol.value - ref) <= 1e-7, sol.value - ref
     assert np.max(A_dense @ sol.masses - F.cdf_integral(grid)) <= 1e-7
 
 
-def test_devex_pricing_keeps_the_optimum(F, H_uniform, H_bimodal, H_threestep):
-    """solve_br's pricing option against HiGHS's default pricing, on the
-    benchmark's three LPs at grid 801 (below a_max at n = 2, at it at n = 5,
-    above it at n = 50).  An option HiGHS does not know only warns, and the
-    solve then keeps the default pricing, so warnings are errors here."""
+def test_warm_start_keeps_the_optimum(F, H_uniform, H_bimodal, H_threestep):
+    """solve_br's primal simplex from the conjecture's basis against a cold
+    linprog solve at HiGHS's defaults, on the benchmark's three LPs at grid
+    801 (below a_max at n = 2, at it at n = 5, above it at n = 50).
+    Warnings are errors here, so neither solve may pass with a warning."""
     cases = []
     for H, n, where in ((H_uniform, 2, "below"), (H_bimodal, 5, "at"), (H_threestep, 50, "above")):
         a_max = solve_a_max(F, H)[0]
@@ -331,19 +353,53 @@ def test_devex_pricing_keeps_the_optimum(F, H_uniform, H_bimodal, H_threestep):
             assert abs(prob.grid @ sol.masses - mean(F)) <= 1e-9, n
 
 
-def test_row_duals_are_the_price_function(F, H_uniform, H_bimodal, H_step, monkeypatch):
+def test_row_duals_are_the_price_function(F, H_uniform, H_bimodal, H_step):
     """q = D + y, with y the LP's row duals, is a price function on the grid:
     convex, above the demand D, equal to it on the optimal support, and its
     integral against the hat masses is the optimal value."""
-    seen = _spy_linprog(monkeypatch)
     cases = [(H_uniform, 0.45, 2), (H_bimodal, solve_a_max(F, H_bimodal)[0], 5),
              (H_step, 0.3, 5), (H_bimodal, 0.6, 50)]
     for H, a, n in cases:
         prob = build_problem(upper_censorship(F, a), F, H, n, 201)
         sol = solve_br(prob)
         D, x = prob.objective, prob.grid
-        q = D - seen[-1][1].ineqlin.marginals
+        q = D + sol.row_duals
         assert np.all(np.diff(np.diff(q) / np.diff(x)) >= -1e-7), (a, n)
         assert np.all(q >= D - 1e-7), (a, n)
         assert np.all((q - D)[sol.masses > 1e-9] <= 1e-7), (a, n)
         assert abs(prob.hat_masses @ q - sol.value) <= 1e-9, (a, n)
+
+
+def test_conjecture_start_takes_no_iterations(F, H_uniform, H_bimodal):
+    """Below and at a_max the conjecture is a best response, so its own
+    basis is optimal and the simplex makes no step."""
+    for H, n, where in ((H_uniform, 2, 0.75), (H_bimodal, 5, 1.0)):
+        a = where * solve_a_max(F, H)[0]
+        sol = solve_br(build_problem(upper_censorship(F, a), F, H, n, 801))
+        assert sol.iterations == 0, (n, a, sol.iterations)
+        assert abs(sol.gap) <= GAP_TOL, (n, a, sol.gap)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "tilted", "cubic_atom"])
+def test_start_slacks_reproduce_the_start(prior, F_tilted, H_uniform):
+    """The conjecture's masses are a contraction of F: their scaled cap
+    slacks are >= 0 and map back to them through ``p = w - A_ub @ z``."""
+    F = {"uniform": PiecewisePolyDist.uniform(0.0, 1.0), "tilted": F_tilted,
+         "cubic_atom": _cubic_prior_with_atom()}[prior]
+    for a in (0.0, 0.3, 0.999, 1.0, solve_a_max(F, H_uniform)[0]):
+        prob = build_problem(upper_censorship(F, a), F, H_uniform, 2, 201)
+        z = prob.slacks(prob.start)
+        _, A_ub, w = prob.lp_matrices()
+        assert np.all(z >= 0.0), (a, z.min())
+        assert np.max(np.abs(w - A_ub @ z - prob.start)) <= 1e-12, a
+        assert abs(prob.start.sum() - 1.0) <= 1e-12, a
+
+
+def test_convex_costs_keep_the_mass_check(F, H_convex):
+    """Above a_max on convex costs the warm solve takes real primal steps;
+    at HiGHS's default 1e-7 feasibility tolerance it ended with a mass of
+    -2e-8, and the clipped masses failed the 1e-8 mass check."""
+    sol = solve_br(build_problem(upper_censorship(F, 0.25), F, H_convex, 5, 801))
+    assert sol.iterations > 0
+    assert abs(sol.masses.sum() - 1.0) <= 1e-8
+    assert sol.duality_gap <= 1e-8
