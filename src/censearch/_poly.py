@@ -187,13 +187,17 @@ def gauss_legendre(f, lo, hi, npts: int):
     sums), so an entry's bits do not depend on what it is batched with.
 
     The rule is exact up to rounding for polynomial integrands of degree
-    below 2 * npts, and not beyond.  :func:`nodes_for_degree` caps the rule at
-    ``NODE_CAP`` = 192 nodes, which cuts the degree bound of the expected
-    payoff and of the price-function mass balance (4n + 19) and of the stop
-    integral of demand (4n + 16) from n = 92 firms on, and of the best-of-n
-    value (4n + 4) from n = 95.  Consumer surplus
-    integrates with 64 nodes a cost integrand that is not polynomial above
-    the branch cost.
+    below 2 * npts, and not beyond.  Each caller sizes it by the degrees its
+    laws actually have: with d_G = 1 + the top density degree of the
+    conjecture (its CDF's degree on a piece), the stop integral of demand has
+    degree n d_G + d_H (d_G + 1), the expected payoff and the price-function
+    mass balance that plus 1 + d_W, and the best-of-n value n d_F (d_H, d_W
+    the density degrees of the costs and of the integrating law).
+    :func:`nodes_for_degree` caps the rule at ``NODE_CAP`` = 192 nodes, so
+    each is exact only while its degree is at most 383: for cubic densities
+    up to n = 91 firms (payoff), for piecewise-uniform laws up to n = 382.
+    Consumer surplus integrates with 64 nodes a cost integrand that is not
+    polynomial above the branch cost.
     """
     xg, wg = gauss_nodes(npts)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

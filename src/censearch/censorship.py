@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._poly import nodes_for_degree, poly_range_on, real_roots_in
+from ._poly import poly_range_on, real_roots_in
 from .costshape import CostShapeReport, _analysis, average_slope, cost_shape_report
 from .demand import DemandCurve, demand_second_derivative, pooled_jump
 from .dists import (
@@ -502,7 +502,9 @@ def verify_price_function(
 
 
 def _integrate_certificate(cert: _Certificate, W: PiecewisePolyDist) -> float:
-    """int cert dW, cut at the certificate's knots and demand's kinks (degree
-    <= _gl_deg on a cut piece, a density piece of W <= 3)."""
+    """int cert dW, cut at the certificate's knots and demand's kinks.  On a
+    cut piece the certificate is D or linear, so the rule of
+    :meth:`DemandCurve.integral_nodes` is exact up to rounding unless the
+    degree n d_G + d_H (d_G + 1) + 1 + d_W exceeds 383 (the node cap)."""
     kinks = np.concatenate([cert.knots, cert.curve.x_breaks])
-    return _integrate(W, cert.value, kinks, nodes_for_degree(cert.curve._gl_deg + 3))
+    return _integrate(W, cert.value, kinks, cert.curve.integral_nodes(W))

@@ -109,13 +109,25 @@ class DemandCurve:
         inside = np.concatenate([conjecture.breaks, conjecture.atom_locs, r_inner])
         cuts = {self.r_lo, self.r_hi, *(float(x) for x in inside if self.r_lo < x < self.r_hi)}
         self.x_breaks = np.array(sorted(cuts))
-        self._gl_deg = 16 + 4 * self.n  # degree bound of the stop integrand
+        # degree of the stop integrand h(min(tail, cbar)) (1 - G^n) / n on a
+        # cut piece: with d_G = 1 + G's density degree, the degree of G there,
+        # G^n has degree n d_G and h of the tail (degree d_G + 1) d_H (d_G + 1)
+        d_G = 1 + conjecture.density_degree()
+        self._gl_deg = self.n * d_G + costs.density_degree() * (d_G + 1)
         self._cum = self._cumulative_stops()
         # cost atoms: mass stops exactly at its reservation image
         self._cost_atoms = [
             (float(c0), float(m0) * power_sum(conjecture.cdf_left(r0), 1.0, self.n) / self.n)
             for c0, m0, r0 in zip(costs.atom_locs[atoms], costs.atom_masses[atoms], r_atoms)
         ]
+
+    def integral_nodes(self, W: PiecewisePolyDist) -> int:
+        """Nodes of the Gauss-Legendre rule that integrates D, or anything of
+        no higher degree on each cut piece, against a density piece of W:
+        degree _gl_deg + 1 (the stop part integrates the stop integrand, and
+        G^(n-1) times H of the tail has degree (n - 1) d_G + (d_H + 1)(d_G + 1),
+        the same) plus W's density degree."""
+        return nodes_for_degree(self._gl_deg + 1 + W.density_degree())
 
     # -- stop integral -----------------------------------------------------
 
@@ -287,12 +299,15 @@ def expected_payoff(
     curve: DemandCurve | None = None,
 ) -> float:
     """A firm's expected payoff from playing G_dev while rivals play G_star
-    and consumers conjecture G_star:  integral of D(x; G_star) dG_dev(x),
-    exact over polynomial pieces (up to the node cap of
-    :func:`censearch._poly.gauss_legendre`) plus atom terms.  Against itself
+    and consumers conjecture G_star:  integral of D(x; G_star) dG_dev(x)
+    over polynomial pieces plus atom terms.  The rule
+    (:meth:`DemandCurve.integral_nodes`) covers the degree n d_G + d_H (d_G + 1)
+    + 1 + d_W of each piece, d_G the degree of G_star's CDF and d_H, d_W those
+    of the densities of H and G_dev, so it is exact up to rounding unless
+    that degree exceeds 383, where the node cap of
+    :func:`censearch._poly.gauss_legendre` binds.  Against itself
     (G_dev = G_star) every feasible symmetric strategy earns 1/n: each
     consumer buys exactly once and firms are symmetric."""
     D = curve if curve is not None else DemandCurve(G_star, n, H)
     kinks = np.concatenate([D.x_breaks, D.G.breaks])  # G's atoms sit on its breakpoints
-    # D has degree <= _gl_deg on each cut piece, a density piece of G_dev <= 3
-    return _integrate(G_dev, D.value, kinks, nodes_for_degree(D._gl_deg + 3))
+    return _integrate(G_dev, D.value, kinks, D.integral_nodes(G_dev))

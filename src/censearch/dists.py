@@ -249,6 +249,13 @@ class PiecewisePolyDist:
         powers, zero-padded): G(lo_i + t) for 0 <= t < hi_i - lo_i."""
         return self._P[:, i].copy()
 
+    def density_degree(self) -> int:
+        """The top degree of the density over all pieces, read on demand:
+        the last row of ``_pdf`` with a nonzero entry (0 where there is no
+        density).  The CDF has degree one more on each piece."""
+        rows = np.flatnonzero(self._pdf.any(axis=1))
+        return int(rows[-1]) if len(rows) else 0
+
     # -- queries -----------------------------------------------------------
 
     @property

@@ -54,6 +54,7 @@ __all__ = ["BRProblem", "BRSolution", "build_problem", "solve_br"]
 
 GRID_N = 801          # uniform mesh points of the LP grid
 COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
+GRID_MERGE = 1e-11    # grid points this close merge into one
 SUPPORT_MASS = 1e-9   # smallest LP mass BRSolution.support reports
 ATOM_MASS = 1e-12     # smallest LP mass masses_to_dist keeps as an atom
 # Start masses and scaled cap slacks above START_BASIC make a row or a column
@@ -163,22 +164,30 @@ def build_problem(
     and atoms, the prior's breakpoints, the reservation window ends, and the
     reservation images of cost quantiles (so profitable partial-purchase
     signals are representable).
+
+    Points closer than GRID_MERGE merge into one.  The breakpoints and atoms
+    of the two laws win over the other points, so the conjecture's atoms sit
+    on the grid exactly and its own masses (``start``) put nothing beside
+    them; of two such points the lower one stays.
     """
     if grid_n < 51:
         raise ValueError("grid too coarse")
     curve = DemandCurve(G_star, n, H)
+    laws = {float(b) for b in G_star.breaks if 0.0 <= b <= 1.0}
+    laws.update(float(a) for a in G_star.atom_locs)
+    laws.update(float(b) for b in F.breaks)
     pts = set(np.linspace(0.0, 1.0, grid_n))
-    pts.update(float(b) for b in G_star.breaks if 0.0 <= b <= 1.0)
-    pts.update(float(a) for a in G_star.atom_locs)
-    pts.update(float(b) for b in F.breaks)
     pts.add(float(mean(F)))
     pts.add(curve.r_lo)
     pts.add(min(curve.r_hi, 1.0))
     cs = H.quantile((np.arange(COST_QUANTILES) + 0.5) / COST_QUANTILES)
     pts.update(float(t) for t in reservation_value(G_star, cs[cs > NO_COST]) if 0.0 <= t <= 1.0)
-    grid = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(grid) > 1e-11])
-    grid = grid[keep]
+    fixed = np.array(sorted(laws))
+    grid = np.array(sorted(pts - laws))
+    k = np.clip(np.searchsorted(fixed, grid), 1, len(fixed) - 1)
+    near = np.minimum(np.abs(grid - fixed[k - 1]), np.abs(grid - fixed[k])) <= GRID_MERGE
+    grid = np.union1d(fixed, grid[~near])
+    grid = grid[np.concatenate([[True], np.diff(grid) > GRID_MERGE])]
     obj = curve.value(grid)
     baseline = expected_payoff(G_star, G_star, n, H, curve=curve)
     return BRProblem(grid, obj, hat_masses(F, grid), float(baseline), hat_masses(G_star, grid))

@@ -42,6 +42,14 @@ __all__ = [
 ]
 
 
+def _best_of_n_nodes(F: PiecewisePolyDist, n: int) -> int:
+    """Nodes of the rule for x n F^(n-1) f on a piece of F, exact up to
+    rounding: with d F's density degree the integrand has degree
+    1 + (n - 1)(d + 1) + d = n (d + 1), n on a piecewise-uniform prior; the
+    node cap binds only above degree 383."""
+    return nodes_for_degree(n * (1 + F.density_degree()))
+
+
 def _value_of_best_of_n(F: PiecewisePolyDist, m: float, n: int) -> float:
     """int_[0,m] x d(F(x)^n): contribution of the maximum of n revealed draws
     conditional on all landing at or below m (unnormalized).  Each atom x_j
@@ -50,7 +58,7 @@ def _value_of_best_of_n(F: PiecewisePolyDist, m: float, n: int) -> float:
     top = min(m, float(F.breaks[-1]))
     cuts = [b for b in F.breaks.tolist() if b < top] + [top]
     pieces = _density_integrals(F, lambda ts: ts * n * F.cdf_vec(ts) ** (n - 1), cuts,
-                                nodes_for_degree(4 * n + 4))
+                                _best_of_n_nodes(F, n))
     atoms = [x * (F.cdf(x) ** n - F.cdf_left(x) ** n) for x in F.atom_locs.tolist() if x <= m]
     return sum(pieces.tolist(), sum(atoms, 0.0))
 

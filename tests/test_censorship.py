@@ -6,7 +6,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from censearch import censorship
-from censearch._poly import gauss_nodes, nodes_for_degree, polyval
+from censearch._poly import gauss_nodes, polyval
 from censearch.censorship import (
     deviation_net_gain,
     equilibrium_set,
@@ -204,7 +204,7 @@ def _integrate_certificate_reference(cert, W):
         | set(map(float, cert.curve.x_breaks))
     )
     cuts = [c for c in cuts if W.breaks[0] - 1e-12 <= c <= W.breaks[-1] + 1e-12]
-    xg, wg = gauss_nodes(nodes_for_degree(cert.curve._gl_deg + 3))
+    xg, wg = gauss_nodes(cert.curve.integral_nodes(W))
     pieces = []  # (half width, nodes, density coefficients) per piece with density
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         coefs = W.coefs[W._locate(0.5 * (lo + hi))[2]]

@@ -6,8 +6,9 @@ import functools
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from conftest import quasi_convex_pair
 
-from censearch import censorship, demand, oracle
+from censearch import censorship, demand, oracle, welfare
 from censearch._poly import gauss_nodes, nodes_for_degree
 from censearch.censorship import _Certificate, demand_second_derivative, upper_censorship
 from censearch.demand import (
@@ -341,7 +342,7 @@ def _ref_expected_payoff(G_dev, curve, n):
     cuts.update(float(b) for b in curve.G.breaks if lo0 < b < hi0)
     cuts.update(float(a) for a in curve.G.atom_locs if lo0 < a < hi0)
     cuts = sorted(cuts)
-    xg, wg = gauss_nodes(nodes_for_degree(curve._gl_deg + 3))
+    xg, wg = gauss_nodes(curve.integral_nodes(G_dev))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
@@ -538,3 +539,98 @@ def test_one_cutoff_inversion_per_curve(monkeypatch, F, H_bimodal):
         counts.clear()
         demand.reservation_value(U3, c)
         assert counts["tail"] == 1  # the tails at the breakpoints
+
+
+def _degree_corpus(F, F_tilted, H_uniform, H_convex):
+    """Priors of density degree 0-3 (the quadratic one with an atom) and costs
+    of density degree 0-3, each law's degree as its key."""
+    priors = {
+        0: F,
+        1: F_tilted,
+        2: PiecewisePolyDist([0.0, 1.0], [np.array([0.0, 4.8, -4.8])], atoms=[(0.25, 0.2)]),
+        3: PiecewisePolyDist([0.0, 0.5, 1.0], [np.array([0.0, 0.0, 12.0, -12.0])] * 2),
+    }
+    costs = {
+        0: H_uniform,
+        1: H_convex,
+        2: quasi_convex_pair()[0],
+        3: PiecewisePolyDist([0.0, 0.2], [np.array([0.0, 0.0, 0.0, 4.0 / 0.2**4])]),
+    }
+    return priors, costs
+
+
+def _degree_cases(priors, costs):
+    for d_F, prior in priors.items():
+        for d_H, H in costs.items():
+            for n in (2, 5, 50):
+                for a in (0.3, 0.6):
+                    yield (d_F, d_H, n, a), prior, H, n, a
+
+
+def _sized_integrals(prior, H, n, a):
+    """D on a grid, the payoff of G and of the prior against G = the prior
+    censored at a, the certificate integral against both, and the best-of-n
+    value of the prior below a and in full."""
+    G = upper_censorship(prior, a)
+    curve = DemandCurve(G, n, H)
+    cert = _Certificate([0.1, a, 0.9], [True, False], curve)
+    return {
+        "D": curve.value(np.linspace(0.0, 1.0, 201)),
+        "payoff": np.array([expected_payoff(W, G, n, H, curve=curve) for W in (G, prior)]),
+        "certificate": np.array([censorship._integrate_certificate(cert, W) for W in (G, prior)]),
+        "best_of_n": np.array([welfare._value_of_best_of_n(prior, m, n) for m in (a, 1.0)]),
+    }
+
+
+def test_density_degrees_size_rules_as_exactly_as_the_cubic_rule(
+    F, F_tilted, H_uniform, H_convex, monkeypatch
+):
+    """Every rule sized by the laws' degrees agrees with the rule sized for
+    cubic densities, which covers every law here: D, the payoffs and the
+    certificate integrals within 8 ulps relative, the best-of-n value (a
+    sum over n F^(n-1)) within 8 + n."""
+    priors, costs = _degree_corpus(F, F_tilted, H_uniform, H_convex)
+    assert [law.density_degree() for law in (*priors.values(), *costs.values())] == [0, 1, 2, 3] * 2
+    cases = list(_degree_cases(priors, costs))
+    sized = [_sized_integrals(*args) for _, *args in cases]
+    monkeypatch.setattr(PiecewisePolyDist, "density_degree", lambda self: 3)
+    eps = np.finfo(float).eps
+    for (key, *args), got in zip(cases, sized):
+        cubic = _sized_integrals(*args)
+        n = key[2]
+        for name, vals in got.items():
+            ulps = 8 + n if name == "best_of_n" else 8
+            assert np.all(np.abs(vals - cubic[name]) <= ulps * eps * np.abs(cubic[name])), (key, name)
+
+
+def test_stop_integral_on_uniform_laws_takes_n_over_2_nodes(F, H_uniform, monkeypatch):
+    """On the uniform prior censored at 0.4 with costs U[0, 0.18] at n = 50 the
+    stop integrand has degree n = 50 on every cut piece: 26 nodes, where the
+    cubic-density bound 4n + 16 took 109.  The payoff adds one degree (26)
+    and the best-of-n value of the prior has degree n (26)."""
+    sizes = []
+    rule = demand.gauss_legendre
+
+    def spy(f, lo, hi, npts):
+        sizes.append(npts)
+        return rule(f, lo, hi, npts)
+
+    monkeypatch.setattr(demand, "gauss_legendre", spy)
+    curve = DemandCurve(upper_censorship(F, 0.4), 50, H_uniform)
+    curve.value(np.linspace(0.0, 1.0, 11))
+    assert sizes and set(sizes) == {26}
+    assert curve._gl_deg == 50
+    assert curve.integral_nodes(curve.G) == curve.integral_nodes(F) == 26
+    assert welfare._best_of_n_nodes(F, 50) == 26
+
+
+def test_payoff_identity_on_the_degree_corpus(F, F_tilted, H_uniform, H_convex):
+    """A strategy against itself earns 1/n: max |n payoff - 1| over the
+    corpus is no worse than the 1.55e-15 (7 ulps) it read with every rule
+    sized for cubic densities (stop integral 4n + 16, payoff 4n + 19)."""
+    priors, costs = _degree_corpus(F, F_tilted, H_uniform, H_convex)
+    worst = 0.0
+    for _, prior, H, n, a in _degree_cases(priors, costs):
+        G = upper_censorship(prior, a)
+        worst = max(worst, abs(n * expected_payoff(G, G, n, H) - 1.0))
+    assert worst <= 7 * np.finfo(float).eps

@@ -38,6 +38,19 @@ def test_mean_examples(F):
     assert mean(rising) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
+def test_density_degree_is_the_top_nonzero_power(F, F_tilted, H_convex):
+    """The top power with a nonzero coefficient in any piece: padding zeros
+    (a mixture pads every piece to four) and atoms do not count."""
+    assert F.density_degree() == 0
+    assert F_tilted.density_degree() == 1
+    assert PiecewisePolyDist.mixture([F, PiecewisePolyDist.uniform(0.2, 0.6)], [0.5, 0.5]).density_degree() == 0
+    assert PiecewisePolyDist.mixture([F, H_convex], [0.5, 0.5]).density_degree() == 1
+    assert upper_censorship(F_tilted, 0.4).density_degree() == 1
+    assert PiecewisePolyDist.point_mass(0.3).density_degree() == 0
+    cubic = PiecewisePolyDist([0.0, 0.5, 1.0], [np.array([1.0]), np.array([0.0, 0.0, 0.0, 32.0 / 15.0])])
+    assert cubic.density_degree() == 3
+
+
 def test_incremental_benefit_examples(F):
     assert incremental_benefit(F, 0.0) == pytest.approx(0.5, abs=1e-14)
     assert incremental_benefit(F, 0.5) == pytest.approx(0.125, abs=1e-14)

@@ -47,6 +47,23 @@ def test_problem_caps(F, H_uniform, U4):
     assert any(abs(g - 0.7) < 1e-12 for g in prob.grid)  # pool atom injected
 
 
+def test_grid_keeps_the_laws_points_over_near_mesh_points(F, H_uniform):
+    """At a = 0.45 the pool atom 0.7250000000000001 lies an ulp above the mesh
+    point 0.725: the atom stays on the grid, and the conjecture's own masses
+    put the whole pool on it, with no sliver on the next grid point."""
+    G = upper_censorship(F, 0.45)
+    atom = float(G.atom_locs[0])
+    assert atom == 0.7250000000000001
+    prob = build_problem(G, F, H_uniform, 2)
+    for x in (*G.breaks.tolist(), *F.breaks.tolist()):
+        assert x in prob.grid, x
+    assert 0.725 not in prob.grid
+    assert np.all(np.diff(prob.grid) > oracle.GRID_MERGE)
+    i = int(np.searchsorted(prob.grid, atom))
+    assert prob.start[i] == pytest.approx(G.atom_masses[0], abs=1e-15)
+    assert prob.start[i + 1] == 0.0
+
+
 def test_objective_for_no_disclosure(F, H_uniform):
     delta = upper_censorship(F, 0.0)
     prob = build_problem(delta, F, H_uniform, 2, 101)

@@ -7,11 +7,23 @@ import pytest
 from censearch._poly import gauss_nodes, nodes_for_degree
 
 # the rules the library asks for: hat_masses' 3 nodes, consumer surplus' 64,
-# the node cap, and at n = 2, 5 and 50 the stop integral and expected payoff
-# (_gl_deg = 4n + 16 and _gl_deg + 3) and the best-of-n value (4n + 4)
+# the node cap; at n = 2, 5 and 50 the worst-case rules of the stop integral
+# and expected payoff (4n + 16 and 4n + 19) and the best-of-n value (4n + 4);
+# and the rules sized by the laws' degrees, for CDF degree d_G = 1..4 and
+# cost density degree d_H = 0..3: the stop integral n d_G + d_H (d_G + 1),
+# the expected payoff and mass balance that plus 1 + d_W against the prior or
+# the conjecture (d_W = d_G - 1), and the best-of-n value n d_G
 SIZES = sorted(
     {1, 2, 3, 64, 169, 192}
     | {nodes_for_degree(d) for n in (2, 5, 50) for d in (4 * n + 16, 4 * n + 19, 4 * n + 4)}
+    | {
+        nodes_for_degree(n * d_G + d_H * (d_G + 1) + extra)
+        for n in (2, 5, 50)
+        for d_G in range(1, 5)
+        for d_H in range(4)
+        for extra in (0, d_G)
+    }
+    | {nodes_for_degree(n * d_G) for n in (2, 5, 50) for d_G in range(1, 5)}
 )
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from censearch import welfare
-from censearch._poly import gauss_nodes, nodes_for_degree, polyder, polymul, polyshift, polyval
+from censearch._poly import gauss_nodes, polyder, polymul, polyshift, polyval
 from censearch.censorship import solve_a_max, upper_censorship
 from censearch.cli import main
 from censearch.costshape import assumption_diag_check, global_min_slope
@@ -166,8 +166,7 @@ def _value_of_best_of_n_reference(F, m, n):
     no piece is skipped, and each is summed by its own dot product, onto the
     atoms at or below m."""
     total = sum((x * (F.cdf(x) ** n - F.cdf_left(x) ** n) for x in F.atom_locs.tolist() if x <= m), 0.0)
-    deg = 4 * n + 4
-    xg, wg = gauss_nodes(nodes_for_degree(deg))
+    xg, wg = gauss_nodes(welfare._best_of_n_nodes(F, n))
     for i in range(len(F.coefs)):
         lo, hi = float(F.breaks[i]), float(F.breaks[i + 1])
         hi = min(hi, m)
