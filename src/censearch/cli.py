@@ -3,7 +3,8 @@
 Subcommands: solve, verify, oracle, simulate, compstat, welfare, emit-plot.
 Every command is deterministic given the spec; the spec holds every input,
 the simulation seed and the LP dump switch included, and the command line
-adds only where the outputs go.  Exit codes: 0 ok, 2 config error,
+adds only where the outputs go and how many workers ``simulate`` may use,
+which changes no output.  Exit codes: 0 ok, 2 config error,
 3 numeric non-convergence, 4 verification failed (for CI gating).
 """
 
@@ -253,7 +254,7 @@ def cmd_oracle(spec: dict, out: Path | None) -> int:
     return 0
 
 
-def cmd_simulate(spec: dict, out: Path | None) -> int:
+def cmd_simulate(spec: dict, out: Path | None, threads: int = 1) -> int:
     mc = load_market(spec)
     blk = spec.get("simulate", {})
     _require_keys(blk, {"a", "consumers", "bins", "seed", "deviation", "deviation_atom"}, "simulate")
@@ -276,11 +277,11 @@ def cmd_simulate(spec: dict, out: Path | None) -> int:
         else:
             atom = _number(blk["deviation_atom"], "simulate.deviation_atom")
             G_dev = PiecewisePolyDist.point_mass(atom)
-        pay, se, outcome = simulate_deviation(cfg, G_dev)
+        pay, se, outcome = simulate_deviation(cfg, G_dev, threads=threads)
         payload = {"deviating_payoff": pay, "payoff_se": se, "baseline": 1.0 / mc.n,
                    "outcome": outcome.to_json()}
     else:
-        outcome = simulate_market(cfg)
+        outcome = simulate_market(cfg, threads=threads)
         payload = outcome.to_json()
         seen = np.isfinite(outcome.empirical_demand)
         mids = outcome.bin_mids[seen]
@@ -408,14 +409,19 @@ _PARSER.add_argument("command", choices=sorted(_COMMANDS))
 _PARSER.add_argument("--spec", required=True, help="experiment spec (JSON)")
 _PARSER.add_argument("--out", default=None, help="output directory (default: stdout)")
 _PARSER.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored (nothing reads it)")
+                     help="at least 1: simulate runs its consumer blocks on up to this "
+                          "many CPUs, with the same results for every value")
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     out = Path(args.out) if args.out else None
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         spec = load_spec(args.spec)
+        if args.command == "simulate":
+            return cmd_simulate(spec, out, threads=args.threads)
         return _COMMANDS[args.command](spec, out)
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -34,14 +34,20 @@ as inverting U[0, 1] is the identity, and it only fills the demand bins.
 
 Randomness is counter-based: each block of ``CHUNK`` consumers is drawn
 from its own Philox stream, keyed by the seed and the block index (Salmon
-et al., SC 2011), so runs are bit-identical for a given seed, consumer
-count and ``CHUNK``, memory is set by ``CHUNK`` and not by n, and the
-underlying uniforms per consumer do not depend on the strategy being
-simulated -- deviation runs are paired samples against the baseline.
+et al., SC 2011), and the underlying uniforms per consumer do not depend
+on the strategy being simulated -- deviation runs are paired samples
+against the baseline.  The blocks are independent, so ``threads`` workers
+share them (the calling thread takes one share), each block reduces to
+integer counts and two surplus sums, and the sums are added in block
+order.  Runs are bit-identical for a given seed, consumer count and
+``CHUNK``, whatever the number of workers, and memory is set by ``CHUNK``
+times the workers, not by n or the consumer count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -93,10 +99,11 @@ def _search(G, n, costs, u):
     ``offer`` and the rival visit count where firm 0 does not sell, and
     ``some``, whether a rival clears r."""
     b = len(costs)
-    searching = costs > NO_COST  # zero-cost consumers clear at no signal
+    idle = costs <= NO_COST  # zero-cost consumers clear at no signal
     r = reservation_value(G, costs)
-    p = np.where(searching, G.cdf_left(r), 1.0)  # a rival falls short of r
-    r = np.where(searching, r, np.inf)
+    p = G.cdf_left(r)  # a rival falls short of r
+    p[idle] = 1.0
+    r[idle] = np.inf
     k0 = (u[:, 2] * n).astype(np.intp)  # firm 0's place in the visit order
     # j rivals fall short before one clears, P(j >= i) = p^i; j = n - 1: none clears
     g = 1.0 - u[:, 3]
@@ -104,20 +111,23 @@ def _search(G, n, costs, u):
     j = np.full(b, n - 1)
     with np.errstate(divide="ignore"):  # log(0) where every rival clears
         j[some] = np.minimum(np.log(g[some]) / np.log(p[some]), n - 2)
-    rival_visits = np.minimum(j + 1 + (j >= k0), n)
-    label = 1 + (u[:, 6] * (n - 1)).astype(np.intp)
+    rival_visits = j + 1
+    rival_visits += j >= k0
+    np.minimum(rival_visits, n, out=rival_visits)
+    label = (u[:, 6] * (n - 1)).astype(np.intp)
+    label += 1
     # the rival's offer: the signal that clears, G on [p, 1], or where none
     # clears, the best of the m rivals before and after firm 0, G at p u^(1/m);
     # a rival that clears after firm 0 is a best rival of +inf to firm 0
     offer = np.empty(b)
     offer[some] = G.quantile(p[some] + (1.0 - p[some]) * u[some, 4])
     none = np.flatnonzero(~some)
-    m = np.stack([k0[none], n - 1 - k0[none]], axis=1)
-    best = np.full((b, 2), np.inf)
+    b0, b1 = np.full(b, np.inf), np.full(b, np.inf)
     with np.errstate(divide="ignore"):  # 1 / 0 where a side holds no rivals
-        best[none] = np.where(m > 0, G.quantile(p[none, None] * u[none, 4:6] ** (1.0 / m)), -np.inf)
-    offer[none] = best[none].max(axis=1)
-    t, closed = _cutoff(r, best[:, 0], best[:, 1], some & (j < k0))
+        for best, col, m in ((b0, 4, k0[none]), (b1, 5, n - 1 - k0[none])):
+            best[none] = np.where(m > 0, G.quantile(p[none] * u[none, col] ** (1.0 / m)), -np.inf)
+    offer[none] = np.maximum(b0[none], b1[none])
+    t, closed = _cutoff(r, b0, b1, some & (j < k0))
     return t, closed, r, k0, label, offer, rival_visits, some
 
 
@@ -139,45 +149,114 @@ def _sells(s, t, closed):
     return (s > t) | ((s == t) & closed)
 
 
-def _run(cfg: SimConfig, law: PiecewisePolyDist, probe: bool) -> tuple:
-    """One pass over the consumer blocks with firm 0 signalling from
-    ``law``; returns the raw sums for :func:`_finish`.  The demand bins
-    count ``law``'s own (signal, sale) pairs, or with ``probe`` those of
-    firm 0 signalling its uniform itself: the probe shares each consumer's
-    cutoff, and only fills the bins."""
-    G, H, n = cfg.prior_mean_strategy, cfg.costs, cfg.n
-    total = cfg.consumers
-    edges = np.linspace(0.0, 1.0, cfg.bins + 1)
-    dec_edges = H.quantile((np.arange(1, 10) / 10.0))
-    wins, win_bins, sig_bins = np.zeros(n), np.zeros(cfg.bins), np.zeros(cfg.bins)
-    stops, type_counts = np.zeros(10), np.zeros(10)
-    cs_sum = cs_sq = len_sum = len_sq = 0.0
-    for block, start in enumerate(range(0, total, CHUNK)):
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, block]))
-        u = gen.random((min(CHUNK, total - start), 7))
-        costs = H.quantile(u[:, 0])
-        dec = np.clip(np.digitize(costs, dec_edges), 0, 9)
-        type_counts += np.bincount(dec, minlength=10)
-        t, closed, r, k0, label, offer, rival_visits, some = _search(G, n, costs, u)
-        s0 = law.quantile(u[:, 1])
-        win = _sells(s0, t, closed)
-        stop0 = win & (s0 >= r)  # firm 0 stops the search
-        visits = np.where(stop0, k0 + 1, rival_visits)
-        wins += np.bincount(np.where(win, 0, label), minlength=n)
-        cs = np.where(win, s0, offer) - costs * visits
-        cs_sum += float(cs.sum())
-        cs_sq += float((cs**2).sum())
-        len_sum += float(visits.sum())
-        len_sq += float((visits.astype(float) ** 2).sum())
-        stops += np.bincount(dec[stop0 | some], minlength=10)
-        if probe:
-            s0 = u[:, 1]
-            win = _sells(s0, t, closed)
-        # empirical demand: firm 0's (signal, sale) pairs, one per consumer
-        sig_bin = np.clip(np.digitize(s0, edges) - 1, 0, cfg.bins - 1)
-        sig_bins += np.bincount(sig_bin, minlength=cfg.bins)
-        win_bins += np.bincount(sig_bin[win], minlength=cfg.bins)
-    return (wins, win_bins, sig_bins, cs_sum, cs_sq, len_sum, len_sq, stops, type_counts, edges)
+def _uniforms(cfg: SimConfig, block: int) -> np.ndarray:
+    """The rows of seven uniforms of block ``block``, one draw from its own
+    Philox stream."""
+    gen = np.random.Generator(np.random.Philox(key=[cfg.seed, block]))
+    return gen.random((min(CHUNK, cfg.consumers - block * CHUNK), 7))
+
+
+def _tallies(cfg: SimConfig, law: PiecewisePolyDist, probe: bool, dec_edges, blocks) -> list:
+    """The :func:`_block` tallies of the consumer ``blocks`` (indices),
+    simulated one after another."""
+    out, u = [], _uniforms(cfg, blocks[0])
+    for nxt in [*blocks[1:], None]:
+        tally, u = _block(cfg, law, probe, dec_edges, u, nxt)
+        out.append(tally)
+    return out
+
+
+def _block(cfg: SimConfig, law: PiecewisePolyDist, probe: bool, dec_edges, u, nxt) -> tuple:
+    """One block of consumers drawing their paths from ``u``, with firm 0
+    signalling from ``law``.  Returns the block's tally, then the uniforms
+    of block ``nxt`` (None for none).  The tally holds the integer counts
+    (each firm's wins, the demand bins' sales and signals, the stops and
+    consumers of each cost decile split at ``dec_edges``, the visits and
+    their squares) and the sums of surplus and of its square.  The demand
+    bins count ``law``'s own (signal, sale) pairs, or with ``probe`` those
+    of firm 0 signalling its uniform itself: the probe shares each
+    consumer's cutoff, and only fills the bins.
+
+    The block works in place where it can, and draws the next block's
+    uniforms while its own arrays still hold their memory: the next block
+    then mostly reuses that memory, and fewer pages go back to the system
+    between blocks only to be faulted in again."""
+    G, H, n, bins = cfg.prior_mean_strategy, cfg.costs, cfg.n, cfg.bins
+    costs = H.quantile(u[:, 0])
+    dec = np.digitize(costs, dec_edges).astype(np.uint8)
+    t, closed, r, k0, label, offer, rival_visits, some = _search(G, n, costs, u)
+    s0 = law.quantile(u[:, 1])
+    win = _sells(s0, t, closed)
+    # empirical demand: firm 0's (signal, sale) pairs, one per consumer
+    sig_bin = np.digitize(u[:, 1] if probe else s0, np.linspace(0.0, 1.0, bins + 1))
+    sale = _sells(u[:, 1], t, closed) if probe else win
+    sig_bin -= 1
+    np.clip(sig_bin, 0, bins - 1, out=sig_bin)
+    stop0 = win & (s0 >= r)  # firm 0 stops the search
+    k0 += 1
+    visits = rival_visits
+    np.copyto(visits, k0, where=stop0)
+    label[win] = 0  # the seller
+    cs = offer  # the surplus: the signal bought, less the search costs
+    np.copyto(cs, s0, where=win)
+    costs *= visits
+    cs -= costs
+    counts = np.concatenate([
+        np.bincount(label, minlength=n),
+        np.bincount(sig_bin[sale], minlength=bins), np.bincount(sig_bin, minlength=bins),
+        np.bincount(dec[stop0 | some], minlength=10), np.bincount(dec, minlength=10),
+        [visits.sum(), np.dot(visits, visits)]])
+    tally = counts, float(cs.sum()), float(np.square(cs, out=costs).sum())
+    return tally, (None if nxt is None else _uniforms(cfg, nxt))
+
+
+def worker_count(threads: int, blocks: int) -> int:
+    """Workers for a run of ``blocks`` consumer blocks at ``threads``: no
+    more than the CPUs this process may run on, nor than the blocks.  It
+    only counts; no thread is started here."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return min(threads, len(os.sched_getaffinity(0)), blocks)
+
+
+def _run(cfg: SimConfig, law: PiecewisePolyDist, probe: bool, threads: int) -> tuple:
+    """One pass over the consumer blocks (see :func:`_tallies`); returns the
+    raw sums for :func:`_finish`.  Of w = :func:`worker_count` workers, the
+    calling thread and w - 1 threads, worker i takes blocks i, i + w, ...;
+    the surplus sums are then added in block order, so no result depends
+    on w.  An exception raised by a worker is raised here."""
+    dec_edges = cfg.costs.quantile((np.arange(1, 10) / 10.0))
+    blocks = range(-(-cfg.consumers // CHUNK))
+    w = worker_count(threads, len(blocks))
+    done = [None] * w
+
+    def work(i):
+        try:
+            done[i] = _tallies(cfg, law, probe, dec_edges, blocks[i::w])
+        except BaseException as exc:  # raised by the caller once all have stopped
+            done[i] = exc
+
+    pool = []
+    try:
+        for i in range(1, w):
+            thread = threading.Thread(target=work, args=(i,))
+            thread.start()
+            pool.append(thread)
+        work(0)
+    finally:  # no thread outlives the call
+        for thread in pool:
+            thread.join()
+    for res in done:
+        if isinstance(res, BaseException):
+            raise res
+    counts, cs_sum, cs_sq = 0, 0.0, 0.0
+    for block in blocks:
+        c, s, q = done[block % w][block // w]
+        counts, cs_sum, cs_sq = counts + c, cs_sum + s, cs_sq + q
+    wins, win_bins, sig_bins, stops, types, lengths = np.split(
+        np.asarray(counts, dtype=float), np.cumsum([cfg.n, cfg.bins, cfg.bins, 10, 10]))
+    return (wins, win_bins, sig_bins, cs_sum, cs_sq, float(lengths[0]), float(lengths[1]),
+            stops, types, np.linspace(0.0, 1.0, cfg.bins + 1))
 
 
 def _finish(cfg: SimConfig, raw) -> SimOutcome:
@@ -210,7 +289,7 @@ def _finish(cfg: SimConfig, raw) -> SimOutcome:
     )
 
 
-def simulate_market(cfg: SimConfig) -> SimOutcome:
+def simulate_market(cfg: SimConfig, threads: int = 1) -> SimOutcome:
     """Simulate the symmetric market (all firms draw from the conjecture).
 
     The empirical demand curve needs observations at off-path signals, so it
@@ -218,15 +297,15 @@ def simulate_market(cfg: SimConfig) -> SimOutcome:
     [0, 1] (consumers cannot observe the change), populating every bin with
     unbiased win frequencies.  The probe shares the pass over the consumers
     and their cutoffs; all other statistics come from the on-path market."""
-    return _finish(cfg, _run(cfg, cfg.prior_mean_strategy, probe=True))
+    return _finish(cfg, _run(cfg, cfg.prior_mean_strategy, True, threads))
 
 
-def simulate_deviation(cfg: SimConfig, G_dev: PiecewisePolyDist) -> tuple[float, float, SimOutcome]:
+def simulate_deviation(cfg: SimConfig, G_dev: PiecewisePolyDist, threads: int = 1) -> tuple[float, float, SimOutcome]:
     """Firm 0 draws signals from G_dev while consumers keep the conjecture;
     returns (firm 0 payoff, its standard error, full outcome).  Uses the
     same consumer uniforms as the baseline run with the same seed; the
     demand bins count firm 0's own deviating signals."""
-    out = _finish(cfg, _run(cfg, G_dev, probe=False))
+    out = _finish(cfg, _run(cfg, G_dev, False, threads))
     p = float(out.firm_payoffs[0])
     se = float(out.payoff_se[0])
     return p, se, out

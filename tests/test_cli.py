@@ -372,6 +372,29 @@ def test_simulate_deviation_spec(tmp_path):
     assert abs(payload["deviating_payoff"] - 0.7) <= 5 * payload["payoff_se"]
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    spec = write_spec(tmp_path, n=2, extra={"simulate": {"a": 0.4, "consumers": 2000}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", str(spec), "--out", str(out), "--threads", threads]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_threads_same_bytes(tmp_path, monkeypatch):
+    """simulate at --threads 2 writes the bytes --threads 1 writes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec = write_spec(
+        tmp_path, n=2,
+        extra={"simulate": {"a": 0.4, "consumers": 50000, "bins": 20, "seed": 3}},
+    )
+    for threads in ("1", "2"):
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+    for name in ("simulate.json", "demand_emp.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_csv_bytes_match_csv_writer(tmp_path, capsys):
     # the rows every command writes: Python and numpy floats (repr-length
     # digits, nan, inf), ints, bools and unquoted strings

@@ -1,17 +1,21 @@
 """Monte Carlo market simulation against the analytic quantities."""
 
 import json
+import os
+import sys
+import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from scipy.special import bdtr, bdtrc, ndtri
 
-from censearch import simulate
+from censearch import cli, simulate
 from censearch.censorship import upper_censorship
 from censearch.demand import NO_COST, DemandCurve
 from censearch.dists import PiecewisePolyDist, reservation_value
-from censearch.simulate import SimConfig, simulate_deviation, simulate_market
+from censearch.simulate import SimConfig, SimOutcome, simulate_deviation, simulate_market
 from censearch.welfare import consumer_surplus
 
 from test_demand import _random_contraction
@@ -43,17 +47,119 @@ def test_censored_strategy_statistics(F, H_uniform):
         assert abs(d - curve.value(float(m))) <= 4 * max(se, 1e-6), m
 
 
-def test_bit_reproducibility(F, H_uniform):
+def _same(a, b) -> bool:
+    """Every field of two outcomes equal, empty demand bins (NaN) included."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+               for f in fields(SimOutcome))
+
+
+def test_bit_reproducibility(F, H_uniform, monkeypatch):
+    """The same seed gives the same bits: run twice, and at 1, 2 and 3
+    workers, for the market and for deviations to an atom and to a
+    two-piece density, over one block, a partial last block, seven blocks
+    and seven and a half blocks of 997 consumers; another seed does not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))  # 3 workers anywhere
     U4 = upper_censorship(F, 0.4)
-    cfg = SimConfig(U4, H_uniform, 2, 30_000, seed=123)
-    a = simulate_market(cfg)
-    b = simulate_market(cfg)
-    assert np.array_equal(a.firm_payoffs, b.firm_payoffs)
-    assert a.cs_mean == b.cs_mean and a.search_length_mean == b.search_length_mean
-    assert np.array_equal(a.empirical_demand[np.isfinite(a.empirical_demand)],
-                          b.empirical_demand[np.isfinite(b.empirical_demand)])
-    c = simulate_market(SimConfig(U4, H_uniform, 2, 30_000, seed=124))
-    assert not np.array_equal(a.firm_payoffs, c.firm_payoffs)
+    laws = (PiecewisePolyDist.point_mass(0.7),
+            PiecewisePolyDist([0.0, 0.45, 1.0], [np.array([0.6]), np.array([(1.0 - 0.6 * 0.45) / 0.55])]))
+    for blocks, chunk in ((1, simulate.CHUNK), (2.5, simulate.CHUNK), (7, simulate.CHUNK), (7.5, 997)):
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "CHUNK", chunk)
+            cfg = SimConfig(U4, H_uniform, 2, int(blocks * chunk), seed=123)
+
+            def runs(threads):
+                return [simulate_market(cfg, threads=threads)] + [
+                    simulate_deviation(cfg, law, threads=threads)[2] for law in laws]
+
+            ref = runs(1)
+            for threads in (1, 2, 3):
+                assert all(_same(a, b) for a, b in zip(runs(threads), ref)), (blocks, chunk, threads)
+            c = simulate_market(replace(cfg, seed=124))
+            assert not np.array_equal(ref[0].firm_payoffs, c.firm_payoffs)
+
+
+def test_more_workers_than_cores_switching_fast(F, H_uniform, monkeypatch):
+    """Eight workers on this machine's cores, switching threads every 10 us,
+    still give the serial run's bits: the workers share no state they
+    write, so no interleaving can lose an update."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(simulate, "CHUNK", 997)
+    cfg = SimConfig(upper_censorship(F, 0.4), H_uniform, 5, 20 * 997 + 13, seed=77)
+    law = PiecewisePolyDist.point_mass(0.55)
+    ref = simulate_market(cfg), simulate_deviation(cfg, law)[2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = simulate_market(cfg, threads=8), simulate_deviation(cfg, law, threads=8)[2]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_same(a, b) for a, b in zip(got, ref))
+
+
+def test_worker_count_starts_no_thread():
+    """The worker count is min(threads, CPUs, blocks), at least one thread
+    asked for; counting it starts no thread."""
+    cpus = len(os.sched_getaffinity(0))
+    before = threading.active_count()
+    assert simulate.worker_count(10**6, 10**6) == cpus
+    assert simulate.worker_count(10**6, 1) == 1
+    assert simulate.worker_count(1, 10**6) == 1
+    assert simulate.worker_count(2, 7) == min(2, cpus)
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            simulate.worker_count(threads, 4)
+    assert threading.active_count() == before
+
+
+def test_threads_started_and_joined(F, H_uniform, monkeypatch):
+    """A run over two blocks at --threads 10**6 starts one thread, the
+    caller taking the other share, and none is left running."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(simulate.threading, "Thread", Counted)
+    cfg = SimConfig(upper_censorship(F, 0.4), H_uniform, 2, 2 * simulate.CHUNK, seed=4)
+    simulate_market(cfg, threads=10**6)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_worker_error_reaches_caller(F, H_uniform, monkeypatch, tmp_path, capsys):
+    """An ArithmeticError raised in block 3, which a worker thread runs, is
+    raised by simulate_market itself once every worker has stopped, and
+    the CLI exits 3 on it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    cfg = SimConfig(upper_censorship(F, 0.4), H_uniform, 2, 5 * simulate.CHUNK, seed=9)
+    block3 = simulate._uniforms(cfg, 3)
+    raised = []
+    search = simulate._search
+
+    def failing(G, n, costs, u):
+        if np.array_equal(u, block3):
+            raised.append(ArithmeticError("no convergence in block 3"))
+            raise raised[-1]
+        return search(G, n, costs, u)
+
+    monkeypatch.setattr(simulate, "_search", failing)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError) as exc:
+        simulate_market(cfg, threads=2)
+    assert exc.value is raised[0]
+    assert threading.active_count() == before
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "version": 1,
+        "market": {"prior": {"kind": "uniform", "support": [0, 1]},
+                   "costs": {"kind": "uniform", "support": [0, 0.18]}, "n": 2},
+        "simulate": {"a": 0.4, "consumers": cfg.consumers, "seed": cfg.seed}}))
+    assert cli.main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "out"),
+                     "--threads", "2"]) == 3
+    assert "no convergence in block 3" in capsys.readouterr().err
+    assert threading.active_count() == before
 
 
 def test_deviation_examples(F, H_uniform):
@@ -318,6 +424,24 @@ def test_memory_bounded_at_large_n(F, H_uniform):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
+
+
+def test_memory_bounded_by_workers(F, H_uniform, monkeypatch):
+    """Memory is set by the block times the workers.  A worker holds one
+    block's arrays at a time: 3.4 MiB traced over four blocks, where a loop
+    that kept a block's arrays while it drew the next peaked at 5.7 MiB.
+    Two workers stay under 7.5 MiB."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    cfg = SimConfig(upper_censorship(F, 0.4), H_uniform, 2, 4 * simulate.CHUNK, seed=5)
+    for threads, bound in ((1, 4.0), (2, 7.5)):
+        simulate_market(cfg, threads=threads)
+        tracemalloc.start()
+        try:
+            simulate_market(cfg, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, (threads, peak)
 
 
 def test_full_block_at_n2000(F):
