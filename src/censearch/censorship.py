@@ -37,6 +37,7 @@ from ._poly import poly_range_on, real_roots_in
 from .costshape import CostShapeReport, _analysis, average_slope, cost_shape_report
 from .demand import DemandCurve, demand_second_derivative, pooled_jump
 from .dists import (
+    BREAK_TOL,
     TOL,
     PiecewisePolyDist,
     Tolerances,
@@ -72,7 +73,8 @@ def upper_censorship(F: PiecewisePolyDist, a: float) -> PiecewisePolyDist:
     """Censor the prior above a: F strictly below a, a gap on [a, k), and
     the pooled mass 1 - F.cdf_left(a) at k = E[v | v >= a], so an atom that
     a sits on (see ``PiecewisePolyDist._locate``) joins the pool and the mean
-    holds.  a = 0 gives no disclosure (point mass at the mean), a = 1 full."""
+    holds.  a = 1 gives full disclosure; the one no-disclosure rule, F(a-) <=
+    1e-14 (a = 0 among them), gives the point mass at k."""
     if a >= F.support_hi - 1e-12:
         return F
     a = max(float(a), F.support_lo)
@@ -192,21 +194,18 @@ def verify_uce(
 
     The limit condition compares the cost distribution's average slope with
     the threshold's incremental-benefit level and is reported separately in
-    ``checks['cost_condition']``.
-    """
+    ``checks['cost_condition']``.  A threshold that discloses nothing
+    (:func:`upper_censorship`'s rule) passes every check with margin 0."""
     cbar = H.support_hi
-    if a <= tol.root:
-        # no disclosure: the constant certificate 1/n = D(k) works for any n
-        # and touches demand at the pool, so the margin is exactly 0
-        dmu = upper_censorship(F, 0.0)
-        k = dmu.max_supp()
-        checks = dict.fromkeys(["virtual_convex", "kink_increasing", "virtual_dominates",
-                                "cost_condition"], True)
-        return CensorshipReport(0.0, k, reservation_value(dmu, cbar), k, n, "equilibrium",
-                                checks, 0.0, [k])
-
     Ua = upper_censorship(F, a)
     k = Ua.max_supp()
+    if Ua.min_supp() == k:
+        # no disclosure: the constant certificate 1/n = D(k) works for any n
+        # and touches demand at the pool, so the margin is exactly 0
+        checks = dict.fromkeys(["virtual_convex", "kink_increasing", "virtual_dominates",
+                                "cost_condition"], True)
+        return CensorshipReport(float(a), k, reservation_value(Ua, cbar), k, n, "equilibrium",
+                                checks, 0.0, [k])
     curve = DemandCurve(Ua, n, H)
     r_lo = curve.r_lo
     cfa = incremental_benefit(F, a)
@@ -378,13 +377,13 @@ class _Certificate:
 
     def value(self, x):
         """The certificate at x; takes a scalar (returns a float) or an array.
-        A point within 1e-14 above a knot keeps the interval ending there."""
+        A point within BREAK_TOL above a knot keeps the interval ending there."""
         x = np.asarray(x, dtype=float)
         k, v = self.knots, self.vals
         out = np.where(x <= k[0], v[0], v[-1] + self.exit_slope * (x - k[-1]))
         inside = (x > k[0]) & (x < k[-1])
         xi = x[inside]
-        i = np.searchsorted(k[1:] + 1e-14, xi)
+        i = np.searchsorted(k[1:] + BREAK_TOL, xi)
         on = self.follows[i]
         vi = np.empty_like(xi)
         vi[on] = self.curve.value(xi[on])
@@ -408,13 +407,13 @@ class _Certificate:
 def _support_elements(G: PiecewisePolyDist, F: PiecewisePolyDist, tol: float):
     """Split the candidate's support into full-disclosure intervals (the
     exact range of G - F on the piece within tol), pooling intervals
-    (positive density, G != F), and atoms."""
+    (G's live segments where G != F), and atoms."""
     elements = []
     for lo, hi, d in _cdf_difference(G, F):
         mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-14 or not G.breaks[0] <= mid <= G.breaks[-1]:
+        if hi - lo < BREAK_TOL or not G.breaks[0] <= mid <= G.breaks[-1]:
             continue
-        if G._dens_max[G._locate(mid)[2]] <= 1e-14:
+        if not G._live[G._locate(mid)[2]]:
             continue  # gap
         low, high = poly_range_on(d, 0.0, hi - lo)
         kind = "disclosure" if max(-low, high) <= tol else "pooling"
@@ -422,9 +421,7 @@ def _support_elements(G: PiecewisePolyDist, F: PiecewisePolyDist, tol: float):
             elements[-1] = (kind, elements[-1][1], hi)
         else:
             elements.append((kind, lo, hi))
-    for a, m in zip(G.atom_locs, G.atom_masses):
-        if m > 1e-14:
-            elements.append(("atom", float(a), float(a)))
+    elements.extend(("atom", a, a) for a in G.atom_locs.tolist())
     elements.sort(key=lambda e: (e[1], e[2]))
     return elements
 
@@ -436,7 +433,7 @@ def verify_price_function(
     convex certificate.
 
     The certificate's knots are the ends of the candidate's disclosure runs
-    and pooling intervals and its atoms, merged within 1e-14.  It follows
+    and pooling intervals and its atoms, merged within BREAK_TOL.  It follows
     demand on each knot interval whose midpoint lies in a disclosure run and
     is the chord of demand between the two knots on every other one (gaps,
     pooling intervals, and the pieces of a pooling interval split by an atom
@@ -451,7 +448,7 @@ def verify_price_function(
     if not elements:
         raise ValueError("unsupported candidate shape: empty support")
     ends = np.unique([x for _, lo, hi in elements for x in (lo, hi)])
-    knots = ends[np.concatenate([[True], np.diff(ends) > 1e-14])]
+    knots = ends[np.concatenate([[True], np.diff(ends) > BREAK_TOL])]
     runs = np.array([(lo, hi) for kind, lo, hi in elements if kind == "disclosure"]).reshape(-1, 2, 1)
     mids = 0.5 * (knots[:-1] + knots[1:])
     cert = _Certificate(knots, ((runs[:, 0] <= mids) & (mids <= runs[:, 1])).any(axis=0), curve)

@@ -34,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._poly import polyval, real_roots_in
+from ._poly import poly_range_on, polyval, real_roots_in
 from .dists import TOL, PiecewisePolyDist, _result
 
 __all__ = [
@@ -56,7 +56,7 @@ RISE_TOL = 1e-11    # a density slope above this counts as rising
 
 
 def _require_continuous(H: PiecewisePolyDist):
-    if len(H.atom_locs) and np.any(H.atom_masses > 0):
+    if len(H.atom_locs):
         raise ValueError("cost-shape analysis needs an atom-free cost distribution")
 
 
@@ -158,7 +158,8 @@ class _SlopeAnalysis:
             lo, hi = float(H.breaks[i]), float(H.breaks[i + 1])
             w = _stationary_poly(H, i)
             scale = max(np.max(np.abs(w)), H.cdf(hi), 1e-30)
-            if np.all(np.abs(polyval(w, np.linspace(0.0, hi - lo, 9))) <= 1e-12 * scale):  # a plateau
+            low, high = poly_range_on(w, 0.0, hi - lo)
+            if max(-low, high) <= 1e-12 * scale:  # a plateau: W's exact range is ~0
                 val = average_slope(H, 0.5 * (lo + hi))
                 if val <= prefix + tol:
                     out.append(_Critical(lo, hi, val))

@@ -100,9 +100,9 @@ class DemandCurve:
         self.n = int(n)
         self.cbar = costs.support_hi
         self.r_hi = conjecture.max_supp()
-        # one inversion for the cost top, inner breakpoints and (positive) atoms
+        # one inversion for the cost top, inner breakpoints and atoms
         inner = costs.breaks[(NO_COST < costs.breaks) & (costs.breaks < self.cbar - 1e-14)]
-        atoms = (costs.atom_locs > NO_COST) & (costs.atom_masses > 0)
+        atoms = costs.atom_locs > NO_COST
         rs = reservation_value(conjecture, np.concatenate([[self.cbar], inner, costs.atom_locs[atoms]]))
         r_top, r_inner, r_atoms = np.split(rs, [1, 1 + len(inner)])
         self.r_lo = float(r_top[0])
@@ -168,7 +168,7 @@ class DemandCurve:
         gr, gl = self.G.cdf(x), self.G.cdf_left(x)
         win = _pow(gl if side < 0 else gr, self.n - 1)
         if side == 0:
-            tie = self.G.atom_mass_at(x) > 1e-15
+            tie = self.G.atom_mass_at(x) > 0
             win = np.where(tie, power_sum(gl, gr, self.n) / self.n, win)
         return _result(win)
 
@@ -270,7 +270,7 @@ def type_demand(G: PiecewisePolyDist, x: float, c: float, n: int) -> float:
     r = reservation_value(G, c)  # the top of the support for c <= NO_COST
     if x >= r and c > NO_COST:
         return power_sum(G.cdf_left(r), 1.0, n) / n
-    if G.atom_mass_at(x) > 1e-15:
+    if G.atom_mass_at(x) > 0:
         return power_sum(G.cdf_left(x), G.cdf(x), n) / n
     return G.cdf(x) ** (n - 1)
 

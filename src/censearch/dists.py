@@ -55,8 +55,7 @@ class Tolerances:
     the slack of ``verify_uce``'s convexity, domination and cost checks and of
     the cost law's slope analysis, and 1e3 ineq that of the disclosure test of
     ``verify_price_function``.  ``root`` is read by no root finder: it is the
-    threshold at or below which ``verify_uce`` sees no disclosure, the pad
-    ``DemandCurve.convex_on`` leaves at interval ends, and ``solve_a_max``'s
+    pad ``DemandCurve.convex_on`` leaves at interval ends and ``solve_a_max``'s
     supremum edge."""
 
     root: float = 1e-10
@@ -68,8 +67,11 @@ TOL = Tolerances()
 
 class PiecewisePolyDist:
     """Distribution on [breaks[0], breaks[-1]] with polynomial density pieces
-    and atoms.  Atoms are normalized to sit on breakpoints, so the CDF only
-    jumps at breakpoints and every piece is smooth inside its interval.
+    and atoms.  An atom is a point of positive mass (one of mass in
+    [-MASS_TOL, 0] is dropped on input), and the law has density exactly on the
+    segments ``_live`` flags, those whose density table is not all zeros.
+    Atoms sit on breakpoints, so the CDF only jumps at breakpoints and every
+    piece is smooth inside its interval.
 
     :meth:`_locate` alone decides which breakpoint a point sits on.  There
     ``cdf``, ``cdf_left`` and ``atom_mass_at`` read the breakpoint tables,
@@ -95,7 +97,7 @@ class PiecewisePolyDist:
         "atom_masses",
         "_inner",
         "_dens_min",
-        "_dens_max",
+        "_live",
         "_atom_at",
         "_pdf",
         "_dpdf",
@@ -122,6 +124,9 @@ class PiecewisePolyDist:
         locs = [a for a, _ in atoms]
         if len(set(locs)) != len(locs):
             raise ValueError("duplicate atom locations")
+        if not all(-MASS_TOL <= m <= 1 + MASS_TOL for _, m in atoms):
+            raise ValueError("atom masses must lie in [0, 1]")
+        atoms = [(a, m) for a, m in atoms if m > 0]
         if atoms and (atoms[0][0] < breaks[0] - BREAK_TOL or atoms[-1][0] > breaks[-1] + BREAK_TOL):
             raise ValueError("atom outside support")
         breaks, coefs, atoms = _insert_atom_breaks(breaks, coefs, atoms)
@@ -151,7 +156,7 @@ class PiecewisePolyDist:
     @classmethod
     def mixture(cls, components, weights) -> "PiecewisePolyDist":
         weights = np.asarray(weights, dtype=float)
-        if np.any(weights < -MASS_TOL) or abs(weights.sum() - 1.0) > 1e-9:
+        if np.any(weights < -MASS_TOL) or abs(weights.sum() - 1.0) > MASS_TOL:
             raise ValueError("mixture weights must be a probability vector")
         cuts = sorted({float(b) for d in components for b in d.breaks})
         breaks = np.array(cuts)
@@ -177,9 +182,8 @@ class PiecewisePolyDist:
         lo, hi = self.breaks[:-1], self.breaks[1:]
         width = hi - lo
         self._inner = self.breaks[1:-1]
-        # exact (min, max) of the density on each segment
-        ranges = [poly_range_on(c, lo[i], hi[i]) for i, c in enumerate(self.coefs)]
-        self._dens_min, self._dens_max = np.array(ranges).T
+        # exact minimum of the density on each segment
+        self._dens_min = np.array([poly_range_on(c, lo[i], hi[i])[0] for i, c in enumerate(self.coefs)])
         # at least two rows: _poly.polyint, like numpy's, returns a one-term
         # (not two-term) antiderivative for a table that is a single row of zeros
         dens = np.zeros((max(2, max(len(c) for c in self.coefs)), nseg))
@@ -192,6 +196,7 @@ class PiecewisePolyDist:
         # each table's constant term is its value at the segment end it starts
         # from, and its value at the other end starts the next segment's
         self._pdf = _poly.polyshift(dens, lo)
+        self._live = self._pdf.any(axis=0)
         self._dpdf = _poly.polyder(self._pdf)
         P = _poly.polyint(self._pdf)
         seg_mass = polyval(P, width)
@@ -224,8 +229,6 @@ class PiecewisePolyDist:
         total = self._cdf_at[-1]
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {total!r} != 1")
-        if np.any(self.atom_masses < -MASS_TOL) or np.any(self.atom_masses > 1 + MASS_TOL):
-            raise ValueError("atom masses must lie in [0, 1]")
         for i, lo_v in enumerate(self._dens_min.tolist()):
             if lo_v < -1e-11:
                 raise ValueError(f"density negative on segment {i}: min={lo_v}")
@@ -267,18 +270,17 @@ class PiecewisePolyDist:
         return float(self.breaks[-1])
 
     def max_supp(self) -> float:
-        """Top of the support: the largest breakpoint with an atom or with
-        density above 1e-13 just below it; the support top when there is none."""
+        """Top of the support: the largest breakpoint with an atom or with a
+        live segment just below it; the support top when there is none."""
         live = self._atom_at > 0
-        live[1:] |= self._dens_max > 1e-13
+        live[1:] |= self._live
         return float(self.breaks[len(live) - 1 - np.argmax(live[::-1])])
 
     def min_supp(self) -> float:
         """Bottom of the support: the smallest breakpoint with an atom or with
-        density above 1e-13 just above it; the support bottom when there is
-        none."""
+        a live segment just above it; the support bottom when there is none."""
         live = self._atom_at > 0
-        live[:-1] |= self._dens_max > 1e-13
+        live[:-1] |= self._live
         return float(self.breaks[np.argmax(live)])
 
     def atom_mass_at(self, x):
@@ -468,14 +470,13 @@ def _bracketed_newton(i, target, a, b, ga, gb, exact, value, slope, curve):
 
 
 def _integrate(W: PiecewisePolyDist, f, kinks, npts: int) -> float:
-    """int f dW: the sum of m * f(x) over W's atoms (mass m > 0, in order),
-    then the density pieces of :func:`_density_integrals` between W's
-    breakpoints and the kinks of f that lie strictly inside W's support,
-    added in order.  f takes an array of points."""
+    """int f dW: the sum of m * f(x) over W's atoms (in order), then the
+    density pieces of :func:`_density_integrals` between W's breakpoints and
+    the kinks of f that lie strictly inside W's support, added in order.  f
+    takes an array of points."""
     total = 0.0
     for m, v in zip(W.atom_masses, f(W.atom_locs)):
-        if m > 0:
-            total += m * v
+        total += m * v
     kinks = np.asarray(kinks, dtype=float)
     cuts = np.union1d(W.breaks, kinks[(W.breaks[0] < kinks) & (kinks < W.breaks[-1])])
     return float(sum(_density_integrals(W, f, cuts, npts).tolist(), total))
@@ -485,14 +486,14 @@ def _density_integrals(W: PiecewisePolyDist, f, cuts, npts: int) -> np.ndarray:
     """The integrals of w * f over each pair of consecutive cuts (sorted, and
     holding W's breakpoints) where W has density w, one entry per piece in
     order, by :func:`_poly.gauss_legendre` with npts nodes.  Pieces narrower
-    than 1e-15 and pieces where w is zero are skipped; W's atoms are not
+    than 1e-15 and pieces off W's live segments are skipped; W's atoms are not
     included (:func:`_integrate` adds m * f at each).  w is the polynomial of
     the segment holding the piece (found from its middle node, which lies
     inside it however narrow it is), evaluated in t = x - lo by polyval."""
     cuts = np.asarray(cuts, dtype=float)
     lo, hi = cuts[:-1], cuts[1:]
     seg = np.searchsorted(W._inner, 0.5 * (lo + hi), side="right")
-    keep = (hi - lo >= 1e-15) & W._pdf[:, seg].any(axis=0)
+    keep = (hi - lo >= 1e-15) & W._live[seg]
 
     def integrand(ts):
         i = np.searchsorted(W._inner, ts[:, ts.shape[1] // 2], side="right")

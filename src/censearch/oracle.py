@@ -54,7 +54,9 @@ __all__ = ["BRProblem", "BRSolution", "build_problem", "solve_br"]
 
 GRID_N = 801          # uniform mesh points of the LP grid
 COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
-GRID_MERGE = 1e-11    # grid points this close merge into one
+# grid points this close merge into one: HiGHS drops LP entries (here grid
+# spacings) below 1e-9, and spacings of 1e-9 and less gave it wrong optima
+GRID_MERGE = 1e-7
 SUPPORT_MASS = 1e-9   # smallest LP mass BRSolution.support reports
 ATOM_MASS = 1e-12     # smallest LP mass masses_to_dist keeps as an atom
 # Start masses and scaled cap slacks above START_BASIC make a row or a column
@@ -137,7 +139,8 @@ def hat_masses(F: PiecewisePolyDist, grid: np.ndarray) -> np.ndarray:
     3-point Gauss-Legendre in each grid interval's local coordinates is exact
     for a cubic density times a linear hat, provided every grid interval lies
     inside one piece of F; each atom of F splits linearly between the grid
-    points around it."""
+    points around it.  :func:`build_problem` drops a breakpoint of F only
+    within GRID_MERGE of another or of an atom of the conjecture."""
     xi, om = gauss_nodes(3)
     d = np.diff(grid)
     t = grid[:-1, None] + 0.5 * d[:, None] * (1.0 + xi)
@@ -165,29 +168,24 @@ def build_problem(
     reservation images of cost quantiles (so profitable partial-purchase
     signals are representable).
 
-    Points closer than GRID_MERGE merge into one.  The breakpoints and atoms
-    of the two laws win over the other points, so the conjecture's atoms sit
-    on the grid exactly and its own masses (``start``) put nothing beside
-    them; of two such points the lower one stays.
+    Points closer than GRID_MERGE merge into one.  The conjecture's atoms
+    always stay, so its own masses (``start``) put nothing beside them; then
+    rank the prior's breakpoints (for exact hat masses), the conjecture's
+    breakpoints and the other points.  Of two of one rank the lower stays.
     """
     if grid_n < 51:
         raise ValueError("grid too coarse")
     curve = DemandCurve(G_star, n, H)
-    laws = {float(b) for b in G_star.breaks if 0.0 <= b <= 1.0}
-    laws.update(float(a) for a in G_star.atom_locs)
-    laws.update(float(b) for b in F.breaks)
-    pts = set(np.linspace(0.0, 1.0, grid_n))
-    pts.add(float(mean(F)))
-    pts.add(curve.r_lo)
-    pts.add(min(curve.r_hi, 1.0))
     cs = H.quantile((np.arange(COST_QUANTILES) + 0.5) / COST_QUANTILES)
-    pts.update(float(t) for t in reservation_value(G_star, cs[cs > NO_COST]) if 0.0 <= t <= 1.0)
-    fixed = np.array(sorted(laws))
-    grid = np.array(sorted(pts - laws))
-    k = np.clip(np.searchsorted(fixed, grid), 1, len(fixed) - 1)
-    near = np.minimum(np.abs(grid - fixed[k - 1]), np.abs(grid - fixed[k])) <= GRID_MERGE
-    grid = np.union1d(fixed, grid[~near])
-    grid = grid[np.concatenate([[True], np.diff(grid) > GRID_MERGE])]
+    rest = np.concatenate([np.linspace(0.0, 1.0, grid_n), [mean(F), curve.r_lo, curve.r_hi],
+                           reservation_value(G_star, cs[cs > NO_COST])])
+    grid = np.unique(G_star.atom_locs)
+    for pts in (F.breaks, G_star.breaks, rest):
+        pts = np.unique(pts[(0.0 <= pts) & (pts <= 1.0)])
+        pts = pts[np.diff(pts, prepend=-np.inf) > GRID_MERGE]
+        g = np.concatenate([[-np.inf], grid, [np.inf]])  # the points of higher rank
+        k = np.searchsorted(g, pts)
+        grid = np.union1d(grid, pts[np.minimum(pts - g[k - 1], g[k] - pts) > GRID_MERGE])
     obj = curve.value(grid)
     baseline = expected_payoff(G_star, G_star, n, H, curve=curve)
     return BRProblem(grid, obj, hat_masses(F, grid), float(baseline), hat_masses(G_star, grid))

@@ -18,8 +18,8 @@ from censearch.censorship import (
     verify_uce,
     virtual_demand,
 )
-from censearch.demand import DemandCurve
-from censearch.dists import PiecewisePolyDist, incremental_benefit, mean, mpc_check
+from censearch.demand import DemandCurve, power_sum, type_demand
+from censearch.dists import PiecewisePolyDist, _density_integrals, incremental_benefit, mean, mpc_check
 from censearch.oracle import build_problem, solve_br
 
 from conftest import corpus_thresholds, quasi_concave_pair, quasi_convex_pair
@@ -365,6 +365,42 @@ def test_no_disclosure_margin_is_exact(F, H_uniform, monkeypatch):
     assert rep.margin == 0.0 and rep.binding_signals == [0.5] and not built
     assert rep.verdict == "equilibrium" and all(rep.checks.values())
     assert rep.r_lo == 0.5 - 0.18 and type(rep.r_lo) is float
+
+
+def test_one_no_disclosure_rule(F, H_uniform):
+    # upper_censorship's F(a-) <= 1e-14 alone decides that a threshold
+    # discloses nothing; verify_uce reads it off that law and reports the
+    # threshold it was given either way
+    for a, nothing in ((1e-14, True), (2e-14, False), (1e-11, False)):
+        U = upper_censorship(F, a)
+        rep = verify_uce(F, H_uniform, a, 2)
+        assert rep.threshold == a and rep.pooled_signal == U.max_supp(), a
+        assert (U.min_supp() == U.max_supp()) is nothing, a
+        assert (rep.margin == 0.0 and rep.binding_signals == [U.max_supp()]) is nothing, a
+        assert rep.verdict == "equilibrium", a
+
+
+@pytest.mark.parametrize("mass", [5e-16, 5e-15, 5e-14])
+def test_tiny_atoms_are_atoms_to_every_reader(F, H_uniform, mass):
+    # U[0, 1] with an atom at 0.5: a tie for demand, an element of the
+    # price-function certificate; and the top of the support on [0, 1.5]
+    G = PiecewisePolyDist([0.0, 1.0], [np.ones(1)], atoms=[(0.5, mass)])
+    tie = power_sum(G.cdf_left(0.5), G.cdf(0.5), 3) / 3
+    assert DemandCurve(G, 3, H_uniform).max_win_prob(0.5) == tie
+    assert type_demand(G, 0.5, 0.01, 3) == tie
+    assert ("atom", 0.5, 0.5) in censorship._support_elements(G, F, 1e-9)
+    top = PiecewisePolyDist([0.0, 1.0, 1.5], [np.ones(1), np.zeros(1)], atoms=[(1.5, mass)])
+    assert top.max_supp() == 1.5
+
+
+def test_one_rule_for_where_a_law_has_density():
+    # density 5e-15 on [1, 2]: a live segment for the support top, the
+    # price-function certificate and the integrals alike
+    G = PiecewisePolyDist([0.0, 1.0, 2.0], [np.array([1.0 - 5e-15]), np.array([5e-15])])
+    assert G.max_supp() == 2.0 and G.min_supp() == 0.0
+    assert censorship._support_elements(G, G, 1e-9) == [("disclosure", 0.0, 2.0)]
+    pieces = _density_integrals(G, np.ones_like, G.breaks, 2)
+    assert len(pieces) == 2 and pieces[1] == pytest.approx(5e-15, rel=1e-12)
 
 
 def test_verify_rejects_atomic_costs_at_every_threshold(F):

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from censearch import costshape
+from censearch.censorship import upper_censorship
 from censearch.cli import _write_csv, main
+from censearch.dists import PiecewisePolyDist
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,13 +35,18 @@ def write_spec(tmp_path, name="spec.json", n=50, cbar=0.18, extra=None):
     return p
 
 
+def _rows(path):
+    """The rows of a CSV output, read through a file that is closed again."""
+    return list(csv.reader(path.read_text().splitlines()))
+
+
 def test_solve_golden(tmp_path):
     spec = write_spec(tmp_path)
     out = tmp_path / "out"
     assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
     got = (out / "solve.json").read_text()
     assert got == (GOLDEN / "solve_uniform.json").read_text()
-    rows = list(csv.reader(open(out / "cost_scan.csv")))
+    rows = _rows(out / "cost_scan.csv")
     assert rows[0] == ["c", "H", "h", "S", "Sprime"]
     assert len(rows) > 100
 
@@ -263,7 +270,7 @@ def test_verify_gating(tmp_path):
     assert payload["price_function"]["passed"]
     # the (x, D, phi) panel of the verified threshold comes from emit-plot
     assert main(["emit-plot", "--spec", str(ok), "--out", str(tmp_path / "p1")]) == 0
-    rows = list(csv.reader(open(tmp_path / "p1" / "plot_demand.csv")))
+    rows = _rows(tmp_path / "p1" / "plot_demand.csv")
     assert rows[0][:3] == ["x", "D", "phi"]
     gaps = [float(r[2]) - float(r[1]) for r in rows[1:]]
     assert len(gaps) == 513
@@ -290,15 +297,42 @@ def test_verify_full_disclosure_and_edges(tmp_path, capsys):
     assert "numeric failure" not in capsys.readouterr().err
 
 
+def _with_costs(spec, costs):
+    payload = json.loads(spec.read_text())
+    payload["market"]["costs"] = costs
+    spec.write_text(json.dumps(payload))
+    return spec
+
+
+def test_verify_judges_the_censored_law_at_tiny_thresholds(tmp_path):
+    # a = 1e-11 discloses [0, 1e-11): verify reports that threshold and judges
+    # upper_censorship(F, a), the law that oracle, simulate and emit-plot judge
+    F = PiecewisePolyDist.uniform(0.0, 1.0)
+    spec = write_spec(tmp_path, "tiny.json", n=2, extra={"verify": {"a": 1e-11}})
+    assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / "t")]) == 0
+    payload = json.loads((tmp_path / "t" / "verify.json").read_text())
+    assert payload["threshold"] == 1e-11
+    assert payload["pooled_signal"] == upper_censorship(F, 1e-11).max_supp()
+    # on step costs it fails there as it does at a = 1e-6 (margin -0.02 at n = 2)
+    step = {"kind": "poly-pieces", "support": [0, 0.4], "pieces": [
+        {"to": 0.1, "coef": [4.0]}, {"to": 0.3, "coef": [0.8]}, {"to": 0.4, "coef": [4.4]}]}
+    for n in (2, 5):
+        reports = []
+        for a in (1e-11, 1e-6):
+            spec = _with_costs(write_spec(tmp_path, f"step{n}.json", n=n, extra={"verify": {"a": a}}), step)
+            assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / "s")]) == 4, (n, a)
+            payload = json.loads((tmp_path / "s" / "verify.json").read_text())
+            reports.append((payload["verdict"], payload["checks"], payload["margin"]))
+        assert reports[0][:2] == reports[1][:2] and reports[0][0] == "fails", n
+        assert reports[0][2] == pytest.approx(reports[1][2], rel=1e-4), n
+
+
 def test_verify_atomic_costs_config_error(tmp_path, capsys):
     atomic = {"kind": "poly-pieces", "support": [0, 0.18],
               "pieces": [{"to": 0.18, "coef": [0.5 / 0.18]}], "atoms": [{"at": 0.09, "mass": 0.5}]}
     for a, code in ((0.0, 0), (0.2, 2), (0.5, 2), (0.8, 2)):
         spec = write_spec(tmp_path, f"atomic{a}.json", n=5, extra={"verify": {"a": a}})
-        payload = json.loads(spec.read_text())
-        payload["market"]["costs"] = atomic
-        spec.write_text(json.dumps(payload))
-        assert main(["verify", "--spec", str(spec)]) == code, a
+        assert main(["verify", "--spec", str(_with_costs(spec, atomic))]) == code, a
         if code == 2:
             assert "atom-free cost distribution" in capsys.readouterr().err
 
@@ -346,6 +380,18 @@ def test_oracle_and_dump(tmp_path):
     assert dump.exists() and dump.read_text().startswith("# row col value")
 
 
+@pytest.mark.parametrize("a", [3e-11, 1e-10, 1e-9])
+def test_oracle_at_tiny_thresholds(tmp_path, a):
+    # grid points 1.5e-11 to 3.2e-10 apart (the threshold beside 0, the pool
+    # beside the mean) made LP entries that HiGHS drops: gap -0.205 at 3e-11
+    # and 1e-10, though the conjecture's own masses are feasible, and
+    # "Unbounded" at 1e-9
+    spec = write_spec(tmp_path, n=2, extra={"oracle": {"a": a}})
+    assert main(["oracle", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "oracle.json").read_text())
+    assert abs(payload["gap"]) <= 1e-6
+
+
 def test_simulate_outputs(tmp_path):
     spec = write_spec(
         tmp_path, n=2,
@@ -355,7 +401,7 @@ def test_simulate_outputs(tmp_path):
     assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
     payload = json.loads((out / "simulate.json").read_text())
     assert abs(payload["search_length_mean"] - 1.4) < 0.05
-    rows = list(csv.reader(open(out / "demand_emp.csv")))
+    rows = _rows(out / "demand_emp.csv")
     assert rows[0] == ["bin_mid", "D_emp", "se", "D_analytic"]
     emp = np.array([[float(v) for v in r] for r in rows[1:]])
     assert np.all(np.abs(emp[:, 1] - emp[:, 3]) <= 6 * np.maximum(emp[:, 2], 1e-3))
@@ -428,7 +474,7 @@ def test_welfare_csv(tmp_path):
     spec = write_spec(tmp_path, n=2, extra={"welfare": {"a_grid": [0.0, 0.2, 0.4]}})
     out = tmp_path / "w"
     assert main(["welfare", "--spec", str(spec), "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out / "welfare.csv")))
+    rows = _rows(out / "welfare.csv")
     header, data = rows[0], rows[1:]
     cs_col = header.index("CS_total")
     totals = sorted({float(r[cs_col]) for r in data})
@@ -439,7 +485,7 @@ def test_compstat_families(tmp_path):
     spec = write_spec(tmp_path, n=2, extra={"compstat": {"family": "alpha_stretch", "alphas": [1.1, 1.3, 1.5]}})
     out = tmp_path / "c"
     assert main(["compstat", "--spec", str(spec), "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out / "compstat.csv")))
+    rows = _rows(out / "compstat.csv")
     a_col = rows[0].index("a_max")
     vals = [float(r[a_col]) for r in rows[1:]]
     assert vals == sorted(vals, reverse=True)  # stretching reduces disclosure
@@ -525,13 +571,13 @@ def test_emit_plot_panels(tmp_path):
     spec = write_spec(tmp_path, n=2, extra={"emit_plot": {"a": 0.4, "points": 129}})
     out = tmp_path / "p"
     assert main(["emit-plot", "--spec", str(spec), "--out", str(out)]) == 0
-    cost_rows = list(csv.reader(open(out / "plot_costs.csv")))
+    cost_rows = _rows(out / "plot_costs.csv")
     c_i = cost_rows[0].index("c")
     t_i = cost_rows[0].index("tangent")
     for r in cost_rows[1:]:
         # tangent line through the origin with the evenness slope
         assert float(r[t_i]) == pytest.approx((1 / 0.18) * float(r[c_i]), rel=1e-9, abs=1e-12)
-    dem = list(csv.reader(open(out / "plot_demand.csv")))
+    dem = _rows(out / "plot_demand.csv")
     x_i, phi_i = dem[0].index("x"), dem[0].index("phi")
     pts = [(float(r[x_i]), float(r[phi_i])) for r in dem[1:] if float(r[x_i]) >= 0.4]
     # the certificate is affine above the threshold

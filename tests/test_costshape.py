@@ -3,7 +3,10 @@ crossings, the evenness check."""
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
+from censearch import costshape
+from censearch._poly import poly_range_on, polyval
 from censearch.costshape import (
     assumption_diag_check,
     average_slope,
@@ -67,6 +70,38 @@ def test_critical_set_examples(H_uniform, H_convex, H_step):
     assert min(average_slope(H_step, 0.5 * (lo + hi)) for lo, hi in crit) == pytest.approx(
         1.8666666666666667, abs=1e-9
     )
+
+
+def _bump_costs(eps):
+    """Costs with density 4 on [0, 0.1], 4 + eps g(c - 0.1) on [0.1, 0.2]
+    and the rest uniform on [0.2, 0.4], where g(0) = 0 and
+    g'(t) = (t - 0.05625)(t + 1.1).  W = c h - H is 0 on the first segment;
+    on the second W' = c h' = eps c g', so W is 0 at both ends and its one
+    extremum, at t = 0.05625, lies between two of 9 equally spaced samples
+    (0.05 and 0.0625)."""
+    g = Polynomial([0.0, -0.061875, 0.521875, 1.0 / 3.0])(Polynomial([-0.1, 1.0]))
+    mass = 0.4 + eps * float(g.integ(lbnd=0.1)(0.2))
+    return PiecewisePolyDist([0.0, 0.1, 0.2, 0.4],
+                             [np.array([4.0]), (4.0 + eps * g).coef, np.array([(0.6 - mass) / 0.2])])
+
+
+@pytest.mark.parametrize("eps", [0.0, 3.7e-9])
+def test_flat_segment_is_a_plateau(eps):
+    # S = 4 on [0, 0.2]: at eps = 3.7e-9 W's exact range on [0.1, 0.2] is
+    # 0.97 of the plateau bound 1e-12 * H(0.2)
+    assert critical_min_set(_bump_costs(eps)) == [(0.0, 0.2)]
+
+
+def test_segment_just_clearing_the_plateau_bound_is_not_flat():
+    # eps = 3.85e-9: W's exact range on [0.1, 0.2] is 1.013 times the plateau
+    # bound, its 9 equally spaced samples only 0.996 times (a sampled test
+    # took the segment for a plateau and reported [0, 0.2])
+    H = _bump_costs(3.85e-9)
+    w = costshape._stationary_poly(H, 1)
+    low, high = poly_range_on(w, 0.0, 0.1)
+    bound = 1e-12 * H.cdf(0.2)
+    assert np.max(np.abs(polyval(w, np.linspace(0.0, 0.1, 9)))) <= bound < max(-low, high)
+    assert critical_min_set(H) == [(0.0, 0.1)]
 
 
 def test_smallest_local_min_examples(H_uniform, H_convex, H_step):

@@ -234,7 +234,7 @@ def _ref_min_below(H, c):
 
 
 def _ref_cost_condition(F, H, a, tol=Tolerances()):
-    if a <= tol.root:
+    if F.cdf_left(a) <= 1e-14:  # upper_censorship's no-disclosure rule
         return True
     cfa = incremental_benefit(F, a)
     if cfa >= H.support_hi - tol.ineq:

@@ -265,7 +265,7 @@ def _ref_atom_mass(G, x):
 def _ref_max_win(curve, x, side):
     G, n = curve.G, curve.n
     alpha = _ref_atom_mass(G, x)
-    if side == 0 and alpha > 1e-15:
+    if side == 0 and alpha > 0:  # an atom is a point of positive mass
         return power_sum(G.cdf_left(x), G.cdf(x), n) / n
     g = G.cdf_left(x) if side < 0 else G.cdf(x)
     return g ** (n - 1)

@@ -157,6 +157,39 @@ def test_validation_rejects_bad_inputs():
         PiecewisePolyDist([0, 1], [np.zeros(1)], atoms=[(0.5, 0.5), (0.5, 0.5)])
 
 
+def _same_law(d, e):
+    """Every table and array of the two laws has the same bits."""
+    return all(_same_bits(getattr(d, k), getattr(e, k)) for k in PiecewisePolyDist.__slots__ if k != "coefs") \
+        and len(d.coefs) == len(e.coefs) and all(map(_same_bits, d.coefs, e.coefs))
+
+
+def test_an_atom_is_a_point_of_positive_mass():
+    # an atom of mass 0, or of rounding-level negative mass, builds the law
+    # without it: it neither splits a segment nor joins the atom list
+    plain = PiecewisePolyDist([0.0, 0.4, 1.0], [np.array([1.0]), np.array([1.0])])
+    for m in (0.0, -1e-13):
+        d = PiecewisePolyDist([0.0, 0.4, 1.0], [np.array([1.0]), np.array([1.0])],
+                              atoms=[(0.4, m), (0.7, m)])
+        assert _same_law(d, plain), m
+    spec = {"kind": "poly-pieces", "support": [0, 1], "atoms": [{"at": 0.7, "mass": 0.0}],
+            "pieces": [{"to": 0.4, "coef": [1.0]}, {"to": 1, "coef": [1.0]}]}
+    assert _same_law(dist_from_json(spec), plain)
+    # a mixture component of weight 0 brings its atom with mass 0
+    with_atom = PiecewisePolyDist.mixture([plain, PiecewisePolyDist.point_mass(0.7)], [1.0, 0.0])
+    assert _same_law(with_atom, PiecewisePolyDist(with_atom.breaks, with_atom.coefs))
+    with pytest.raises(ValueError, match="atom masses"):
+        PiecewisePolyDist([0.0, 1.0], [np.array([1.001])], atoms=[(0.5, -1e-3)])
+
+
+def test_mixture_weights_meet_the_mass_tolerance():
+    # the weights are held to MASS_TOL, the tolerance of the law's total mass,
+    # so weights the law would refuse fail with the weights message
+    U = PiecewisePolyDist.uniform(0.0, 1.0)
+    with pytest.raises(ValueError, match="mixture weights"):
+        PiecewisePolyDist.mixture([U, U], [0.5, 0.5 + 1e-10])
+    PiecewisePolyDist.mixture([U, U], [0.5, 0.5 + 1e-13])  # within MASS_TOL: accepted
+
+
 def test_market_config_validation(F, H_uniform):
     mc = MarketConfig(F, H_uniform, 2)
     assert mc.mu == pytest.approx(0.5) and mc.cbar == pytest.approx(0.18)
@@ -505,7 +538,7 @@ def _ref_max_supp(d):
     for i in range(len(d.coefs) - 1, -1, -1):
         if _ref_atom_mass_at_index(d, i + 1) > 0:
             return float(d.breaks[i + 1])
-        if _poly.poly_range_on(d.coefs[i], d.breaks[i], d.breaks[i + 1])[1] > 1e-13:
+        if np.any(d.coefs[i]):
             return float(d.breaks[i + 1])
     return float(d.breaks[0] if _ref_atom_mass_at_index(d, 0) > 0 else d.breaks[-1])
 
@@ -514,7 +547,7 @@ def _ref_min_supp(d):
     if _ref_atom_mass_at_index(d, 0) > 0:
         return float(d.breaks[0])
     for i in range(len(d.coefs)):
-        if _poly.poly_range_on(d.coefs[i], d.breaks[i], d.breaks[i + 1])[1] > 1e-13:
+        if np.any(d.coefs[i]):
             return float(d.breaks[i])
         if _ref_atom_mass_at_index(d, i + 1) > 0:
             return float(d.breaks[i + 1])
@@ -523,9 +556,9 @@ def _ref_min_supp(d):
 
 def test_support_ends_match_per_segment_loops(F, F_tilted, H_uniform, H_convex, H_step,
                                               H_bimodal, H_threestep):
-    # max_supp, min_supp and the prior's positivity check read the density
-    # range and atom tables built with the law; the per-segment loops they
-    # replaced are the reference, bit for bit
+    # max_supp, min_supp and the prior's positivity check read the live
+    # segments, density minima and atom tables built with the law; the
+    # per-segment loops they replaced are the reference, bit for bit
     laws = _reservation_laws(F, F_tilted, H_uniform, H_convex, H_step, H_bimodal, H_threestep,
                              (0.0, 0.3, 0.55, 0.9))
     laws.update(_laws(), point=PiecewisePolyDist.point_mass(0.5),
@@ -538,7 +571,9 @@ def test_support_ends_match_per_segment_loops(F, F_tilted, H_uniform, H_convex, 
                 gap_ends_atoms=PiecewisePolyDist([0.0, 0.3, 0.6, 1.0],
                                                  [np.zeros(1), np.array([1.0]), np.zeros(1)],
                                                  atoms=[(0.0, 0.3), (0.6, 0.2), (1.0, 0.2)]),
-                vanishing_ends=PiecewisePolyDist([0.0, 1.0], [np.array([0.0, 6.0, -6.0])]))
+                vanishing_ends=PiecewisePolyDist([0.0, 1.0], [np.array([0.0, 6.0, -6.0])]),
+                faint_top=PiecewisePolyDist([0.0, 0.5, 1.0], [np.array([2.0 - 1e-14]), np.array([1e-14])]),
+                faint_bottom=PiecewisePolyDist([0.0, 0.5, 1.0], [np.array([1e-14]), np.array([2.0 - 1e-14])]))
     for name, d in laws.items():
         assert type(d.max_supp()) is float and type(d.min_supp()) is float, name
         assert repr(d.max_supp()) == repr(_ref_max_supp(d)), name

@@ -64,6 +64,24 @@ def test_grid_keeps_the_laws_points_over_near_mesh_points(F, H_uniform):
     assert prob.start[i + 1] == 0.0
 
 
+def test_grid_ranks_close_points(H_uniform):
+    """The prior's breakpoint 0.3 wins over the threshold 5e-8 below it, and
+    the pool atom always stays: no two grid points lie within GRID_MERGE,
+    the prior's hat masses stay exact, and the gap moves by no more than
+    from a threshold 2e-7 below 0.3, which keeps both points."""
+    F = PiecewisePolyDist([0.0, 0.3, 1.0], [np.array([1.2]), np.array([0.64 / 0.7])])
+    a = 0.3 - 5e-8
+    G = upper_censorship(F, a)
+    prob = build_problem(G, F, H_uniform, 2)
+    assert 0.3 in prob.grid and a not in prob.grid and G.atom_locs[0] in prob.grid
+    assert np.all(np.diff(prob.grid) > oracle.GRID_MERGE)
+    assert prob.hat_masses.sum() == pytest.approx(1.0, abs=1e-15)
+    assert abs(prob.hat_masses @ prob.grid - mean(F)) <= 1e-15
+    near = build_problem(upper_censorship(F, 0.3 - 2e-7), F, H_uniform, 2)
+    assert 0.3 - 2e-7 in near.grid
+    assert solve_br(prob).gap == pytest.approx(solve_br(near).gap, abs=1e-8)
+
+
 def test_objective_for_no_disclosure(F, H_uniform):
     delta = upper_censorship(F, 0.0)
     prob = build_problem(delta, F, H_uniform, 2, 101)

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from censearch._poly import poly_range_on, polyint, polyval  # noqa: E402
 from censearch.censorship import upper_censorship  # noqa: E402
-from censearch.demand import expected_payoff  # noqa: E402
+from censearch.censorship import verify_uce  # noqa: E402
+from censearch.demand import DemandCurve, expected_payoff  # noqa: E402
 from censearch.dists import PiecewisePolyDist, mean, mpc_check, reservation_value  # noqa: E402
 
-from conftest import tail_noise  # noqa: E402
+from conftest import quasi_concave_pair, tail_noise  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -149,6 +150,41 @@ def test_pool_next_to_an_atom_keeps_the_mean():
         assert F.cdf_left(x) == 0.4000000000000001 and F.cdf(x) == 0.6000000000000001
         assert F.atom_mass_at(x) == 0.2
     assert F.atom_mass_at(0.5 - 1e-13) == 0.0 and F.cdf(0.5 - 1e-13) == F.cdf_left(0.5 - 1e-13)
+
+
+def _split(law, xs):
+    """The same law with extra breakpoints xs: each new piece keeps the
+    polynomial (in x) of the segment it came from."""
+    breaks = np.union1d(law.breaks, xs)
+    seg = np.searchsorted(law.breaks[1:-1], breaks[:-1], side="right")
+    return PiecewisePolyDist(breaks, [law.coefs[i] for i in seg], atoms=zip(law.atom_locs, law.atom_masses))
+
+
+def _with_null_atom(law, x):
+    return PiecewisePolyDist(law.breaks, law.coefs, atoms=[*zip(law.atom_locs, law.atom_masses), (x, 0.0)])
+
+
+def test_rewriting_a_law_changes_no_judgement(F, F_tilted, H_uniform, H_step, H_threestep):
+    # the same laws with two extra breakpoints each, or with an atom of mass
+    # 0 added: every verify_uce verdict and check is unchanged, the margin
+    # moves by at most 1e-9 and demand by at most 8.3e-16 on 1,001 points
+    quasi_concave = quasi_concave_pair()[0]
+    xs = np.linspace(0.0, 1.0, 1001)
+    for F0 in (F, F_tilted):
+        for H0 in (H_uniform, H_step, H_threestep, quasi_concave):
+            cbar = H0.support_hi
+            rewrites = [(_split(F0, [0.37, 0.71]), _split(H0, [0.29 * cbar, 0.83 * cbar])),
+                        (_with_null_atom(F0, 0.44), _with_null_atom(H0, 0.5 * cbar))]
+            for n in (2, 5, 50):
+                for a in (0.25, 0.4, 0.55):
+                    rep = verify_uce(F0, H0, a, n)
+                    D = DemandCurve(upper_censorship(F0, a), n, H0).value(xs)
+                    for F1, H1 in rewrites:
+                        other = verify_uce(F1, H1, a, n)
+                        assert (other.verdict, other.checks) == (rep.verdict, rep.checks), (a, n)
+                        assert abs(other.margin - rep.margin) <= 1e-9, (a, n)
+                        D1 = DemandCurve(upper_censorship(F1, a), n, H1).value(xs)
+                        assert np.max(np.abs(D1 - D)) <= 8.3e-16, (a, n)
 
 
 def _bits(a):

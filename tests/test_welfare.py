@@ -230,7 +230,7 @@ def test_best_of_n_counts_prior_atoms(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["welfare", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "out" / "welfare.csv")))
+    rows = list(csv.DictReader((tmp_path / "out" / "welfare.csv").read_text().splitlines()))
     with mpmath.workdps(30):
         half, n, m = mpmath.mpf(1) / 2, 2, mpmath.mpf("0.4")
         atom = mpmath.mpf(0.2)
