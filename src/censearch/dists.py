@@ -126,9 +126,9 @@ class PiecewisePolyDist:
             raise ValueError("duplicate atom locations")
         if not all(-MASS_TOL <= m <= 1 + MASS_TOL for _, m in atoms):
             raise ValueError("atom masses must lie in [0, 1]")
-        atoms = [(a, m) for a, m in atoms if m > 0]
-        if atoms and (atoms[0][0] < breaks[0] - BREAK_TOL or atoms[-1][0] > breaks[-1] + BREAK_TOL):
+        if locs and (locs[0] < breaks[0] - BREAK_TOL or locs[-1] > breaks[-1] + BREAK_TOL):
             raise ValueError("atom outside support")
+        atoms = [(a, m) for a, m in atoms if m > 0]
         breaks, coefs, atoms = _insert_atom_breaks(breaks, coefs, atoms)
         self.breaks = breaks
         self.coefs = coefs

@@ -56,7 +56,7 @@ GRID_N = 801          # uniform mesh points of the LP grid
 COST_QUANTILES = 64   # cost quantiles whose reservation images join the grid
 # grid points this close merge into one: HiGHS drops LP entries (here grid
 # spacings) below 1e-9, and spacings of 1e-9 and less gave it wrong optima
-GRID_MERGE = 1e-7
+GRID_MERGE = 1e-8
 SUPPORT_MASS = 1e-9   # smallest LP mass BRSolution.support reports
 ATOM_MASS = 1e-12     # smallest LP mass masses_to_dist keeps as an atom
 # Start masses and scaled cap slacks above START_BASIC make a row or a column
@@ -138,9 +138,10 @@ def hat_masses(F: PiecewisePolyDist, grid: np.ndarray) -> np.ndarray:
     """``w_i = int phi_i dF`` for the piecewise-linear hats phi_i of the grid.
     3-point Gauss-Legendre in each grid interval's local coordinates is exact
     for a cubic density times a linear hat, provided every grid interval lies
-    inside one piece of F; each atom of F splits linearly between the grid
-    points around it.  :func:`build_problem` drops a breakpoint of F only
-    within GRID_MERGE of another or of an atom of the conjecture."""
+    inside one piece of F (:func:`build_problem` drops a breakpoint of F only
+    within GRID_MERGE of another or of a conjecture atom); F's atoms split
+    linearly between the grid points around them, and its mass beyond a grid
+    end (merged into an atom) goes to that end: the mean moves <= GRID_MERGE."""
     xi, om = gauss_nodes(3)
     d = np.diff(grid)
     t = grid[:-1, None] + 0.5 * d[:, None] * (1.0 + xi)
@@ -148,11 +149,13 @@ def hat_masses(F: PiecewisePolyDist, grid: np.ndarray) -> np.ndarray:
     w = np.zeros(len(grid))
     w[:-1] += f @ (0.5 * (1.0 - xi))
     w[1:] += f @ (0.5 * (1.0 + xi))
-    if len(F.atom_locs):
-        k = np.clip(np.searchsorted(grid, F.atom_locs, side="right") - 1, 0, len(d) - 1)
-        s = np.clip((F.atom_locs - grid[k]) / d[k], 0.0, 1.0)
-        np.add.at(w, k, F.atom_masses * (1.0 - s))
-        np.add.at(w, k + 1, F.atom_masses * s)
+    k = np.clip(np.searchsorted(grid, F.atom_locs, side="right") - 1, 0, len(d) - 1)
+    s = np.clip((F.atom_locs - grid[k]) / d[k], 0.0, 1.0)
+    np.add.at(w, k, F.atom_masses * (1.0 - s))
+    np.add.at(w, k + 1, F.atom_masses * s)
+    for end, lo, hi in ((0, F.support_lo, grid[0]), (-1, grid[-1], F.support_hi)):
+        if hi > lo:
+            w[end] += 0.5 * (hi - lo) * (F.pdf(lo + 0.5 * (hi - lo) * (1.0 + xi)) @ om)
     return w
 
 

@@ -380,6 +380,25 @@ def test_one_no_disclosure_rule(F, H_uniform):
         assert rep.verdict == "equilibrium", a
 
 
+def test_threshold_in_a_bottom_gap_discloses_nothing(H_step):
+    # no prior mass below 0.2: every threshold up to 0.2 censors to the point
+    # mass at 0.6, which the constant certificate proves an equilibrium and
+    # the LP oracle finds no deviation from.  With the full check on that
+    # law, step costs read "fails" at 0.1 and 0.19 (margins -0.02 and
+    # -0.086 at n = 2) but "equilibrium" at 0.05; at 0.25 the law discloses
+    # [0.2, 0.25) and both judges find a profitable deviation.
+    H = H_step
+    for F in (PiecewisePolyDist([0.0, 0.2, 1.0], [np.zeros(1), np.array([1.25])]),
+              PiecewisePolyDist.uniform(0.2, 1.0)):
+        for a in (0.05, 0.1, 0.19):
+            rep = verify_uce(F, H, a, 2)
+            assert (rep.verdict, rep.margin, rep.threshold) == ("equilibrium", 0.0, a), a
+            assert rep.pooled_signal == pytest.approx(0.6, abs=1e-15), a
+            assert abs(solve_br(build_problem(upper_censorship(F, a), F, H, 2)).gap) <= 1e-6, a
+        assert verify_uce(F, H, 0.25, 2).verdict == "fails"
+        assert solve_br(build_problem(upper_censorship(F, 0.25), F, H, 2)).gap > 1e-3
+
+
 @pytest.mark.parametrize("mass", [5e-16, 5e-15, 5e-14])
 def test_tiny_atoms_are_atoms_to_every_reader(F, H_uniform, mass):
     # U[0, 1] with an atom at 0.5: a tie for demand, an element of the

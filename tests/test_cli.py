@@ -392,6 +392,20 @@ def test_oracle_at_tiny_thresholds(tmp_path, a):
     assert abs(payload["gap"]) <= 1e-6
 
 
+@pytest.mark.parametrize("a", [1 - 1e-7, 1 - 1e-8])
+def test_oracle_near_full_disclosure(tmp_path, a):
+    # the pool sits 5e-8 and 5e-9 below the prior's top: the LP grid kept
+    # the pool but dropped the top, lost the prior's mass above the pool,
+    # and failed its mass check at 1 - 1e-7
+    spec = write_spec(tmp_path, n=2, extra={"oracle": {"a": a}})
+    assert main(["oracle", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "oracle.json").read_text())
+    spec = write_spec(tmp_path, n=2, extra={"oracle": {"a": 1 - 1e-3}})
+    assert main(["oracle", "--spec", str(spec), "--out", str(tmp_path / "r")]) == 0
+    ref = json.loads((tmp_path / "r" / "oracle.json").read_text())
+    assert payload["gap"] == pytest.approx(ref["gap"], abs=1e-8)
+
+
 def test_simulate_outputs(tmp_path):
     spec = write_spec(
         tmp_path, n=2,

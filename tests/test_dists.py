@@ -155,6 +155,12 @@ def test_validation_rejects_bad_inputs():
         PiecewisePolyDist([0, 0, 1], [np.zeros(1), np.ones(1)])
     with pytest.raises(ValueError, match="duplicate atom"):
         PiecewisePolyDist([0, 1], [np.zeros(1)], atoms=[(0.5, 0.5), (0.5, 0.5)])
+    # an atom of mass 0 is dropped, but only after its place is checked
+    with pytest.raises(ValueError, match="atom outside support"):
+        PiecewisePolyDist([0, 1], [np.ones(1)], atoms=[(5.0, 0.0)])
+    with pytest.raises(ValueError, match="atom outside support"):
+        dist_from_json({"kind": "poly-pieces", "support": [0, 1], "atoms": [{"at": 5, "mass": 0}],
+                        "pieces": [{"to": 1, "coef": [1.0]}]})
 
 
 def _same_law(d, e):

@@ -65,21 +65,39 @@ def test_grid_keeps_the_laws_points_over_near_mesh_points(F, H_uniform):
 
 
 def test_grid_ranks_close_points(H_uniform):
-    """The prior's breakpoint 0.3 wins over the threshold 5e-8 below it, and
+    """The prior's breakpoint 0.3 wins over the threshold 5e-9 below it, and
     the pool atom always stays: no two grid points lie within GRID_MERGE,
     the prior's hat masses stay exact, and the gap moves by no more than
-    from a threshold 2e-7 below 0.3, which keeps both points."""
+    from a threshold 2e-8 below 0.3, which keeps both points."""
     F = PiecewisePolyDist([0.0, 0.3, 1.0], [np.array([1.2]), np.array([0.64 / 0.7])])
-    a = 0.3 - 5e-8
+    a = 0.3 - 5e-9
     G = upper_censorship(F, a)
     prob = build_problem(G, F, H_uniform, 2)
     assert 0.3 in prob.grid and a not in prob.grid and G.atom_locs[0] in prob.grid
     assert np.all(np.diff(prob.grid) > oracle.GRID_MERGE)
     assert prob.hat_masses.sum() == pytest.approx(1.0, abs=1e-15)
     assert abs(prob.hat_masses @ prob.grid - mean(F)) <= 1e-15
-    near = build_problem(upper_censorship(F, 0.3 - 2e-7), F, H_uniform, 2)
-    assert 0.3 - 2e-7 in near.grid
+    near = build_problem(upper_censorship(F, 0.3 - 2e-8), F, H_uniform, 2)
+    assert 0.3 - 2e-8 in near.grid
     assert solve_br(prob).gap == pytest.approx(solve_br(near).gap, abs=1e-8)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "atom_at_top"])
+def test_grid_near_full_disclosure_keeps_all_of_F(prior, H_uniform):
+    """A pool within GRID_MERGE of F's support end merges the end into the
+    pool atom, and F's mass beyond it goes onto the atom: the hat masses keep
+    F's mass and mean, and the gap is the one of a threshold 1e-3 below the
+    top, whose grid keeps both points.  (Dropping F beyond the pool lost
+    5e-8 of mass at a = 1 - 1e-7, and the solve failed its mass check.)"""
+    F = PiecewisePolyDist.uniform(0.0, 1.0) if prior == "uniform" else PiecewisePolyDist(
+        [0.0, 1.0], [np.array([0.5])], atoms=[(1.0, 0.5)])
+    ref = solve_br(build_problem(upper_censorship(F, 1 - 1e-3), F, H_uniform, 2)).gap
+    for e in (1e-7, 1e-8, 1e-10):
+        prob = build_problem(upper_censorship(F, 1 - e), F, H_uniform, 2)
+        assert np.all(np.diff(prob.grid) > oracle.GRID_MERGE), e
+        assert prob.hat_masses.sum() == pytest.approx(1.0, abs=1e-15), e
+        assert abs(prob.hat_masses @ prob.grid - mean(F)) <= 1e-14, e
+        assert solve_br(prob).gap == pytest.approx(ref, abs=1e-8), e
 
 
 def test_objective_for_no_disclosure(F, H_uniform):
